@@ -1,24 +1,27 @@
-"""Streaming ingestion with periodic re-compression checkpoints.
+"""Streaming ingestion into a segment store.
 
-Real monitoring pipelines receive contacts continuously.  The
-:class:`repro.core.GrowableChronoGraph` keeps the bulk of the history
-ChronoGraph-compressed while buffering fresh contacts raw, answers queries
-over both, and folds the buffer into a new compressed base whenever it
-stops being negligible -- the streaming counterpart of the paper's static
-compression pipeline.
+Real monitoring pipelines receive contacts continuously.  A
+:class:`repro.storage.segments.SegmentStore` keeps the bulk of the history
+in immutable ChronoGraph-compressed segments, buffers fresh contacts in a
+durable hot tail, answers queries over both, and seals the tail into a new
+compressed segment once it holds ``seal_contacts`` contacts -- the
+streaming counterpart of the paper's static compression pipeline.
+Compaction merges adjacent segments once there are too many.
 
 Run with ``python examples/streaming_ingest.py``.
 """
 
 import random
+import tempfile
 
-from repro.core import GrowableChronoGraph
 from repro.graph.model import GraphKind
+from repro.storage.segments import SegmentStore, StorePolicy
 
 HOSTS = 300
 EPOCHS = 6
 FLOWS_PER_EPOCH = 2_000
 EPOCH_SECONDS = 3_600
+BATCH = 500
 
 
 def flow_stream(epoch: int, rng: random.Random):
@@ -30,30 +33,41 @@ def flow_stream(epoch: int, rng: random.Random):
         yield (src, dst, base_time + rng.randrange(EPOCH_SECONDS))
 
 
+def sealed_bits_per_contact(store: SegmentStore) -> float:
+    """Segment bytes per sealed contact, in bits."""
+    segments = store.manifest.segments
+    contacts = sum(s.contacts for s in segments)
+    return 8 * sum(s.size for s in segments) / contacts if contacts else 0.0
+
+
 def main() -> None:
     rng = random.Random(17)
-    graph = GrowableChronoGraph(GraphKind.POINT, num_nodes=HOSTS,
-                                name="netflow-stream")
+    policy = StorePolicy(seal_contacts=5_000, max_segments=2)
+    with tempfile.TemporaryDirectory() as work, SegmentStore.create(
+        f"{work}/netflow.store", GraphKind.POINT, policy=policy
+    ) as store:
+        print("epoch  contacts  segments  tail  bits/contact (sealed)")
+        for epoch in range(EPOCHS):
+            flows = list(flow_stream(epoch, rng))
+            for start in range(0, len(flows), BATCH):
+                # Durable on return; seals inline past seal_contacts.
+                store.ingest(flows[start : start + BATCH])
+            while store.compact_once():
+                pass
+            print(f"{epoch:5d}  {store.graph.num_contacts:8d}  "
+                  f"{len(store.manifest.segments):8d}  {store.tail_size:4d}"
+                  f"  {sealed_bits_per_contact(store):21.2f}")
 
-    print("epoch  contacts  delta  bits/contact  checkpointed")
-    for epoch in range(EPOCHS):
-        graph.extend(flow_stream(epoch, rng))
-        checkpointed = ""
-        if graph.checkpoint_due(delta_share=0.25):
-            graph.checkpoint()
-            checkpointed = "yes"
-        per_contact = graph.size_in_bits / graph.num_contacts
-        print(f"{epoch:5d}  {graph.num_contacts:8d}  {graph.delta_contacts:5d}"
-              f"  {per_contact:12.2f}  {checkpointed}")
+        # Queries work at any moment, spanning segments and the tail.
+        last_epoch = (EPOCHS - 1) * EPOCH_SECONDS
+        view = store.graph
+        active = view.neighbors(0, last_epoch, last_epoch + EPOCH_SECONDS - 1)
+        print(f"\nhost 0 talked to {len(active)} hosts during the last epoch")
 
-    # Queries work at any moment, spanning base and delta uniformly.
-    last_epoch = (EPOCHS - 1) * EPOCH_SECONDS
-    active = graph.neighbors(0, last_epoch, last_epoch + EPOCH_SECONDS - 1)
-    print(f"\nhost 0 talked to {len(active)} hosts during the last epoch")
-
-    final = graph.checkpoint()
-    print(f"final checkpoint: {final.bits_per_contact:.2f} bits/contact for "
-          f"{final.num_contacts} contacts")
+        store.compact_all()
+        print(f"final seal: {sealed_bits_per_contact(store):.2f} bits/contact "
+              f"for {store.graph.num_contacts} contacts in "
+              f"{len(store.manifest.segments)} segment(s)")
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ Subpackages:
 from repro.core import (
     ChronoGraphConfig,
     CompressedChronoGraph,
-    GrowableChronoGraph,
     compress,
     load_compressed,
     save_compressed,
@@ -46,7 +45,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ChronoGraphConfig",
     "CompressedChronoGraph",
-    "GrowableChronoGraph",
     "FormatError",
     "compress",
     "load_compressed",

@@ -7,10 +7,10 @@ Two unrelated-but-sibling concerns live here:
   aggregation levels), importable as before.
 * The project's AST-based static-analysis engine (``python -m
   repro.analysis``), which enforces invariants generic linters cannot
-  see: snapshot discipline (CG001), lock discipline (CG002), the
-  repro.errors exception taxonomy (CG003), atomic artifact writes
-  (CG004), decode-budget pre-charging (CG005) and the zero-copy buffer
-  discipline of the decode plane (CG006).  See ``docs/analysis.md`` for
+  see: lock discipline (CG002), the repro.errors exception taxonomy
+  (CG003), atomic artifact writes (CG004), decode-budget pre-charging
+  (CG005) and the zero-copy buffer discipline of the decode plane
+  (CG006).  See ``docs/analysis.md`` for
   the rule catalog.
 """
 

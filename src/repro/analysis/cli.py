@@ -23,12 +23,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Project-specific static analysis: snapshot discipline "
-            "(CG001), lock discipline (CG002), exception taxonomy "
-            "(CG003), atomic writes (CG004), decode-budget charging "
-            "(CG005), buffer-copy discipline (CG006), checkpoint "
-            "coverage (CG007), resource lifecycle (CG008), stale "
-            "suppressions (CG009)."
+            "Project-specific static analysis: lock discipline "
+            "(CG002), exception taxonomy (CG003), atomic writes "
+            "(CG004), decode-budget charging (CG005), buffer-copy "
+            "discipline (CG006), checkpoint coverage (CG007), resource "
+            "lifecycle (CG008), stale suppressions (CG009)."
         ),
     )
     parser.add_argument(

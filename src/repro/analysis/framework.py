@@ -1,9 +1,9 @@
 """Rule framework of the repro static-analysis engine.
 
 The engine enforces project invariants that generic linters cannot see:
-snapshot discipline on the concurrent query plane (CG001), lock hygiene
-(CG002), the :mod:`repro.errors` exception taxonomy (CG003), atomic artifact
-writes (CG004), decode-budget pre-charging (CG005), the zero-copy buffer
+lock hygiene on the concurrent query plane (CG002), the
+:mod:`repro.errors` exception taxonomy (CG003), atomic artifact writes
+(CG004), decode-budget pre-charging (CG005), the zero-copy buffer
 discipline of the decode plane (CG006), checkpoint coverage of query loops
 (CG007), resource-handle lifecycles (CG008) and suppression hygiene
 (CG009).  Each rule is an AST visitor registered with :func:`register`; the
@@ -66,7 +66,7 @@ __all__ = [
 ]
 
 #: A suppression directive: ``repro: noqa`` (all rules) or with a bracketed
-#: rule list such as ``repro: noqa[CG001, CG002]``.  The bracket contents
+#: rule list such as ``repro: noqa[CG002, CG005]``.  The bracket contents
 #: are captured wholesale and validated separately so malformed lists
 #: (``noqa[]``, ``noqa[bogus]``) can be *reported* instead of silently
 #: widening or narrowing the suppression.
@@ -272,7 +272,7 @@ def _parse_directive(line: int, bracket: Optional[str]) -> NoqaDirective:
     if not tokens:
         return NoqaDirective(
             line=line,
-            malformed="empty rule list (write `repro: noqa[CG001]` or drop "
+            malformed="empty rule list (write `repro: noqa[CG002]` or drop "
             "the brackets to silence every rule)",
         )
     bad = [t for t in tokens if not _RULE_TOKEN_RE.match(t)]

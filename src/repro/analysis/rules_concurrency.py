@@ -1,15 +1,11 @@
-"""CG001 snapshot discipline and CG002 lock discipline.
+"""CG002 lock discipline.
 
-Both rules encode the concurrency contract of
-:class:`repro.core.compressed.CompressedChronoGraph`:
-
-* Readers must capture the published ``self._state`` snapshot **exactly
-  once** per call and work against that local reference; a second read may
-  observe a different generation and tear the result (CG001).
-* No decode, encode or filesystem work may run while a cache-shard or
-  mutate lock is held, and lock acquisition order must be acyclic (CG002).
-  The distinct-list lock is exempt from the first clause by design: it is a
-  reentrant lock whose purpose is to serialise decode-driven cache warming.
+The rule encodes the concurrency contract of
+:class:`repro.core.compressed.CompressedChronoGraph`: no decode, encode or
+filesystem work may run while a cache-shard lock is held, and lock
+acquisition order must be acyclic.  The distinct-list lock is exempt from
+the first clause by design: it is a reentrant lock whose purpose is to
+serialise decode-driven cache warming.
 
 CG002 is a whole-program rule: its call summaries -- which locks a
 function acquires, which banned decode/encode/filesystem calls it can
@@ -24,7 +20,7 @@ graph.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.framework import (
     Finding,
@@ -35,37 +31,9 @@ from repro.analysis.framework import (
 )
 
 __all__ = [
-    "SnapshotDisciplineRule",
     "LockDisciplineRule",
     "collect_lock_model",
 ]
-
-#: The snapshot attribute CG001 protects.
-_SNAPSHOT_ATTR = "_state"
-
-
-def _is_self_attr(node: ast.AST, attr: Optional[str] = None) -> bool:
-    return (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-        and (attr is None or node.attr == attr)
-    )
-
-
-def _function_defs(body: List[ast.stmt]) -> Iterator[ast.FunctionDef]:
-    for stmt in body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield stmt  # type: ignore[misc]
-
-
-def _is_property(func: ast.FunctionDef) -> bool:
-    for deco in func.decorator_list:
-        if isinstance(deco, ast.Name) and deco.id == "property":
-            return True
-        # e.g. @functools.cached_property is NOT a repeated-read hazard
-        # (one evaluation per instance) so only bare ``property`` counts.
-    return False
 
 
 def _lock_name(expr: ast.AST) -> Optional[str]:
@@ -73,7 +41,7 @@ def _lock_name(expr: ast.AST) -> Optional[str]:
 
     Locks are recognised by naming convention: an attribute or variable
     whose name is ``lock`` or ends with ``_lock`` (``shard.lock``,
-    ``self._mutate_lock``, ``self._distinct_lock``).
+    ``self._distinct_lock``).
     """
     name = None
     if isinstance(expr, ast.Attribute):
@@ -83,173 +51,6 @@ def _lock_name(expr: ast.AST) -> Optional[str]:
     if name is not None and (name == "lock" or name.endswith("_lock")):
         return name
     return None
-
-
-@register
-class SnapshotDisciplineRule(Rule):
-    """CG001: capture the published state snapshot exactly once per call."""
-
-    id = "CG001"
-    name = "snapshot-discipline"
-    summary = (
-        "Methods of classes that publish an immutable `_state` snapshot "
-        "must read `self._state` (directly or through a state-capturing "
-        "property) at most once per call, and never inside a loop."
-    )
-
-    def check(self, source: SourceFile) -> List[Finding]:
-        """Check every snapshot-publishing class in the file."""
-        findings: List[Finding] = []
-        for node in ast.walk(source.tree):
-            if isinstance(node, ast.ClassDef) and self._publishes_snapshot(node):
-                findings.extend(self._check_class(source, node))
-        return findings
-
-    def _publishes_snapshot(self, cls: ast.ClassDef) -> bool:
-        for node in ast.walk(cls):
-            if (
-                _is_self_attr(node, _SNAPSHOT_ATTR)
-                and isinstance(node.ctx, ast.Store)  # type: ignore[attr-defined]
-            ):
-                return True
-        return False
-
-    def _capturing_properties(self, cls: ast.ClassDef) -> Set[str]:
-        """Properties whose getters transitively read ``self._state``.
-
-        A method that loads such a property re-reads the snapshot just as
-        surely as a direct ``self._state`` load; the fixpoint closes over
-        properties reading other capturing properties.
-        """
-        props = {f.name: f for f in _function_defs(cls.body) if _is_property(f)}
-        capturing: Set[str] = set()
-        changed = True
-        while changed:
-            changed = False
-            for name, func in props.items():
-                if name in capturing:
-                    continue
-                for node in ast.walk(func):
-                    if _is_self_attr(node) and isinstance(node.ctx, ast.Load):  # type: ignore[attr-defined]
-                        if node.attr == _SNAPSHOT_ATTR or node.attr in capturing:  # type: ignore[attr-defined]
-                            capturing.add(name)
-                            changed = True
-                            break
-        return capturing
-
-    def _check_class(
-        self, source: SourceFile, cls: ast.ClassDef
-    ) -> List[Finding]:
-        capturing = self._capturing_properties(cls)
-        findings: List[Finding] = []
-        frames: List[ast.FunctionDef] = list(_function_defs(cls.body))
-        # Nested defs (closures, generators) are their own call frames and
-        # are held to the same single-capture contract independently.
-        for func in list(frames):
-            for node in ast.walk(func):
-                if (
-                    node is not func
-                    and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                ):
-                    frames.append(node)  # type: ignore[arg-type]
-        for func in frames:
-            captures = self._captures(func, capturing)
-            loops = [n for n, in_loop in captures if in_loop]
-            for n in loops:
-                findings.append(
-                    self.finding(
-                        source,
-                        n,
-                        f"`{func.name}` reads the `{_SNAPSHOT_ATTR}` snapshot "
-                        "inside a loop; capture it once before iterating",
-                    )
-                )
-            if len(captures) > 1:
-                extra = captures[1][0]
-                findings.append(
-                    self.finding(
-                        source,
-                        extra,
-                        f"`{func.name}` reads the `{_SNAPSHOT_ATTR}` snapshot "
-                        f"{len(captures)} times (torn read across "
-                        "generations); capture `self._state` once and reuse "
-                        "the local snapshot",
-                    )
-                )
-        return findings
-
-    def _captures(
-        self, func: ast.FunctionDef, capturing: Set[str]
-    ) -> List[Tuple[ast.AST, bool]]:
-        """(node, inside_loop) for every snapshot read in ``func``.
-
-        Reads under ``with self._mutate_lock`` (any ``*mutate*lock``) are
-        exempt: only mutators change ``_state`` and they serialise on that
-        lock, so a holder cannot observe a torn pair.  Nested functions are
-        separate call frames and are analysed on their own.
-        """
-        out: List[Tuple[ast.AST, bool]] = []
-
-        def visit(node: Optional[ast.AST], in_loop: bool) -> None:
-            if node is None:
-                return
-            if (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node is not func
-            ):
-                return  # separate frame, analysed on its own
-            if isinstance(node, ast.With) and any(
-                "mutate" in (_lock_name(item.context_expr) or "")
-                for item in node.items
-            ):
-                return  # serialised against mutators; no torn pair
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                # The iterator expression evaluates once, before the loop;
-                # only target/body re-execute per iteration.
-                visit(node.iter, in_loop)
-                visit(node.target, True)
-                for part in node.body + node.orelse:
-                    visit(part, True)
-                return
-            if isinstance(
-                node,
-                (ast.GeneratorExp, ast.ListComp, ast.SetComp, ast.DictComp),
-            ):
-                # Same shape: the outermost iterable evaluates once.
-                gens = node.generators
-                visit(gens[0].iter, in_loop)
-                for gen in gens[1:]:
-                    visit(gen.iter, True)
-                for gen in gens:
-                    visit(gen.target, True)
-                    for cond in gen.ifs:
-                        visit(cond, True)
-                if isinstance(node, ast.DictComp):
-                    visit(node.key, True)
-                    visit(node.value, True)
-                else:
-                    visit(node.elt, True)
-                return
-            if isinstance(node, ast.While):
-                visit(node.test, True)
-                for part in node.body + node.orelse:
-                    visit(part, True)
-                return
-            if (
-                _is_self_attr(node)
-                and isinstance(node.ctx, ast.Load)  # type: ignore[attr-defined]
-                and (
-                    node.attr == _SNAPSHOT_ATTR  # type: ignore[attr-defined]
-                    or node.attr in capturing  # type: ignore[attr-defined]
-                )
-            ):
-                out.append((node, in_loop))
-                return  # self._state.num_nodes is still one read
-            for child in ast.iter_child_nodes(node):
-                visit(child, in_loop)
-
-        visit(func, False)
-        return out
 
 
 #: Call-name prefixes that mean "decode or encode work".
@@ -324,14 +125,14 @@ class _LockModel:
 
 @register
 class LockDisciplineRule(Rule):
-    """CG002: no decode/encode/filesystem work under shard or mutate locks,
+    """CG002: no decode/encode/filesystem work under shard locks,
     and no cyclic lock-acquisition order -- checked across modules."""
 
     id = "CG002"
     name = "lock-discipline"
     summary = (
         "No decode, encode or filesystem call may run while holding a "
-        "shard or mutate lock (the reentrant distinct-list lock is exempt "
+        "shard lock (the reentrant distinct-list lock is exempt "
         "by design), and the lock acquisition order must be acyclic; call "
         "summaries flow through the cross-module call graph."
     )

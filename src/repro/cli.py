@@ -9,11 +9,11 @@ Usage (also via ``python -m repro``)::
     python -m repro query flows.chrono edge 17 44 100 200
     python -m repro sweep yahoo-sub --scale 0.2
     python -m repro gapstats flows.txt --strategy previous
-    python -m repro ingest flows.chrono new_flows.txt
-    python -m repro recover flows.chrono
-    python -m repro compact flows.chrono
     python -m repro ingest --init flows.store new_flows.txt
+    python -m repro ingest flows.store more_flows.txt
+    python -m repro compact flows.store
     python -m repro status flows.store
+    python -m repro recover legacy.chrono   # -> legacy.chrono.store/
 
 Every subcommand is a thin shell over the library API so scripted use and
 programmatic use stay equivalent.
@@ -135,12 +135,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="best-effort decode; report the longest valid prefix")
 
     p = sub.add_parser(
-        "ingest",
-        help="append contacts to a .chrono WAL or a segment store directory",
+        "ingest", help="append contacts to a segment store directory",
     )
-    p.add_argument("base", help=".chrono base snapshot or segment store dir")
+    p.add_argument("base", help="segment store dir")
     p.add_argument("input", help="contact list with the new contacts")
-    p.add_argument("--wal", default=None, help="WAL path (default: <base>.wal)")
     p.add_argument("--batch", type=int, default=1024,
                    help="contacts per committed (fsynced) batch")
     p.add_argument("--init", action="store_true",
@@ -149,26 +147,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=1,
                    help="time aggregation divisor for a new store (--init)")
     p.add_argument("--seal", type=int, default=4096,
-                   help="tail contacts per sealed segment (store ingest)")
+                   help="tail contacts per sealed segment")
 
     p = sub.add_parser(
         "recover",
-        help="replay a .chrono WAL (or recover a segment store) and "
-             "report what survives",
+        help="recover a segment store and report what survives, or "
+             "convert a legacy .chrono + .wal pair into BASE.store/",
     )
-    p.add_argument("base", help=".chrono base snapshot or segment store dir")
-    p.add_argument("--wal", default=None, help="WAL path (default: <base>.wal)")
+    p.add_argument("base", help="segment store dir or legacy .chrono base")
+    p.add_argument("--wal", default=None,
+                   help="legacy WAL path (default: <base>.wal)")
     p.add_argument("--repair", action="store_true",
-                   help="truncate a torn WAL tail in place / apply segment "
-                        "store repairs (quarantine renames, orphan sweeps)")
+                   help="apply segment store repairs (quarantine renames, "
+                        "orphan sweeps); legacy files are never modified")
 
     p = sub.add_parser(
-        "compact",
-        help="fold base+WAL into a fresh snapshot, or seal and merge a "
-             "segment store's segments",
+        "compact", help="seal and merge a segment store's segments",
     )
-    p.add_argument("base", help=".chrono base snapshot or segment store dir")
-    p.add_argument("--wal", default=None, help="WAL path (default: <base>.wal)")
+    p.add_argument("base", help="segment store dir")
 
     p = sub.add_parser(
         "status",
@@ -271,6 +267,28 @@ def _cmd_serve(args) -> int:
     return 0
 
 
+def _run_query(graph, args) -> int:
+    """Print one query's answer; ``graph`` is local or a ServiceClient."""
+    if args.kind == "neighbors":
+        if len(args.args) != 3:
+            print("neighbors query needs: u t_start t_end", file=sys.stderr)
+            return 2
+        result = graph.neighbors(*args.args)
+        print(" ".join(map(str, result)) if result else "(none)")
+    elif args.kind == "edge":
+        if len(args.args) != 4:
+            print("edge query needs: u v t_start t_end", file=sys.stderr)
+            return 2
+        print("active" if graph.has_edge(*args.args) else "inactive")
+    else:
+        if len(args.args) != 2:
+            print("timestamps query needs: u v", file=sys.stderr)
+            return 2
+        result = graph.edge_timestamps(*args.args)
+        print(" ".join(map(str, result)) if result else "(none)")
+    return 0
+
+
 def _query_remote(args) -> int:
     from repro.service.client import ServiceClient, ServiceError
 
@@ -281,23 +299,7 @@ def _query_remote(args) -> int:
         allow_partial=args.allow_partial,
     ) as client:
         try:
-            if args.kind == "neighbors":
-                if len(args.args) != 3:
-                    print("neighbors query needs: u t_start t_end", file=sys.stderr)
-                    return 2
-                result = client.neighbors(*args.args)
-                print(" ".join(map(str, result)) if result else "(none)")
-            elif args.kind == "edge":
-                if len(args.args) != 4:
-                    print("edge query needs: u v t_start t_end", file=sys.stderr)
-                    return 2
-                print("active" if client.has_edge(*args.args) else "inactive")
-            else:
-                if len(args.args) != 2:
-                    print("timestamps query needs: u v", file=sys.stderr)
-                    return 2
-                result = client.edge_timestamps(*args.args)
-                print(" ".join(map(str, result)) if result else "(none)")
+            code = _run_query(client, args)
         except ServiceError as exc:
             hint = (
                 f" (retry in {exc.retry_after:.3g}s)"
@@ -310,34 +312,15 @@ def _query_remote(args) -> int:
                 f"note: part {skip['part']} skipped: {skip['reason']}",
                 file=sys.stderr,
             )
-    return 0
+    return code
 
 
 def _cmd_query(args) -> int:
+    from repro.service.server import open_query_target
+
     if args.input.startswith("tcp://"):
         return _query_remote(args)
-    cg = load_compressed(args.input)
-    if args.kind == "neighbors":
-        if len(args.args) != 3:
-            print("neighbors query needs: u t_start t_end", file=sys.stderr)
-            return 2
-        u, t1, t2 = args.args
-        result = cg.neighbors(u, t1, t2)
-        print(" ".join(map(str, result)) if result else "(none)")
-    elif args.kind == "edge":
-        if len(args.args) != 4:
-            print("edge query needs: u v t_start t_end", file=sys.stderr)
-            return 2
-        u, v, t1, t2 = args.args
-        print("active" if cg.has_edge(u, v, t1, t2) else "inactive")
-    else:
-        if len(args.args) != 2:
-            print("timestamps query needs: u v", file=sys.stderr)
-            return 2
-        u, v = args.args
-        result = cg.edge_timestamps(u, v)
-        print(" ".join(map(str, result)) if result else "(none)")
-    return 0
+    return _run_query(open_query_target(args.input), args)
 
 
 def _cmd_sweep(args) -> int:
@@ -450,74 +433,34 @@ def _cmd_verify(args) -> int:
     return 1
 
 
+def _not_a_store(path: str) -> int:
+    print(f"error: {path} is not a segment store; convert a legacy .chrono "
+          f"(+ .wal) with: repro recover {path}", file=sys.stderr)
+    return 2
+
+
 def _cmd_ingest(args) -> int:
-    # Exit codes: 0 all contacts committed; 2 unreadable input/base/WAL,
-    # kind mismatch, or a WAL bound to a different snapshot (raised as
-    # FormatError/OSError and mapped in main()).
-    from repro.graph.aggregate import _aggregate_duration
-    from repro.graph.model import Contact, GraphKind
-    from repro.storage.recovery import default_wal_path, open_for_ingest
-    from repro.storage.segments import is_segment_store
-
-    if args.init or is_segment_store(args.base):
-        return _cmd_ingest_store(args)
-
-    incoming = read_contact_text(args.input)
-    graph, wal = open_for_ingest(args.base, args.wal)
-    try:
-        if incoming.kind is not graph.kind:
-            print(f"error: {args.input} is {incoming.kind.value} but "
-                  f"{args.base} is {graph.kind.value}", file=sys.stderr)
-            return 2
-        # Bucket at ingest, exactly like GrowableChronoGraph.add_contact:
-        # the WAL stores contacts in the base snapshot's stored time units.
-        resolution = graph.config.resolution
-        interval = graph.kind is GraphKind.INTERVAL
-        batch_size = max(1, args.batch)
-        committed = 0
-        for c in incoming.contacts:
-            if resolution > 1:
-                duration = (
-                    _aggregate_duration(c.time, c.duration, resolution)
-                    if interval else 0
-                )
-                c = Contact(c.u, c.v, c.time // resolution, duration)
-            wal.append([c])
-            if wal.pending_contacts >= batch_size:
-                committed += wal.commit()
-        committed += wal.commit()
-        wal_path = args.wal or default_wal_path(args.base)
-        print(f"ingested {committed} contacts into {wal_path} "
-              f"(generation {wal.header.generation})")
-        if wal.repaired_bytes:
-            print(f"  repaired: dropped {wal.repaired_bytes} torn trailing "
-                  f"bytes before appending")
-    finally:
-        wal.close()
-    return 0
-
-
-def _cmd_ingest_store(args) -> int:
-    # Segment store variant: contacts land in the hot WAL tail and seal
-    # into immutable segments past --seal.  Exit codes: 0 committed;
-    # 1 committed into a degraded store (reported); 2 unreadable inputs,
-    # kind mismatch, or backpressure (mapped in main()).
+    # Contacts land in the store's hot WAL tail and seal into immutable
+    # segments past --seal.  Exit codes: 0 committed; 1 committed into a
+    # degraded store (reported); 2 not a store, unreadable inputs, kind
+    # mismatch, or backpressure (mapped in main()).
     from repro.core.config import ChronoGraphConfig
     from repro.storage.segments import SegmentStore, StorePolicy, is_segment_store
 
-    incoming = read_contact_text(args.input)
     policy = StorePolicy(seal_contacts=max(1, args.seal))
     if is_segment_store(args.base):
+        incoming = read_contact_text(args.input)
         store = SegmentStore.open(args.base, policy=policy)
     elif args.init:
+        incoming = read_contact_text(args.input)
         config = ChronoGraphConfig(resolution=args.resolution)
         store = SegmentStore.create(
             args.base, incoming.kind, config, policy=policy
         )
         print(f"created segment store at {args.base} "
               f"(kind={incoming.kind.value}, resolution={args.resolution})")
-    else:  # pragma: no cover - dispatch guarantees one of the above
-        raise ValueError(f"{args.base} is not a segment store")
+    else:
+        return _not_a_store(args.base)
     try:
         if incoming.kind is not store.manifest.kind:
             print(f"error: {args.input} is {incoming.kind.value} but "
@@ -542,14 +485,12 @@ def _cmd_ingest_store(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    # Exit codes: 0 clean replay; 1 recovered with loss (torn tail or a
-    # superseded log); 2 base or WAL header unreadable, or generation
-    # mismatch (raised and mapped in main()).
-    import pathlib
-
-    from repro.storage.recovery import default_wal_path, open_with_wal
+    # Exit codes: 0 clean; 1 the store is degraded, or the legacy
+    # conversion dropped a torn tail or ignored a superseded log (loss is
+    # reported, never silent); 2 unreadable inputs, a WAL bound to another
+    # base, or an existing conversion target (raised and mapped in main()).
+    from repro.storage.recovery import convert_legacy_pair, default_wal_path
     from repro.storage.segments import SegmentStore, is_segment_store
-    from repro.storage.wal import repair_torn_tail, scan_wal
 
     if is_segment_store(args.base):
         # Without --repair the walk is read-only: report, change nothing.
@@ -558,40 +499,32 @@ def _cmd_recover(args) -> int:
         print(health.summary())
         return 0 if health.ok else 1
 
-    _, report = open_with_wal(args.base, args.wal)
+    store_dir = args.base + ".store"
+    report = convert_legacy_pair(
+        args.base, args.wal or default_wal_path(args.base), store_dir
+    )
     print(report.summary())
-    if args.repair and report.torn:
-        wal_path = (
-            pathlib.Path(args.wal) if args.wal
-            else default_wal_path(args.base)
-        )
-        dropped = repair_torn_tail(wal_path, scan_wal(wal_path))
-        print(f"repaired: truncated {dropped} trailing bytes from {wal_path}")
+    print(f"converted into segment store {store_dir}")
     return 0 if report.ok else 1
 
 
 def _cmd_compact(args) -> int:
-    # Exit codes: 0 compacted cleanly; 1 compacted, but the replay dropped
-    # a torn tail or ignored a superseded log (loss is reported, never
-    # silent); 2 unreadable inputs (mapped in main()).
-    from repro.storage.recovery import compact
+    # Exit codes: 0 compacted cleanly; 1 compacted, but the store is
+    # degraded (reported); 2 not a store or unreadable (mapped in main()).
     from repro.storage.segments import SegmentStore, is_segment_store
 
-    if is_segment_store(args.base):
-        with SegmentStore.open(args.base) as store:
-            merges = store.compact_all()
-            health = store.health()
-        print(f"compacted {args.base}: {merges} merge(s), "
-              f"{health.segments} segment(s) remain "
-              f"(generation {health.generation})")
-        if not health.ok:
-            print(health.summary(), file=sys.stderr)
-            return 1
-        return 0
-
-    result = compact(args.base, args.wal)
-    print(result.summary())
-    return 0 if result.report.ok else 1
+    if not is_segment_store(args.base):
+        return _not_a_store(args.base)
+    with SegmentStore.open(args.base) as store:
+        merges = store.compact_all()
+        health = store.health()
+    print(f"compacted {args.base}: {merges} merge(s), "
+          f"{health.segments} segment(s) remain "
+          f"(generation {health.generation})")
+    if not health.ok:
+        print(health.summary(), file=sys.stderr)
+        return 1
+    return 0
 
 
 def _cmd_status(args) -> int:

@@ -19,7 +19,6 @@ matches the i-th decoded timestamp, which is what makes interval queries
 from repro.core.config import ChronoGraphConfig
 from repro.core.compressed import CompressedChronoGraph
 from repro.core.encoder import compress, compress_parallel
-from repro.core.growable import GrowableChronoGraph
 from repro.core.serialize import (
     DEFAULT_LIMITS,
     DecodeLimits,
@@ -33,7 +32,6 @@ from repro.core.validate import SalvageReport, salvage_scan, validate_compressed
 __all__ = [
     "ChronoGraphConfig",
     "CompressedChronoGraph",
-    "GrowableChronoGraph",
     "DecodeLimits",
     "DEFAULT_LIMITS",
     "SalvageReport",

@@ -31,19 +31,11 @@ The query surface is safe to share across threads:
   lookups from different threads never corrupt cache state.  Eviction
   preserves the *global* LRU order exactly (per-entry sequence numbers)
   by briefly holding every shard lock in index order.
-* All mutable overlay bookkeeping (:meth:`apply_contacts`) lives in one
-  immutable :class:`_OverlayState` snapshot published with a single
-  reference assignment.  Every query captures the snapshot once at entry,
-  so an in-flight reader finishes against the generation it started on --
-  it never observes a half-applied batch (overlay-read linearizability).
-* Cached records carry the generation they were decoded under, and every
-  snapshot carries the last generation that touched each node.  A reader
-  holding generation ``g`` ignores entries tagged with a newer generation
-  *and* entries older than its snapshot's touched-generation floor for
-  that node, so stale records can never serve a newer generation -- even
-  a stale insert racing the publish is simply invisible to post-swap
-  readers.  :meth:`apply_contacts` additionally drops touched entries so
-  dead records do not linger in the cache.
+* The graph itself is immutable: streams, offsets and counts are fixed
+  at construction, so a cached record stays valid for the graph's whole
+  lifetime and the cache needs no invalidation.  Growing a graph online
+  is the job of :class:`repro.storage.segments.SegmentStore`, which
+  publishes new immutable views instead of mutating this one.
 * Each decode builds its own :class:`repro.bits.bitio.BitReader` over the
   shared immutable stream bytes (reader-per-thread rule): readers carry
   mutable positions and must never be shared across threads.
@@ -123,63 +115,12 @@ NodeRecord = Tuple[List[int], List[int], Optional[List[int]]]
 #: Attributes rebuilt from scratch on unpickle: locks, cache shards and the
 #: counters that live next to them (a transported graph starts cold).
 _RUNTIME_KEYS = (
-    "_mutate_lock",
     "_next_seq",
     "_shards",
     "_distinct_lock",
     "_distinct_cache",
     "_cache_evictions",
-    "_cache_invalidations",
 )
-
-
-class _OverlayState:
-    """Immutable snapshot of the WAL overlay and the counters it grows.
-
-    ``apply_contacts`` never mutates a published instance: it builds a
-    complete successor (generation + 1) and swaps it in with one reference
-    assignment, which the GIL makes atomic.  Readers capture ``self._state``
-    once per query and work against that snapshot for their whole lifetime.
-    Overlay buckets are tuples (per source node, sorted by ``(v, time)``),
-    so a captured snapshot can never change underneath a reader.
-
-    ``touched`` maps each overlay-written node to the generation of the
-    last batch that touched it.  It is the cache-visibility floor: a
-    cached record tagged with an older generation than a node's floor
-    predates that node's latest batch and must never be served to a
-    reader of this snapshot (see :meth:`CompressedChronoGraph._cache_get`).
-    """
-
-    __slots__ = (
-        "generation", "overlay", "count", "t_min", "num_nodes", "num_contacts",
-        "touched",
-    )
-
-    def __init__(
-        self,
-        generation: int,
-        overlay: Dict[int, Tuple[Contact, ...]],
-        count: int,
-        t_min: Optional[int],
-        num_nodes: int,
-        num_contacts: int,
-        touched: Dict[int, int],
-    ) -> None:
-        self.generation = generation
-        self.overlay = overlay
-        self.count = count
-        self.t_min = t_min
-        self.num_nodes = num_nodes
-        self.num_contacts = num_contacts
-        self.touched = touched
-
-    def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state):
-        self.touched = {}  # absent in pre-floor pickles
-        for slot, value in state.items():
-            setattr(self, slot, value)
 
 
 class _AtomicCounter:
@@ -209,7 +150,7 @@ class _AtomicCounter:
 class _CacheShard:
     """One segment of the decoded-record LRU.
 
-    ``records`` maps node -> ``[generation, sequence, cost, record]``;
+    ``records`` maps node -> ``[sequence, cost, record]``;
     ``sequence`` is drawn from a graph-global clock on every hit, so the
     entry with the minimum sequence across shards is the exact global LRU
     victim.  Reads are lock-free (dict lookups and counter bumps are
@@ -247,6 +188,8 @@ class CompressedChronoGraph:
         name: str = "unnamed",
     ) -> None:
         self.kind = kind
+        self.num_nodes = num_nodes
+        self.num_contacts = num_contacts
         self.t_min = t_min
         self.config = config
         self.name = name
@@ -263,20 +206,10 @@ class CompressedChronoGraph:
         self._toffsets = timestamp_offsets
         self._cache_max_bytes: Optional[int] = DEFAULT_CACHE_BUDGET_BYTES
         self._cache_max_entries: Optional[int] = None
-        # WAL overlay (repro.storage): contacts replayed on top of the
-        # immutable streams, published as an immutable snapshot (see
-        # _OverlayState).  ``_base_nodes`` marks the stream-backed label
-        # range; nodes at or past it exist only in the overlay.  The
-        # distinct-list cache stays *base-only* throughout -- reference
-        # chains must resolve against the encoded lists, never
-        # overlay-merged ones.
-        self._base_nodes = num_nodes
-        self._state = _OverlayState(0, {}, 0, None, num_nodes, num_contacts, {})
         self._init_runtime()
 
     def _init_runtime(self) -> None:
         """Create the locks, cache shards and counters (never pickled)."""
-        self._mutate_lock = threading.Lock()
         # LRU clock: itertools.count.__next__ is a C call, atomic under the
         # GIL, so recency stamps need no lock of their own.
         self._next_seq = itertools.count(1).__next__
@@ -284,7 +217,6 @@ class CompressedChronoGraph:
         self._distinct_lock = threading.RLock()
         self._distinct_cache: "OrderedDict[int, List[int]]" = OrderedDict()
         self._cache_evictions = 0
-        self._cache_invalidations = 0
 
     def _touch_structure(self) -> None:
         """Run (once) the deferred structure-stream checksum, if any."""
@@ -324,23 +256,6 @@ class CompressedChronoGraph:
         self.__dict__.setdefault("_tverify", None)
         self._init_runtime()
 
-    # -- derived counts --------------------------------------------------------
-
-    @property
-    def num_nodes(self) -> int:
-        """Node-label range, including nodes grown by :meth:`apply_contacts`."""
-        return self._state.num_nodes
-
-    @property
-    def num_contacts(self) -> int:
-        """Contacts in the base streams plus the uncompacted overlay."""
-        return self._state.num_contacts
-
-    @property
-    def overlay_generation(self) -> int:
-        """Monotone generation counter bumped by every :meth:`apply_contacts`."""
-        return self._state.generation
-
     # -- size accounting -----------------------------------------------------
 
     @property
@@ -353,58 +268,24 @@ class CompressedChronoGraph:
         """Timestamp stream plus its offset index (the Table IV parenthesis)."""
         return self._tbits + self._toffsets.size_in_bits()
 
-    def _overlay_bits(self, count: int) -> int:
-        """Raw-rate charge of ``count`` uncompacted overlay contacts."""
-        if not count:
-            return 0
-        per = 4 * 64 if self.kind is GraphKind.INTERVAL else 3 * 64
-        return count * per
-
-    def _total_bits(self, state: _OverlayState) -> int:
-        """Total footprint computed against one captured snapshot."""
-        return (
-            self.structure_size_bits
-            + self.timestamp_size_bits
-            + self._overlay_bits(state.count)
-            + HEADER_BITS
-        )
-
-    @property
-    def overlay_size_bits(self) -> int:
-        """Replayed-but-uncompacted contacts, charged at the raw rate.
-
-        Overlay contacts live as plain tuples until :func:`compact` folds
-        them into the streams, so they are charged like
-        :class:`repro.core.growable.GrowableChronoGraph` delta contacts:
-        three (point/incremental) or four (interval) 64-bit words each.
-        """
-        return self._overlay_bits(self._state.count)
-
     @property
     def size_in_bits(self) -> int:
         """Total in-memory footprint charged by the evaluation."""
-        return self._total_bits(self._state)
+        return self.structure_size_bits + self.timestamp_size_bits + HEADER_BITS
 
     @property
     def bits_per_contact(self) -> float:
-        """The paper's headline metric.
-
-        Size and contact count come from one snapshot capture, so the
-        ratio is internally consistent even while :meth:`apply_contacts`
-        publishes new generations concurrently (CG001).
-        """
-        state = self._state
-        if state.num_contacts == 0:
+        """The paper's headline metric."""
+        if self.num_contacts == 0:
             return 0.0
-        return self._total_bits(state) / state.num_contacts
+        return self.size_in_bits / self.num_contacts
 
     @property
     def timestamp_bits_per_contact(self) -> float:
         """Timestamp share of the footprint, per contact."""
-        state = self._state
-        if state.num_contacts == 0:
+        if self.num_contacts == 0:
             return 0.0
-        return self.timestamp_size_bits / state.num_contacts
+        return self.timestamp_size_bits / self.num_contacts
 
     # -- decoded-record cache ------------------------------------------------
 
@@ -446,7 +327,6 @@ class CompressedChronoGraph:
             "hits": hits,
             "misses": misses,
             "evictions": self._cache_evictions,
-            "invalidations": self._cache_invalidations,
             "entries": entries,
             "current_bytes": current,
             "max_bytes": self._cache_max_bytes,
@@ -529,7 +409,7 @@ class CompressedChronoGraph:
                 None if max_bytes is None else max_bytes - max_bytes // 8
             )
             order = [
-                (entry[1], key, shard)
+                (entry[0], key, shard)
                 for shard in shards
                 for key, entry in shard.records.items()
             ]
@@ -541,8 +421,8 @@ class CompressedChronoGraph:
                 ):
                     break
                 evicted = shard.records.pop(key)
-                shard.bytes -= evicted[2]
-                total -= evicted[2]
+                shard.bytes -= evicted[1]
+                total -= evicted[1]
                 entries -= 1
                 self._cache_evictions += 1
         finally:
@@ -564,46 +444,28 @@ class CompressedChronoGraph:
         ):
             self._evict_to_fit()
 
-    def _cache_get(self, u: int, state: _OverlayState) -> Optional[NodeRecord]:
-        """Counting lookup: a hit only if the entry's generation is visible.
+    def _cache_get(self, u: int) -> Optional[NodeRecord]:
+        """Counting lookup: promotes and returns the record on a hit.
 
-        An entry is visible to a reader's snapshot iff its generation lies
-        in ``[state.touched.get(u, 0), state.generation]``: entries decoded
-        under a *newer* generation may contain batches the snapshot must
-        not see, and entries older than the node's touched-generation
-        floor predate a batch the snapshot must see.  The floor is what
-        makes the contract safe against inserts racing a publish: a stale
-        record tagged with the old generation can land in the cache at any
-        time, but no post-swap reader will ever accept it.
-
-        Lock-free: the dict read and counter bumps are GIL-atomic, the
-        entry's generation is written once at insert, and the recency
-        stamp is a single list-item store whose races only blur LRU
-        order, never a returned record.
+        Lock-free: the dict read and counter bumps are GIL-atomic, and the
+        recency stamp is a single list-item store whose races only blur
+        LRU order, never a returned record.
         """
         shard = self._shards[u & _SHARD_MASK]
         entry = shard.records.get(u)
-        if (
-            entry is not None
-            and state.touched.get(u, 0) <= entry[0] <= state.generation
-        ):
-            entry[1] = self._next_seq()
+        if entry is not None:
+            entry[0] = self._next_seq()
             shard.hits.increment()
-            return entry[3]
+            return entry[2]
         shard.misses.increment()
         return None
 
-    def _cache_peek(self, u: int, state: _OverlayState) -> Optional[NodeRecord]:
+    def _cache_peek(self, u: int) -> Optional[NodeRecord]:
         """Non-counting, non-promoting lookup (structure-only passes)."""
         entry = self._shards[u & _SHARD_MASK].records.get(u)
-        if (
-            entry is not None
-            and state.touched.get(u, 0) <= entry[0] <= state.generation
-        ):
-            return entry[3]
-        return None
+        return None if entry is None else entry[2]
 
-    def _cache_put(self, u: int, record: NodeRecord, gen: int) -> None:
+    def _cache_put(self, u: int, record: NodeRecord) -> None:
         max_entries = self._cache_max_entries
         if max_entries is not None and max_entries <= 0:
             return
@@ -611,172 +473,34 @@ class CompressedChronoGraph:
         max_bytes = self._cache_max_bytes
         if max_bytes is not None and cost > max_bytes:
             return  # would evict the whole cache for a single-use record
-        if self._state.touched.get(u, 0) > gen:
-            # A writer already published a batch touching this node after
-            # our snapshot: the record is dead on arrival (every current
-            # and future snapshot's floor rejects it), so skip the insert.
-            # Pure optimisation -- _cache_get's floor check is what makes
-            # stale inserts safe, not this.
-            return
         shard = self._shards[u & _SHARD_MASK]
         with shard.lock:
             old = shard.records.get(u)
             if old is not None:
-                if old[0] > gen:
-                    # A racing decode against a newer snapshot got here
-                    # first; its record supersedes ours.
-                    return
-                shard.bytes -= old[2]
-            shard.records[u] = [gen, self._next_seq(), cost, record]
+                # A racing decode of the same node got here first; both
+                # records are identical, so keep the byte total exact.
+                shard.bytes -= old[1]
+            shard.records[u] = [self._next_seq(), cost, record]
             shard.bytes += cost
         self._maybe_evict()
 
-    def _cache_invalidate(self, u: int) -> None:
-        shard = self._shards[u & _SHARD_MASK]
-        with shard.lock:
-            entry = shard.records.pop(u, None)
-            if entry is not None:
-                shard.bytes -= entry[2]
-
-    def _decode_record(
-        self, u: int, state: Optional[_OverlayState] = None
-    ) -> NodeRecord:
-        """The fully decoded record of ``u``, through the LRU cache.
-
-        Cached records are overlay-merged against ``state`` (the caller's
-        snapshot, defaulting to the current one); nodes past the
-        stream-backed range decode to an empty base record before the
-        merge.
-        """
-        if state is None:
-            state = self._state
-        self._check_node(u, state.num_nodes)
-        record = self._cache_get(u, state)
+    def _decode_record(self, u: int) -> NodeRecord:
+        """The fully decoded record of ``u``, through the LRU cache."""
+        self._check_node(u)
+        record = self._cache_get(u)
         if record is not None:
             return record
-        if u < self._base_nodes:
-            dedup, singles = self._decode_structure(u)
-            multiset = multiset_from_parts(dedup, singles)
-            times, durations = self._decode_timestamps(u, len(multiset))
-        else:
-            multiset, times = [], []
-            durations = [] if self.kind is GraphKind.INTERVAL else None
+        dedup, singles = self._decode_structure(u)
+        multiset = multiset_from_parts(dedup, singles)
+        times, durations = self._decode_timestamps(u, len(multiset))
         record = (multiset, times, durations)
-        if state.overlay:
-            record = self._merge_overlay(u, record, state.overlay)
-        self._cache_put(u, record, state.generation)
+        self._cache_put(u, record)
         return record
-
-    # -- WAL overlay (repro.storage) ------------------------------------------
-
-    def apply_contacts(self, contacts) -> int:
-        """Overlay replayed WAL contacts onto the compressed base, in memory.
-
-        Contacts must already be in *stored* time units (the ingest path
-        buckets by ``config.resolution`` before committing to the WAL, so
-        base and overlay share one time axis).  Node labels may exceed the
-        stream-backed range, growing :attr:`num_nodes`.
-
-        Thread-safe: writers serialize on an internal lock; the merged
-        overlay is published as a new immutable snapshot with one atomic
-        reference swap.  The snapshot records the new generation as every
-        touched node's cache-visibility floor, so readers of this or any
-        later generation reject still-cached pre-batch records no matter
-        how the drop below interleaves with them; the cached records of
-        touched nodes are then dropped to free their memory.
-        Every touched node counts one invalidation in
-        ``cache_stats()['invalidations']`` -- including nodes that were
-        not cached and nodes with no base record -- so the counter tracks
-        write-side pressure, not cache luck.  In-flight readers finish
-        against the snapshot they captured; readers arriving after the
-        swap see base + overlay merged.  Returns contacts applied.
-        """
-        kind = self.kind
-        added: Dict[int, List[Contact]] = {}
-        count = 0
-        for c in contacts:
-            if not isinstance(c, Contact):
-                c = Contact(*c)
-            if c.u < 0 or c.v < 0:
-                raise GraphDomainError(f"negative node label in {c}")
-            if c.duration < 0:
-                raise GraphDomainError(f"negative duration in {c}")
-            if kind is not GraphKind.INTERVAL and c.duration:
-                raise GraphDomainError(
-                    f"{kind.value} graphs cannot carry durations: {c}"
-                )
-            added.setdefault(c.u, []).append(c)
-            count += 1
-        if not count:
-            return 0
-        with self._mutate_lock:
-            state = self._state
-            generation = state.generation + 1
-            overlay = dict(state.overlay)
-            touched = dict(state.touched)
-            top = state.num_nodes - 1
-            t_min = state.t_min
-            for u, rows in added.items():
-                bucket = list(overlay.get(u, ()))
-                bucket.extend(rows)
-                bucket.sort(key=lambda c: (c.v, c.time))
-                overlay[u] = tuple(bucket)
-                touched[u] = generation
-                top = max(top, u, max(r.v for r in rows))
-                lo = min(r.time for r in rows)
-                if t_min is None or lo < t_min:
-                    t_min = lo
-            self._state = _OverlayState(
-                generation,
-                overlay,
-                state.count + count,
-                t_min,
-                top + 1,
-                state.num_contacts + count,
-                touched,
-            )
-            # Drop touched records to free their memory.  Correctness does
-            # not depend on this racing well: the published touched floors
-            # already make any pre-batch record -- including one inserted
-            # concurrently with an old generation tag -- invisible to every
-            # reader at the new generation.
-            for u in added:
-                self._cache_invalidate(u)
-                self._cache_invalidations += 1
-        return count
-
-    def _merge_overlay(
-        self,
-        u: int,
-        record: NodeRecord,
-        overlay: Dict[int, Tuple[Contact, ...]],
-    ) -> NodeRecord:
-        """Merge ``u``'s overlay contacts into a decoded base record.
-
-        Both sides are (label, time)-sorted; the merge is stable with base
-        entries first on ties, preserving the alignment contract.
-        """
-        extra = overlay.get(u)
-        if not extra:
-            return record
-        multiset, times, durations = record
-        if durations is not None:
-            rows = list(zip(multiset, times, durations))
-        else:
-            rows = [(v, t, 0) for v, t in zip(multiset, times)]
-        rows.extend((c.v, c.time, c.duration) for c in extra)
-        rows.sort(key=lambda r: (r[0], r[1]))
-        merged_multiset = [r[0] for r in rows]
-        merged_times = [r[1] for r in rows]
-        if durations is None:
-            return merged_multiset, merged_times, None
-        return merged_multiset, merged_times, [r[2] for r in rows]
 
     # -- decoding ------------------------------------------------------------
 
-    def _check_node(self, u: int, n: Optional[int] = None) -> None:
-        if n is None:
-            n = self._state.num_nodes
+    def _check_node(self, u: int) -> None:
+        n = self.num_nodes
         if not 0 <= u < n:
             raise GraphDomainError(f"node {u} outside [0, {n})")
 
@@ -827,13 +551,13 @@ class CompressedChronoGraph:
         return u - r if r else -1
 
     def _resolve_distinct(self, v: int) -> List[int]:
-        """Distinct *base* neighbor labels of ``v``, through the chain cache.
+        """Distinct neighbor labels of ``v``, through the chain cache.
 
         Mutations are guarded by a reentrant lock: reference resolution
         both reads and warms the distinct-list cache, and decoding a chain
         re-enters this method for its targets.  The hit path is lock-free:
-        distinct lists are base-only and immutable once inserted, and the
-        dict read is GIL-atomic, so at worst a racing miss re-decodes.
+        distinct lists are immutable once inserted, and the dict read is
+        GIL-atomic, so at worst a racing miss re-decodes.
         """
         cached = self._distinct_cache.get(v)
         if cached is not None:
@@ -901,25 +625,13 @@ class CompressedChronoGraph:
 
     def distinct_neighbors(self, u: int) -> List[int]:
         """Sorted distinct neighbor labels over the whole lifetime."""
-        state = self._state
-        self._check_node(u, state.num_nodes)
-        extra = state.overlay.get(u)
-        if u >= self._base_nodes:
-            return sorted({c.v for c in extra}) if extra else []
-        if extra:
-            return sorted({*self._resolve_distinct(u), *(c.v for c in extra)})
+        self._check_node(u)
         return self._resolve_distinct(u)
 
     # -- sequential scans ------------------------------------------------------
 
-    def _iter_records(self) -> Iterator[Tuple[int, NodeRecord]]:
-        """Yield ``(u, record)`` in storage order against the current snapshot."""
-        state = self._state
-        return self._scan_records(state, 0, state.num_nodes)
-
     def _scan_records(
         self,
-        state: _OverlayState,
         lo: int,
         hi: int,
         ctx: Optional[QueryContext] = None,
@@ -930,9 +642,8 @@ class CompressedChronoGraph:
         resolve against the distinct lists of the last ``config.window``
         nodes (the only legal targets), so a full pass never re-seeks or
         re-decodes an earlier record.  Cached records short-circuit their
-        decode but still feed the rolling reference window.  The whole scan
-        runs against the caller's captured ``state``; no lock is held
-        across a yield.
+        decode but still feed the rolling reference window.  No lock is
+        held across a yield.
 
         ``ctx`` is polled once per node, and activated around each
         stream decode so the bulk readers chunk against it too -- but
@@ -943,15 +654,12 @@ class CompressedChronoGraph:
             return
         config = self.config
         window = config.window
-        limit = state.num_contacts
+        limit = self.num_contacts
         with_durations = self.kind is GraphKind.INTERVAL
         self._touch_structure()
         self._touch_timestamps()
         sreader = BitReader(self._sbytes, self._sbits)
         treader = BitReader(self._tbytes, self._tbits)
-        overlay = state.overlay
-        gen = state.generation
-        base_n = self._base_nodes
         recent: Dict[int, List[int]] = {}
 
         def resolve(v: int) -> List[int]:
@@ -966,66 +674,43 @@ class CompressedChronoGraph:
         for u in range(lo, hi):
             if ctx is not None:
                 ctx.checkpoint()
-            base_distinct: Optional[List[int]] = None
-            record = self._cache_get(u, state)
-            if record is not None:
-                if window > 0 and u < base_n:
-                    if u in overlay:
-                        # The cached record is overlay-merged; reference
-                        # chains must see the *encoded* distinct list, so
-                        # re-derive it from the base stream.
-                        base_distinct = self._resolve_distinct(u)
-                    else:
-                        base_distinct = []
-                        last = None
-                        for v in record[0]:
-                            if v != last:
-                                base_distinct.append(v)
-                                last = v
-            else:
-                if u < base_n:
-                    with activate(ctx):
-                        try:
-                            sreader.seek(self._soffsets.access(u))
-                            dedup, singles = decode_node_structure(
-                                sreader, u, resolve, config, limit=limit
-                            )
-                        except (FormatError, QueryInterrupted):
-                            raise
-                        except _DECODE_FAILURES as exc:
-                            raise self._corrupt(u, "structure", exc) from exc
-                        multiset = multiset_from_parts(dedup, singles)
-                        try:
-                            treader.seek(self._toffsets.access(u))
-                            times, durations = decode_node_timestamps(
-                                treader,
-                                len(multiset),
-                                with_durations,
-                                self.t_min,
-                                config.timestamp_zeta_k,
-                                config.duration_zeta_k,
-                            )
-                        except (FormatError, QueryInterrupted):
-                            raise
-                        except _DECODE_FAILURES as exc:
-                            raise self._corrupt(u, "timestamp", exc) from exc
-                else:
-                    multiset, times = [], []
-                    durations = [] if with_durations else None
-                if window > 0 and u < base_n:
-                    base_distinct = []
-                    last = None
-                    for v in multiset:
-                        if v != last:
-                            base_distinct.append(v)
-                            last = v
+            record = self._cache_get(u)
+            if record is None:
+                with activate(ctx):
+                    try:
+                        sreader.seek(self._soffsets.access(u))
+                        dedup, singles = decode_node_structure(
+                            sreader, u, resolve, config, limit=limit
+                        )
+                    except (FormatError, QueryInterrupted):
+                        raise
+                    except _DECODE_FAILURES as exc:
+                        raise self._corrupt(u, "structure", exc) from exc
+                    multiset = multiset_from_parts(dedup, singles)
+                    try:
+                        treader.seek(self._toffsets.access(u))
+                        times, durations = decode_node_timestamps(
+                            treader,
+                            len(multiset),
+                            with_durations,
+                            self.t_min,
+                            config.timestamp_zeta_k,
+                            config.duration_zeta_k,
+                        )
+                    except (FormatError, QueryInterrupted):
+                        raise
+                    except _DECODE_FAILURES as exc:
+                        raise self._corrupt(u, "timestamp", exc) from exc
                 record = (multiset, times, durations)
-                if overlay:
-                    record = self._merge_overlay(u, record, overlay)
-                self._cache_put(u, record, gen)
+                self._cache_put(u, record)
             if window > 0:
-                if base_distinct is not None:
-                    recent[u] = base_distinct
+                distinct: List[int] = []
+                last = None
+                for v in record[0]:
+                    if v != last:
+                        distinct.append(v)
+                        last = v
+                recent[u] = distinct
                 recent.pop(u - window, None)
             yield u, record
 
@@ -1142,17 +827,14 @@ class CompressedChronoGraph:
         ``neighbors(u, t_min, t - 1)``: the closed-window complement of
         :meth:`neighbors_after`, so a contact exactly at ``t`` is excluded.
         """
-        state = self._state
         lo = self.t_min
-        if state.t_min is not None and state.t_min < lo:
-            lo = state.t_min
         if t <= lo:
             return []
         if ctx is None:
-            multiset, times, durations = self._decode_record(u, state)
+            multiset, times, durations = self._decode_record(u)
         else:
             with query_scope(ctx):
-                multiset, times, durations = self._decode_record(u, state)
+                multiset, times, durations = self._decode_record(u)
         return self._active_neighbors(multiset, times, durations, lo, t - 1)
 
     def neighbors_after(
@@ -1229,19 +911,15 @@ class CompressedChronoGraph:
         governor's bounded shared pool when ``workers`` > 1 (the governor
         comes from ``ctx`` or the process default; total decode
         concurrency stays capped no matter how many batch calls are in
-        flight).  The whole batch runs against one overlay snapshot, so a
-        concurrent :meth:`apply_contacts` is either entirely visible or
-        entirely invisible to it.  ``ctx`` bounds the whole batch: one
-        envelope, polled by every worker.
+        flight).  ``ctx`` bounds the whole batch: one envelope, polled by
+        every worker.
         """
-        state = self._state
         triples = [(int(u), t0, t1) for u, t0, t1 in queries]
-        n = state.num_nodes
         out: List[Optional[List[int]]] = [None] * len(triples)
         with query_scope(ctx):
             groups: Dict[int, List[Tuple[int, int, int]]] = {}
             for i, (u, t0, t1) in enumerate(triples):
-                self._check_node(u, n)
+                self._check_node(u)
                 groups.setdefault(u, []).append((i, t0, t1))
 
             def run(item: Tuple[int, List[Tuple[int, int, int]]]) -> None:
@@ -1249,7 +927,7 @@ class CompressedChronoGraph:
                     if ctx is not None:
                         ctx.checkpoint()
                     u, wants = item
-                    multiset, times, durations = self._decode_record(u, state)
+                    multiset, times, durations = self._decode_record(u)
                     for i, t0, t1 in wants:
                         out[i] = self._active_neighbors(
                             multiset, times, durations, t0, t1
@@ -1277,24 +955,22 @@ class CompressedChronoGraph:
 
         The node range is split into ``workers`` contiguous slices, each
         scanned by its own thread with its own :class:`BitReader` pair
-        (reader-per-thread rule), against one shared overlay snapshot.
-        The threads come from the governor's bounded shared pool (from
+        (reader-per-thread rule).  The threads come from the governor's bounded shared pool (from
         ``ctx`` or the process default), not a per-call executor.  Slice
         outputs are concatenated in node order, so the result is exactly
         ``snapshot(t_start, t_end)``.  ``ctx`` bounds the whole scan.
         """
-        state = self._state
-        n = state.num_nodes
+        n = self.num_nodes
         w = int(workers) if workers else 1
         with query_scope(ctx):
             if w <= 1 or n < 2:
-                return self._snapshot_range(state, 0, n, t_start, t_end, ctx)
+                return self._snapshot_range(0, n, t_start, t_end, ctx)
             w = min(w, n)
             bounds = [(n * i) // w for i in range(w + 1)]
 
             def scan(i: int) -> List[Tuple[int, int]]:
                 return self._snapshot_range(
-                    state, bounds[i], bounds[i + 1], t_start, t_end, ctx
+                    bounds[i], bounds[i + 1], t_start, t_end, ctx
                 )
 
             parts = self._governor_for(ctx).run_parallel(
@@ -1307,7 +983,6 @@ class CompressedChronoGraph:
 
     def _snapshot_range(
         self,
-        state: _OverlayState,
         lo: int,
         hi: int,
         t_start: int,
@@ -1315,9 +990,7 @@ class CompressedChronoGraph:
         ctx: Optional[QueryContext] = None,
     ) -> List[Tuple[int, int]]:
         edges: List[Tuple[int, int]] = []
-        for u, (multiset, times, durations) in self._scan_records(
-            state, lo, hi, ctx
-        ):
+        for u, (multiset, times, durations) in self._scan_records(lo, hi, ctx):
             for v in self._active_neighbors(
                 multiset, times, durations, t_start, t_end
             ):
@@ -1326,9 +999,7 @@ class CompressedChronoGraph:
 
     # -- structure-only scans --------------------------------------------------
 
-    def _iter_distinct(
-        self, state: Optional[_OverlayState] = None
-    ) -> Iterator[Tuple[int, List[int]]]:
+    def _iter_distinct(self) -> Iterator[Tuple[int, List[int]]]:
         """Yield ``(u, distinct neighbors)`` in storage order, structure only.
 
         The timestamp stream is never touched; distinct lists come from the
@@ -1339,17 +1010,13 @@ class CompressedChronoGraph:
         record-level lookup.  The distinct-cache lock is taken per node,
         never across a yield.
         """
-        if state is None:
-            state = self._state
-        n = state.num_nodes
+        n = self.num_nodes
         if n == 0:
             return
         config = self.config
         window = config.window
-        limit = state.num_contacts
+        limit = self.num_contacts
         dcache = self._distinct_cache
-        overlay = state.overlay
-        base_n = self._base_nodes
         self._touch_structure()
         sreader = BitReader(self._sbytes, self._sbits)
         recent: Dict[int, List[int]] = {}
@@ -1361,60 +1028,47 @@ class CompressedChronoGraph:
             return self._resolve_distinct(v)
 
         for u in range(n):
-            if u < base_n:
-                # Lock-free hit: distinct lists are base-only and
-                # immutable once cached (see _resolve_distinct).
-                distinct = dcache.get(u)
+            # Lock-free hit: distinct lists are immutable once cached (see
+            # _resolve_distinct).
+            distinct = dcache.get(u)
+            if distinct is None:
+                with self._distinct_lock:
+                    distinct = dcache.get(u)
                 if distinct is None:
-                    with self._distinct_lock:
-                        distinct = dcache.get(u)
-                    if distinct is None:
-                        record = self._cache_peek(u, state)
-                        if record is not None and u not in overlay:
-                            distinct = []
-                            last = None
-                            for v in record[0]:
-                                if v != last:
-                                    distinct.append(v)
-                                    last = v
-                        else:
-                            # Overlay-touched cached records are merged;
-                            # decode the base structure so the distinct-list
-                            # cache and the reference window stay base-only.
-                            try:
-                                sreader.seek(self._soffsets.access(u))
-                                dedup, singles = decode_node_structure(
-                                    sreader, u, resolve, config, limit=limit
-                                )
-                            except (FormatError, QueryInterrupted):
-                                raise
-                            except _DECODE_FAILURES as exc:
-                                raise self._corrupt(
-                                    u, "structure", exc
-                                ) from exc
-                            distinct = sorted(
-                                {*(label for label, _ in dedup), *singles}
+                    record = self._cache_peek(u)
+                    if record is not None:
+                        distinct = []
+                        last = None
+                        for v in record[0]:
+                            if v != last:
+                                distinct.append(v)
+                                last = v
+                    else:
+                        try:
+                            sreader.seek(self._soffsets.access(u))
+                            dedup, singles = decode_node_structure(
+                                sreader, u, resolve, config, limit=limit
                             )
-                        with self._distinct_lock:
-                            dcache[u] = distinct
-                            if len(dcache) > _DISTINCT_CACHE_CAP:
-                                dcache.popitem(last=False)
-            else:
-                distinct = []
+                        except (FormatError, QueryInterrupted):
+                            raise
+                        except _DECODE_FAILURES as exc:
+                            raise self._corrupt(u, "structure", exc) from exc
+                        distinct = sorted(
+                            {*(label for label, _ in dedup), *singles}
+                        )
+                    with self._distinct_lock:
+                        dcache[u] = distinct
+                        if len(dcache) > _DISTINCT_CACHE_CAP:
+                            dcache.popitem(last=False)
             if window > 0:
-                if u < base_n:
-                    recent[u] = distinct
+                recent[u] = distinct
                 recent.pop(u - window, None)
-            extra = overlay.get(u)
-            if extra:
-                yield u, sorted({*distinct, *(c.v for c in extra)})
-            else:
-                yield u, distinct
+            yield u, distinct
 
     def to_static_graph(self) -> List[Tuple[int, int]]:
         """The "flattened" aggregated view of Figure 1(a): distinct edges."""
         edges: List[Tuple[int, int]] = []
-        for u, distinct in self._iter_distinct(self._state):
+        for u, distinct in self._iter_distinct():
             for v in distinct:
                 edges.append((u, v))
         return edges
@@ -1423,11 +1077,8 @@ class CompressedChronoGraph:
         self, t_start: int, t_end: int, *, ctx: Optional[QueryContext] = None
     ) -> List[Tuple[int, int]]:
         """All distinct edges active within the closed interval, sorted."""
-        state = self._state
         with query_scope(ctx):
-            return self._snapshot_range(
-                state, 0, state.num_nodes, t_start, t_end, ctx
-            )
+            return self._snapshot_range(0, self.num_nodes, t_start, t_end, ctx)
 
     def iter_window_neighbors(
         self, t_start: int, t_end: int, *, ctx: Optional[QueryContext] = None
@@ -1440,9 +1091,8 @@ class CompressedChronoGraph:
         polled per node as the consumer iterates (never held across a
         yield).
         """
-        state = self._state
         for u, (multiset, times, durations) in self._scan_records(
-            state, 0, state.num_nodes, ctx
+            0, self.num_nodes, ctx
         ):
             yield u, self._active_neighbors(
                 multiset, times, durations, t_start, t_end
@@ -1456,9 +1106,8 @@ class CompressedChronoGraph:
         beyond the output itself.  ``ctx`` is polled per node as the
         consumer iterates.
         """
-        state = self._state
         for u, (multiset, times, durations) in self._scan_records(
-            state, 0, state.num_nodes, ctx
+            0, self.num_nodes, ctx
         ):
             if durations is None:
                 for v, t in zip(multiset, times):
@@ -1481,14 +1130,8 @@ class CompressedChronoGraph:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = self._state
-        per = (
-            self._total_bits(state) / state.num_contacts
-            if state.num_contacts
-            else 0.0
-        )
         return (
-            f"CompressedChronoGraph({self.name!r}, nodes={state.num_nodes}, "
-            f"contacts={state.num_contacts}, "
-            f"bits/contact={per:.2f})"
+            f"CompressedChronoGraph({self.name!r}, nodes={self.num_nodes}, "
+            f"contacts={self.num_contacts}, "
+            f"bits/contact={self.bits_per_contact:.2f})"
         )

@@ -226,22 +226,9 @@ def _header_payload(graph: CompressedChronoGraph) -> bytes:
 
 
 def dumps_compressed(graph: CompressedChronoGraph) -> bytes:
-    """Serialise the compressed graph to VERSION 2 container bytes.
-
-    The graph must not carry an uncompacted WAL overlay: the container
-    format stores only the base streams, so serialising after
-    ``apply_contacts`` would write a header whose node/contact counts
-    disagree with the streams and produce an unloadable file.  Run
-    :func:`repro.storage.recovery.compact` (or re-compress
-    ``to_temporal_graph()``) first.
-    """
+    """Serialise the compressed graph to VERSION 2 container bytes."""
     if graph.config.timestamp_zeta_k is None:  # pragma: no cover - encoder sets it
         raise GraphDomainError("cannot serialise a graph with unresolved zeta parameters")
-    if graph._state.count:
-        raise GraphDomainError(
-            f"cannot serialise {graph._state.count} uncompacted overlay "
-            "contact(s); compact the graph first"
-        )
     # A lazily-verified (mmap-loaded) graph must not be re-serialised
     # before its deferred stream checksums have been confirmed.
     graph._touch_structure()

@@ -1,16 +1,18 @@
-"""Crash-safe persistence: atomic writes, the ingest WAL, and recovery.
+"""Crash-safe persistence: atomic writes, the ingest WAL, and the segment store.
 
 * :mod:`repro.storage.atomic` -- the one sanctioned write path for every
   artefact (temp file + fsync + rename), with an injectable filesystem
   for fault injection and retry-with-backoff for transient errors.
 * :mod:`repro.storage.wal` -- the append-only, CRC32-guarded contact log
-  bound to its base ``.chrono`` snapshot by a generation header.
-* :mod:`repro.storage.recovery` -- WAL replay with torn-tail tolerance
-  (:class:`RecoveryReport`) and crash-safe :func:`compact`.
-* :mod:`repro.storage.segments` -- the LSM-style segmented store:
-  immutable time-partitioned segments under a CRC-guarded generation-
-  numbered manifest, a :class:`SegmentedChronoGraph` query facade, and
-  per-segment quarantine surfaced in a :class:`HealthReport`.
+  bound to what it extends by a generation header.
+* :mod:`repro.storage.segments` -- the LSM-style segmented store, the one
+  way a graph grows: immutable time-partitioned segments under a
+  CRC-guarded generation-numbered manifest, a hot WAL tail, a
+  :class:`SegmentedChronoGraph` query facade, and per-segment quarantine
+  surfaced in a :class:`HealthReport`.
+* :mod:`repro.storage.recovery` -- one-time conversion of a legacy
+  ``base.chrono`` + ``.wal`` pair into a store
+  (:func:`convert_legacy_pair`, reporting in a :class:`RecoveryReport`).
 * :mod:`repro.storage.compactor` -- the background merge thread plus the
   watchdog that degrades ingestion instead of crashing when it wedges.
 
@@ -50,12 +52,8 @@ __all__ = [
     "repair_torn_tail",
     # recovery (lazy)
     "RecoveryReport",
-    "CompactionResult",
     "default_wal_path",
-    "open_with_wal",
-    "recover_bytes",
-    "open_for_ingest",
-    "compact",
+    "convert_legacy_pair",
     # segments (lazy)
     "Manifest",
     "SegmentInfo",
@@ -66,6 +64,7 @@ __all__ = [
     "HealthReport",
     "BackpressureError",
     "StoreClosedError",
+    "create_sealed_store",
     "is_segment_store",
     # compactor (lazy)
     "Compactor",
@@ -75,14 +74,12 @@ _WAL_NAMES = {
     "WalHeader", "WalScan", "WriteAheadLog",
     "scan_wal", "scan_wal_bytes", "repair_torn_tail",
 }
-_RECOVERY_NAMES = {
-    "RecoveryReport", "CompactionResult", "default_wal_path",
-    "open_with_wal", "recover_bytes", "open_for_ingest", "compact",
-}
+_RECOVERY_NAMES = {"RecoveryReport", "default_wal_path", "convert_legacy_pair"}
 _SEGMENT_NAMES = {
     "Manifest", "SegmentInfo", "SegmentStore", "SegmentedChronoGraph",
     "StorePolicy", "QuarantineEntry", "HealthReport",
-    "BackpressureError", "StoreClosedError", "is_segment_store",
+    "BackpressureError", "StoreClosedError", "create_sealed_store",
+    "is_segment_store",
 }
 
 

@@ -1,30 +1,26 @@
-"""Recovery and compaction: the read side of the crash-safe ingest path.
+"""One-time conversion of a legacy ``base.chrono`` + ``.wal`` pair into a store.
 
-Opening an incremental dataset is ``base snapshot + WAL``:
+Before the segment store (:mod:`repro.storage.segments`) became the one
+way a graph grows, incremental ingest appended to a WAL bound to a single
+``.chrono`` base snapshot.  :func:`convert_legacy_pair` reads such a pair
+once and writes its contents as a one-segment store; it never modifies
+the legacy files.
 
-* :func:`open_with_wal` loads the ``.chrono`` base, verifies the WAL's
-  generation header actually binds to *this* snapshot (size + CRC32), and
-  replays every committed batch as an in-memory overlay
-  (:meth:`repro.core.compressed.CompressedChronoGraph.apply_contacts`).
-  A torn tail -- the signature of a crash mid-commit -- is tolerated:
-  replay stops at the last intact record and the loss is quantified in
-  the returned :class:`RecoveryReport` (the WAL sibling of PR 1's
-  ``SalvageReport``).  A WAL bound to a *different* snapshot raises
-  :class:`repro.errors.GenerationMismatchError`, unless one of its
-  compaction markers names the current snapshot -- then the WAL is simply
-  superseded (a compaction crashed between installing the snapshot and
-  resetting the log) and its records are ignored.
+Binding and replay follow the pair's original contract:
 
-* :func:`compact` folds base + WAL into a freshly compressed snapshot and
-  resets the log, crash-safely: it first appends a durable compaction
-  marker naming the new snapshot to the old WAL, then atomically replaces
-  the snapshot, then atomically replaces the WAL with an empty
-  generation+1 log.  A crash between any two steps leaves a pair that
-  :func:`open_with_wal` recognises and recovers from.
+* the WAL header names the exact base it extends (size + CRC32); a WAL
+  bound to any other base raises
+  :class:`repro.errors.GenerationMismatchError` before anything is
+  written -- unless one of its compaction markers names the current base,
+  in which case a compaction installed that base and crashed before
+  resetting the log: the log is *superseded*, its records are already in
+  the base, and the loss of the log is reported, not replayed;
+* a torn tail -- the signature of a crash mid-commit -- is tolerated:
+  replay stops at the last intact record and the dropped bytes are
+  reported in the returned :class:`RecoveryReport`.
 
-The compacted bytes are produced by the untouched encoder from the exact
-contact multiset of base + WAL, so they are bit-identical to compressing
-those contacts directly.
+WAL contacts are already in stored time units, so base and WAL contacts go
+through the seal's compress-stored path together, without re-bucketing.
 """
 
 from __future__ import annotations
@@ -32,31 +28,16 @@ from __future__ import annotations
 import dataclasses
 import pathlib
 import zlib
-from typing import List, Optional, Tuple, Union
+from typing import List, Union
 
 from repro.errors import FormatError, GenerationMismatchError
-from repro.storage.atomic import (
-    DEFAULT_RETRY,
-    OS_FILESYSTEM,
-    Filesystem,
-    RetryPolicy,
-    atomic_write_bytes,
-)
-from repro.storage.wal import (
-    WalHeader,
-    WalScan,
-    WriteAheadLog,
-    scan_wal_bytes,
-)
+from repro.storage.atomic import OS_FILESYSTEM, Filesystem
+from repro.storage.wal import WalScan, scan_wal
 
 __all__ = [
     "RecoveryReport",
-    "CompactionResult",
     "default_wal_path",
-    "open_with_wal",
-    "recover_bytes",
-    "open_for_ingest",
-    "compact",
+    "convert_legacy_pair",
 ]
 
 PathLike = Union[str, pathlib.Path]
@@ -70,12 +51,13 @@ def default_wal_path(base_path: PathLike) -> pathlib.Path:
 
 @dataclasses.dataclass
 class RecoveryReport:
-    """What replaying a WAL onto its base snapshot recovered and lost.
+    """What converting a legacy pair recovered and lost.
 
     Mirrors :class:`repro.core.validate.SalvageReport`: ``ok`` means a
-    clean open (nothing dropped, nothing suspicious), ``torn`` means a
-    tail was truncated -- committed batches before it were still replayed
-    in full.  ``generation`` is -1 when no WAL accompanies the base.
+    clean conversion (nothing dropped, nothing suspicious), ``torn`` means
+    a tail was truncated -- committed batches before it were still
+    replayed in full.  ``generation`` is -1 when no WAL accompanies the
+    base.
     """
 
     base_path: str
@@ -89,7 +71,7 @@ class RecoveryReport:
 
     @property
     def ok(self) -> bool:
-        """Clean open: every WAL byte accounted for, nothing dropped."""
+        """Clean conversion: every WAL byte accounted for, nothing dropped."""
         return not self.errors and not self.superseded
 
     @property
@@ -151,7 +133,7 @@ def _bind_scan(
             report.errors.append(
                 f"{wal_name}: log precedes the current snapshot "
                 "(compaction interrupted after installing it); "
-                "records ignored -- run compact to reset the log"
+                "records ignored -- they are already in the base"
             )
             return False
     raise GenerationMismatchError(
@@ -161,217 +143,44 @@ def _bind_scan(
     )
 
 
-def recover_bytes(
-    base_blob: bytes,
-    wal_blob: Optional[bytes],
-    *,
-    limits=None,
-    base_source: str = "<base>",
-    wal_source: str = "<wal>",
-):
-    """In-memory core of :func:`open_with_wal`; also the fault-test surface.
-
-    Returns ``(graph, report)``.  Raises from ``FormatError`` when the
-    base container or the WAL *header* is unusable, or on a generation
-    mismatch; everything past a valid header is handled leniently.
-    """
-    from repro.core.serialize import load_compressed_bytes
-
-    graph = load_compressed_bytes(base_blob, limits=limits, source=base_source)
-    report = RecoveryReport(base_path=base_source, wal_path=wal_source)
-    if wal_blob is None:
-        return graph, report
-    scan = scan_wal_bytes(wal_blob, wal_source)
-    if scan.header is None:
-        raise FormatError(
-            scan.errors[0] if scan.errors
-            else f"{wal_source}: unreadable WAL header"
-        )
-    report.generation = scan.header.generation
-    if _bind_scan(scan, base_blob, graph.kind, wal_source, report):
-        graph.apply_contacts(scan.contacts)
-        report.batches_replayed = len(scan.batches)
-        report.contacts_replayed = sum(len(b) for b in scan.batches)
-        report.dropped_bytes = scan.dropped_bytes
-        report.errors.extend(scan.errors)
-    return graph, report
-
-
-def open_with_wal(
+def convert_legacy_pair(
     base_path: PathLike,
-    wal_path: Optional[PathLike] = None,
-    *,
-    limits=None,
-) -> Tuple["object", RecoveryReport]:
-    """Open ``base_path`` with its WAL replayed; returns (graph, report).
-
-    A missing WAL is a clean open of the base alone (``generation == -1``
-    in the report).  See :func:`recover_bytes` for failure semantics.
-    """
-    base_path = pathlib.Path(base_path)
-    wal_path = (
-        default_wal_path(base_path) if wal_path is None
-        else pathlib.Path(wal_path)
-    )
-    wal_blob = wal_path.read_bytes() if wal_path.exists() else None
-    graph, report = recover_bytes(
-        base_path.read_bytes(),
-        wal_blob,
-        limits=limits,
-        base_source=str(base_path),
-        wal_source=str(wal_path),
-    )
-    report.base_path = str(base_path)
-    report.wal_path = str(wal_path)
-    return graph, report
-
-
-def open_for_ingest(
-    base_path: PathLike,
-    wal_path: Optional[PathLike] = None,
+    wal_path: PathLike,
+    store_dir: PathLike,
     *,
     fs: Filesystem = OS_FILESYSTEM,
-    retry: RetryPolicy = DEFAULT_RETRY,
-    limits=None,
-) -> Tuple["object", WriteAheadLog]:
-    """Open the base and a WAL ready for appending; returns (graph, wal).
+) -> RecoveryReport:
+    """Write base + replayed WAL as a new one-segment store at ``store_dir``.
 
-    Creates a fresh generation-0 log when none exists; re-creates one
-    (generation+1) when the existing log is superseded by a completed
-    compaction; repairs a torn tail in place.  The returned graph has the
-    log's committed contacts already replayed, so ingest code can bucket
-    against its config and validate labels against live state.
+    A missing ``wal_path`` converts the base alone (``generation == -1``
+    in the report).  Raises from ``FormatError`` when the base container
+    or the WAL header is unusable or the WAL is bound to another base
+    (:class:`GenerationMismatchError`) -- always before ``store_dir`` is
+    created -- and ``FileExistsError`` when ``store_dir`` already holds a
+    store.  The legacy files are only read.
     """
     from repro.core.serialize import load_compressed_bytes
+    from repro.storage.segments import create_sealed_store
 
     base_path = pathlib.Path(base_path)
-    wal_path = (
-        default_wal_path(base_path) if wal_path is None
-        else pathlib.Path(wal_path)
-    )
+    wal_path = pathlib.Path(wal_path)
     base_blob = base_path.read_bytes()
-    if not wal_path.exists():
-        graph = load_compressed_bytes(
-            base_blob, limits=limits, source=str(base_path)
-        )
-        header = WalHeader(
-            kind=graph.kind,
-            generation=0,
-            base_size=len(base_blob),
-            base_crc=zlib.crc32(base_blob),
-        )
-        return graph, WriteAheadLog.create(wal_path, header, fs=fs, retry=retry)
-    graph, report = recover_bytes(
-        base_blob,
-        wal_path.read_bytes(),
-        limits=limits,
-        base_source=str(base_path),
-        wal_source=str(wal_path),
-    )
-    if report.superseded:
-        header = WalHeader(
-            kind=graph.kind,
-            generation=report.generation + 1,
-            base_size=len(base_blob),
-            base_crc=zlib.crc32(base_blob),
-        )
-        return graph, WriteAheadLog.create(wal_path, header, fs=fs, retry=retry)
-    return graph, WriteAheadLog.open(wal_path, fs=fs)
-
-
-@dataclasses.dataclass
-class CompactionResult:
-    """Outcome of one :func:`compact` run."""
-
-    report: RecoveryReport
-    generation: int
-    snapshot_bytes: int
-    num_contacts: int
-
-    def summary(self) -> str:
-        """Human-readable account, including a non-clean replay's report."""
-        lines = [
-            f"compacted {self.report.base_path}: {self.num_contacts} contacts "
-            f"in {self.snapshot_bytes} bytes",
-            f"  wal reset to generation {self.generation}",
-        ]
-        if not self.report.ok:
-            lines.append("  replay was not clean:")
-            lines.extend(
-                "  " + line for line in self.report.summary().splitlines()
+    graph = load_compressed_bytes(base_blob, source=str(base_path))
+    report = RecoveryReport(base_path=str(base_path), wal_path=str(wal_path))
+    contacts = list(graph.iter_contacts())
+    if wal_path.exists():
+        scan = scan_wal(wal_path)
+        if scan.header is None:
+            raise FormatError(
+                scan.errors[0] if scan.errors
+                else f"{wal_path}: unreadable WAL header"
             )
-        return "\n".join(lines)
-
-
-def compact(
-    base_path: PathLike,
-    wal_path: Optional[PathLike] = None,
-    *,
-    fs: Filesystem = OS_FILESYSTEM,
-    retry: RetryPolicy = DEFAULT_RETRY,
-    limits=None,
-) -> CompactionResult:
-    """Fold base + WAL into a fresh snapshot and reset the log, crash-safely.
-
-    Step order is the crash-safety argument:
-
-    1. compress base + committed WAL contacts into new snapshot bytes
-       (stored contacts are already bucketed, so compression runs at
-       resolution 1 and the provenance resolution is stamped back --
-       exactly :meth:`repro.core.growable.GrowableChronoGraph.checkpoint`);
-    2. append a durable compaction marker naming the new snapshot
-       (size + CRC32) to the old WAL -- crash after this: base unchanged,
-       marker is replay-inert, nothing lost;
-    3. atomically replace the snapshot -- crash after this: the old WAL
-       no longer binds, but its marker proves the snapshot supersedes it
-       (:func:`open_with_wal` reports ``superseded`` instead of failing);
-    4. atomically replace the WAL with an empty generation+1 log bound to
-       the new snapshot.
-    """
-    from repro.core import compress
-    from repro.core.serialize import dumps_compressed
-    from repro.graph.model import TemporalGraph
-
-    base_path = pathlib.Path(base_path)
-    wal_path = (
-        default_wal_path(base_path) if wal_path is None
-        else pathlib.Path(wal_path)
-    )
-    graph, report = open_with_wal(base_path, wal_path, limits=limits)
-
-    resolution = graph.config.resolution
-    cfg = (
-        dataclasses.replace(graph.config, resolution=1)
-        if resolution > 1 else graph.config
-    )
-    combined = TemporalGraph(
-        graph.kind,
-        graph.num_nodes,
-        list(graph.iter_contacts()),
-        name=graph.name,
-        granularity="stored",
-    )
-    fresh = compress(combined, cfg)
-    if resolution > 1:
-        fresh.config = dataclasses.replace(fresh.config, resolution=resolution)
-    payload = dumps_compressed(fresh)
-    snapshot_crc = zlib.crc32(payload)
-
-    if wal_path.exists() and not report.superseded:
-        with WriteAheadLog.open(wal_path, fs=fs) as wal:
-            wal.append_compact_marker(len(payload), snapshot_crc)
-    atomic_write_bytes(base_path, payload, fs=fs, retry=retry)
-    generation = max(report.generation, -1) + 1
-    header = WalHeader(
-        kind=graph.kind,
-        generation=generation,
-        base_size=len(payload),
-        base_crc=snapshot_crc,
-    )
-    atomic_write_bytes(wal_path, header.to_bytes(), fs=fs, retry=retry)
-    return CompactionResult(
-        report=report,
-        generation=generation,
-        snapshot_bytes=len(payload),
-        num_contacts=fresh.num_contacts,
-    )
+        report.generation = scan.header.generation
+        if _bind_scan(scan, base_blob, graph.kind, str(wal_path), report):
+            contacts.extend(scan.contacts)
+            report.batches_replayed = len(scan.batches)
+            report.contacts_replayed = len(scan.contacts)
+            report.dropped_bytes = scan.dropped_bytes
+            report.errors.extend(scan.errors)
+    create_sealed_store(store_dir, graph.kind, graph.config, contacts, fs=fs)
+    return report

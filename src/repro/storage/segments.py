@@ -1,8 +1,7 @@
 """Time-partitioned segment store: LSM-style streaming ingest for ChronoGraph.
 
-The single ``base + WAL`` pair of :mod:`repro.storage.recovery` rewrites the
-whole snapshot on every compaction, which caps sustainable ingest rates.
-This module generalises it into the structure continuous ingestion needs:
+A compressed graph is built once and never changes; the store is the one
+way a graph grows.  It provides the structure continuous ingestion needs:
 
 * a **store directory** holding immutable compressed ``.chrono`` segments
   (each a time partition of the contact stream), a hot WAL tail for the
@@ -31,7 +30,8 @@ Concurrency model: readers grab the immutable published view
 block.  All mutations (ingest commits, seals, compaction swaps) serialise
 on a writer-writer commit guard that readers never touch, so holding it
 across the durable manifest write is safe by construction: the
-reader-visible swap is still one atomic reference assignment.
+reader-visible swap is still one atomic reference assignment, and every
+swap publishes a new view -- a view once read never changes.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import pathlib
 import struct
 import threading
 import zlib
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.bits import kernels
@@ -58,7 +59,7 @@ from repro.errors import (
     TruncatedContainerError,
     UnsupportedVersionError,
 )
-from repro.graph.model import Contact, GraphKind
+from repro.graph.model import Contact, GraphKind, max_label
 from repro.runtime.breaker import BreakerBoard
 from repro.runtime.context import QueryContext, query_scope
 from repro.storage.atomic import (
@@ -84,6 +85,7 @@ __all__ = [
     "HealthReport",
     "SegmentedChronoGraph",
     "SegmentStore",
+    "create_sealed_store",
     "is_segment_store",
 ]
 
@@ -483,20 +485,107 @@ class HealthReport:
         return "\n".join(lines)
 
 
+class _TailBuffer:
+    """The hot tail: committed, unsealed contacts as one sorted tuple.
+
+    Contacts are in stored time units and sorted by ``(u, v, time,
+    duration)``, so a node's or an edge's contacts are one bisected
+    slice.  The buffer answers the part queries
+    :class:`SegmentedChronoGraph` merges, with the closed-window activity
+    predicate every sealed segment applies (:meth:`Contact.is_active`).
+    It never changes: :meth:`extended` returns a new buffer, which is
+    what makes a published view a snapshot.
+    """
+
+    __slots__ = ("kind", "contacts", "num_nodes")
+
+    def __init__(
+        self,
+        kind: GraphKind,
+        contacts: Tuple[Contact, ...] = (),
+        num_nodes: int = 0,
+    ) -> None:
+        self.kind = kind
+        self.contacts = contacts
+        self.num_nodes = num_nodes
+
+    @property
+    def num_contacts(self) -> int:
+        """Contacts held by this buffer."""
+        return len(self.contacts)
+
+    def extended(self, batch: Sequence[Contact]) -> "_TailBuffer":
+        """A new buffer holding this one's contacts plus ``batch``."""
+        return _TailBuffer(
+            self.kind,
+            tuple(sorted(self.contacts + tuple(batch))),
+            max(self.num_nodes, max_label(batch) + 1),
+        )
+
+    def _slice(self, *key: int) -> Tuple[Contact, ...]:
+        """The contacts whose leading fields equal ``key`` (``u`` or ``u, v``)."""
+        contacts = self.contacts
+        lo = bisect_left(contacts, key)
+        hi = bisect_left(contacts, key[:-1] + (key[-1] + 1,), lo)
+        return contacts[lo:hi]
+
+    def neighbors(
+        self, u: int, t_start: int, t_end: int, *, ctx=None
+    ) -> List[int]:
+        """Sorted distinct neighbors of ``u`` active in the closed window."""
+        kind = self.kind
+        out: List[int] = []
+        for c in self._slice(u):
+            if (not out or out[-1] != c.v) and c.is_active(t_start, t_end, kind):
+                out.append(c.v)
+        return out
+
+    def has_edge(
+        self, u: int, v: int, t_start: int, t_end: int, *, ctx=None
+    ) -> bool:
+        """Whether edge (u, v) is active in the closed window."""
+        kind = self.kind
+        return any(c.is_active(t_start, t_end, kind) for c in self._slice(u, v))
+
+    def contacts_of(self, u: int, *, ctx=None) -> List[Contact]:
+        """Every contact of ``u``, (label, time)-sorted."""
+        return list(self._slice(u))
+
+    def edge_timestamps(self, u: int, v: int, *, ctx=None) -> List[int]:
+        """All timestamps of edge (u, v), ascending."""
+        return [c.time for c in self._slice(u, v)]
+
+    def snapshot(
+        self, t_start: int, t_end: int, *, ctx: Optional[QueryContext] = None
+    ) -> List[Tuple[int, int]]:
+        """All distinct edges active in the closed window, sorted."""
+        kind = self.kind
+        edges: List[Tuple[int, int]] = []
+        for c in self.contacts:
+            if ctx is not None:
+                ctx.checkpoint()
+            if c.is_active(t_start, t_end, kind) and (
+                not edges or edges[-1] != (c.u, c.v)
+            ):
+                edges.append((c.u, c.v))
+        return edges
+
+    def iter_contacts(self):
+        """Every contact, in sorted order."""
+        return iter(self.contacts)
+
+
 class SegmentedChronoGraph:
     """Immutable query view over sealed segments plus the hot tail.
 
-    Every query merges per-segment answers with the tail overlay graph's
-    answer.  Each segment is a :class:`CompressedChronoGraph` already
-    implementing the closed-window activity contract, and each contact
-    lives in exactly one segment or the tail, so set-union of per-part
-    results is exact -- the same merge semantics ``apply_contacts`` uses
-    inside a single graph, lifted across partitions.
+    Every query merges per-segment answers with the tail buffer's answer.
+    Each segment is a :class:`CompressedChronoGraph` already implementing
+    the closed-window activity contract, and each contact lives in exactly
+    one segment or the tail, so set-union of per-part results is exact.
 
-    The view object itself is immutable (the segment tuple never changes);
-    the tail graph mutates internally via its own thread-safe overlay, so
-    a reader holding one view sees a consistent segment set plus a
-    linearizable tail.
+    The view is immutable: its segment tuple and its tail buffer never
+    change, so a reader holding one view gets the same answers however
+    the store moves on (ingest, seal and compaction publish new views).
 
     Resource governance: every query accepts an optional
     ``ctx=`` :class:`repro.runtime.context.QueryContext` (deadline /
@@ -515,7 +604,7 @@ class SegmentedChronoGraph:
         self,
         kind: GraphKind,
         segments: Tuple[Tuple[SegmentInfo, "object"], ...],
-        tail: "object",
+        tail: _TailBuffer,
         *,
         breakers: Optional[BreakerBoard] = None,
     ) -> None:
@@ -807,8 +896,7 @@ def _compress_stored(
     """Compress already-bucketed contacts into container bytes.
 
     Stored contacts are in post-aggregation time units, so compression
-    runs at resolution 1 and the provenance resolution is stamped back --
-    the exact discipline of :func:`repro.storage.recovery.compact`.
+    runs at resolution 1 and the provenance resolution is stamped back.
     """
     from repro.core import compress
     from repro.core.serialize import dumps_compressed
@@ -851,12 +939,45 @@ def _segment_info_for(
     )
 
 
-def _empty_tail(kind: GraphKind):
-    """A zero-node compressed graph ready to absorb the tail overlay."""
-    from repro.core import compress
-    from repro.graph.builders import graph_from_contacts
+def create_sealed_store(
+    path: PathLike,
+    kind: GraphKind,
+    config: ChronoGraphConfig,
+    contacts: Sequence[Contact],
+    *,
+    fs: Filesystem = OS_FILESYSTEM,
+) -> None:
+    """Lay down a new store whose one segment holds ``contacts``.
 
-    return compress(graph_from_contacts(kind, [], num_nodes=0))
+    ``contacts`` are in stored time units and go through the seal's
+    compress-stored path as they are, never re-bucketed.  Crash-safe by
+    ordering: the segment file and the empty tail log land first and the
+    ``MANIFEST`` naming them last, so a crash leaves either a directory
+    that is not yet a store (its files are swept by the open that follows
+    a retry) or the complete store -- never a store missing contacts.
+    """
+    directory = pathlib.Path(path)
+    if (directory / MANIFEST_NAME).exists():
+        raise FileExistsError(f"{directory} already holds a segment store")
+    os.makedirs(str(directory), exist_ok=True)
+    segments: Tuple[SegmentInfo, ...] = ()
+    if contacts:
+        name = _segment_name(0)
+        payload = _compress_stored(kind, contacts, config, name=name)
+        segments = (_segment_info_for(name, 0, payload, contacts),)
+        atomic_write_bytes(directory / name, payload, fs=fs)
+    manifest = Manifest(
+        generation=0,
+        kind=kind,
+        config=config,
+        wal_generation=0,
+        next_seq=len(segments),
+        segments=segments,
+    )
+    SegmentStore._create_tail_wal(
+        directory, manifest, fs=fs, retry=DEFAULT_RETRY
+    ).close()
+    atomic_write_bytes(directory / MANIFEST_NAME, manifest.to_bytes(), fs=fs)
 
 
 class SegmentStore:
@@ -876,7 +997,6 @@ class SegmentStore:
         manifest: Manifest,
         view: SegmentedChronoGraph,
         wal: Optional[WriteAheadLog],
-        tail_contacts: List[Contact],
         *,
         fs: Filesystem,
         retry: RetryPolicy,
@@ -898,7 +1018,6 @@ class SegmentStore:
         self._manifest = manifest
         self._view = view
         self._wal = wal
-        self._tail_contacts = tail_contacts
         self._quarantined = list(quarantined or [])
         self._events = list(events or [])
         # Breaker state belongs to the store, not the view: a tripped
@@ -944,13 +1063,12 @@ class SegmentStore:
         atomic_write_bytes(manifest_path, manifest.to_bytes(), fs=fs, retry=retry)
         wal = cls._create_tail_wal(directory, manifest, fs=fs, retry=retry)
         board = BreakerBoard()
-        view = SegmentedChronoGraph(kind, (), _empty_tail(kind), breakers=board)
+        view = SegmentedChronoGraph(kind, (), _TailBuffer(kind), breakers=board)
         return cls(
             directory,
             manifest,
             view,
             wal,
-            [],
             fs=fs,
             retry=retry,
             limits=limits,
@@ -1064,19 +1182,18 @@ class SegmentStore:
         quarantined.extend(tail_quarantine)
         if not read_only:
             events.extend(cls._sweep_orphans(directory, manifest, fs=fs))
-        tail = _empty_tail(manifest.kind)
-        if tail_contacts:
-            tail.apply_contacts(tail_contacts)
         board = BreakerBoard()
         view = SegmentedChronoGraph(
-            manifest.kind, tuple(loaded), tail, breakers=board
+            manifest.kind,
+            tuple(loaded),
+            _TailBuffer(manifest.kind).extended(tail_contacts),
+            breakers=board,
         )
         return cls(
             directory,
             manifest,
             view,
             wal,
-            list(tail_contacts),
             fs=fs,
             retry=retry,
             limits=limits,
@@ -1246,7 +1363,7 @@ class SegmentStore:
     @property
     def tail_size(self) -> int:
         """Committed contacts currently living in the hot tail."""
-        return len(self._tail_contacts)
+        return self._view._tail.num_contacts
 
     def attach_compactor(self, compactor) -> None:
         """Register the background compactor the watchdog should monitor."""
@@ -1270,7 +1387,7 @@ class SegmentStore:
             wal_generation=manifest.wal_generation,
             segments=view.segment_count,
             segment_contacts=sum(i.contacts for i in manifest.segments),
-            tail_contacts=len(self._tail_contacts),
+            tail_contacts=view._tail.num_contacts,
             quarantined=list(self._quarantined),
             compactor=compactor,
             degraded=bool(self._quarantined)
@@ -1294,13 +1411,14 @@ class SegmentStore:
     def ingest(self, rows: Iterable[ContactRow]) -> int:
         """Durably commit a batch of contacts into the hot tail.
 
-        Contacts are bucketed by the store's configured resolution (the
-        same discipline as ``GrowableChronoGraph.add_contact``), appended
-        to the tail WAL and fsynced as one all-or-nothing batch, then
-        applied to the in-memory tail overlay.  Crossing the seal
-        threshold seals inline -- unless the store is degraded (dead or
-        wedged compactor), in which case the segment set is read-only and
-        a full tail raises :class:`BackpressureError` instead.
+        Contacts are bucketed by the store's configured resolution,
+        validated (:class:`repro.errors.GraphDomainError` rejects the
+        whole batch), appended to the tail WAL and fsynced as one
+        all-or-nothing batch, then published in a new view whose tail
+        buffer holds them.  Crossing the seal threshold seals inline --
+        unless the store is degraded (dead or wedged compactor), in which
+        case the segment set is read-only and a full tail raises
+        :class:`BackpressureError` instead.
         """
         batch = self._bucket(rows)
         if not batch:
@@ -1308,28 +1426,33 @@ class SegmentStore:
         with self._commit_guard:
             if self._closed or self._wal is None:
                 raise StoreClosedError(f"{self.directory}: store is closed")
+            view = self._view
+            tail_size = view._tail.num_contacts
             degraded = self._compactor_state() in ("dead", "wedged")
             if degraded and (
-                len(self._tail_contacts) + len(batch)
-                > self.policy.backpressure_contacts
+                tail_size + len(batch) > self.policy.backpressure_contacts
             ):
                 raise BackpressureError(
                     f"{self.directory}: compactor is "
                     f"{self._compactor_state()} and the tail holds "
-                    f"{len(self._tail_contacts)} contacts "
+                    f"{tail_size} contacts "
                     f"(cap {self.policy.backpressure_contacts}); "
                     "ingestion is backpressured until compaction resumes",
-                    tail_size=len(self._tail_contacts),
+                    tail_size=tail_size,
                     cap=self.policy.backpressure_contacts,
                     retry_after=self.policy.compactor_timeout,
                 )
             self._wal.append(batch)
             committed = self._wal.commit()
-            self._tail_contacts.extend(batch)
-            self._view._tail.apply_contacts(batch)
+            self._view = SegmentedChronoGraph(
+                view.kind,
+                view._segments,
+                view._tail.extended(batch),
+                breakers=self._breakers,
+            )
             if (
                 not degraded
-                and len(self._tail_contacts) >= self.policy.seal_contacts
+                and tail_size + len(batch) >= self.policy.seal_contacts
             ):
                 self._seal_locked()
         return committed
@@ -1370,7 +1493,7 @@ class SegmentStore:
             return self._seal_locked()
 
     def _seal_locked(self) -> Optional[SegmentInfo]:
-        contacts = list(self._tail_contacts)
+        contacts = self._view._tail.contacts
         if not contacts:
             return None
         manifest = self._manifest
@@ -1407,7 +1530,6 @@ class SegmentStore:
         self._wal = self._create_tail_wal(
             self.directory, new_manifest, fs=self._fs, retry=self._retry
         )
-        self._tail_contacts = []
         from repro.core.serialize import _map_readonly, load_compressed_bytes
 
         # Map the file just written rather than adopting the in-heap encode
@@ -1423,7 +1545,7 @@ class SegmentStore:
         self._view = SegmentedChronoGraph(
             new_manifest.kind,
             view._segments + ((info, graph),),
-            _empty_tail(new_manifest.kind),
+            _TailBuffer(new_manifest.kind),
             breakers=self._breakers,
         )
         return info

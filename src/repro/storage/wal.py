@@ -4,8 +4,10 @@ The incremental setting of the paper (Section III-A: contacts arrive over
 time and only ever extend the structure) needs a durable ingest path that
 does not recompress the whole graph per contact.  The WAL provides it:
 contacts are appended as length-prefixed, CRC32-guarded batch records to a
-side file bound to its base ``.chrono`` snapshot, and folded in by
-:func:`repro.storage.recovery.compact` when the log grows.
+side file bound to what it extends -- the tail of a segment store
+(:mod:`repro.storage.segments`), or, in the legacy single-file layout, one
+base ``.chrono`` snapshot (converted by
+:func:`repro.storage.recovery.convert_legacy_pair`).
 
 Layout (little-endian; see FORMAT.md):
 
@@ -42,6 +44,7 @@ from repro.errors import (
     ChecksumMismatchError,
     CorruptStreamError,
     FormatError,
+    GraphDomainError,
     LimitExceededError,
     TruncatedContainerError,
     UnsupportedVersionError,
@@ -451,26 +454,26 @@ class WriteAheadLog:
     def append(self, contacts: Iterable[ContactRow]) -> int:
         """Buffer contacts for the next :meth:`commit`; returns how many.
 
-        Validation happens here, not at commit, so a bad row never
-        poisons a batch already buffered.
+        Validation happens here, not at commit, and covers the whole call
+        before anything is buffered: a bad row raises
+        :class:`repro.errors.GraphDomainError` and buffers none of the
+        call's rows, so it never poisons the next commit.
         """
-        added = 0
         kind = self.header.kind
-        for row in contacts:
-            c = _as_contact(row)
+        rows = [_as_contact(row) for row in contacts]
+        for c in rows:
             if c.u < 0 or c.v < 0:
-                raise ValueError(f"negative node label in {c}")
+                raise GraphDomainError(f"negative node label in {c}")
             if c.u > _MAX_LABEL or c.v > _MAX_LABEL:
-                raise ValueError(f"node label beyond {_MAX_LABEL} in {c}")
+                raise GraphDomainError(f"node label beyond {_MAX_LABEL} in {c}")
             if c.duration < 0:
-                raise ValueError(f"negative duration in {c}")
+                raise GraphDomainError(f"negative duration in {c}")
             if kind is not GraphKind.INTERVAL and c.duration:
-                raise ValueError(
+                raise GraphDomainError(
                     f"{kind.value} graphs cannot carry durations: {c}"
                 )
-            self._pending.append(c)
-            added += 1
-        return added
+        self._pending.extend(rows)
+        return len(rows)
 
     def _write_all(self, data: bytes) -> None:
         view = memoryview(data)

@@ -19,9 +19,10 @@ against the quarantine-or-detect contract, and
 ingest -> seal -> compact -> swap -> delete lifecycle.
 
 The concurrency contract has its own harness: :func:`run_race_smoke`
-(:mod:`repro.testing.races`) races seeded reader threads against an
-``apply_contacts`` writer and verifies torn-record freedom, counter
-monotonicity and overlay-read linearizability.
+(:mod:`repro.testing.races`) races seeded reader threads against a
+segment-store writer and a compaction thread and verifies that every
+captured view answers exactly as the reference model at its batch count,
+torn-record freedom and counter monotonicity.
 """
 
 from repro.testing.faults import (

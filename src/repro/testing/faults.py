@@ -25,10 +25,11 @@ Two further surfaces cover the crash-safe persistence layer (PR 3):
 * **WAL mutations** -- :func:`wal_truncate_mutations` (record-boundary and
   mid-record cuts), :func:`wal_crc_flip_mutations` (checksum and payload
   flips) and :func:`wal_generation_mutations` (headers whose own CRC is
-  *valid* but whose snapshot binding is wrong), driven by
-  :func:`run_wal_fault_injection` against the replay contract: recovery
-  must yield exactly a prefix of the committed batches, and any dropped
-  suffix must be reported, never silent.
+  *valid* but whose binding is wrong), driven by
+  :func:`run_wal_fault_injection` through read-only opens of a segment
+  store's tail log: the store must serve its segments plus exactly a
+  prefix of the committed batches, and any dropped suffix must be
+  reported, never silent.
 * **Crash points** -- :class:`FaultyFilesystem` implements the
   :class:`repro.storage.atomic.Filesystem` surface but dies
   (:class:`CrashPoint`) at the N-th mutating operation;
@@ -634,92 +635,117 @@ def default_wal_mutations(
 
 
 def run_wal_fault_injection(
-    base_container: bytes,
-    wal_image: bytes,
+    directory,
     mutations: Iterable[Mutation],
     *,
     time_budget: float = 5.0,
     limits: Optional[DecodeLimits] = None,
 ) -> FaultInjectionReport:
-    """Drive WAL mutations through recovery and classify against the contract.
+    """Drive ``wal.tail`` mutations through a read-only store open and classify.
 
-    The contract: recovery of a mutated WAL must either raise from
-    ``FormatError`` (``detected``), or replay exactly some *prefix* of the
-    committed batches -- the full log with no complaints (``identical``),
-    or a proper prefix **with the loss reported** (``detected``).  A
-    replay that is not a committed-batch prefix, or that dropped data
-    silently, is a ``mismatch``; any non-``FormatError`` exception is an
-    ``escaped``; exceeding ``time_budget`` is ``overbudget``.
+    ``directory`` must hold a healthy store whose tail log is pristine.
+    The contract: every mutated open must either raise from
+    ``FormatError`` (``detected``), or serve the sealed segments plus
+    exactly some *prefix* of the committed tail batches -- the full log
+    with a clean health report (``identical``), or a proper prefix **with
+    the loss reported** by a quarantine entry or a recovery event
+    (``detected``).  A tail that is not a committed-batch prefix, or that
+    dropped data silently, is a ``mismatch``; any non-``FormatError``
+    exception is an ``escaped``; exceeding ``time_budget`` is
+    ``overbudget``.  Opens run read-only, and the original tail bytes are
+    restored before returning.
     """
-    from repro.storage.recovery import recover_bytes
+    from repro.storage.segments import WAL_TAIL_NAME, SegmentStore
     from repro.storage.wal import scan_wal_bytes
 
-    baseline = scan_wal_bytes(wal_image)
+    directory = pathlib.Path(directory)
+    tail_path = directory / WAL_TAIL_NAME
+    original = tail_path.read_bytes()
+    baseline = scan_wal_bytes(original)
     if baseline.header is None or baseline.errors:
-        raise ValueError("wal_image must be a pristine WAL")
+        raise ValueError(f"{tail_path} must be a pristine WAL")
+
+    def served(store) -> List[tuple]:
+        return sorted(store.graph.iter_contacts())
+
+    with SegmentStore.open(directory, read_only=True, limits=limits) as store:
+        if not store.health().ok:
+            raise ValueError(f"{directory}: baseline store must be healthy")
+        full = served(store)
+    sealed = collections.Counter(full) - collections.Counter(baseline.contacts)
     prefixes = []
     flat: List[tuple] = []
-    prefixes.append(tuple(flat))
-    for batch in baseline.batches:
+    for batch in [[]] + baseline.batches:
         flat.extend(batch)
-        prefixes.append(tuple(flat))
-    full = prefixes[-1]
+        prefixes.append(sorted((sealed + collections.Counter(flat)).elements()))
 
     report = FaultInjectionReport()
-    for mutation in mutations:
-        start = time.perf_counter()
-        detail = ""
-        try:
-            graph, recovery = recover_bytes(
-                base_container, mutation.data, limits=limits
-            )
-        except FormatError as exc:
-            outcome = "detected"
-            detail = type(exc).__name__
-        except Exception as exc:  # noqa: BLE001 - the contract under test
-            outcome = "escaped"
-            detail = repr(exc)
-        else:
-            replay_scan = scan_wal_bytes(mutation.data)
-            replayed = tuple(replay_scan.contacts)
-            if recovery.superseded:
-                replayed = ()
-            if replayed not in prefixes:
-                outcome = "mismatch"
-                detail = f"replayed {len(replayed)} contacts: not a committed-batch prefix"
-            elif replayed == full and recovery.ok:
-                outcome = "identical"
-            elif recovery.errors or recovery.dropped_bytes:
-                outcome = "detected"
-                detail = f"prefix of {len(replayed)}/{len(full)} contacts, reported"
-            elif not replay_scan.torn:
-                # A cut at an exact record boundary leaves a well-formed
-                # shorter log -- indistinguishable from fewer commits, so
-                # a clean report is correct, not a silent loss.
-                outcome = "detected"
-                detail = (
-                    f"clean boundary cut: {len(replayed)}/{len(full)} "
-                    "committed contacts remain"
+    try:
+        for mutation in mutations:
+            tail_path.write_bytes(mutation.data)
+            start = time.perf_counter()
+            detail = ""
+            try:
+                store = SegmentStore.open(
+                    directory, read_only=True, limits=limits
                 )
+            except FormatError as exc:
+                outcome = "detected"
+                detail = type(exc).__name__
+            except Exception as exc:  # noqa: BLE001 - the contract under test
+                outcome = "escaped"
+                detail = repr(exc)
             else:
-                outcome = "mismatch"
-                detail = (
-                    f"silent loss: {len(replayed)}/{len(full)} contacts "
-                    "with a clean report"
-                )
-        elapsed = time.perf_counter() - start
-        if elapsed > time_budget:
-            outcome = "overbudget"
-            detail = f"{elapsed:.2f}s > {time_budget:.2f}s budget"
-        result = FaultResult(mutation.name, outcome, detail, elapsed)
-        report.total += 1
-        report.slowest = max(report.slowest, elapsed)
-        if outcome == "identical":
-            report.identical += 1
-        elif outcome == "detected":
-            report.detected += 1
-        if result.failed:
-            report.failures.append(result)
+                health = store.health()
+                got = served(store)
+                store.close()
+                reported = bool(health.quarantined or health.events)
+                kept = len(got) - sum(sealed.values())
+                if got not in prefixes:
+                    outcome = "mismatch"
+                    detail = (
+                        f"served {kept} tail contacts: not a committed-batch "
+                        "prefix"
+                    )
+                elif got == full and not reported:
+                    outcome = "identical"
+                elif reported:
+                    outcome = "detected"
+                    detail = (
+                        f"prefix of {kept}/{len(baseline.contacts)} tail "
+                        "contacts, reported"
+                    )
+                elif not scan_wal_bytes(mutation.data).torn:
+                    # A cut at an exact record boundary leaves a well-formed
+                    # shorter log -- indistinguishable from fewer commits, so
+                    # a clean report is correct, not a silent loss.
+                    outcome = "detected"
+                    detail = (
+                        f"clean boundary cut: {kept}/"
+                        f"{len(baseline.contacts)} committed tail contacts "
+                        "remain"
+                    )
+                else:
+                    outcome = "mismatch"
+                    detail = (
+                        f"silent loss: {kept}/{len(baseline.contacts)} tail "
+                        "contacts with a clean report"
+                    )
+            elapsed = time.perf_counter() - start
+            if elapsed > time_budget:
+                outcome = "overbudget"
+                detail = f"{elapsed:.2f}s > {time_budget:.2f}s budget"
+            result = FaultResult(mutation.name, outcome, detail, elapsed)
+            report.total += 1
+            report.slowest = max(report.slowest, elapsed)
+            if outcome == "identical":
+                report.identical += 1
+            elif outcome == "detected":
+                report.detected += 1
+            if result.failed:
+                report.failures.append(result)
+    finally:
+        tail_path.write_bytes(original)
     return report
 
 

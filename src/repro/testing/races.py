@@ -1,20 +1,25 @@
 """Seeded reader/writer race harness for the concurrent query plane.
 
-The harness drives one writer thread (applying WAL-style contact batches
-through :meth:`CompressedChronoGraph.apply_contacts`) against several
-reader threads issuing point, batch and full-scan queries, and checks the
-concurrency contract the library documents:
+The one mutable path is :class:`repro.storage.segments.SegmentStore`, so
+the harness drives one writer thread ingesting contact batches into a
+store (a small ``seal_contacts`` makes the published view swap segments
+mid-run) and one thread running :meth:`SegmentStore.compact_once` beside
+it, against several reader threads.  It checks the concurrency contract
+the library documents:
 
+* **Views are snapshots** -- a reader captures ``store.graph`` once per
+  operation and every answer from that view (point, batch and full-scan
+  queries) must equal the plain reference model at exactly the
+  generation the view's ``num_contacts`` identifies, however the writer
+  and the compactor move on meanwhile.
 * **No torn records** -- every neighbor list is strictly increasing and
-  every decoded contact run is (label, time)-sorted with aligned columns.
-* **Overlay-read linearizability** -- each query's result must equal the
-  reference model's answer at *some* overlay generation between the
-  generation observed immediately before and immediately after the call;
-  multi-result operations (``neighbors_many``, ``snapshot``) must match a
-  *single* such generation, because they capture one snapshot.
-* **Monotone counters** -- ``hits + misses``, ``invalidations`` and
-  ``evictions`` never decrease, and the generation increases by exactly
-  one per applied batch.
+  every contact run is (label, time)-sorted.
+* **Whole batches** -- each ingest publishes its batch at once: the view
+  after it holds exactly the batch's contacts more than the view before.
+* **Eviction races** -- half of the reader operations run against one
+  immutable compressed graph of the base contacts with a deliberately
+  tight record cache, and its ``hits + misses`` and ``evictions``
+  counters must never decrease.
 
 Everything is deterministic up to thread interleaving: the base graph, the
 batches and each reader's operation mix derive from ``seed``.  Whatever
@@ -34,13 +39,15 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import tempfile
 import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.encoder import compress
 from repro.graph.builders import graph_from_contacts
-from repro.graph.model import Contact, GraphKind
+from repro.graph.model import Contact, GraphKind, max_label
+from repro.storage.segments import SegmentStore, StorePolicy
 
 #: A reference-model row: (neighbor label, timestamp, duration).
 _Row = Tuple[int, int, int]
@@ -48,6 +55,12 @@ _Row = Tuple[int, int, int]
 #: Fixed window used by the snapshot checks (must be precomputed per
 #: generation, so the harness pins one window for the whole run).
 _SNAPSHOT_WINDOW = (0, 10_000_000)
+
+#: Tail size that triggers a seal: small, so views swap segments often.
+_SEAL_CONTACTS = 16
+
+#: Segment count past which the compactor thread finds merges to run.
+_MAX_SEGMENTS = 3
 
 
 @dataclasses.dataclass
@@ -57,7 +70,8 @@ class RaceReport:
     ``violations`` holds one human-readable line per broken invariant;
     an empty list means the run passed.  The counters record how much
     concurrency the run actually exercised, so CI logs show that a green
-    run was not vacuous.
+    run was not vacuous.  ``final_generation`` is the number of batches
+    the store's final view holds.
     """
 
     readers: int
@@ -107,7 +121,7 @@ def _make_batches(
         batch: List[Contact] = []
         for _ in range(rng.randrange(1, 5)):
             if rng.random() < 0.1:
-                u = top + 1  # grow the graph: the new-max-node bugfix path
+                u = top + 1  # grow the graph past every label seen so far
             else:
                 u = rng.randrange(top + 1)
             v = rng.randrange(top + 1)
@@ -120,32 +134,37 @@ def _make_batches(
 
 def _build_model(
     graph, batches: Sequence[Sequence[Contact]]
-) -> Tuple[List[Dict[int, Tuple[_Row, ...]]], List[int]]:
+) -> Tuple[List[Dict[int, Tuple[_Row, ...]]], List[int], Dict[int, int]]:
     """Per-generation reference state: node -> sorted (v, t, d) rows.
 
     Generation ``g`` reflects the base graph plus the first ``g`` batches.
-    Dicts are copied per generation but row tuples are shared, so the
-    model stays cheap for hundreds of generations.
+    Returns the states, the node range of each generation (one past the
+    highest label its contacts use) and the map from contact count to
+    generation -- every batch adds contacts, so the count names the
+    generation.  Dicts are copied per generation but row tuples are
+    shared, so the model stays cheap for hundreds of generations.
     """
     state: Dict[int, Tuple[_Row, ...]] = {}
     for c in graph.contacts:
         state.setdefault(c.u, ())
         state[c.u] += ((c.v, c.time, c.duration),)
-    state = {u: tuple(sorted(rows, key=lambda r: (r[0], r[1]))) for u, rows in state.items()}
+    state = {u: tuple(sorted(rows)) for u, rows in state.items()}
     states = [dict(state)]
-    nodes = [graph.num_nodes]
-    top = graph.num_nodes - 1
-    for batch in batches:
+    top = max_label(graph.contacts)
+    nodes = [top + 1]
+    count = len(graph.contacts)
+    generation_of = {count: 0}
+    for g, batch in enumerate(batches, 1):
         state = dict(state)
         for c in batch:
-            rows = list(state.get(c.u, ()))
-            rows.append((c.v, c.time, c.duration))
-            rows.sort(key=lambda r: (r[0], r[1]))
-            state[c.u] = tuple(rows)
+            row = (c.v, c.time, c.duration)
+            state[c.u] = tuple(sorted(state.get(c.u, ()) + (row,)))
             top = max(top, c.u, c.v)
         states.append(state)
         nodes.append(top + 1)
-    return states, nodes
+        count += len(batch)
+        generation_of[count] = g
+    return states, nodes, generation_of
 
 
 def _expected_neighbors(
@@ -180,21 +199,23 @@ def run_race_smoke(
 ) -> RaceReport:
     """Run the seeded reader/writer stress test; returns a :class:`RaceReport`.
 
-    One writer applies ``batches`` contact batches while ``readers``
-    threads hammer the query surface (``neighbors``, ``contacts_of``,
-    ``distinct_neighbors``, ``neighbors_many``, ``snapshot`` /
-    ``snapshot_parallel``) and verify every result against the
-    per-generation reference model.  ``cache_max_entries`` defaults to a
-    deliberately tight bound so eviction races are exercised too; pass
-    ``None`` to lift it.  The run is bounded: it ends once the writer has
-    applied every batch and each reader has done at least
-    ``min_reader_ops`` operations.  ``writer_pace_s`` throttles the writer
-    slightly so batches interleave with reads instead of racing ahead of
-    them.
+    The store starts as one sealed segment of the base contacts.  One
+    writer ingests ``batches`` contact batches (sealing every
+    ``_SEAL_CONTACTS`` contacts) while a compactor thread merges segments
+    and ``readers`` threads query captured store views (``neighbors``,
+    ``contacts_of``, ``neighbors_many``, ``snapshot``) and the immutable
+    base graph (the same plus ``distinct_neighbors`` and
+    ``snapshot_parallel``), verifying every result against the reference
+    model.  ``cache_max_entries`` bounds the base graph's record cache --
+    deliberately tight by default so eviction races are exercised; pass
+    ``None`` to lift it.  The run ends once the writer has ingested every
+    batch and each reader has done at least ``min_reader_ops``
+    operations.  ``writer_pace_s`` throttles the writer slightly so
+    batches interleave with reads instead of racing ahead of them.
     """
     graph = _base_graph(num_nodes, base_contacts, seed)
     batch_list = _make_batches(num_nodes, batches, seed)
-    states, nodes_per_gen = _build_model(graph, batch_list)
+    states, nodes_per_gen, generation_of = _build_model(graph, batch_list)
     cg = compress(graph)
     if cache_max_entries is not None:
         cg.configure_cache(max_entries=cache_max_entries)
@@ -223,189 +244,188 @@ def run_race_smoke(
             snapshot_per_gen[g] = got
         return got
 
-    def writer() -> None:
-        try:
-            for i, batch in enumerate(batch_list):
-                before = cg.overlay_generation
-                applied = cg.apply_contacts(batch)
-                after = cg.overlay_generation
-                if applied != len(batch):
-                    report(f"batch {i}: applied {applied} != {len(batch)}")
-                if after != before + 1:
-                    report(
-                        f"batch {i}: generation {before} -> {after}, "
-                        "expected +1"
-                    )
-                if overloaded():
-                    return
-                if writer_pace_s:
-                    time.sleep(writer_pace_s)
-        finally:
-            writer_done.set()
-
     def check_sorted_distinct(tag: str, out: List[int]) -> None:
         if any(out[i] >= out[i + 1] for i in range(len(out) - 1)):
             report(f"{tag}: torn/unsorted neighbor list {out}")
 
-    def reader(idx: int) -> None:
-        rng = random.Random(seed + 100 + idx)
-        last_lookups = -1
-        last_invalidations = -1
-        last_evictions = -1
-        ops = 0
-        while True:
-            done = writer_done.is_set() and ops >= min_reader_ops
-            if overloaded():
-                break
-            for _ in range(8):
-                op = rng.random()
-                g0 = cg.overlay_generation
-                n_now = cg.num_nodes
-                u = rng.randrange(n_now)
-                if op < 0.45:
-                    lo = rng.randrange(0, 5_000)
-                    hi = lo + rng.randrange(0, 2_500)
-                    out = cg.neighbors(u, lo, hi)
-                    g1 = cg.overlay_generation
-                    check_sorted_distinct(f"neighbors({u},{lo},{hi})", out)
-                    if not any(
-                        out == _expected_neighbors(states[g], u, lo, hi)
-                        for g in range(g0, g1 + 1)
-                    ):
-                        report(
-                            f"neighbors({u},{lo},{hi}) = {out} matches no "
-                            f"generation in [{g0},{g1}]"
-                        )
-                elif op < 0.6:
-                    rows = cg.contacts_of(u)
-                    g1 = cg.overlay_generation
-                    cols = sorted((c.v, c.time, c.duration) for c in rows)
-                    if any(
-                        (rows[i].v, rows[i].time)
-                        > (rows[i + 1].v, rows[i + 1].time)
-                        for i in range(len(rows) - 1)
-                    ):
-                        report(f"contacts_of({u}): rows out of order")
-                    if not any(
-                        cols == sorted(states[g].get(u, ()))
-                        for g in range(g0, g1 + 1)
-                    ):
-                        report(
-                            f"contacts_of({u}) matches no generation in "
-                            f"[{g0},{g1}]"
-                        )
-                elif op < 0.72:
-                    out = cg.distinct_neighbors(u)
-                    g1 = cg.overlay_generation
-                    check_sorted_distinct(f"distinct_neighbors({u})", out)
-                    if not any(
-                        out
-                        == sorted({v for v, _, _ in states[g].get(u, ())})
-                        for g in range(g0, g1 + 1)
-                    ):
-                        report(
-                            f"distinct_neighbors({u}) matches no generation "
-                            f"in [{g0},{g1}]"
-                        )
-                elif op < 0.9:
-                    qs = []
-                    for _ in range(rng.randrange(2, 7)):
-                        lo = rng.randrange(0, 5_000)
-                        qs.append(
-                            (rng.randrange(n_now), lo, lo + rng.randrange(0, 2_500))
-                        )
-                    outs = cg.neighbors_many(qs, workers=2)
-                    g1 = cg.overlay_generation
-                    for (qu, qlo, qhi), out in zip(qs, outs):
-                        check_sorted_distinct(
-                            f"neighbors_many({qu},{qlo},{qhi})", out
-                        )
-                    if not any(
-                        all(
-                            out == _expected_neighbors(states[g], qu, qlo, qhi)
-                            for (qu, qlo, qhi), out in zip(qs, outs)
-                        )
-                        for g in range(g0, g1 + 1)
-                    ):
-                        report(
-                            f"neighbors_many batch matches no single "
-                            f"generation in [{g0},{g1}]"
-                        )
-                else:
-                    if rng.random() < 0.5:
-                        edges = cg.snapshot(t0, t1)
-                    else:
-                        edges = cg.snapshot_parallel(t0, t1, workers=2)
-                    g1 = cg.overlay_generation
-                    if not any(
-                        edges == expected_snapshot(g)
-                        for g in range(g0, g1 + 1)
-                    ):
-                        report(
-                            f"snapshot matches no single generation in "
-                            f"[{g0},{g1}]"
-                        )
-                ops += 1
-            stats = cg.cache_stats()
-            lookups = stats["hits"] + stats["misses"]
-            if lookups < last_lookups:
-                report(
-                    f"hit+miss went backwards: {last_lookups} -> {lookups}"
-                )
-            if stats["invalidations"] < last_invalidations:
-                report(
-                    "invalidations went backwards: "
-                    f"{last_invalidations} -> {stats['invalidations']}"
-                )
-            if stats["evictions"] < last_evictions:
-                report(
-                    "evictions went backwards: "
-                    f"{last_evictions} -> {stats['evictions']}"
-                )
-            last_lookups = lookups
-            last_invalidations = stats["invalidations"]
-            last_evictions = stats["evictions"]
-            if done:
-                break
-        read_ops[idx] = ops
+    def check_rows(tag: str, rows: List[Contact], want: Tuple[_Row, ...]) -> None:
+        if any(
+            (rows[i].v, rows[i].time) > (rows[i + 1].v, rows[i + 1].time)
+            for i in range(len(rows) - 1)
+        ):
+            report(f"{tag}: rows out of order")
+        if sorted((c.v, c.time, c.duration) for c in rows) != sorted(want):
+            report(f"{tag}: rows diverge from the model")
 
-    started = time.monotonic()
-    threads = [threading.Thread(target=writer, name="race-writer")]
-    threads += [
-        threading.Thread(target=reader, args=(i,), name=f"race-reader-{i}")
-        for i in range(readers)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    duration = time.monotonic() - started
+    def query(rng: random.Random, target, state, n: int, g: int, tag: str) -> None:
+        """One random operation on ``target``, checked against ``state``."""
+        op = rng.random()
+        u = rng.randrange(n)
+        if op < 0.4:
+            lo = rng.randrange(0, 5_000)
+            hi = lo + rng.randrange(0, 2_500)
+            out = target.neighbors(u, lo, hi)
+            check_sorted_distinct(f"{tag} neighbors({u},{lo},{hi})", out)
+            if out != _expected_neighbors(state, u, lo, hi):
+                report(f"{tag} neighbors({u},{lo},{hi}) = {out} diverges")
+        elif op < 0.55:
+            check_rows(f"{tag} contacts_of({u})", target.contacts_of(u),
+                       state.get(u, ()))
+        elif op < 0.85:
+            qs = []
+            for _ in range(rng.randrange(2, 7)):
+                lo = rng.randrange(0, 5_000)
+                qs.append((rng.randrange(n), lo, lo + rng.randrange(0, 2_500)))
+            if target is cg:
+                outs = target.neighbors_many(qs, workers=2)
+            else:
+                outs = target.neighbors_many(qs)
+            for (qu, qlo, qhi), out in zip(qs, outs):
+                check_sorted_distinct(f"{tag} neighbors_many({qu},{qlo},{qhi})", out)
+                if out != _expected_neighbors(state, qu, qlo, qhi):
+                    report(f"{tag} neighbors_many({qu},{qlo},{qhi}) diverges")
+        elif target is cg and op < 0.9:
+            out = target.distinct_neighbors(u)
+            check_sorted_distinct(f"{tag} distinct_neighbors({u})", out)
+            if out != sorted({v for v, _, _ in state.get(u, ())}):
+                report(f"{tag} distinct_neighbors({u}) diverges")
+        else:
+            if target is cg and rng.random() < 0.5:
+                edges = target.snapshot_parallel(t0, t1, workers=2)
+            else:
+                edges = target.snapshot(t0, t1)
+            if edges != expected_snapshot(g):
+                report(f"{tag} snapshot diverges from generation {g}")
 
-    # Quiescent final check: the overlay must be fully and exactly visible.
-    final_gen = cg.overlay_generation
-    if final_gen != len(batch_list) and not violations:
-        violations.append(
-            f"final generation {final_gen} != {len(batch_list)}"
+    with tempfile.TemporaryDirectory(prefix="race-smoke-") as work:
+        store = SegmentStore.create(
+            f"{work}/store",
+            GraphKind.POINT,
+            policy=StorePolicy(
+                seal_contacts=_SEAL_CONTACTS, max_segments=_MAX_SEGMENTS
+            ),
         )
-    final_state = states[final_gen] if final_gen < len(states) else states[-1]
-    final_nodes = nodes_per_gen[final_gen] if final_gen < len(nodes_per_gen) else nodes_per_gen[-1]
-    if cg.num_nodes != final_nodes:
-        violations.append(
-            f"final num_nodes {cg.num_nodes} != expected {final_nodes}"
-        )
-    for u in range(min(cg.num_nodes, final_nodes)):
-        got = sorted((c.v, c.time, c.duration) for c in cg.contacts_of(u))
-        want = sorted(final_state.get(u, ()))
-        if got != want:
-            violations.append(f"final contacts of node {u} diverged")
-            break
+        store.ingest(graph.contacts)
+        store.seal()
+
+        def writer() -> None:
+            try:
+                for i, batch in enumerate(batch_list):
+                    before = store.graph
+                    applied = store.ingest(batch)
+                    after = store.graph
+                    if applied != len(batch):
+                        report(f"batch {i}: applied {applied} != {len(batch)}")
+                    if after.num_contacts != before.num_contacts + len(batch):
+                        report(
+                            f"batch {i}: view went {before.num_contacts} -> "
+                            f"{after.num_contacts} contacts, expected "
+                            f"+{len(batch)}"
+                        )
+                    if overloaded():
+                        return
+                    if writer_pace_s:
+                        time.sleep(writer_pace_s)
+            except Exception as exc:  # noqa: BLE001 - reported, not raised
+                report(f"writer raised {exc!r}")
+            finally:
+                writer_done.set()
+
+        def compactor() -> None:
+            try:
+                while not writer_done.is_set():
+                    if not store.compact_once():
+                        time.sleep(0.001)
+            except Exception as exc:  # noqa: BLE001 - reported, not raised
+                report(f"compactor raised {exc!r}")
+
+        def reader(idx: int) -> None:
+            rng = random.Random(seed + 100 + idx)
+            last_lookups = -1
+            last_evictions = -1
+            ops = 0
+            try:
+                while True:
+                    done = writer_done.is_set() and ops >= min_reader_ops
+                    if overloaded():
+                        break
+                    for _ in range(8):
+                        if rng.random() < 0.5:
+                            view = store.graph
+                            g = generation_of.get(view.num_contacts)
+                            if g is None or view.num_nodes != nodes_per_gen[g]:
+                                report(
+                                    f"view of {view.num_contacts} contacts / "
+                                    f"{view.num_nodes} nodes matches no "
+                                    "generation"
+                                )
+                                continue
+                            query(rng, view, states[g], view.num_nodes, g,
+                                  f"view@{g}")
+                        else:
+                            query(rng, cg, states[0], cg.num_nodes, 0, "base")
+                        ops += 1
+                    stats = cg.cache_stats()
+                    lookups = stats["hits"] + stats["misses"]
+                    if lookups < last_lookups:
+                        report(
+                            f"hit+miss went backwards: {last_lookups} -> "
+                            f"{lookups}"
+                        )
+                    if stats["evictions"] < last_evictions:
+                        report(
+                            "evictions went backwards: "
+                            f"{last_evictions} -> {stats['evictions']}"
+                        )
+                    last_lookups = lookups
+                    last_evictions = stats["evictions"]
+                    if done:
+                        break
+            except Exception as exc:  # noqa: BLE001 - reported, not raised
+                report(f"reader {idx} raised {exc!r}")
+            read_ops[idx] = ops
+
+        started = time.monotonic()
+        threads = [
+            threading.Thread(target=writer, name="race-writer"),
+            threading.Thread(target=compactor, name="race-compactor"),
+        ]
+        threads += [
+            threading.Thread(target=reader, args=(i,), name=f"race-reader-{i}")
+            for i in range(readers)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        duration = time.monotonic() - started
+
+        # Quiescent final check: every batch must be visible, exactly.
+        final = store.graph
+        store.close()
+        final_gen = generation_of.get(final.num_contacts, -1)
+        if final_gen != len(batch_list) and not violations:
+            violations.append(
+                f"final view holds {final.num_contacts} contacts, not "
+                f"generation {len(batch_list)}"
+            )
+        if final.num_nodes != nodes_per_gen[-1]:
+            violations.append(
+                f"final num_nodes {final.num_nodes} != expected "
+                f"{nodes_per_gen[-1]}"
+            )
+        for u in range(min(final.num_nodes, nodes_per_gen[-1])):
+            got = sorted((c.v, c.time, c.duration) for c in final.contacts_of(u))
+            if got != sorted(states[-1].get(u, ())):
+                violations.append(f"final contacts of node {u} diverged")
+                break
 
     return RaceReport(
         readers=readers,
         writer_batches=len(batch_list),
         read_ops=sum(read_ops),
         final_generation=final_gen,
-        final_nodes=cg.num_nodes,
+        final_nodes=final.num_nodes,
         duration_s=duration,
         violations=violations,
     )
@@ -415,11 +435,11 @@ def run_sanitized_race_smoke(**kwargs: object) -> Tuple[RaceReport, "object"]:
     """Run :func:`run_race_smoke` under the reprosan lock sanitizer.
 
     Installs :func:`repro.testing.sanitizer.sanitized` around the whole
-    smoke run (so every lock the compressed graph creates is wrapped),
-    then returns ``(race_report, sanitizer_report)``.  A fully healthy
-    run has ``race_report.ok`` and ``sanitizer_report.ok`` both true --
-    no invariant violations, no lock-order inversions and no blocking
-    decode/filesystem work inside a governed critical section.
+    smoke run (so every lock the store and its compressed graphs create
+    is wrapped), then returns ``(race_report, sanitizer_report)``.  A fully
+    healthy run has ``race_report.ok`` and ``sanitizer_report.ok`` both
+    true -- no invariant violations, no lock-order inversions and no
+    blocking decode/filesystem work inside a governed critical section.
     """
     from repro.testing.sanitizer import sanitized
 

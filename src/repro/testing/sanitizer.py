@@ -5,8 +5,8 @@ discipline over the *code*; this module validates it over *executions*.
 While installed, every ``threading.Lock()`` / ``threading.RLock()``
 created from repro code is replaced by a recording wrapper that tracks,
 per thread, the real acquisition order; every bulk decode entry point and
-blocking filesystem call reports when it runs with a shard or mutate lock
-held.  A test run under the sanitizer therefore yields:
+blocking filesystem call reports when it runs with a shard lock held.  A
+test run under the sanitizer therefore yields:
 
 * **dynamic lock-order inversions** -- thread A observed ``a -> b`` while
   some thread observed ``b -> a``: a latent deadlock no single run need
@@ -22,8 +22,8 @@ held.  A test run under the sanitizer therefore yields:
   the model and reality disagree and one of them is wrong.
 
 Locks are named by their creation site: the assignment target on the
-source line that called the factory (``self._mutate_lock =
-threading.Lock()`` names the lock ``_mutate_lock``), which lines the
+source line that called the factory (``self._distinct_lock =
+threading.RLock()`` names the lock ``_distinct_lock``), which lines the
 dynamic names up with the static model's AST-derived names.  Locks
 created outside the repro tree (pytest, logging, stdlib pools) are left
 unwrapped so the sanitizer only ever observes the system under test.
@@ -91,7 +91,7 @@ _REAL_RLOCK = threading.RLock
 
 
 def _governed(name: str) -> bool:
-    """Whether a lock name is a governed (shard/mutate) lock.
+    """Whether a lock name is a governed (shard) lock.
 
     Mirrors CG002's recogniser: ``lock`` or ``*_lock``, with the
     reentrant distinct-list lock exempt by design.

@@ -38,10 +38,10 @@ def _rules_of(findings):
 # -- rule registry ----------------------------------------------------------
 
 
-def test_all_nine_rules_registered():
+def test_all_eight_rules_registered():
     ids = [rule.id for rule in all_rules()]
     assert ids == [
-        "CG001", "CG002", "CG003", "CG004", "CG005", "CG006",
+        "CG002", "CG003", "CG004", "CG005", "CG006",
         "CG007", "CG008", "CG009",
     ]
     for rule in all_rules():
@@ -52,104 +52,6 @@ def test_all_nine_rules_registered():
 def test_get_rule():
     assert get_rule("CG003").name == "exception-taxonomy"
     assert get_rule("CG999") is None
-
-
-# -- CG001 snapshot discipline ----------------------------------------------
-
-
-CG001_BAD = """
-    class Graph:
-        def __init__(self):
-            self._state = None
-
-        def torn(self):
-            return self._state.count + self._state.total
-
-        def looped(self):
-            out = []
-            while len(out) < 2:
-                out.append(self._state.count)
-            return out
-"""
-
-CG001_GOOD = """
-    class Graph:
-        def __init__(self):
-            self._state = None
-
-        def single(self):
-            state = self._state
-            return state.count + state.total
-
-        def iterates(self):
-            state = self._state
-            return [state.count for _ in range(3)]
-
-        def loop_header_is_fine(self):
-            # A for-loop iterable evaluates once, before iteration.
-            return [u for u in self._iter(self._state)]
-
-        def writer(self):
-            with self._mutate_lock:
-                a = self._state
-                b = self._state  # serialised against other writers
-                return a is b
-"""
-
-
-def test_cg001_flags_torn_and_looped_reads(tmp_path):
-    _write(tmp_path, "repro/core/bad.py", CG001_BAD)
-    findings, errors = run_rules([str(tmp_path)], [get_rule("CG001")])
-    assert not errors
-    messages = sorted(f.message for f in findings)
-    assert len(findings) == 2
-    assert any("torn" in m and "2 times" in m for m in messages)
-    assert any("inside a loop" in m for m in messages)
-
-
-def test_cg001_accepts_single_capture(tmp_path):
-    _write(tmp_path, "repro/core/good.py", CG001_GOOD)
-    findings, errors = run_rules([str(tmp_path)], [get_rule("CG001")])
-    assert not errors
-    assert findings == []
-
-
-def test_cg001_capturing_property_counts_as_read(tmp_path):
-    _write(
-        tmp_path,
-        "repro/core/prop.py",
-        """
-        class Graph:
-            def __init__(self):
-                self._state = None
-
-            @property
-            def num_contacts(self):
-                return self._state.num_contacts
-
-            def torn_via_property(self):
-                if self.num_contacts:
-                    return self._state.overlay
-                return None
-        """,
-    )
-    findings, _ = run_rules([str(tmp_path)], [get_rule("CG001")])
-    assert len(findings) == 1
-    assert "torn_via_property" in findings[0].message
-
-
-def test_cg001_ignores_classes_without_snapshot(tmp_path):
-    _write(
-        tmp_path,
-        "repro/core/nostate.py",
-        """
-        class Plain:
-            def reads(self):
-                return self._state + self._state  # not published here
-        """,
-    )
-    findings, _ = run_rules([str(tmp_path)], [get_rule("CG001")])
-    assert findings == []
 
 
 # -- CG002 lock discipline --------------------------------------------------
@@ -516,9 +418,9 @@ def test_noqa_other_rule_does_not_suppress(tmp_path):
 
 
 def test_parse_noqa_formats():
-    text = "a\nb  # repro: noqa\nc  # repro: noqa[CG001, CG005]\nd\n"
+    text = "a\nb  # repro: noqa\nc  # repro: noqa[CG002, CG005]\nd\n"
     parsed = parse_noqa(text)
-    assert parsed == {2: frozenset(), 3: frozenset({"CG001", "CG005"})}
+    assert parsed == {2: frozenset(), 3: frozenset({"CG002", "CG005"})}
 
 
 def test_baseline_roundtrip_accepts_then_detects_edits(tmp_path):
@@ -581,7 +483,7 @@ def test_cli_exit_codes_and_json(tmp_path, capsys):
     assert rc == 1
     assert [f["rule"] for f in out["findings"]] == ["CG003"]
 
-    rc = cli_main([str(tmp_path), "--no-baseline", "--select", "CG001"])
+    rc = cli_main([str(tmp_path), "--no-baseline", "--select", "CG002"])
     capsys.readouterr()
     assert rc == 0
 
@@ -599,7 +501,7 @@ def test_cli_list_rules(capsys):
     rc = cli_main(["--list-rules"])
     out = capsys.readouterr().out
     assert rc == 0
-    for rule_id in ("CG001", "CG002", "CG003", "CG004", "CG005"):
+    for rule_id in ("CG002", "CG003", "CG004", "CG005"):
         assert rule_id in out
 
 

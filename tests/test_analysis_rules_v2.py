@@ -478,7 +478,7 @@ def test_cg009_bare_noqa_silent_under_partial_run(tmp_path):
         """,
     )
     findings, _ = run_rules(
-        [str(tmp_path)], [get_rule("CG001"), get_rule("CG009")]
+        [str(tmp_path)], [get_rule("CG002"), get_rule("CG009")]
     )
     assert findings == []
     findings, _ = run_rules([str(tmp_path)])

@@ -27,7 +27,7 @@ MODULES = [
     "repro.core", "repro.core.bulkops",
     "repro.core.config", "repro.core.structure",
     "repro.core.timestamps", "repro.core.compressed", "repro.core.encoder",
-    "repro.core.serialize", "repro.core.growable", "repro.core.validate",
+    "repro.core.serialize", "repro.core.validate",
     "repro.structures", "repro.structures.wavelet",
     "repro.structures.interleaved", "repro.structures.kdtree",
     "repro.structures.cbt", "repro.structures.huffman",

@@ -229,6 +229,32 @@ class TestVerifyExitCodes:
         assert "OK" in capsys.readouterr().out
 
 
+def _legacy_wal(base, batches):
+    """Write a legacy ``<base>.wal`` bound to ``base`` holding ``batches``."""
+    import zlib
+
+    from repro.core.serialize import load_compressed
+    from repro.storage.recovery import default_wal_path
+    from repro.storage.wal import WalHeader, WriteAheadLog
+
+    blob = base.read_bytes()
+    header = WalHeader(
+        kind=load_compressed(base).kind,
+        generation=0,
+        base_size=len(blob),
+        base_crc=zlib.crc32(blob),
+    )
+    path = default_wal_path(base)
+    with WriteAheadLog.create(path, header) as wal:
+        for batch in batches:
+            wal.append(batch)
+            wal.commit()
+    return path
+
+
+MORE = [(0, 1, 10, 3), (1, 2, 14, 2), (2, 0, 20, 1)]
+
+
 class TestDurabilityCommands:
     """``ingest`` / ``recover`` / ``compact`` exit codes and behaviour."""
 
@@ -243,64 +269,89 @@ class TestDurabilityCommands:
         )
         return path
 
+    @pytest.fixture()
+    def store(self, chrono_file, capsys):
+        """``chrono_file`` converted (no WAL) into ``<chrono>.store``."""
+        assert main(["recover", str(chrono_file)]) == 0
+        capsys.readouterr()
+        return str(chrono_file) + ".store"
+
     def test_ingest_then_recover_clean(self, chrono_file, more_contacts, capsys):
-        assert main(["ingest", str(chrono_file), str(more_contacts)]) == 0
-        out = capsys.readouterr().out
-        assert "ingested 3 contacts" in out
-        assert "generation 0" in out
+        _legacy_wal(chrono_file, [MORE])
         assert main(["recover", str(chrono_file)]) == 0
         out = capsys.readouterr().out
         assert "clean" in out
         assert "3 contacts" in out
+        store = str(chrono_file) + ".store"
+        assert main(["ingest", store, str(more_contacts)]) == 0
+        out = capsys.readouterr().out
+        assert "ingested 3 contacts" in out
+        assert "generation 0" in out
 
-    def test_ingest_twice_appends(self, chrono_file, more_contacts, capsys):
-        assert main(["ingest", str(chrono_file), str(more_contacts)]) == 0
-        assert main(["ingest", str(chrono_file), str(more_contacts)]) == 0
+    def test_ingest_twice_appends(self, store, more_contacts, capsys):
+        assert main(["ingest", store, str(more_contacts)]) == 0
+        assert main(["ingest", store, str(more_contacts)]) == 0
         capsys.readouterr()
-        assert main(["recover", str(chrono_file)]) == 0
-        assert "6 contacts" in capsys.readouterr().out
+        assert main(["recover", store]) == 0
+        assert "tail: 6 contacts" in capsys.readouterr().out
 
-    def test_kind_mismatch_exits_2(self, chrono_file, tmp_path, capsys):
+    def test_kind_mismatch_exits_2(self, store, tmp_path, capsys):
         point = tmp_path / "point.txt"
         point.write_text("# kind=point\n0 1 5\n")
-        assert main(["ingest", str(chrono_file), str(point)]) == 2
+        assert main(["ingest", store, str(point)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "point" in err
 
     def test_torn_wal_recover_exits_1_and_repair_truncates(
-        self, chrono_file, more_contacts, tmp_path, capsys
+        self, chrono_file, more_contacts, capsys
     ):
-        from repro.storage.recovery import default_wal_path
+        import pathlib
 
-        assert main(["ingest", str(chrono_file), str(more_contacts)]) == 0
-        wal = default_wal_path(chrono_file)
-        good = wal.read_bytes()
-        wal.write_bytes(good + b"\x13half a record")
+        wal = _legacy_wal(chrono_file, [MORE[:2], MORE[2:]])
+        torn = wal.read_bytes()[:-7]
+        wal.write_bytes(torn)
         assert main(["recover", str(chrono_file)]) == 1
         assert "recovered with loss" in capsys.readouterr().out
-        # Un-repaired, the torn tail persists; --repair truncates it.
-        assert wal.read_bytes() != good
-        assert main(["recover", str(chrono_file), "--repair"]) == 1
-        assert "repaired" in capsys.readouterr().out
-        assert wal.read_bytes() == good
-        assert main(["recover", str(chrono_file)]) == 0
-
-    def test_compact_folds_and_resets(self, chrono_file, more_contacts, capsys):
-        from repro.storage.recovery import default_wal_path
-
-        assert main(["ingest", str(chrono_file), str(more_contacts)]) == 0
+        assert wal.read_bytes() == torn  # legacy files are never modified
+        # A torn store tail: reported read-only, truncated by --repair.
+        store = str(chrono_file) + ".store"
+        assert main(["ingest", store, str(more_contacts)]) == 0
+        tail = pathlib.Path(store) / "wal.tail"
+        good = tail.read_bytes()
+        tail.write_bytes(good + b"\x13half a record")
         capsys.readouterr()
-        assert main(["compact", str(chrono_file)]) == 0
+        assert main(["recover", store]) == 0
+        assert "torn" in capsys.readouterr().out
+        assert tail.read_bytes() != good
+        assert main(["recover", store, "--repair"]) == 0
+        assert tail.read_bytes() == good
+
+    def test_compact_folds_and_resets(self, store, more_contacts, capsys):
+        assert main(["ingest", store, str(more_contacts)]) == 0
+        capsys.readouterr()
+        assert main(["compact", store]) == 0
         out = capsys.readouterr().out
         assert "compacted" in out and "generation 1" in out
-        assert main(["recover", str(chrono_file)]) == 0
-        assert "0 contacts" in capsys.readouterr().out
-        # The WAL survives as an empty generation-1 log.
-        assert default_wal_path(chrono_file).exists()
+        assert main(["recover", store]) == 0
+        assert "tail: 0 contacts" in capsys.readouterr().out
 
-    def test_compact_without_wal_exits_0(self, chrono_file, capsys):
-        assert main(["compact", str(chrono_file)]) == 0
+    def test_compact_without_wal_exits_0(self, store, capsys):
+        assert main(["compact", store]) == 0
         assert "compacted" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["ingest", "compact"])
+    def test_plain_chrono_points_to_recover(
+        self, chrono_file, more_contacts, capsys, command
+    ):
+        argv = [command, str(chrono_file)]
+        if command == "ingest":
+            argv.append(str(more_contacts))
+        before = chrono_file.read_bytes()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert f"repro recover {chrono_file}" in err
+        assert chrono_file.read_bytes() == before
 
     @pytest.mark.parametrize("argv", [
         ["ingest", "{missing}", "also-missing.txt"],
@@ -334,9 +385,11 @@ class TestDurabilityCommands:
         assert len(err.strip().splitlines()) == 1
 
     def test_wal_bound_to_other_snapshot_exits_2(
-        self, chrono_file, more_contacts, contact_file, tmp_path, capsys
+        self, chrono_file, contact_file, capsys
     ):
-        assert main(["ingest", str(chrono_file), str(more_contacts)]) == 0
+        import pathlib
+
+        _legacy_wal(chrono_file, [MORE])
         # Recompress the base with a different resolution: new bytes, same
         # WAL -- the generation binding must refuse to replay.
         assert main(["compress", str(contact_file), "--out", str(chrono_file),
@@ -346,6 +399,7 @@ class TestDurabilityCommands:
         err = capsys.readouterr().err
         assert "error:" in err
         assert len(err.strip().splitlines()) == 1
+        assert not pathlib.Path(str(chrono_file) + ".store").exists()
 
 
 class TestSegmentStoreCommands:
@@ -396,6 +450,36 @@ class TestSegmentStoreCommands:
         out = capsys.readouterr().out
         assert "merge(s)" in out and "generation" in out
         assert main(["status", str(store_dir)]) == 0
+
+    def test_query_store_prints_like_served_store(
+        self, store_dir, point_contacts, capsys
+    ):
+        from repro.service.server import GraphService, ServiceConfig
+
+        # Seal every 12 contacts: two segments plus six contacts in the tail.
+        assert main(["ingest", "--init", str(store_dir), str(point_contacts),
+                     "--seal", "12"]) == 0
+        capsys.readouterr()
+        queries = [
+            ["neighbors", "1", "0", "90"],
+            ["neighbors", "4", "60", "90"],
+            ["edge", "3", "4", "0", "90"],
+            ["edge", "3", "0", "0", "90"],
+            ["timestamps", "2", "3"],
+        ]
+        local = []
+        for q in queries:
+            assert main(["query", str(store_dir)] + q) == 0
+            local.append(capsys.readouterr().out)
+        with GraphService(str(store_dir), ServiceConfig(workers=1)) as svc:
+            host, port = svc.address
+            for q, want in zip(queries, local):
+                assert main(["query", f"tcp://{host}:{port}"] + q) == 0
+                assert capsys.readouterr().out == want
+        from repro.graph.io import read_contact_text
+
+        graph = read_contact_text(point_contacts)
+        assert local[1].split() == [str(v) for v in graph.ref_neighbors(4, 60, 90)]
 
     def test_status_on_non_store_exits_2(self, tmp_path, capsys):
         plain = tmp_path / "plain"

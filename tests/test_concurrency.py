@@ -2,9 +2,11 @@
 
 The contract under test (documented in README "Concurrency"):
 
-* a ``CompressedChronoGraph`` may be shared freely across threads;
-* ``apply_contacts`` publishes each batch atomically -- a reader sees a
-  batch entirely or not at all, never a torn record;
+* a ``CompressedChronoGraph`` is immutable and may be shared freely
+  across threads;
+* ``SegmentStore.ingest`` publishes each batch atomically in a new view
+  -- a reader sees a batch entirely or not at all, and a view once read
+  never changes;
 * cache counters are exact in quiescence and monotone under concurrency;
 * the batch APIs (``neighbors_many``, ``snapshot_parallel``) return
   exactly what their serial counterparts return.
@@ -18,6 +20,7 @@ import pytest
 from repro.core import compress
 from repro.graph.builders import graph_from_contacts
 from repro.graph.model import Contact, GraphKind
+from repro.storage.segments import SegmentStore
 from repro.testing.races import run_race_smoke
 
 
@@ -30,6 +33,14 @@ def _cg(n=12, per=4, kind=GraphKind.POINT):
             else:
                 contacts.append((u, (u + i + 1) % n, 10 * u + i))
     return compress(graph_from_contacts(kind, contacts, num_nodes=n))
+
+
+def _store(tmp_path, n=12, per=4):
+    """A store whose one sealed segment holds ``_cg(n, per)``'s contacts."""
+    store = SegmentStore.create(tmp_path / "store", GraphKind.POINT)
+    store.ingest(list(_cg(n, per).iter_contacts()))
+    store.seal()
+    return store
 
 
 class TestRaceSmoke:
@@ -96,64 +107,60 @@ class TestConcurrentReaders:
 
 
 class TestGenerationSnapshots:
-    def test_apply_bumps_generation(self):
-        cg = _cg()
-        assert cg.overlay_generation == 0
-        cg.apply_contacts([Contact(0, 1, 999)])
-        assert cg.overlay_generation == 1
-        cg.apply_contacts([Contact(1, 2, 999), Contact(2, 3, 999)])
-        assert cg.overlay_generation == 2
+    def test_apply_bumps_generation(self, tmp_path):
+        with _store(tmp_path) as store:
+            first = store.graph
+            store.ingest([Contact(0, 1, 999)])
+            second = store.graph
+            assert second is not first
+            assert second.num_contacts == first.num_contacts + 1
+            store.ingest([Contact(1, 2, 999), Contact(2, 3, 999)])
+            assert store.graph.num_contacts == second.num_contacts + 2
 
-    def test_empty_apply_keeps_generation(self):
-        cg = _cg()
-        assert cg.apply_contacts([]) == 0
-        assert cg.overlay_generation == 0
+    def test_empty_apply_keeps_generation(self, tmp_path):
+        with _store(tmp_path) as store:
+            view = store.graph
+            assert store.ingest([]) == 0
+            assert store.graph is view
 
-    def test_stale_cached_record_not_served_to_new_generation(self):
-        cg = _cg()
-        before = cg.neighbors(0, 0, 10_000)
-        assert 11 not in before
-        cg.apply_contacts([Contact(0, 11, 50)])
-        # The touched node was invalidated; the merged record must appear.
-        assert 11 in cg.neighbors(0, 0, 10_000)
+    def test_stale_cached_record_not_served_to_new_generation(self, tmp_path):
+        with _store(tmp_path) as store:
+            before = store.graph.neighbors(0, 0, 10_000)  # caches node 0
+            assert 11 not in before
+            store.ingest([Contact(0, 11, 50)])
+            # The segment's cached record is still valid; the new view adds
+            # the tail contact on top of it.
+            assert 11 in store.graph.neighbors(0, 0, 10_000)
 
-    def test_stale_insert_racing_publish_is_invisible(self):
-        # The race the touched-generation floor closes: a reader decodes
-        # under generation g, a writer publishes g+1 touching the node and
-        # invalidates, and only then does the reader's old-generation
-        # record land in the cache.  Post-swap readers must reject it.
-        cg = _cg()
-        state0 = cg._state
-        record = cg._decode_record(0)
-        cg.apply_contacts([Contact(0, 11, 50)])
-        shard = cg._shards[0 & (len(cg._shards) - 1)]
-        with shard.lock:  # simulate the in-flight insert landing late
-            shard.records[0] = [
-                state0.generation, cg._next_seq(), 100, record,
-            ]
-            shard.bytes += 100
-        # A reader still holding the pre-batch snapshot may keep using it...
-        assert cg._cache_get(0, state0) == record
-        # ...but post-swap readers reject it and re-decode with the batch.
-        assert 11 in cg.neighbors(0, 0, 10_000)
+    def test_stale_insert_racing_publish_is_invisible(self, tmp_path):
+        # A reader holding the pre-batch view keeps answering from it --
+        # even when its query runs after the publish and warms the shared
+        # segment cache -- while post-publish views see the batch.
+        with _store(tmp_path) as store:
+            old = store.graph
+            store.ingest([Contact(0, 11, 50)])
+            assert 11 not in old.neighbors(0, 0, 10_000)
+            assert 11 in store.graph.neighbors(0, 0, 10_000)
+            assert 11 not in old.neighbors(0, 0, 10_000)
 
-    def test_concurrent_writer_never_tears_batches(self):
-        cg = _cg()
+    def test_concurrent_writer_never_tears_batches(self, tmp_path):
         batch = [Contact(0, 7, 5000), Contact(0, 8, 5001), Contact(0, 9, 5002)]
         seen = []
         done = threading.Event()
+        with _store(tmp_path) as store:
 
-        def read():
-            while not done.is_set():
-                got = set(cg.neighbors(0, 5000, 5002))
-                seen.append(got & {7, 8, 9})
+            def read():
+                while not done.is_set():
+                    got = set(store.graph.neighbors(0, 5000, 5002))
+                    seen.append(got & {7, 8, 9})
 
-        t = threading.Thread(target=read)
-        t.start()
-        cg.apply_contacts(batch)
-        done.set()
-        t.join()
-        final = set(cg.neighbors(0, 5000, 5002))
+            t = threading.Thread(target=read)
+            t.start()
+            store.ingest(batch)
+            done.set()
+            t.join(timeout=10)
+            assert not t.is_alive()
+            final = set(store.graph.neighbors(0, 5000, 5002))
         assert {7, 8, 9} <= final
         # Atomic publish: each observation is all-or-nothing.
         for observed in seen:
@@ -201,26 +208,31 @@ class TestBatchAPIs:
                 cg.snapshot(*window)
             )
 
-    def test_snapshot_parallel_sees_overlay(self):
-        cg = _cg()
-        cg.apply_contacts([Contact(1, 9, 7777), Contact(20, 0, 7778)])
-        expected = cg.snapshot(7777, 7778)
-        assert (1, 9) in expected and (20, 0) in expected
-        assert cg.snapshot_parallel(7777, 7778, workers=3) == expected
+    def test_snapshot_parallel_sees_overlay(self, tmp_path):
+        # Contacts ingested after a seal reach a compressed graph once the
+        # tail is sealed; snapshot_parallel over that segment sees them.
+        with _store(tmp_path) as store:
+            store.ingest([Contact(1, 9, 7777), Contact(20, 0, 7778)])
+            store.seal()
+            segment = store.graph._segments[-1][1]
+            view_edges = store.graph.snapshot(7777, 7778)
+        expected = segment.snapshot(7777, 7778)
+        assert expected == view_edges == [(1, 9), (20, 0)]
+        assert segment.snapshot_parallel(7777, 7778, workers=3) == expected
 
 
 class TestPickleRoundTrip:
     def test_pickled_graph_rebuilds_runtime_state(self):
         cg = _cg()
         cg.neighbors(0, 0, 10_000)
-        cg.apply_contacts([Contact(0, 5, 123)])
         clone = pickle.loads(pickle.dumps(cg))
-        # Overlay and generation survive; caches and counters start cold.
-        assert clone.overlay_generation == 1
+        # Streams and counts survive; caches and counters start cold.
         assert clone.num_contacts == cg.num_contacts
+        assert clone.num_nodes == cg.num_nodes
+        assert clone.cache_stats()["hits"] + clone.cache_stats()["misses"] == 0
+        assert clone.cache_stats()["entries"] == 0
         assert clone.neighbors(0, 0, 10_000) == cg.neighbors(0, 0, 10_000)
-        assert clone.cache_stats()["invalidations"] == 0
-        # The rebuilt locks work: a mutation on the clone is independent.
-        clone.apply_contacts([Contact(0, 6, 124)])
-        assert clone.overlay_generation == 2
-        assert cg.overlay_generation == 1
+        # The rebuilt shards work and are the clone's own.
+        clone.configure_cache(max_entries=0)
+        assert clone.cache_stats()["entries"] == 0
+        assert cg.cache_stats()["entries"] == 1

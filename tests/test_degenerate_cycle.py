@@ -6,7 +6,9 @@ is encoded entirely as a copy-list (zero residuals).  Each shape runs the
 whole lifecycle -- ``compress`` (serial and parallel), ``dumps_compressed``,
 ``load_compressed_bytes``, then the complete query surface including the
 concurrent batch APIs -- so a regression in any layer shows up as a wrong
-answer rather than a crash deep in a real dataset.
+answer rather than a crash deep in a real dataset.  The segment store's
+tail buffer is one more surface: an empty store grows through ingest, and
+a self-loop lives in the tail.
 """
 
 import pytest
@@ -15,6 +17,7 @@ from repro.core import compress, compress_parallel
 from repro.core.serialize import dumps_compressed, load_compressed_bytes
 from repro.graph.builders import graph_from_contacts
 from repro.graph.model import Contact, GraphKind
+from repro.storage.segments import SegmentStore
 
 
 def _cycle(graph):
@@ -70,12 +73,17 @@ class TestEmptyGraph:
             assert _full_query_surface(c, 5) == _full_query_surface(cg, 5)
             assert all(c.neighbors(u, 0, 10_000) == [] for u in range(5))
 
-    def test_empty_graph_grows_via_overlay(self):
-        g = graph_from_contacts(GraphKind.POINT, [], num_nodes=0)
-        cg = compress(g)
-        cg.apply_contacts([Contact(0, 1, 5)])
-        assert cg.num_nodes == 2
-        assert cg.neighbors(0, 0, 10) == [1]
+    def test_empty_graph_grows_via_overlay(self, tmp_path):
+        with SegmentStore.create(tmp_path / "s", GraphKind.POINT) as store:
+            empty = store.graph
+            assert (empty.num_nodes, empty.num_contacts) == (0, 0)
+            assert empty.snapshot(0, 100) == []
+            assert store.seal() is None  # nothing to seal
+            store.ingest([Contact(0, 1, 5)])
+            view = store.graph
+            assert view.num_nodes == 2
+            assert view.neighbors(0, 0, 10) == [1]
+            assert (empty.num_nodes, empty.num_contacts) == (0, 0)
 
 
 class TestSelfLoop:
@@ -154,16 +162,17 @@ class TestFullCopyList:
 
 
 class TestOverlayOnDegenerates:
-    def test_self_loop_overlay_merges(self):
-        g = graph_from_contacts(GraphKind.POINT, [(0, 0, 7)], num_nodes=1)
-        cg = compress(g)
-        cg.apply_contacts([Contact(0, 0, 9)])
-        assert cg.edge_timestamps(0, 0) == [7, 9]
-        assert cg.decode_multiset(0) == [0, 0]
-
-    def test_serialise_with_overlay_refuses(self):
-        g = graph_from_contacts(GraphKind.POINT, [], num_nodes=2)
-        cg = compress(g)
-        cg.apply_contacts([Contact(0, 1, 1)])
-        with pytest.raises(ValueError, match="uncompacted overlay"):
-            dumps_compressed(cg)
+    def test_self_loop_overlay_merges(self, tmp_path):
+        with SegmentStore.create(tmp_path / "s", GraphKind.POINT) as store:
+            store.ingest([Contact(0, 0, 7)])
+            store.seal()
+            store.ingest([Contact(0, 0, 9)])  # a self-loop in the tail
+            view = store.graph
+            assert view.num_nodes == 1
+            assert view.edge_timestamps(0, 0) == [7, 9]
+            assert [c.time for c in view.contacts_of(0)] == [7, 9]
+            assert view.neighbors(0, 9, 9) == [0]
+            assert view.snapshot(8, 9) == [(0, 0)]
+            store.seal()
+            merged = [c for _, g in store.graph._segments for c in g.iter_contacts()]
+        assert sorted(merged) == [Contact(0, 0, 7), Contact(0, 0, 9)]

@@ -19,7 +19,7 @@ EXPECTED_OUTPUT = {
     "pagerank_over_time.py": "top-3 articles by PageRank",
     "anomaly_detection.py": "top anomaly",
     "compression_tour.py": "dual representation",
-    "streaming_ingest.py": "final checkpoint",
+    "streaming_ingest.py": "final seal",
     "advanced_analytics.py": "compressibility accounting",
 }
 

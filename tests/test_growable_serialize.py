@@ -1,12 +1,9 @@
-"""Interplay of the growable graph, serialization and aggregation."""
+"""Interplay of store growth, serialization and aggregation."""
 
 import random
 
-import pytest
-
 from repro.core import (
     ChronoGraphConfig,
-    GrowableChronoGraph,
     compress,
     load_compressed,
     save_compressed,
@@ -14,63 +11,77 @@ from repro.core import (
 from repro.core.validate import validate_compressed
 from repro.graph.builders import graph_from_contacts
 from repro.graph.model import GraphKind
+from repro.storage.segments import SegmentStore
+
+
+def _create(tmp_path, kind=GraphKind.POINT, config=None):
+    return SegmentStore.create(tmp_path / "store", kind, config)
+
+
+def _segment(store, index=-1):
+    return store.graph._segments[index][1]
 
 
 class TestGrowableSerializeCycle:
     def test_checkpoint_then_save_then_load(self, tmp_path):
-        g = GrowableChronoGraph(GraphKind.POINT, num_nodes=6, name="stream")
         rng = random.Random(4)
         rows = [(rng.randrange(6), rng.randrange(6), rng.randrange(500))
                 for _ in range(80)]
-        g.extend(rows)
-        base = g.checkpoint()
-        path = tmp_path / "stream.chrono"
-        save_compressed(base, path)
-        loaded = load_compressed(path)
-        assert loaded.name == "stream"
+        with _create(tmp_path) as store:
+            store.ingest(rows)
+            info = store.seal()
+        loaded = load_compressed(tmp_path / "store" / info.name)
+        assert loaded.name == info.name
         ref = graph_from_contacts(GraphKind.POINT, rows, num_nodes=6)
         assert loaded.to_temporal_graph().contacts == ref.contacts
 
     def test_resume_growth_from_loaded_base(self, tmp_path):
-        g = GrowableChronoGraph(GraphKind.POINT, num_nodes=3)
-        g.extend([(0, 1, 5), (1, 2, 9)])
-        save_compressed(g.checkpoint(), tmp_path / "base.chrono")
+        with _create(tmp_path) as store:
+            store.ingest([(0, 1, 5), (1, 2, 9)])
+            store.seal()
+        with SegmentStore.open(tmp_path / "store") as resumed:
+            resumed.ingest([(2, 0, 20)])
+            g = resumed.graph
+            assert g.num_contacts == 3
+            assert g.neighbors(2, 0, 30) == [0]
+            assert g.has_edge(0, 1, 5, 5)
 
-        base = load_compressed(tmp_path / "base.chrono")
-        resumed = GrowableChronoGraph(base.kind, num_nodes=base.num_nodes)
-        resumed._base = base  # resume from the persisted snapshot
-        resumed.add_contact(2, 0, 20)
-        assert resumed.num_contacts == 3
-        assert resumed.neighbors(2, 0, 30) == [0]
-        assert resumed.has_edge(0, 1, 5, 5)
-
-    def test_checkpointed_graph_validates(self):
-        g = GrowableChronoGraph(GraphKind.INTERVAL, num_nodes=5)
+    def test_checkpointed_graph_validates(self, tmp_path):
         rng = random.Random(7)
-        for _ in range(60):
-            g.add_contact(rng.randrange(5), rng.randrange(5),
-                          rng.randrange(300), rng.randrange(1, 20))
-        report = validate_compressed(g.checkpoint())
+        rows = [(rng.randrange(5), rng.randrange(5), rng.randrange(300),
+                 rng.randrange(1, 20)) for _ in range(60)]
+        with _create(tmp_path, GraphKind.INTERVAL) as store:
+            store.ingest(rows)
+            store.seal()
+            report = validate_compressed(
+                _segment(store),
+                graph_from_contacts(GraphKind.INTERVAL, rows, num_nodes=5),
+            )
         assert report.ok
 
-    def test_growable_respects_custom_config(self):
+    def test_growable_respects_custom_config(self, tmp_path):
         cfg = ChronoGraphConfig(resolution=10, timestamp_zeta_k=3)
-        g = GrowableChronoGraph(GraphKind.POINT, num_nodes=2, config=cfg)
-        g.extend([(0, 1, 95), (0, 1, 99), (0, 1, 105)])
-        base = g.checkpoint()
+        with _create(tmp_path, config=cfg) as store:
+            store.ingest([(0, 1, 95), (0, 1, 99), (0, 1, 105)])
+            store.seal()
+            segment = _segment(store)
         # Aggregated at resolution 10: buckets 9, 9, 10.
-        assert base.edge_timestamps(0, 1) == [9, 9, 10]
+        assert segment.edge_timestamps(0, 1) == [9, 9, 10]
+        assert segment.config.timestamp_zeta_k == 3
 
-    def test_checkpoint_after_aggregating_config_shrinks(self):
+    def test_checkpoint_after_aggregating_config_shrinks(self, tmp_path):
         rows = [(0, 1, t) for t in range(0, 100_000, 7)]
-        fine = GrowableChronoGraph(GraphKind.POINT, num_nodes=2)
-        fine.extend(rows)
-        coarse = GrowableChronoGraph(
-            GraphKind.POINT, num_nodes=2,
-            config=ChronoGraphConfig(resolution=3600),
-        )
-        coarse.extend(rows)
-        assert coarse.checkpoint().size_in_bits < fine.checkpoint().size_in_bits
+        sizes = []
+        for name, cfg in [("fine", None),
+                          ("coarse", ChronoGraphConfig(resolution=3600))]:
+            with SegmentStore.create(
+                tmp_path / name, GraphKind.POINT, cfg
+            ) as store:
+                store.ingest(rows)
+                store.seal()
+                sizes.append(_segment(store).size_in_bits)
+        fine, coarse = sizes
+        assert coarse < fine
 
 
 class TestSerializedSizeModel:
@@ -97,63 +108,58 @@ class TestSerializedSizeModel:
 
 class TestSaveLoadSession:
     def test_save_folds_delta_and_load_resumes(self, tmp_path):
-        g = GrowableChronoGraph(GraphKind.POINT, num_nodes=4, name="session")
-        g.extend([(0, 1, 5), (1, 2, 9)])
-        g.checkpoint()
-        g.add_contact(2, 3, 20)  # still in the delta at save time
-        path = tmp_path / "session.chrono"
-        g.save(path)
-
-        resumed = GrowableChronoGraph.load(path)
-        assert resumed.name == "session"
-        assert resumed.num_contacts == 3
-        assert resumed.delta_contacts == 0  # delta was folded by save
-        assert resumed.has_edge(2, 3, 20, 20)
-        resumed.add_contact(3, 0, 30)
-        assert resumed.neighbors(3, 0, 40) == [0]
+        with _create(tmp_path) as store:
+            store.ingest([(0, 1, 5), (1, 2, 9)])
+            store.seal()
+            store.ingest([(2, 3, 20)])  # still in the tail at close time
+        with SegmentStore.open(tmp_path / "store") as resumed:
+            assert resumed.graph.num_contacts == 3
+            assert resumed.tail_size == 1  # replayed from the tail log
+            assert resumed.graph.has_edge(2, 3, 20, 20)
+            resumed.ingest([(3, 0, 30)])
+            assert resumed.graph.neighbors(3, 0, 40) == [0]
 
     def test_load_preserves_config(self, tmp_path):
         cfg = ChronoGraphConfig(resolution=60, timestamp_zeta_k=3)
-        g = GrowableChronoGraph(GraphKind.POINT, num_nodes=2, config=cfg)
-        g.add_contact(0, 1, 120)
-        path = tmp_path / "session.chrono"
-        g.save(path)
-        resumed = GrowableChronoGraph.load(path)
-        assert resumed.config.resolution == 60
+        with _create(tmp_path, config=cfg) as store:
+            store.ingest([(0, 1, 120)])
+        with SegmentStore.open(tmp_path / "store") as resumed:
+            assert resumed.manifest.config.resolution == 60
+            assert resumed.graph.edge_timestamps(0, 1) == [2]
 
     def test_save_load_roundtrip_queries(self, tmp_path):
-        import random
-
         rng = random.Random(21)
         rows = [(rng.randrange(6), rng.randrange(6), rng.randrange(200))
                 for _ in range(70)]
-        g = GrowableChronoGraph(GraphKind.POINT, num_nodes=6)
-        g.extend(rows)
-        path = tmp_path / "s.chrono"
-        g.save(path)
-        resumed = GrowableChronoGraph.load(path)
+        with _create(tmp_path) as store:
+            store.ingest(rows[:40])
+            store.seal()
+            store.ingest(rows[40:])
         ref = graph_from_contacts(GraphKind.POINT, rows, num_nodes=6)
-        for u in range(6):
-            for t1, t2 in [(0, 200), (50, 120)]:
-                assert resumed.neighbors(u, t1, t2) == ref.ref_neighbors(u, t1, t2)
+        with SegmentStore.open(tmp_path / "store") as resumed:
+            g = resumed.graph
+            for u in range(g.num_nodes):
+                for t1, t2 in [(0, 200), (50, 120)]:
+                    assert g.neighbors(u, t1, t2) == ref.ref_neighbors(u, t1, t2)
 
-    def test_repeated_checkpoints_do_not_reaggregate(self):
-        """Regression: resolution must apply once, not per checkpoint."""
+    def test_repeated_checkpoints_do_not_reaggregate(self, tmp_path):
+        """Regression: resolution must apply once, not per seal."""
         cfg = ChronoGraphConfig(resolution=10, timestamp_zeta_k=3)
-        g = GrowableChronoGraph(GraphKind.POINT, num_nodes=2, config=cfg)
-        g.add_contact(0, 1, 95)
-        first = g.checkpoint()
-        assert first.edge_timestamps(0, 1) == [9]
-        g.add_contact(0, 1, 105)
-        second = g.checkpoint()
-        assert second.edge_timestamps(0, 1) == [9, 10]  # not [0, ...]
+        with _create(tmp_path, config=cfg) as store:
+            store.ingest([(0, 1, 95)])
+            store.seal()
+            assert _segment(store).edge_timestamps(0, 1) == [9]
+            store.ingest([(0, 1, 105)])
+            store.seal()
+            assert store.compact_once() is False  # within max_segments
+            assert store.graph.edge_timestamps(0, 1) == [9, 10]  # not [0, ...]
 
-    def test_interval_resolution_buckets_durations_once(self):
+    def test_interval_resolution_buckets_durations_once(self, tmp_path):
         cfg = ChronoGraphConfig(resolution=60, timestamp_zeta_k=3,
                                 duration_zeta_k=2)
-        g = GrowableChronoGraph(GraphKind.INTERVAL, num_nodes=2, config=cfg)
-        g.add_contact(0, 1, 55, 70)  # [55, 125) -> buckets 0..2
-        g.checkpoint()
-        g.checkpoint()  # second fold must be a no-op on the values
-        c = g.contacts_of(0)[0]
+        with _create(tmp_path, GraphKind.INTERVAL, cfg) as store:
+            store.ingest([(0, 1, 55, 70)])  # [55, 125) -> buckets 0..2
+            store.seal()
+            store.seal()  # a second seal of an empty tail changes nothing
+            c = store.graph.contacts_of(0)[0]
         assert (c.time, c.duration) == (0, 3)

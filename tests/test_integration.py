@@ -15,7 +15,6 @@ from repro.baselines import get_compressor
 from repro.bench.harness import BENCH_METHODS
 from repro.core import (
     ChronoGraphConfig,
-    GrowableChronoGraph,
     compress,
     load_compressed,
     save_compressed,
@@ -25,6 +24,7 @@ from repro.graph.aggregate import aggregate
 from repro.graph.io import read_contact_text, write_contact_text
 from repro.graph.model import GraphKind
 from repro.graph.reorder import apply_relabeling, bfs_order
+from repro.storage.segments import SegmentStore
 from repro.vertexcentric import ConnectedComponents, SuperstepEngine
 
 
@@ -97,12 +97,13 @@ class TestFullPipeline:
             temporal_closeness(RefView(), 0)
         )
 
-    def test_streaming_to_vertexcentric(self):
-        """Grow a graph, checkpoint, then run components on the result."""
-        g = GrowableChronoGraph(GraphKind.POINT, num_nodes=10)
-        for t, (u, v) in enumerate([(0, 1), (1, 2), (3, 4), (4, 5), (2, 0)]):
-            g.add_contact(u, v, t)
-        compressed = g.checkpoint()
+    def test_streaming_to_vertexcentric(self, tmp_path):
+        """Grow a store, seal, then run components on the sealed segment."""
+        with SegmentStore.create(tmp_path / "s", GraphKind.POINT) as store:
+            for t, (u, v) in enumerate([(0, 1), (1, 2), (3, 4), (4, 5), (2, 0)]):
+                store.ingest([(u, v, t)])
+            store.seal()
+            compressed = store.graph._segments[0][1]
         engine = SuperstepEngine(compressed, 0, 100, undirected=True)
         labels = engine.run(ConnectedComponents())
         assert labels[0] == labels[1] == labels[2]

@@ -36,17 +36,21 @@ def test_readme_baseline_snippet():
         assert compressed.bits_per_contact > 0
 
 
-def test_tutorial_growable_snippet():
-    from repro import GrowableChronoGraph
+def test_tutorial_growable_snippet(tmp_path, monkeypatch):
+    from repro.storage import SegmentStore, StorePolicy
 
+    monkeypatch.chdir(tmp_path)
     calls = (
         TemporalGraphBuilder(GraphKind.POINT)
         .add(0, 1, 1_209_479_772)
         .build()
     )
-    live = GrowableChronoGraph.from_graph(calls)
-    live.add_contact(2, 0, 1_209_500_000)
-    assert live.num_contacts == 2
-    if live.checkpoint_due():
-        live.checkpoint()
-        assert live.delta_contacts == 0
+    live = SegmentStore.create("calls.store", GraphKind.POINT,
+                               policy=StorePolicy(seal_contacts=4096))
+    live.ingest(calls.contacts)
+    live.ingest([(2, 0, 1_209_500_000)])
+    assert live.graph.neighbors(2, 1_209_400_000, 1_209_600_000) == [0]
+    assert live.graph.num_contacts == 2
+    live.seal()
+    assert live.tail_size == 0
+    live.close()

@@ -1,42 +1,19 @@
-"""Regression tests for CG001: query methods capture ``_state`` once.
+"""Snapshot discipline: a graph or a store view, once read, never changes.
 
-The torn-read scenario: a writer publishes a new ``_OverlayState`` between
-two reads inside a single query call, so the call mixes fields of two
-generations (e.g. bits of the old snapshot over the contact count of the
-new one).  These tests replace ``_state`` with a data descriptor that
-*feeds* a different snapshot per read, proving the fixed methods stay
-internally consistent no matter how the snapshots interleave.
+A :class:`CompressedChronoGraph` is built once: its counts and sizes are
+fixed at construction, so every derived figure is computed from one
+snapshot by construction.  Growth happens only in a
+:class:`SegmentStore`, which publishes a new immutable view per ingest,
+seal and compaction; a reader holding an earlier view keeps getting that
+view's answers however the store moves on.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.compressed import CompressedChronoGraph
+from repro.core.compressed import HEADER_BITS
 from repro.core.encoder import compress
 from repro.graph.model import Contact, GraphKind, TemporalGraph
-
-
-class TornGraph(CompressedChronoGraph):
-    """A graph whose ``_state`` reads pop successive snapshots.
-
-    The property is a data descriptor, so it shadows the instance-dict
-    slot on every read; once the feed is exhausted, reads fall back to
-    the genuinely published state.  Each extra ``self._state`` read in a
-    query method therefore observes a *different* generation -- exactly
-    the interleaving CG001 outlaws.
-    """
-
-    @property
-    def _state(self):
-        feed = self.__dict__.get("_torn_feed")
-        if feed:
-            return feed.pop(0)
-        return self.__dict__["_state"]
-
-    @_state.setter
-    def _state(self, value):
-        self.__dict__["_state"] = value
+from repro.storage.segments import SegmentStore, StorePolicy
 
 
 def _small_graph() -> TemporalGraph:
@@ -50,81 +27,97 @@ def _small_graph() -> TemporalGraph:
     return TemporalGraph(GraphKind.POINT, 4, contacts, name="torn-fixture")
 
 
-@pytest.fixture
-def torn():
-    """(graph, old_state, new_state): compressed, then grown by a writer."""
-    c = compress(_small_graph())
-    old_state = c.__dict__["_state"]
-    c.apply_contacts([(0, 3, 21), (1, 3, 23)])
-    new_state = c.__dict__["_state"]
-    assert new_state.generation == old_state.generation + 1
-    c.__class__ = TornGraph
-    return c, old_state, new_state
-
-
-def _feed(graph, *states):
-    graph.__dict__["_torn_feed"] = list(states)
-
-
-def test_bits_per_contact_single_snapshot(torn):
-    graph, old_state, new_state = torn
-    # Every _state read in this call sees the OLD snapshot first; if the
-    # method read twice, the second read would see the new generation.
-    _feed(graph, old_state)
-    got = graph.bits_per_contact
-    _feed(graph, old_state, old_state, old_state)
-    want_old = graph.bits_per_contact
-    assert got == want_old
-
-    _feed(graph, new_state)
-    got_new = graph.bits_per_contact
-    _feed(graph, new_state, new_state, new_state)
-    want_new = graph.bits_per_contact
-    assert got_new == want_new
-
-    # The two generations genuinely differ, so a torn mix would show up.
-    assert want_old != want_new
-
-
-def test_timestamp_bits_per_contact_single_snapshot(torn):
-    graph, old_state, new_state = torn
-    _feed(graph, old_state)
-    got = graph.timestamp_bits_per_contact
-    _feed(graph, old_state, old_state)
-    assert got == graph.timestamp_bits_per_contact
-    assert old_state.num_contacts != new_state.num_contacts
-
-
-def test_repr_single_snapshot(torn):
-    graph, old_state, new_state = torn
-    _feed(graph, old_state)
-    text = repr(graph)
-    assert f"contacts={old_state.num_contacts}" in text
-    assert f"nodes={old_state.num_nodes}" in text
-
-    _feed(graph, new_state)
-    text = repr(graph)
-    assert f"contacts={new_state.num_contacts}" in text
-
-
-def test_size_properties_consistent_sum(torn):
-    """size_in_bits equals its parts computed against the same snapshot."""
-    graph, old_state, _ = torn
-    _feed(graph, old_state)
-    total = graph.size_in_bits
-    _feed(graph, old_state)
-    overlay = graph.overlay_size_bits
-    from repro.core.compressed import HEADER_BITS
-
-    assert total == (
-        graph.structure_size_bits
-        + graph.timestamp_size_bits
-        + overlay
-        + HEADER_BITS
+def _answers(view):
+    """Every query a view serves, over windows covering all the contacts."""
+    nodes = range(view.num_nodes)
+    return (
+        view.num_nodes,
+        view.num_contacts,
+        [view.neighbors(u, 0, 100) for u in nodes],
+        [view.neighbors(u, 6, 8) for u in nodes],
+        [view.has_edge(0, v, 0, 100) for v in nodes],
+        [view.contacts_of(u) for u in nodes],
+        [view.edge_timestamps(0, v) for v in nodes],
+        view.snapshot(0, 100),
+        view.snapshot(5, 6),
+        sorted(view.iter_contacts()),
     )
 
 
-def test_feed_exhausted_falls_back_to_published_state(torn):
-    graph, _, new_state = torn
-    assert graph.num_contacts == new_state.num_contacts
-    assert graph.overlay_generation == new_state.generation
+def test_bits_per_contact_single_snapshot(tmp_path):
+    graph = compress(_small_graph())
+    assert graph.bits_per_contact == graph.size_in_bits / graph.num_contacts
+    # A sealed segment is shared by every later view and never changes.
+    with SegmentStore.create(tmp_path / "s", GraphKind.POINT) as store:
+        store.ingest(_small_graph().contacts)
+        store.seal()
+        segment = store.graph._segments[0][1]
+        before = segment.bits_per_contact
+        store.ingest([(0, 3, 21), (1, 3, 23)])
+        assert store.graph._segments[0][1] is segment
+        assert segment.bits_per_contact == before
+
+
+def test_timestamp_bits_per_contact_single_snapshot():
+    graph = compress(_small_graph())
+    assert graph.timestamp_bits_per_contact == (
+        graph.timestamp_size_bits / graph.num_contacts
+    )
+    empty = compress(TemporalGraph(GraphKind.POINT, 0, []))
+    assert empty.bits_per_contact == empty.timestamp_bits_per_contact == 0.0
+
+
+def test_repr_single_snapshot():
+    graph = compress(_small_graph())
+    text = repr(graph)
+    assert "contacts=5" in text
+    assert "nodes=4" in text
+    assert f"bits/contact={graph.bits_per_contact:.2f}" in text
+
+
+def test_size_properties_consistent_sum():
+    """size_in_bits equals its parts: nothing rides outside the streams."""
+    graph = compress(_small_graph())
+    assert graph.size_in_bits == (
+        graph.structure_size_bits + graph.timestamp_size_bits + HEADER_BITS
+    )
+
+
+def test_feed_exhausted_falls_back_to_published_state(tmp_path):
+    """``store.graph`` is the latest published view; held views stay put."""
+    with SegmentStore.create(tmp_path / "s", GraphKind.POINT) as store:
+        store.ingest(_small_graph().contacts)
+        held = store.graph
+        store.ingest([(0, 3, 21), (1, 3, 23)])
+        assert store.graph.num_contacts == 7
+        assert held.num_contacts == 5
+        assert 3 in store.graph.neighbors(0, 0, 100)
+        assert 3 not in held.neighbors(0, 0, 100)
+
+
+def test_view_survives_ingest_seal_and_compaction(tmp_path):
+    policy = StorePolicy(seal_contacts=1000, max_segments=1)
+    with SegmentStore.create(
+        tmp_path / "s", GraphKind.POINT, policy=policy
+    ) as store:
+        store.ingest([(0, 1, 5)])
+        tail_view = store.graph
+        tail_answers = _answers(tail_view)
+        assert tail_view.neighbors(0, 0, 100) == [1]
+
+        store.ingest([(0, 2, 6)])
+        store.seal()
+        sealed_view = store.graph
+        sealed_answers = _answers(sealed_view)
+
+        store.ingest([(1, 2, 7), (2, 0, 8)])
+        store.seal()
+        assert store.compaction_needed()
+        assert store.compact_once()  # merges and deletes the first segment
+        assert len(store.manifest.segments) == 1
+
+        assert _answers(tail_view) == tail_answers
+        assert tail_view.neighbors(0, 0, 100) == [1]
+        assert _answers(sealed_view) == sealed_answers
+        assert store.graph.neighbors(0, 0, 100) == [1, 2]
+        assert store.graph.num_contacts == 4

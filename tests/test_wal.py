@@ -14,6 +14,7 @@ import pytest
 from repro.errors import (
     ChecksumMismatchError,
     FormatError,
+    GraphDomainError,
     TruncatedContainerError,
     UnsupportedVersionError,
 )
@@ -148,14 +149,15 @@ class TestAppendValidation:
     def test_bad_rows_rejected_before_buffering(self, tmp_path, row):
         path = tmp_path / "g.chrono.wal"
         with WriteAheadLog.create(path, HEADER) as wal:
-            with pytest.raises(ValueError):
-                wal.append([row])
+            # A valid row ahead of the bad one is not buffered either.
+            with pytest.raises(GraphDomainError):
+                wal.append([(0, 1, 5), row])
             assert wal.pending_contacts == 0
 
     def test_point_graph_rejects_durations(self, tmp_path):
         path = tmp_path / "g.chrono.wal"
         with WriteAheadLog.create(path, HEADER) as wal:
-            with pytest.raises(ValueError):
+            with pytest.raises(GraphDomainError):
                 wal.append([Contact(0, 1, 5, 3)])
 
 

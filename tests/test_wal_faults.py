@@ -1,12 +1,12 @@
 """WAL mutation campaigns: recovery never hangs, lies, or loses silently.
 
 Mirrors the container campaigns in ``test_faults.py``: every mutation of
-a valid base + WAL pair must either (a) raise from ``FormatError``,
-(b) replay the full log identically with a clean report, or (c) replay a
-*prefix of committed batches* while reporting the loss.  The one benign
-exception is a cut at an exact record boundary, which is byte-for-byte a
-valid shorter log -- indistinguishable from fewer commits, so its clean
-report is correct.
+a segment store's tail log must, on a read-only open, either (a) raise
+from ``FormatError``, (b) serve the full log identically with a clean
+health report, or (c) serve a *prefix of committed batches* while
+reporting the loss.  The one benign exception is a cut at an exact record
+boundary, which is byte-for-byte a valid shorter log -- indistinguishable
+from fewer commits, so its clean report is correct.
 """
 
 import random
@@ -17,6 +17,7 @@ from repro.core import compress
 from repro.core.serialize import dumps_compressed
 from repro.graph.builders import graph_from_contacts
 from repro.graph.model import Contact, GraphKind
+from repro.storage.segments import SegmentStore, StorePolicy
 from repro.storage.wal import WalHeader, scan_wal_bytes
 from repro.testing import (
     default_wal_mutations,
@@ -60,6 +61,25 @@ def _pair(kind=GraphKind.POINT, seed=2, n=10, m=40, batches=4):
         ]
         wal += encode_batch(batch)
     return base, bytes(wal)
+
+
+def _store(tmp_path, kind=GraphKind.POINT, seed=2, n=10, m=40, batches=4):
+    """A healthy store: one sealed segment plus ``batches`` tail batches."""
+    rng = random.Random(seed)
+
+    def row(top):
+        d = rng.randrange(1, 20) if kind is GraphKind.INTERVAL else 0
+        return (rng.randrange(top), rng.randrange(top), rng.randrange(500), d)
+
+    directory = tmp_path / "store"
+    with SegmentStore.create(
+        directory, kind, policy=StorePolicy(seal_contacts=1000)
+    ) as store:
+        store.ingest([row(n) for _ in range(m)])
+        store.seal()
+        for _ in range(batches):
+            store.ingest([row(n + 2) for _ in range(5)])
+    return directory
 
 
 class TestWalMutators:
@@ -136,22 +156,27 @@ class TestWalMutators:
 
 class TestWalCampaign:
     @pytest.mark.parametrize("kind", [GraphKind.POINT, GraphKind.INTERVAL])
-    def test_no_silent_loss_across_default_mutations(self, kind):
-        base, wal = _pair(kind=kind)
+    def test_no_silent_loss_across_default_mutations(self, kind, tmp_path):
+        store = _store(tmp_path, kind=kind)
+        wal = (store / "wal.tail").read_bytes()
         report = run_wal_fault_injection(
-            base, wal, default_wal_mutations(wal, stride_bits=16)
+            store, default_wal_mutations(wal, stride_bits=16)
         )
         assert report.ok, report.summary()
         assert report.total > 100
+        assert (store / "wal.tail").read_bytes() == wal  # restored
 
-    def test_pristine_wal_counts_identical(self):
-        base, wal = _pair()
+    def test_pristine_wal_counts_identical(self, tmp_path):
+        store = _store(tmp_path)
+        wal = (store / "wal.tail").read_bytes()
         from repro.testing import Mutation
 
-        report = run_wal_fault_injection(base, wal, [Mutation("pristine", wal)])
+        report = run_wal_fault_injection(store, [Mutation("pristine", wal)])
         assert report.identical == 1 and report.ok
 
-    def test_baseline_must_be_valid(self):
-        base, wal = _pair()
+    def test_baseline_must_be_valid(self, tmp_path):
+        store = _store(tmp_path)
+        tail = store / "wal.tail"
+        tail.write_bytes(tail.read_bytes()[:-3])
         with pytest.raises(ValueError):
-            run_wal_fault_injection(base, wal[:-3], [])
+            run_wal_fault_injection(store, [])

@@ -7,7 +7,8 @@ inverted window is empty.  These tests put a contact exactly on each
 boundary and check that ``neighbors``, ``has_edge``, ``neighbors_before``,
 ``neighbors_after``, ``snapshot``, ``snapshot_parallel``,
 ``iter_window_neighbors`` and ``neighbors_many`` all agree -- for every
-graph kind, including after an ``apply_contacts`` overlay.
+graph kind, and on a segment store both while the contacts sit in its
+tail buffer and once they are sealed.
 """
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from repro.core import compress
 from repro.graph.builders import graph_from_contacts
 from repro.graph.model import Contact, GraphKind
+from repro.storage.segments import SegmentStore
 
 T = 100  # the boundary timestamp under test
 
@@ -151,17 +153,53 @@ class TestIncrementalBoundaries:
         assert set(cg.neighbors_after(0, T)) == {1, 2}
 
 
+#: Windows touching, straddling and just missing every fixture boundary.
+_WINDOWS = [
+    (T, T), (T - 1, T), (T, T + 1), (T + 1, T + 2), (T - 2, T - 1),
+    (T - 20, T - 20), (T - 21, T - 20), (T - 50, T - 50), (T - 1, T - 1),
+    (T + 9, T + 9), (T + 10, T + 20), (T + 50, T + 50), (T, T - 1),
+]
+
+
 class TestOverlayAgreesOnBoundaries:
-    def test_overlay_contact_on_each_boundary(self):
-        cg = _point()
-        cg.apply_contacts([Contact(2, 3, T)])
-        assert cg.neighbors(2, T - 5, T) == [3]
-        assert cg.neighbors(2, T, T + 5) == [3]
-        assert cg.neighbors(2, T + 1, T + 5) == []
-        assert sorted(v for a, v in cg.snapshot(T, T) if a == 2) == [3]
-        assert dict(cg.iter_window_neighbors(T, T))[2] == [3]
-        assert 3 not in cg.neighbors_before(2, T)
-        assert 3 in cg.neighbors_after(2, T)
+    def test_overlay_contact_on_each_boundary(self, tmp_path):
+        # A point contact in a store's tail buffer, on top of a sealed
+        # segment holding the _point() contacts.
+        with SegmentStore.create(tmp_path / "s", GraphKind.POINT) as store:
+            store.ingest(list(_point().iter_contacts()))
+            store.seal()
+            store.ingest([Contact(2, 3, T)])
+            view = store.graph
+            assert view.neighbors(2, T - 5, T) == [3]
+            assert view.neighbors(2, T, T + 5) == [3]
+            assert view.neighbors(2, T + 1, T + 5) == []
+            assert view.neighbors(2, T - 5, T - 1) == []
+            assert view.has_edge(2, 3, T, T)
+            assert not view.has_edge(2, 3, T + 1, T + 1)
+            assert sorted(v for a, v in view.snapshot(T, T) if a == 2) == [3]
+            assert view.snapshot(T + 1, T + 1) == []
+
+    @pytest.mark.parametrize("make", [_point, _interval, _incremental])
+    def test_store_tail_and_segment_match_compressed(self, tmp_path, make):
+        cg = make()
+        rows = list(cg.iter_contacts())
+        with SegmentStore.create(tmp_path / "s", cg.kind) as store:
+            store.ingest(rows)
+            surfaces = {"tail": store.graph}
+            store.seal()
+            surfaces["segment"] = store.graph
+            for name, view in surfaces.items():
+                for t0, t1 in _WINDOWS:
+                    for u in range(cg.num_nodes):
+                        want = cg.neighbors(u, t0, t1)
+                        assert view.neighbors(u, t0, t1) == want, (name, t0, t1)
+                        for v in range(cg.num_nodes):
+                            assert view.has_edge(u, v, t0, t1) == cg.has_edge(
+                                u, v, t0, t1
+                            ), (name, u, v, t0, t1)
+                    assert view.snapshot(t0, t1) == cg.snapshot(t0, t1), (
+                        name, t0, t1,
+                    )
 
     @pytest.mark.parametrize("kind", [GraphKind.POINT, GraphKind.INCREMENTAL])
     def test_model_predicate_matches_query_plane(self, kind):
