@@ -62,9 +62,11 @@ _WORD_MAX_BITS = 57
 class BitWriter:
     """Accumulates an MSB-first bit string.
 
-    Bits are buffered in an integer accumulator and flushed to a
-    ``bytearray`` one byte at a time.  ``len(writer)`` is the number of bits
-    written so far, which callers use to record stream offsets.
+    Bits are buffered in an integer accumulator (fewer than 8 bits between
+    calls) and flushed to a ``bytearray`` in whole bytes.  ``len(writer)``
+    is the number of bits written so far, which callers use to record
+    stream offsets.  The ``write_many_*`` bulk writers of
+    :mod:`repro.bits.codes` pack runs of codes straight into this state.
     """
 
     def __init__(self) -> None:
@@ -127,13 +129,16 @@ class BitWriter:
             raise CodecDomainError(f"negative width: {width}")
         if value < 0 or (value >> width):
             raise CodecDomainError(f"value {value} does not fit in {width} bits")
-        self._acc = (self._acc << width) | value
-        self._nacc += width
-        while self._nacc >= 8:
-            self._nacc -= 8
-            self._bytes.append((self._acc >> self._nacc) & 0xFF)
-        # Keep only the unflushed low bits to stop `_acc` growing unboundedly.
-        self._acc &= (1 << self._nacc) - 1
+        acc = (self._acc << width) | value
+        nacc = self._nacc + width
+        if nacc >= 8:
+            # Flush every whole byte at once; the low `rest` bits stay.
+            rest = nacc & 7
+            self._bytes += (acc >> rest).to_bytes(nacc >> 3, "big")
+            acc &= (1 << rest) - 1
+            nacc = rest
+        self._acc = acc
+        self._nacc = nacc
         return width
 
     def extend(self, other: "BitWriter") -> int:

@@ -10,13 +10,23 @@ paper hold exactly:
 * zeta_3(16) = ``01010000``
 
 The module exposes, per code, a writer (``write_*``), a reader (``read_*``)
-and a length function (``*_length``) used when sizing candidate encodings
-without materialising them (e.g. reference selection and the Figure 7 sweep).
+and a length function (``*_length``).  For the codes ChronoGraph emits in
+bulk there are also run-level counterparts:
+
+* ``read_many_*`` -- table-driven bulk readers (the record decoders);
+* ``write_many_gamma_natural``, ``write_many_zeta_natural`` and
+  ``write_many_zeta_natural_pairs`` -- bulk writers that pack a whole run
+  into a local accumulator and flush it to the writer in whole bytes every
+  ~512 bits (the record encoders);
+* ``size_many_gamma_natural``, ``size_many_zeta_natural`` and
+  ``zeta_length_from_bits`` -- closed-form sizes, which let the encoder
+  size candidate encodings without materialising them (reference
+  selection and the Figure 7 zeta_k sweep).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bits import kernels
 from repro.bits.bitio import BitReader, BitWriter
@@ -30,7 +40,7 @@ __all__ = [
     "write_gamma_natural", "read_gamma_natural",
     "write_gamma_integer", "read_gamma_integer",
     "write_delta", "read_delta", "delta_length",
-    "write_zeta", "read_zeta", "zeta_length",
+    "write_zeta", "read_zeta", "zeta_length", "zeta_length_from_bits",
     "write_zeta_natural", "read_zeta_natural",
     "write_zeta_integer", "read_zeta_integer",
     "write_golomb", "read_golomb", "golomb_length",
@@ -39,6 +49,9 @@ __all__ = [
     "encode_simple16", "decode_simple16",
     "read_many_unary", "read_many_gamma", "read_many_gamma_natural",
     "read_many_zeta", "read_many_zeta_natural", "read_many_zeta_natural_pairs",
+    "write_many_gamma_natural", "write_many_zeta_natural",
+    "write_many_zeta_natural_pairs",
+    "size_many_gamma_natural", "size_many_zeta_natural",
 ]
 
 
@@ -454,6 +467,24 @@ def zeta_length(x: int, k: int) -> int:
     h = (x.bit_length() - 1) // k
     low = 1 << (h * k)
     return (h + 1) + minimal_binary_length(x - low, (low << k) - low)
+
+
+def zeta_length_from_bits(b: int, k: int) -> int:
+    """Bit length of the zeta_k code of any value whose bit length is ``b``.
+
+    With ``h = (b - 1) // k`` the code is ``h + 1`` unary bits and a
+    ``(h + 1) * k``-bit minimal binary payload, one bit shorter for the
+    values below ``2**(h*k + 1)`` (those with ``b - 1 == h * k``).  So the
+    length depends on ``b`` alone, and for ``k = 1`` it is ``2b - 1``, the
+    gamma length.  This is what lets the encoder size a whole stream from
+    a histogram of bit lengths.
+    """
+    if b < 1:
+        raise CodecDomainError(f"zeta undefined for values of bit length {b}")
+    if k < 1:
+        raise CodecDomainError(f"invalid zeta shrinking parameter k={k}")
+    h = (b - 1) // k
+    return (h + 1) * (k + 1) - (b - 1 == h * k)
 
 
 def write_zeta_natural(writer: BitWriter, n: int, k: int) -> int:
@@ -892,6 +923,177 @@ def read_many_zeta_natural_pairs(
     )
 
 
-def iter_code_lengths(values: Iterable[int], k: int) -> int:
-    """Total zeta_k bit length of an iterable of naturals (for sizing)."""
-    return sum(zeta_length(v + 1, k) for v in values)
+
+# --------------------------------------------------------------------------
+# Bulk writers and closed-form run sizes
+#
+# The encoder's mirror of the bulk readers: a record's run of codes is
+# packed into a local integer accumulator and flushed to the writer's
+# buffer in whole bytes once it holds ``_FLUSH_BITS`` bits.  Flushing in
+# chunks keeps every shift a few machine words; a single accumulator for
+# the whole run would copy an ever-growing int per code (quadratic).  The
+# same per-bit-length table gives each code's width, so sizing a run and
+# writing it cannot disagree.
+# --------------------------------------------------------------------------
+
+#: Accumulator size, in bits, at which a bulk writer flushes whole bytes.
+_FLUSH_BITS = 512
+
+#: Bit lengths every code table covers from the start; wider values (only
+#: timestamps can be) grow the table on demand.
+_CODE_TABLE_MIN_BITS = 64
+
+#: Per-k bulk-writer tables indexed by the bit length ``b`` of the coded
+#: value ``x``: the zeta_k code of ``x`` is ``x ^ masks[b]`` in
+#: ``widths[b]`` bits.  Tables are replaced, never mutated, when they grow.
+_ZETA_CODE_TABLES: Dict[int, Tuple[List[int], List[int]]] = {}
+
+
+def _zeta_code_table(k: int, bits: int) -> Tuple[List[int], List[int]]:
+    """The (widths, masks) code table of zeta_k covering bit length ``bits``.
+
+    With ``h = (b - 1) // k`` and ``s = (h + 1) * k`` the code is ``h``
+    zeros and a one, then either ``x - 2**(h*k)`` in ``s - 1`` bits (when
+    ``b - 1 == h * k``) or ``x`` itself in ``s`` bits, so the whole code is
+    ``x`` with at most two bits flipped.  For ``k = 1`` both flips hit the
+    same bit and the code is ``x`` in ``2b - 1`` bits: Elias gamma.
+    """
+    table = _ZETA_CODE_TABLES.get(k)
+    if table is not None and len(table[0]) > bits:
+        return table
+    if k < 1:
+        raise CodecDomainError(f"invalid zeta shrinking parameter k={k}")
+    widths, masks = ([0], [0]) if table is None else (list(table[0]), list(table[1]))
+    for b in range(len(widths), max(bits, _CODE_TABLE_MIN_BITS) + 1):
+        h = (b - 1) // k
+        s = (h + 1) * k
+        if b - 1 == h * k:
+            masks.append((1 << (h * k)) ^ (1 << (s - 1)))
+        else:
+            masks.append(1 << s)
+        widths.append(zeta_length_from_bits(b, k))
+    table = (widths, masks)
+    _ZETA_CODE_TABLES[k] = table
+    return table
+
+
+def _run_bits(values: Sequence[int]) -> int:
+    """Bit length of the widest code value ``n + 1`` of a natural run.
+
+    Raises :class:`CodecDomainError` on a negative natural, before any bit
+    is written, like the scalar writers do.
+    """
+    if not values:
+        return 0
+    low = min(values)
+    if low < 0:
+        raise CodecDomainError(f"not a natural number: {low}")
+    return (max(values) + 1).bit_length()
+
+
+def _pack_run(
+    writer: BitWriter, values: Sequence[int], widths: List[int], masks: List[int]
+) -> int:
+    """Append the codes of naturals ``values`` through a code table.
+
+    Operates on the writer's accumulator directly (same-package contract
+    with :class:`repro.bits.bitio.BitWriter`) and leaves fewer than 8 bits
+    in it, as ``write_bits`` does.  Returns the number of bits written.
+    """
+    out = writer._bytes
+    start = 8 * len(out) + writer._nacc
+    acc = writer._acc
+    nacc = writer._nacc
+    for n in values:
+        x = n + 1
+        b = x.bit_length()
+        width = widths[b]
+        acc = (acc << width) | (x ^ masks[b])
+        nacc += width
+        if nacc >= _FLUSH_BITS:
+            rest = nacc & 7
+            out += (acc >> rest).to_bytes(nacc >> 3, "big")
+            acc &= (1 << rest) - 1
+            nacc = rest
+    if nacc >= 8:
+        rest = nacc & 7
+        out += (acc >> rest).to_bytes(nacc >> 3, "big")
+        acc &= (1 << rest) - 1
+        nacc = rest
+    writer._acc = acc
+    writer._nacc = nacc
+    return 8 * len(out) + nacc - start
+
+
+def write_many_gamma_natural(writer: BitWriter, values: Sequence[int]) -> int:
+    """Gamma-code a run of naturals; same bits as a loop of
+    :func:`write_gamma_natural`.  Returns the number of bits written."""
+    widths, masks = _zeta_code_table(1, _run_bits(values))
+    return _pack_run(writer, values, widths, masks)
+
+
+def write_many_zeta_natural(writer: BitWriter, values: Sequence[int], k: int) -> int:
+    """zeta_k-code a run of naturals; same bits as a loop of
+    :func:`write_zeta_natural`.  Returns the number of bits written."""
+    widths, masks = _zeta_code_table(k, _run_bits(values))
+    return _pack_run(writer, values, widths, masks)
+
+
+def write_many_zeta_natural_pairs(
+    writer: BitWriter,
+    values_a: Sequence[int],
+    values_b: Sequence[int],
+    k_a: int,
+    k_b: int,
+) -> int:
+    """Write interleaved (zeta_k_a, zeta_k_b) natural pairs.
+
+    The inverse of :func:`read_many_zeta_natural_pairs`: ``values_a[i]``
+    then ``values_b[i]`` for every ``i``.  Returns the number of bits
+    written.
+    """
+    if len(values_a) != len(values_b):
+        raise CodecDomainError(
+            f"pair runs differ in length: {len(values_a)} vs {len(values_b)}"
+        )
+    widths_a, masks_a = _zeta_code_table(k_a, _run_bits(values_a))
+    widths_b, masks_b = _zeta_code_table(k_b, _run_bits(values_b))
+    out = writer._bytes
+    start = 8 * len(out) + writer._nacc
+    acc = writer._acc
+    nacc = writer._nacc
+    for n_a, n_b in zip(values_a, values_b):
+        x = n_a + 1
+        b = x.bit_length()
+        width = widths_a[b]
+        acc = (acc << width) | (x ^ masks_a[b])
+        nacc += width
+        x = n_b + 1
+        b = x.bit_length()
+        width = widths_b[b]
+        acc = (acc << width) | (x ^ masks_b[b])
+        nacc += width
+        if nacc >= _FLUSH_BITS:
+            rest = nacc & 7
+            out += (acc >> rest).to_bytes(nacc >> 3, "big")
+            acc &= (1 << rest) - 1
+            nacc = rest
+    if nacc >= 8:
+        rest = nacc & 7
+        out += (acc >> rest).to_bytes(nacc >> 3, "big")
+        acc &= (1 << rest) - 1
+        nacc = rest
+    writer._acc = acc
+    writer._nacc = nacc
+    return 8 * len(out) + nacc - start
+
+
+def size_many_gamma_natural(values: Sequence[int]) -> int:
+    """Bits :func:`write_many_gamma_natural` writes for ``values``."""
+    return size_many_zeta_natural(values, 1)
+
+
+def size_many_zeta_natural(values: Sequence[int], k: int) -> int:
+    """Bits :func:`write_many_zeta_natural` writes for ``values``."""
+    widths = _zeta_code_table(k, _run_bits(values))[0]
+    return sum([widths[(n + 1).bit_length()] for n in values])

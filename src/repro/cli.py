@@ -22,6 +22,7 @@ programmatic use stay equivalent.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 import time
 from typing import List, Optional
@@ -258,13 +259,24 @@ def _cmd_serve(args) -> int:
         f"({config.workers} worker(s), {mode})",
         flush=True,
     )
+    # SIGTERM takes the Ctrl-C path: the supervisor stops its workers and
+    # closes the listener instead of dying and orphaning them.
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         service.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        # A second SIGTERM must not cut the shutdown short.
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
         service.stop()
+        signal.signal(signal.SIGTERM, previous)
     return 0
+
+
+def _interrupt(_signum, _frame) -> None:
+    """Signal handler: raise ``KeyboardInterrupt`` in the main thread."""
+    raise KeyboardInterrupt
 
 
 def _run_query(graph, args) -> int:

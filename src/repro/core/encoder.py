@@ -27,20 +27,22 @@ from __future__ import annotations
 import dataclasses
 import os
 import pickle
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bits.bitio import BitWriter
+from repro.bits.codes import zeta_length_from_bits
 from repro.bits.eliasfano import EliasFano
 from repro.core.compressed import CompressedChronoGraph
 from repro.core.config import ChronoGraphConfig
-from repro.bits.codes import zeta_length
 from repro.core.structure import (
-    _encode_dedup,
-    _encode_singles,
     encode_node_structure,
+    singles_bits,
+    singles_codes,
     split_duplicates,
+    write_structure_record,
 )
-from repro.core.timestamps import encode_node_timestamps, encoded_timestamp_bits
+from repro.core.timestamps import encode_node_timestamps, timestamp_naturals
 from repro.graph.aggregate import aggregate
 from repro.graph.model import GraphKind, TemporalGraph
 
@@ -53,26 +55,30 @@ def select_timestamp_zeta_k(graph: TemporalGraph) -> tuple[int, int]:
 
     This reproduces how the paper picks per-dataset codes: Figure 7 sizes
     each k and Section V-F recommends the winner per lifetime/granularity
-    class.  The two streams are sized independently via the closed-form
-    code lengths, so the scan is cheap relative to the encode itself.
+    class.  A zeta_k code's length depends only on the bit length of the
+    coded value, so one pass over the contacts builds a bit-length
+    histogram of the naturals each stream codes (:func:`timestamp_naturals`,
+    and the durations of an interval graph) and every k is sized from it in
+    closed form.  Ties go to the smaller k.
     """
     t_min = graph.t_min
-    with_durations = graph.kind is GraphKind.INTERVAL
-    gap_totals = {k: 0 for k in _ZETA_CANDIDATES}
-    dur_totals = {k: 0 for k in _ZETA_CANDIDATES}
+    gap_bits: Counter[int] = Counter()
     for u in graph.active_nodes():
-        contacts = graph.contacts_of(u)
-        times = [c.time for c in contacts]
-        for k in _ZETA_CANDIDATES:
-            gap_totals[k] += encoded_timestamp_bits(times, None, t_min, k)
-        if with_durations:
-            for c in contacts:
-                natural = c.duration + 1
-                for k in _ZETA_CANDIDATES:
-                    dur_totals[k] += zeta_length(natural, k)
-    best_gap = min(gap_totals, key=lambda k: (gap_totals[k], k))
-    best_dur = min(dur_totals, key=lambda k: (dur_totals[k], k))
-    return best_gap, best_dur
+        naturals = timestamp_naturals([c.time for c in graph.contacts_of(u)], t_min)
+        gap_bits.update([(n + 1).bit_length() for n in naturals])
+    duration_bits: Counter[int] = Counter()
+    if graph.kind is GraphKind.INTERVAL:
+        duration_bits.update([(c.duration + 1).bit_length() for c in graph.contacts])
+    return _best_zeta_k(gap_bits), _best_zeta_k(duration_bits)
+
+
+def _best_zeta_k(bit_lengths: Counter[int]) -> int:
+    """The candidate k coding a bit-length histogram in the fewest bits."""
+    totals = {
+        k: sum(count * zeta_length_from_bits(b, k) for b, count in bit_lengths.items())
+        for k in _ZETA_CANDIDATES
+    }
+    return min(totals, key=lambda k: (totals[k], k))
 
 
 def _prepare(
@@ -225,10 +231,11 @@ def _size_candidates(args) -> List[_NodeSizes]:
     lo, hi = args
     graph, config = _worker_graph, _worker_config
     out: List[_NodeSizes] = []
+    k = config.structure_zeta_k
     for u in range(lo, hi):
         multiset = [c.v for c in graph.contacts_of(u)]
         _, singles = split_duplicates(multiset)
-        no_ref = len(_encode_singles(u, singles, None, config))
+        no_ref = singles_bits(singles_codes(u, singles, None, config), k)
         cands: List[Tuple[int, int]] = []
         single_set = set(singles)
         for r in range(1, config.window + 1):
@@ -238,11 +245,10 @@ def _size_candidates(args) -> List[_NodeSizes]:
             reference_list = _distinct_of(graph, v)
             if not reference_list:
                 continue
-            if not single_set & set(reference_list):
+            if single_set.isdisjoint(reference_list):
                 continue  # nothing to copy; the no-reference encoding wins
-            cands.append(
-                (r, len(_encode_singles(u, singles, (r, reference_list), config)))
-            )
+            record = singles_codes(u, singles, (r, reference_list), config)
+            cands.append((r, singles_bits(record, k)))
         out.append((no_ref, cands))
     return out
 
@@ -305,13 +311,13 @@ def _encode_range(args):
         contacts = graph.contacts_of(u)
         multiset = [c.v for c in contacts]
         dedup, singles = split_duplicates(multiset)
-        _encode_dedup(structure, u, dedup)
         r = chosen[u - lo]
-        if r:
-            reference = (r, _distinct_of(graph, u - r))
-            structure.extend(_encode_singles(u, singles, reference, config))
-        else:
-            structure.extend(_encode_singles(u, singles, None, config))
+        reference = (r, _distinct_of(graph, u - r)) if r else None
+        write_structure_record(
+            structure, u, dedup,
+            singles_codes(u, singles, reference, config),
+            config.structure_zeta_k,
+        )
         times = [c.time for c in contacts]
         durations = [c.duration for c in contacts] if with_durations else None
         encode_node_timestamps(

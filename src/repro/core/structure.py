@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bits import codes
 from repro.bits.bitio import BitReader, BitWriter
-from repro.bits.zigzag import to_integer
+from repro.bits.zigzag import to_integer, to_natural
 from repro.core import bulkops
 from repro.core.config import ChronoGraphConfig
 from repro.errors import LimitExceededError
@@ -174,12 +174,18 @@ def encode_node_structure(
     ``previous_distinct`` maps already-encoded nodes to their distinct
     neighbor lists (the reference targets); ``ref_depth`` tracks chain
     depths so ``max_ref_chain`` can be enforced at compression time.
+
+    Every candidate is sized in closed form from its code lists
+    (:func:`singles_codes`); only the winner is written.
     """
     dedup, singles = split_duplicates(multiset)
+    k = config.structure_zeta_k
 
     best_ref = 0
-    best_writer = _encode_singles(node, singles, None, config)
+    best = singles_codes(node, singles, None, config)
+    best_len = singles_bits(best, k)
     best_depth = 0
+    single_set = set(singles)
     for r in range(1, config.window + 1):
         v = node - r
         if v < 0:
@@ -190,77 +196,102 @@ def encode_node_structure(
         depth = ref_depth.get(v, 0) + 1
         if config.max_ref_chain is not None and depth > config.max_ref_chain:
             continue
-        if not set(singles) & set(reference_list):
+        if single_set.isdisjoint(reference_list):
             continue  # nothing to copy; the no-reference encoding wins
-        candidate = _encode_singles(node, singles, (r, reference_list), config)
-        if len(candidate) < len(best_writer):
-            best_writer = candidate
+        candidate = singles_codes(node, singles, (r, reference_list), config)
+        size = singles_bits(candidate, k)
+        if size < best_len:
+            best = candidate
+            best_len = size
             best_ref = r
             best_depth = depth
 
-    _encode_dedup(writer, node, dedup)
-    writer.extend(best_writer)
+    write_structure_record(writer, node, dedup, best, k)
 
     distinct = sorted({*(label for label, _ in dedup), *singles})
     previous_distinct[node] = distinct
     ref_depth[node] = best_depth if best_ref else 0
 
 
-def _encode_dedup(writer: BitWriter, node: int, dedup: Sequence[DedupPair]) -> None:
-    codes.write_gamma_natural(writer, len(dedup))
-    first = True
-    for gap, extra_count in dedup_gap_pairs(node, dedup):
-        if first:
-            codes.write_gamma_integer(writer, gap)
-            first = False
-        else:
-            codes.write_gamma_natural(writer, gap)
-        codes.write_gamma_natural(writer, extra_count)
+#: One reference candidate's codes in stream order: the gamma-coded
+#: naturals, then the zeta-coded extra-node gaps.
+SinglesCodes = Tuple[List[int], List[int]]
 
 
-def _encode_singles(
+def singles_codes(
     node: int,
     singles: Sequence[int],
     reference: Optional[Tuple[int, Sequence[int]]],
     config: ChronoGraphConfig,
-) -> BitWriter:
-    """Encode the reference + interval + extra blocks into a fresh writer."""
-    writer = BitWriter()
+) -> SinglesCodes:
+    """The reference, interval and extra blocks of one candidate, as codes.
+
+    Returns ``(gammas, zetas)``: the gamma-coded naturals in stream order
+    (reference, copy runs, intervals, extra count) and the zeta-coded extra
+    gaps.  Signed first gaps are already folded with Eq. (1).  The encoder
+    sizes candidates with :func:`singles_bits` and writes the winner with
+    :func:`write_structure_record`, both from this one list.
+    """
     if reference is None:
-        codes.write_gamma_natural(writer, 0)
-        rest = list(singles)
+        gammas = [0]
+        rest = singles
     else:
         r, reference_list = reference
         ref_set = set(reference_list)
         copied = [x for x in singles if x in ref_set]
         rest = [x for x in singles if x not in ref_set]
-        codes.write_gamma_natural(writer, r)
         runs = copy_blocks(reference_list, copied)
-        codes.write_gamma_natural(writer, len(runs))
-        for i, run in enumerate(runs):
-            if i == 0:
-                codes.write_gamma_natural(writer, run)
-            else:
-                codes.write_gamma_natural(writer, run - 1)
-    intervals, extras = split_intervals(rest, config.min_interval_length)
-    codes.write_gamma_natural(writer, len(intervals))
-    first = True
-    for gap, extra_len in interval_gap_pairs(node, intervals, config.min_interval_length):
-        if first:
-            codes.write_gamma_integer(writer, gap)
-            first = False
-        else:
-            codes.write_gamma_natural(writer, gap)
-        codes.write_gamma_natural(writer, extra_len)
-    codes.write_gamma_natural(writer, len(extras))
-    first = True
-    for gap in extra_gaps(node, extras):
-        if first:
-            codes.write_zeta_integer(writer, gap, config.structure_zeta_k)
-            first = False
-        else:
-            codes.write_zeta_natural(writer, gap, config.structure_zeta_k)
-    return writer
+        gammas = [r, len(runs)]
+        if runs:
+            gammas.append(runs[0])
+            gammas.extend([run - 1 for run in runs[1:]])
+    min_length = config.min_interval_length
+    intervals, extras = split_intervals(rest, min_length)
+    gammas.append(len(intervals))
+    for i, (gap, extra_len) in enumerate(
+        interval_gap_pairs(node, intervals, min_length)
+    ):
+        gammas.append(to_natural(gap) if i == 0 else gap)
+        gammas.append(extra_len)
+    gammas.append(len(extras))
+    zetas = extra_gaps(node, extras)
+    if zetas:
+        zetas[0] = to_natural(zetas[0])
+    return gammas, zetas
+
+
+def singles_bits(candidate: SinglesCodes, structure_zeta_k: int) -> int:
+    """Bit size of a candidate's blocks, without writing them."""
+    gammas, zetas = candidate
+    return codes.size_many_gamma_natural(gammas) + codes.size_many_zeta_natural(
+        zetas, structure_zeta_k
+    )
+
+
+def _dedup_codes(node: int, dedup: Sequence[DedupPair]) -> List[int]:
+    """The gamma-coded naturals of the deduplication block, in stream order."""
+    out = [len(dedup)]
+    for i, (gap, extra_count) in enumerate(dedup_gap_pairs(node, dedup)):
+        out.append(to_natural(gap) if i == 0 else gap)
+        out.append(extra_count)
+    return out
+
+
+def write_structure_record(
+    writer: BitWriter,
+    node: int,
+    dedup: Sequence[DedupPair],
+    candidate: SinglesCodes,
+    structure_zeta_k: int,
+) -> None:
+    """Write one node's structure record: two bulk calls.
+
+    The serial and the parallel encoder both end every node here, with
+    the chosen candidate's codes from :func:`singles_codes`.
+    """
+    gammas, zetas = candidate
+    codes.write_many_gamma_natural(writer, _dedup_codes(node, dedup) + gammas)
+    codes.write_many_zeta_natural(writer, zetas, structure_zeta_k)
 
 
 # --------------------------------------------------------------------------

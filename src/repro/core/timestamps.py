@@ -16,6 +16,7 @@ one-offset-index design.  This substitution is recorded in DESIGN.md.
 
 from __future__ import annotations
 
+import operator
 from typing import List, Optional, Sequence, Tuple
 
 from repro.bits import codes
@@ -34,6 +35,31 @@ def timestamp_gaps(timestamps: Sequence[int], t_min: int) -> List[int]:
     return gaps
 
 
+def timestamp_naturals(timestamps: Sequence[int], t_min: int) -> List[int]:
+    """The naturals a node's timestamp record zeta-codes, in stream order.
+
+    The first is the offset from ``t_min``; every later one is the Eq. (1)
+    fold of the gap to its predecessor.  The encoder writes exactly this
+    list and the zeta_k auto-selection sizes exactly this list, so the two
+    cannot drift apart.  Raises :class:`GraphDomainError` for a first
+    timestamp below ``t_min``.
+    """
+    if not timestamps:
+        return []
+    first = timestamps[0] - t_min
+    if first < 0:
+        raise GraphDomainError(
+            f"timestamp {timestamps[0]} below the global minimum {t_min}"
+        )
+    naturals = [first]
+    # Inlined Eq. (1) (repro.bits.zigzag.to_natural): ~(2g) == 2|g| - 1.
+    naturals.extend([
+        gap << 1 if gap >= 0 else ~(gap << 1)
+        for gap in map(operator.sub, timestamps[1:], timestamps)
+    ])
+    return naturals
+
+
 def encode_node_timestamps(
     writer: BitWriter,
     timestamps: Sequence[int],
@@ -46,25 +72,17 @@ def encode_node_timestamps(
 
     Durations carry their own zeta parameter (default: same as the gaps) --
     their magnitudes are unrelated to the gap magnitudes, so the optimal
-    codes differ (short contacts vs long-lived links).
+    codes differ (short contacts vs long-lived links).  The record is one
+    bulk zeta run, or one interleaved pair run with durations.
     """
     if durations is not None and len(durations) != len(timestamps):
         raise GraphDomainError("durations must align one-to-one with timestamps")
-    dk = zeta_k if duration_zeta_k is None else duration_zeta_k
-    prev: Optional[int] = None
-    for i, t in enumerate(timestamps):
-        if prev is None:
-            gap = t - t_min
-            if gap < 0:
-                raise GraphDomainError(
-                    f"timestamp {t} below the global minimum {t_min}"
-                )
-            codes.write_zeta_natural(writer, gap, zeta_k)
-        else:
-            codes.write_zeta_integer(writer, t - prev, zeta_k)
-        if durations is not None:
-            codes.write_zeta_natural(writer, durations[i], dk)
-        prev = t
+    naturals = timestamp_naturals(timestamps, t_min)
+    if durations is None:
+        codes.write_many_zeta_natural(writer, naturals, zeta_k)
+    else:
+        dk = zeta_k if duration_zeta_k is None else duration_zeta_k
+        codes.write_many_zeta_natural_pairs(writer, naturals, durations, zeta_k, dk)
 
 
 def decode_node_timestamps(
@@ -102,30 +120,3 @@ def decode_node_timestamps(
             append(t)
     return timestamps, durations
 
-
-def encoded_timestamp_bits(
-    timestamps: Sequence[int],
-    durations: Optional[Sequence[int]],
-    t_min: int,
-    zeta_k: int,
-    duration_zeta_k: Optional[int] = None,
-) -> int:
-    """Bit size of a node's timestamp record without materialising it.
-
-    Used by the Figure 7 zeta-parameter sweep, which sizes every k without
-    building six full graphs.
-    """
-    dk = zeta_k if duration_zeta_k is None else duration_zeta_k
-    total = 0
-    prev: Optional[int] = None
-    for i, t in enumerate(timestamps):
-        if prev is None:
-            total += codes.zeta_length((t - t_min) + 1, zeta_k)
-        else:
-            gap = t - prev
-            natural = 2 * gap if gap >= 0 else 2 * (-gap) - 1
-            total += codes.zeta_length(natural + 1, zeta_k)
-        if durations is not None:
-            total += codes.zeta_length(durations[i] + 1, dk)
-        prev = t
-    return total

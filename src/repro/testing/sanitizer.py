@@ -412,7 +412,10 @@ class LockSanitizer:
         import importlib
 
         for module_name, attr in self._DECODE_PATCHES:
-            module = importlib.import_module(module_name)
+            try:
+                module = importlib.import_module(module_name)
+            except ModuleNotFoundError:
+                continue  # the numpy tier is optional: nothing to patch
             self._patch(
                 module, attr, self._blocking_wrapper("decode", getattr(module, attr))
             )

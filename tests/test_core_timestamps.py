@@ -3,13 +3,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.bits import codes
 from repro.bits.bitio import BitReader, BitWriter
 from repro.core.config import ChronoGraphConfig
 from repro.core.timestamps import (
     decode_node_timestamps,
     encode_node_timestamps,
-    encoded_timestamp_bits,
     timestamp_gaps,
+    timestamp_naturals,
 )
 
 
@@ -55,18 +56,26 @@ class TestCodec:
         assert len(w) == 0
 
     def test_size_estimator_matches_encoder(self):
+        # The zeta_k sweep sizes timestamp_naturals() in closed form; the
+        # record must cost exactly that, code by code.
         times = [100, 150, 120, 99_000, 98_999, 98_999]
+        naturals = timestamp_naturals(times, 50)
+        assert naturals == [50, 100, 59, 197_760, 1, 0]
         for k in range(2, 8):
             w = BitWriter()
             encode_node_timestamps(w, times, None, 50, k)
-            assert len(w) == encoded_timestamp_bits(times, None, 50, k)
+            assert len(w) == codes.size_many_zeta_natural(naturals, k)
+            assert len(w) == sum(codes.zeta_length(n + 1, k) for n in naturals)
 
     def test_size_estimator_with_durations(self):
         times = [10, 20]
         durs = [3, 700]
         w = BitWriter()
         encode_node_timestamps(w, times, durs, 0, 3)
-        assert len(w) == encoded_timestamp_bits(times, durs, 0, 3)
+        assert len(w) == (
+            codes.size_many_zeta_natural(timestamp_naturals(times, 0), 3)
+            + codes.size_many_zeta_natural(durs, 3)
+        )
 
     @given(
         st.lists(st.integers(0, 10**9), max_size=60),

@@ -12,7 +12,7 @@ import hashlib
 
 import pytest
 
-from repro.core import compress
+from repro.core import ChronoGraphConfig, compress, compress_parallel
 from repro.core.serialize import dumps_compressed
 from repro.datasets import registry
 
@@ -31,3 +31,63 @@ DIGESTS = {
 def test_compressed_bytes_match_pinned_digest(name):
     blob = dumps_compressed(compress(registry.load(name)))
     assert hashlib.sha256(blob).hexdigest() == DIGESTS[name]
+
+
+#: Encoder configurations the default-config digests never reach: the k = 1
+#: zeta code, no reference candidates, unbounded reference chains, gamma-
+#: coded timestamps and durations, and time aggregation.
+CONFIGS = {
+    "structure_zeta_k=1": ChronoGraphConfig(structure_zeta_k=1),
+    "window=0": ChronoGraphConfig(window=0),
+    "max_ref_chain=None": ChronoGraphConfig(max_ref_chain=None),
+    "timestamp_zeta_k=1,duration_zeta_k=1": ChronoGraphConfig(
+        timestamp_zeta_k=1, duration_zeta_k=1
+    ),
+    "resolution=60": ChronoGraphConfig(resolution=60),
+}
+
+#: sha256 of ``dumps_compressed(compress(registry.load(name), config))`` for
+#: a point corpus and an interval corpus under every config above.
+CONFIG_DIGESTS = {
+    "wiki-edit": {
+        "structure_zeta_k=1":
+            "97bda9a2fd47b19975369599e08ab76322d8fb3cb7355a7541e4e88417b95294",
+        "window=0":
+            "85280dd08b210b353099511ddcd91bee0da8af9be5633332506e8f851363f719",
+        "max_ref_chain=None":
+            "7aa2d90c2556774f6136b86a2548872f5fa762466cc1fa35c04e949c3752ea56",
+        "timestamp_zeta_k=1,duration_zeta_k=1":
+            "9a2b045eb23fd31554a6b241a3f1b95594f01cc1e9f24bd0fd3f46249f26e9a9",
+        "resolution=60":
+            "76b69811f0efb8f741abf0d4afe2b1df58860316c017c0142f2703de455ccba4",
+    },
+    "comm-net": {
+        "structure_zeta_k=1":
+            "f34a029f2f7a778055819549fe80b9e3d2c18eca38ef8f8565e5bd568e96544a",
+        "window=0":
+            "132505173ba953cd4bb3e05a5131e5a9ad99639924d3b94e8d127ca44a42c4af",
+        "max_ref_chain=None":
+            "a1f9d80e3fdb49e87ec08899615604fe4354c11ca3784e3ba7dae5f70663c1b4",
+        "timestamp_zeta_k=1,duration_zeta_k=1":
+            "4a3136be04f688571972d1f1422a63518e834fd7f932d67ba7df6bbaeda01c3d",
+        "resolution=60":
+            "7e9c7f3c501aaaf846f8e2320e68101c4c3b0a703d415004502aba9f1a1eb406",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def config_corpora():
+    return {name: registry.load(name) for name in CONFIG_DIGESTS}
+
+
+@pytest.mark.parametrize(
+    "name, label",
+    [(name, label) for name in sorted(CONFIG_DIGESTS) for label in CONFIGS],
+)
+def test_config_bytes_match_pinned_digest(config_corpora, name, label):
+    graph = config_corpora[name]
+    blob = dumps_compressed(compress(graph, CONFIGS[label]))
+    assert hashlib.sha256(blob).hexdigest() == CONFIG_DIGESTS[name][label]
+    parallel = dumps_compressed(compress_parallel(graph, CONFIGS[label], workers=2))
+    assert parallel == blob

@@ -8,9 +8,15 @@ exception class name and its ``retry_after`` hint, never as silently
 wrong or truncated answers.
 """
 
+import os
+import pathlib
 import random
+import select
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -219,6 +225,49 @@ class TestLifecycle:
         svc.stop()
         with pytest.raises(OSError):
             socket.create_connection((host, port), timeout=2)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="forked workers only")
+    def test_sigterm_stops_supervisor_and_joins_workers(self, container, tmp_path):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        # stderr goes to a file: an orphaned worker would hold a pipe open.
+        log = tmp_path / "serve.err"
+        with open(log, "wb") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", str(container),
+                 "--workers", "1", "--port", "0"],
+                stdout=subprocess.PIPE,
+                stderr=err,
+                text=True,
+                env=env,
+            )
+        worker = None
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 30)
+            assert ready, "serve printed no address within 30 s"
+            banner = proc.stdout.readline()
+            url = next(word for word in banner.split() if word.startswith("tcp://"))
+            with ServiceClient.from_url(url) as client:
+                worker = client.stats()["pid"]
+            assert worker != proc.pid
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0, log.read_text()
+            # The supervisor joined its worker: nothing is left serving.
+            with pytest.raises(ProcessLookupError):
+                os.kill(worker, 0)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            if worker is not None:
+                try:  # never leave an orphaned worker behind a failure
+                    os.kill(worker, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
     def test_from_url_validation(self):
         from repro.errors import DomainError

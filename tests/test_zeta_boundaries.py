@@ -23,7 +23,7 @@ import pytest
 from repro.bits import codes
 from repro.bits.bitio import BitReader, BitWriter
 from repro.core import compress
-from repro.core.timestamps import encode_node_timestamps, encoded_timestamp_bits
+from repro.core.timestamps import encode_node_timestamps, timestamp_naturals
 from repro.graph.builders import graph_from_contacts
 from repro.graph.model import GraphKind
 
@@ -148,7 +148,11 @@ class TestTimestampCallSites:
             t_min = min(times)
             w = BitWriter()
             encode_node_timestamps(w, times, None, t_min, k, k)
-            assert len(w) == encoded_timestamp_bits(times, None, t_min, k)
+            naturals = timestamp_naturals(times, t_min)
+            assert len(w) == sum(
+                codes.zeta_length_from_bits((n + 1).bit_length(), k)
+                for n in naturals
+            )
 
     def test_aggregation_collapsed_timestamps_round_trip(self):
         # resolution=10 buckets 101..109 into one unit: repeated equal
