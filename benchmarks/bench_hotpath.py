@@ -2,9 +2,10 @@
 """Hot-path benchmark harness tracking decode/query latency over time.
 
 Times the operations the paper's Table V cares about -- single-node decode,
-``neighbors``, ``has_edge`` and full-graph passes -- on the two synthetic
-datasets, and writes ``BENCH_hotpath.json`` at the repository root so every
-PR has a perf trajectory to defend.
+``neighbors`` (bare, and governed by a fresh ``QueryContext`` per call as
+``repro serve`` runs it), ``has_edge`` and full-graph passes -- on the two
+synthetic datasets, and writes ``BENCH_hotpath.json`` at the repository
+root so every change has a perf trajectory to defend.
 
 Usage::
 
@@ -45,6 +46,7 @@ from repro.bits import codes, kernels  # noqa: E402
 from repro.bits.bitio import BitReader, BitWriter  # noqa: E402
 from repro.core import compress  # noqa: E402
 from repro.datasets.synthetic import comm_net, powerlaw_graph  # noqa: E402
+from repro.runtime import Governor, QueryContext  # noqa: E402
 from repro.storage.atomic import atomic_write_text  # noqa: E402
 
 SCHEMA = "chronograph-bench-hotpath/v1"
@@ -56,6 +58,7 @@ GATED_OPS_SUFFIXES = (
     "decode_node_cold",
     "decode_node_warm",
     "neighbors",
+    "neighbors_governed",
     "has_edge",
     "snapshot_full",
     "to_static_graph",
@@ -343,6 +346,7 @@ def run_benchmarks(quick: bool) -> Dict[str, object]:
     iters = 5 if quick else 7
     batch = 32 if quick else 64
     results: Dict[str, Dict[str, float]] = {}
+    governor = Governor()
 
     for name, graph in sorted(_datasets(quick).items()):
         cg = compress(graph)
@@ -380,6 +384,15 @@ def run_benchmarks(quick: bool) -> Dict[str, object]:
                 total += len(cg.neighbors(u, a, b))
             return total
 
+        def neighbors_governed() -> int:
+            # The served path: a fresh deadline-and-governor envelope per
+            # query, admitted, activated and released around each call.
+            total = 0
+            for u, (a, b) in zip(nodes, windows):
+                ctx = QueryContext(timeout=30.0, governor=governor)
+                total += len(cg.neighbors(u, a, b, ctx=ctx))
+            return total
+
         def has_edge() -> int:
             total = 0
             for (u, v), (a, b) in zip(edge_queries, windows):
@@ -404,6 +417,9 @@ def run_benchmarks(quick: bool) -> Dict[str, object]:
         results[f"{name}/decode_node_cold"] = _time_op(decode_cold, iters, batch)
         results[f"{name}/decode_node_warm"] = _time_op(decode_warm, iters, batch)
         results[f"{name}/neighbors"] = _time_op(neighbors, iters, batch)
+        results[f"{name}/neighbors_governed"] = _time_op(
+            neighbors_governed, iters, batch
+        )
         results[f"{name}/has_edge"] = _time_op(has_edge, iters, batch)
         results[f"{name}/snapshot_full"] = _time_op(snapshot_full, iters, 1)
         results[f"{name}/to_static_graph"] = _time_op(to_static, iters, 1)

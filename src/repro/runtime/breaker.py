@@ -65,6 +65,19 @@ class CircuitBreaker:
     All transitions happen under an internal lock; :meth:`allow` is the
     only method that moves time forward (open -> half-open when the
     backoff has elapsed), so health snapshots never mutate state.
+
+    The healthy path is lock-free.  A closed breaker answers
+    :meth:`allow` from one unlocked load of its state, and
+    :meth:`record_success` on a breaker with zero consecutive failures
+    returns after one unlocked load of that count.  Both are safe
+    because each is a single attribute read (atomic under the GIL) whose
+    locked counterpart would not write anything: a closed ``allow()``
+    only returns ``True``, and zero consecutive failures means the
+    breaker is closed and fully reset -- the count is only ever zeroed by
+    a success, which closes and resets first, and every path away from
+    that state (a failure, a trip, a probe) starts by counting a
+    failure.  A transition racing either read is ordered after it, as it
+    would be after the locked call.
     """
 
     def __init__(
@@ -123,6 +136,8 @@ class CircuitBreaker:
         the attempt's outcome via :meth:`record_success` /
         :meth:`record_failure`.
         """
+        if self._state == STATE_CLOSED:  # lock-free: see the class docstring
+            return True
         with self._lock:
             state = self._state
             if state == STATE_CLOSED:
@@ -141,6 +156,8 @@ class CircuitBreaker:
 
     def record_success(self) -> None:
         """Report a successful query of the part: close and reset."""
+        if self._consecutive == 0:  # already closed and reset: class docstring
+            return
         with self._lock:
             self._state = STATE_CLOSED
             self._consecutive = 0
@@ -235,7 +252,14 @@ class BreakerBoard:
         self._lock = threading.Lock()
 
     def get(self, name: str) -> CircuitBreaker:
-        """The breaker for ``name``, created (closed) on first use."""
+        """The breaker for ``name``, created (closed) on first use.
+
+        An existing breaker is returned from one unlocked dict lookup
+        (breakers are never removed); only creation takes the board lock.
+        """
+        breaker = self._breakers.get(name)
+        if breaker is not None:
+            return breaker
         with self._lock:
             breaker = self._breakers.get(name)
             if breaker is None:

@@ -29,13 +29,11 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
     ContextManager,
-    Iterator,
     List,
     Optional,
     Tuple,
@@ -72,20 +70,23 @@ class Deadline:
     """A wall-clock budget measured against an injectable monotonic clock.
 
     ``Deadline(0.1)`` expires 100 ms after construction.  ``remaining()``
-    may go negative; ``expired()`` is the boolean the checkpoints consult.
+    may go negative; ``expired()`` is the boolean the checkpoints consult:
+    ``clock() >= expiry``, one clock read against the instant fixed at
+    construction (:meth:`QueryContext.checkpoint` applies the same test).
     """
 
-    __slots__ = ("budget", "_clock", "_started")
+    __slots__ = ("budget", "expiry", "_clock", "_started")
 
     def __init__(
         self, seconds: float, *, clock: Callable[[], float] = time.monotonic
     ) -> None:
         """Start a budget of ``seconds`` on ``clock`` (monotonic seconds)."""
-        if seconds < 0:
+        if not seconds >= 0:  # also refuses NaN, which would never expire
             raise DomainError(f"deadline budget must be >= 0, got {seconds}")
         self.budget = float(seconds)
         self._clock = clock
         self._started = clock()
+        self.expiry = self._started + self.budget
 
     def elapsed(self) -> float:
         """Seconds consumed since the deadline started."""
@@ -97,7 +98,7 @@ class Deadline:
 
     def expired(self) -> bool:
         """Whether the budget has been fully consumed."""
-        return self.elapsed() >= self.budget
+        return self._clock() >= self.expiry
 
     def __repr__(self) -> str:
         """Budget and remaining time, for logs and test failures."""
@@ -225,13 +226,16 @@ class QueryContext:
                     spent=self._work,
                 )
         deadline = self.deadline
-        if deadline is not None and deadline.expired():
-            raise QueryTimeout(
-                f"query deadline of {deadline.budget:.6g}s exceeded "
-                f"after {deadline.elapsed():.6g}s",
-                budget=deadline.budget,
-                elapsed=deadline.elapsed(),
-            )
+        if deadline is not None:
+            now = deadline._clock()
+            if now >= deadline.expiry:  # Deadline.expired(), minus a call
+                elapsed = now - deadline._started
+                raise QueryTimeout(
+                    f"query deadline of {deadline.budget:.6g}s exceeded "
+                    f"after {elapsed:.6g}s",
+                    budget=deadline.budget,
+                    elapsed=elapsed,
+                )
 
     # -- partial-answer annotations -----------------------------------
 
@@ -288,7 +292,8 @@ def resolve_context(ctx: Optional[QueryContext]) -> Optional[QueryContext]:
 
 
 class _NullScope:
-    """The shared no-op scope behind ``activate(None)``/``query_scope(None)``.
+    """The shared no-op scope behind ``activate(None)``, ``query_scope(None)``
+    and nested query scopes (see :func:`query_scope`).
 
     A plain class, not a ``contextmanager`` generator: the un-governed
     query path enters one of these per call, and a generator frame costs
@@ -371,49 +376,71 @@ def activate(ctx: Optional[QueryContext]) -> ContextManager[Optional[QueryContex
     return _Activation(ctx)
 
 
-@contextmanager
-def _admission(ctx: QueryContext) -> Iterator[None]:
-    """Hold a governor admission slot for the outermost query scope.
+class _QueryScope(_Activation):
+    """The governed arm of :func:`query_scope`: poll, admit, activate.
 
-    Re-entrant per context: the first scope to see the context acquires
-    the slot, nested scopes (segment parts, parallel partitions) ride
-    along without double-counting.
+    A plain class for the same reason as :class:`_NullScope`.  Admission
+    is re-entrant per context: the first scope to see an un-admitted
+    context takes the governor slot (plain acquire/release, no generator)
+    and gives it back on exit; scopes nested under it ride along.
     """
-    governor = ctx.governor
-    if governor is None or ctx._admitted:
-        yield
-        return
-    with governor.admit(tenant=ctx.tenant):
-        ctx._admitted = True
-        try:
-            yield
-        finally:
-            ctx._admitted = False
+
+    __slots__ = ("_governor",)
+
+    def __init__(self, ctx: QueryContext) -> None:
+        self._ctx = ctx
+        self._prev = None
+        self._governor: Optional[Any] = None
+
+    def __enter__(self) -> QueryContext:
+        """Poll, take the admission slot if nobody holds one, activate."""
+        ctx = self._ctx
+        ctx.checkpoint()
+        governor = ctx.governor
+        if governor is not None and not ctx._admitted:
+            governor.acquire(tenant=ctx.tenant)
+            ctx._admitted = True
+            self._governor = governor
+        return _Activation.__enter__(self)
+
+    def __exit__(self, *exc: object) -> bool:
+        """Deactivate, then release the slot this scope took; never swallows."""
+        _Activation.__exit__(self)
+        governor = self._governor
+        if governor is not None:
+            self._ctx._admitted = False
+            governor.release()
+        return False
 
 
 def query_scope(ctx: Optional[QueryContext]) -> ContextManager[Optional[QueryContext]]:
     """Enter a query under ``ctx``: admission, activation, entry poll.
 
-    The single helper every query entry point wraps its body in.  ``None``
-    is the near-zero-overhead path (a shared no-op scope: no clock read,
-    no thread-local write, no generator frame).  Otherwise: poll once up
-    front (an already-expired deadline fails before any decode work),
-    acquire the governor slot if the context carries one (outermost scope
-    only, so nested part queries never double-admit), and activate the
-    context so the decode layer's checkpoint hook sees it.
+    The single helper every query entry point wraps its body in, so a
+    query pays for its envelope once per request:
+
+    * ``None`` is the near-zero-overhead path (a shared no-op scope: no
+      clock read, no thread-local write, no object allocated).
+    * A context that is already this thread's active one and needs no
+      admission (it is admitted, or carries no governor) is a *nested*
+      query -- a segment part, a batch entry.  It only polls, so a
+      deadline, cancel or budget that fired since the last poll still
+      raises at this entry, and then gets the shared no-op scope, whose
+      ``as`` target is ``None``.
+    * Otherwise the scope polls once up front (an already-expired
+      deadline fails before any decode work), acquires the governor slot
+      if the context carries one and no enclosing scope holds it, and
+      activates the context so the decode layer's checkpoint hook sees
+      it; exit undoes all of it.  Its ``as`` target is ``ctx``.
     """
     if ctx is None:
         return _NULL_SCOPE
-    return _active_scope(ctx)
-
-
-@contextmanager
-def _active_scope(ctx: QueryContext) -> Iterator[QueryContext]:
-    """The governed arm of :func:`query_scope`: poll, admit, activate."""
-    ctx.checkpoint()
-    with _admission(ctx):
-        with activate(ctx):
-            yield ctx
+    if getattr(_active, "ctx", None) is ctx and (
+        ctx._admitted or ctx.governor is None
+    ):
+        ctx.checkpoint()
+        return _NULL_SCOPE
+    return _QueryScope(ctx)
 
 
 def checkpoint_ambient(work: int = 0) -> None:

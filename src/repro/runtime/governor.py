@@ -11,10 +11,10 @@ submit to instead of each spinning up an unbounded pool per call.
 A query opts in by carrying a governor on its
 :class:`repro.runtime.context.QueryContext`; admission is taken once per
 context at the outermost :func:`repro.runtime.context.query_scope`, so
-segmented queries fanning out over parts never double-count.  The batch
-paths always use the (default) governor's pool for their fan-out, even
-without a context, so a process can no longer accumulate one transient
-pool per in-flight batch call.
+segmented queries fanning out over parts (and batches over their
+entries) never double-count.  The batch paths always use the (default)
+governor's pool for their fan-out, even without a context, so a process
+can no longer accumulate one transient pool per in-flight batch call.
 
 Clocks are injectable throughout so token-bucket refill and retry-after
 hints are testable without sleeping.
@@ -176,17 +176,14 @@ class Governor:
         )
         raise exc
 
-    @contextmanager
-    def admit(
-        self, *, tenant: Optional[str] = None, cost: float = 1.0
-    ) -> Iterator[None]:
-        """Hold one admission slot for the duration of the block.
+    def acquire(self, *, tenant: Optional[str] = None, cost: float = 1.0) -> None:
+        """Take one admission slot, or shed the query.
 
         Raises :class:`repro.errors.RejectedError` -- with ``reason``
         ``"concurrency"`` (cap reached; ``retry_after`` is the configured
         hint) or ``"tenant-tokens"`` (budget empty; ``retry_after`` is
-        the exact refill time) -- instead of queueing.  On success the
-        slot is released when the block exits, however it exits.
+        the exact refill time) -- instead of queueing.  Every successful
+        call must be paired with exactly one :meth:`release`.
         """
         with self._lock:
             if self._in_flight >= self.max_concurrent:
@@ -227,11 +224,30 @@ class Governor:
             self._admitted += 1
             if self._in_flight > self._peak_in_flight:
                 self._peak_in_flight = self._in_flight
+
+    def release(self) -> None:
+        """Give back a slot taken by :meth:`acquire`."""
+        with self._lock:
+            self._in_flight -= 1
+
+    @contextmanager
+    def admit(
+        self, *, tenant: Optional[str] = None, cost: float = 1.0
+    ) -> Iterator[None]:
+        """Hold one admission slot for the duration of the block.
+
+        A thin wrapper over :meth:`acquire` and :meth:`release`: sheds
+        with :class:`repro.errors.RejectedError` exactly as
+        :meth:`acquire` does, and on success releases the slot when the
+        block exits, however it exits.  The query plane's
+        :func:`repro.runtime.context.query_scope` calls the two methods
+        directly, skipping this generator frame on every governed query.
+        """
+        self.acquire(tenant=tenant, cost=cost)
         try:
             yield
         finally:
-            with self._lock:
-                self._in_flight -= 1
+            self.release()
 
     # -- the shared bounded pool --------------------------------------
 

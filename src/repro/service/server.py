@@ -24,6 +24,7 @@ one process -- same protocol, same semantics, no page-cache claim.
 from __future__ import annotations
 
 import dataclasses
+import math
 import multiprocessing
 import os
 import signal
@@ -82,13 +83,27 @@ def open_query_target(path: str, *, mmap: bool = True):
 
 # -- request handling (runs inside a worker) --------------------------------
 
-def _int_list(values: Any, what: str) -> List[int]:
-    if not isinstance(values, list):
-        raise ProtocolError(f"{what} must be a list")
-    try:
-        return [int(v) for v in values]
-    except (TypeError, ValueError):
-        raise ProtocolError(f"{what} must hold integers") from None
+def _is_number(value: Any) -> bool:
+    """Whether ``value`` is a JSON number (``true``/``false`` are not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _int_list(values: Any, what: str, arity: int) -> List[int]:
+    """``values`` as exactly ``arity`` integers, or a :class:`ProtocolError`.
+
+    Elements must be integral JSON numbers: ``2.0`` reads as ``2``, but
+    ``2.7``, ``true`` and ``"2"`` are refused rather than coerced.
+    """
+    if not isinstance(values, list) or len(values) != arity:
+        raise ProtocolError(f"{what} must be a list of {arity} integers")
+    out: List[int] = []
+    for value in values:
+        if not _is_number(value) or (
+            isinstance(value, float) and not value.is_integer()
+        ):
+            raise ProtocolError(f"{what} must hold integers")
+        out.append(int(value))
+    return out
 
 
 def _build_context(
@@ -97,10 +112,15 @@ def _build_context(
     timeout: Optional[float] = None
     timeout_ms = request.get("timeout_ms")
     if timeout_ms is not None:
+        # json.loads accepts NaN and Infinity, and min(nan, cap) is nan: a
+        # deadline that would never expire.
         try:
-            timeout = min(float(timeout_ms) / 1000.0, config.max_timeout)
-        except (TypeError, ValueError):
-            raise ProtocolError("timeout_ms must be a number") from None
+            finite = _is_number(timeout_ms) and math.isfinite(timeout_ms)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise ProtocolError("timeout_ms must be a finite number")
+        timeout = min(timeout_ms / 1000.0, config.max_timeout)
         if timeout <= 0:
             raise ProtocolError("timeout_ms must be positive")
     tenant = request.get("tenant")
@@ -116,25 +136,22 @@ def _build_context(
 
 def _dispatch(graph, op: str, params: Dict[str, Any], ctx: QueryContext):
     if op == "neighbors":
-        u, t1, t2 = _int_list(params.get("args"), "args")
+        u, t1, t2 = _int_list(params.get("args"), "args", 3)
         return graph.neighbors(u, t1, t2, ctx=ctx)
     if op == "neighbors_many":
         queries = params.get("queries")
         if not isinstance(queries, list):
             raise ProtocolError("queries must be a list of [u, t1, t2]")
-        triples = [tuple(_int_list(q, "query")) for q in queries]
-        for t in triples:
-            if len(t) != 3:
-                raise ProtocolError("each query must be [u, t1, t2]")
+        triples = [tuple(_int_list(q, "each query", 3)) for q in queries]
         return graph.neighbors_many(triples, ctx=ctx)
     if op == "has_edge":
-        u, v, t1, t2 = _int_list(params.get("args"), "args")
+        u, v, t1, t2 = _int_list(params.get("args"), "args", 4)
         return graph.has_edge(u, v, t1, t2, ctx=ctx)
     if op == "snapshot":
-        t1, t2 = _int_list(params.get("args"), "args")
+        t1, t2 = _int_list(params.get("args"), "args", 2)
         return [[u, v] for u, v in graph.snapshot(t1, t2, ctx=ctx)]
     if op == "edge_timestamps":
-        u, v = _int_list(params.get("args"), "args")
+        u, v = _int_list(params.get("args"), "args", 2)
         return graph.edge_timestamps(u, v, ctx=ctx)
     raise ProtocolError(f"unknown op {op!r}")
 

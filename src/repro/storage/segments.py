@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import struct
@@ -195,6 +196,20 @@ class SegmentInfo:
     t_max: int
     t_end_max: int
 
+    def activity_bounds(self, kind: GraphKind) -> Tuple[int, float]:
+        """First and last instant any contact of this segment can be active.
+
+        Every contact is active at some instant of ``[lo, hi]`` or never:
+        point contacts at ``t``, interval contacts on ``[t, t + d)`` (so up
+        to ``t_end_max - 1``), incremental edges from ``t`` on forever
+        (``hi`` is infinite).  These bounds are the whole query planner.
+        """
+        if kind is GraphKind.INCREMENTAL:
+            return self.t_min, math.inf
+        if kind is GraphKind.INTERVAL:
+            return self.t_min, self.t_end_max - 1
+        return self.t_min, self.t_max
+
     def overlaps(self, kind: GraphKind, t_start: int, t_end: int) -> bool:
         """Whether any contact of this segment can be active in the window.
 
@@ -202,16 +217,8 @@ class SegmentInfo:
         active contact for any graph kind's activity predicate (FORMAT.md,
         "Query window semantics"); a segment it accepts is simply queried.
         """
-        if t_end < t_start:
-            return False
-        if self.t_min > t_end:
-            # point: t in window; interval/incremental: t <= t_end.
-            return False
-        if kind is GraphKind.INCREMENTAL:
-            return True  # edges persist once created
-        if kind is GraphKind.INTERVAL:
-            return self.t_end_max > t_start  # active on [t, t + d)
-        return self.t_max >= t_start
+        lo, hi = self.activity_bounds(kind)
+        return t_start <= t_end and lo <= t_end and t_start <= hi
 
     def to_json(self) -> Dict[str, int]:
         """Plain-dict form for the manifest payload."""
@@ -612,6 +619,15 @@ class SegmentedChronoGraph:
         self._segments = segments
         self._tail = tail
         self._breakers = breakers
+        # The view never changes, so its size and each segment's activity
+        # bounds (the planner's whole input) are computed once, here.
+        self._num_nodes = max(
+            [tail.num_nodes] + [info.nodes for info, _graph in segments]
+        )
+        self._bounds = tuple(
+            (info, graph) + info.activity_bounds(kind)
+            for info, graph in segments
+        )
 
     # -- size ----------------------------------------------------------------
 
@@ -623,10 +639,7 @@ class SegmentedChronoGraph:
     @property
     def num_nodes(self) -> int:
         """One past the highest node label any part knows about."""
-        n = self._tail.num_nodes
-        for info, _graph in self._segments:
-            n = max(n, info.nodes)
-        return n
+        return self._num_nodes
 
     @property
     def num_contacts(self) -> int:
@@ -645,17 +658,15 @@ class SegmentedChronoGraph:
         return kernels.kernel_info()
 
     def plan(self, t_start: int, t_end: int) -> List[SegmentInfo]:
-        """The segments a window query must consult, in seal order."""
-        kind = self.kind
+        """The segments a window query must consult, in seal order.
+
+        Exactly the segments whose :meth:`SegmentInfo.overlaps` holds.
+        """
         return [
             info
-            for info, _graph in self._segments
-            if info.overlaps(kind, t_start, t_end)
+            for info, _graph, lo, hi in self._bounds
+            if t_start <= t_end and lo <= t_end and t_start <= hi
         ]
-
-    def _parts(self, t_start: int, t_end: int) -> List["object"]:
-        """Graphs to consult for a window: planned segments plus the tail."""
-        return [graph for _name, graph in self._named_parts(t_start, t_end)]
 
     def _named_parts(
         self, t_start: int, t_end: int
@@ -665,24 +676,23 @@ class SegmentedChronoGraph:
         The tail's name is ``None`` -- the marker :meth:`_query_part` uses
         to exempt it from breaker consultation.
         """
-        kind = self.kind
         parts: List[Tuple[Optional[str], object]] = [
             (info.name, graph)
-            for info, graph in self._segments
-            if info.overlaps(kind, t_start, t_end)
+            for info, graph, lo, hi in self._bounds
+            if t_start <= t_end and lo <= t_end and t_start <= hi
         ]
         parts.append((None, self._tail))
         return parts
 
     def _check_node(self, u: int) -> None:
-        n = self.num_nodes
+        n = self._num_nodes
         if not 0 <= u < n:
             raise GraphDomainError(f"node {u} outside [0, {n})")
 
     # -- breaker-guarded part execution --------------------------------------
 
-    def _query_part(self, name, ctx, run):
-        """Run one part's sub-query under its circuit breaker, if any.
+    def _query_part(self, name, ctx, fn, *args):
+        """Run ``fn(*args, ctx=ctx)`` under part ``name``'s circuit breaker.
 
         Returns the sub-query's result, or the module sentinel
         ``_PART_SKIPPED`` when the part was skipped (breaker open, or the
@@ -693,6 +703,12 @@ class SegmentedChronoGraph:
         failure -- the deadline blew while inside this part, so the stall
         is attributed to it -- but always propagates, because the query's
         envelope is violated regardless of which part consumed it.
+
+        A segment part's entry poll happens here, inside that accounting,
+        so a deadline, cancel or budget that fired since the previous
+        part is charged to this part's breaker whatever ``fn`` does with
+        ``ctx`` (a compressed segment polls once more on its own entry).
+        The in-memory tail is never polled, as it is never breakered.
         """
         board = self._breakers
         breaker = (
@@ -705,7 +721,9 @@ class SegmentedChronoGraph:
             )
             return _PART_SKIPPED
         try:
-            result = run()
+            if ctx is not None and name is not None:
+                ctx.checkpoint()
+            result = fn(*args, ctx=ctx)
         except QueryInterrupted as exc:
             if breaker is not None:
                 breaker.record_failure(f"{type(exc).__name__}: {exc}")
@@ -764,9 +782,7 @@ class SegmentedChronoGraph:
                 if u >= graph.num_nodes:
                     continue
                 part = self._query_part(
-                    name,
-                    ctx,
-                    lambda g=graph: g.neighbors(u, t_start, t_end, ctx=ctx),
+                    name, ctx, graph.neighbors, u, t_start, t_end
                 )
                 if part is not _PART_SKIPPED:
                     out.update(part)
@@ -798,9 +814,7 @@ class SegmentedChronoGraph:
                 if u >= graph.num_nodes:
                     continue
                 part = self._query_part(
-                    name,
-                    ctx,
-                    lambda g=graph: g.has_edge(u, v, t_start, t_end, ctx=ctx),
+                    name, ctx, graph.has_edge, u, v, t_start, t_end
                 )
                 if part is not _PART_SKIPPED and part:
                     return True
@@ -816,9 +830,7 @@ class SegmentedChronoGraph:
             for info, graph in self._segments:
                 if u >= graph.num_nodes:
                     continue
-                part = self._query_part(
-                    info.name, ctx, lambda g=graph: g.contacts_of(u, ctx=ctx)
-                )
+                part = self._query_part(info.name, ctx, graph.contacts_of, u)
                 if part is not _PART_SKIPPED:
                     rows.extend(part)
             if u < self._tail.num_nodes:
@@ -837,9 +849,7 @@ class SegmentedChronoGraph:
                 if u >= graph.num_nodes:
                     continue
                 part = self._query_part(
-                    info.name,
-                    ctx,
-                    lambda g=graph: g.edge_timestamps(u, v, ctx=ctx),
+                    info.name, ctx, graph.edge_timestamps, u, v
                 )
                 if part is not _PART_SKIPPED:
                     times.extend(part)
@@ -860,7 +870,7 @@ class SegmentedChronoGraph:
         with query_scope(ctx):
             for name, graph in self._named_parts(t_start, t_end):
                 part = self._query_part(
-                    name, ctx, lambda g=graph: g.snapshot(t_start, t_end, ctx=ctx)
+                    name, ctx, graph.snapshot, t_start, t_end
                 )
                 if part is _PART_SKIPPED:
                     continue

@@ -8,9 +8,11 @@ load shedding, per-part circuit breakers on an injectable clock, and the
 """
 
 import os
+import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bits import kernels
 from repro.core import compress
@@ -23,7 +25,7 @@ from repro.errors import (
     RejectedError,
 )
 from repro.graph.builders import graph_from_contacts
-from repro.graph.model import GraphKind
+from repro.graph.model import Contact, GraphKind
 from repro.runtime import (
     BreakerBoard,
     CircuitBreaker,
@@ -38,8 +40,14 @@ from repro.runtime import (
     resolve_context,
     set_default_governor,
 )
+from repro.runtime.breaker import STATE_CLOSED, STATE_HALF_OPEN, STATE_OPEN
 from repro.storage.atomic import RetryPolicy
-from repro.storage.segments import BackpressureError
+from repro.storage.segments import (
+    BackpressureError,
+    SegmentedChronoGraph,
+    SegmentStore,
+    StorePolicy,
+)
 from repro.testing.faults import StepClock
 
 
@@ -51,10 +59,48 @@ def _graph(contacts=200, nodes=16):
     return compress(graph_from_contacts(GraphKind.POINT, rows, num_nodes=nodes))
 
 
+def _segmented_store(tmp_path, segments=4):
+    """A point store of ``segments`` sealed segments over disjoint windows
+    (node 0 in each, times ``100 * base + {0, 1}``) plus a one-contact tail."""
+    policy = StorePolicy(
+        seal_contacts=10, max_segments=16, backpressure_contacts=200
+    )
+    store = SegmentStore.create(tmp_path / "s", GraphKind.POINT, policy=policy)
+    for base in range(segments):
+        store.ingest(
+            [
+                Contact(u, (u + 1 + base) % 12, base * 100 + t, 0)
+                for t in range(2)
+                for u in range(5)
+            ]
+        )
+    store.ingest([Contact(0, 11, 450, 0)])
+    assert store.graph.segment_count == segments and store.tail_size == 1
+    return store
+
+
+class _AnswerThenStall:
+    """A query part that answers ``neighbors``, then moves the clock on."""
+
+    def __init__(self, inner, clock, seconds):
+        self._inner = inner
+        self._clock = clock
+        self._seconds = seconds
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def neighbors(self, *args, **kwargs):
+        out = self._inner.neighbors(*args, **kwargs)
+        self._clock.advance(self._seconds)
+        return out
+
+
 class TestDeadline:
     def test_expiry_on_injected_clock(self):
         clock = StepClock()
         d = Deadline(0.1, clock=clock)
+        assert d.expiry == 0.1  # the instant is fixed at construction
         assert not d.expired()
         assert d.remaining() == pytest.approx(0.1)
         clock.advance(0.09)
@@ -67,6 +113,14 @@ class TestDeadline:
     def test_negative_budget_rejected(self):
         with pytest.raises(DomainError):
             Deadline(-1.0)
+
+    def test_nan_budget_rejected(self):
+        # A NaN budget would compare false forever: a deadline that never
+        # expires.
+        with pytest.raises(DomainError):
+            Deadline(float("nan"))
+        with pytest.raises(DomainError):
+            QueryContext(timeout=float("nan"))
 
 
 class TestQueryContext:
@@ -145,6 +199,25 @@ class TestAmbientActivation:
         with pytest.raises(QueryTimeout):
             with query_scope(ctx):
                 pytest.fail("expired context must not enter the scope")
+
+    def test_nested_scope_only_polls(self):
+        clock = StepClock()
+        gov = Governor(max_concurrent=1)
+        ctx = QueryContext(timeout=0.1, clock=clock, governor=gov)
+        with query_scope(ctx) as outer:
+            assert outer is ctx and current_context() is ctx
+            # Already active and admitted: no second admission (the cap
+            # of one would shed it), and the shared no-op scope yields None.
+            with query_scope(ctx) as inner:
+                assert inner is None
+            clock.advance(1.0)
+            with pytest.raises(QueryTimeout):
+                with query_scope(ctx):
+                    pytest.fail("a nested scope still polls on entry")
+            assert current_context() is ctx
+        assert current_context() is None
+        assert gov.stats()["admitted"] == 1 and gov.stats()["in_flight"] == 0
+        assert kernels.get_checkpoint_hook() is None
 
     def test_workers_do_not_inherit_ambient_context(self):
         seen = []
@@ -328,7 +401,7 @@ class TestGovernor:
         finally:
             set_default_governor(previous)
 
-    def test_batch_queries_use_governor_and_admit_once(self):
+    def test_batch_queries_use_governor_and_admit_once(self, tmp_path):
         graph = _graph()
         gov = Governor(max_concurrent=1, max_workers=2)
         try:
@@ -344,6 +417,125 @@ class TestGovernor:
             assert par == graph.snapshot(0, 500)
         finally:
             gov.shutdown()
+        # A store query fans out over planned segments and a batch over
+        # its entries; each must still be one admission -- under a cap of
+        # one, any nested admission would have shed.
+        store = _segmented_store(tmp_path)
+        view = store.graph
+        gov = Governor(max_concurrent=1, max_workers=2)
+        calls = [
+            ("neighbors", (0, 0, 500)),
+            ("has_edge", (0, 2, 0, 500)),
+            ("edge_timestamps", (0, 3)),
+            ("contacts_of", (0,)),
+            ("snapshot", (0, 500)),
+            ("neighbors_many", ([(u % 12, 0, 500) for u in range(16)],)),
+        ]
+        try:
+            for op, args in calls:
+                fn = getattr(view, op)
+                want = fn(*args)
+                admitted = gov.stats()["admitted"]
+                ctx = QueryContext(timeout=30.0, governor=gov)
+                assert fn(*args, ctx=ctx) == want, op
+                assert gov.stats()["admitted"] == admitted + 1, op
+            stats = gov.stats()
+            assert stats["rejected"] == 0 and stats["in_flight"] == 0
+            assert kernels.get_checkpoint_hook() is None
+            assert current_context() is None
+        finally:
+            gov.shutdown()
+            store.close()
+
+    def test_concurrent_governed_store_queries_pair_everything(self, tmp_path):
+        # More threads than cores and a short switch interval: every
+        # scope's admission and decode-hook hold must be released, and
+        # the lock-free breaker reads must leave every breaker closed.
+        store = _segmented_store(tmp_path)
+        view = store.graph
+        gov = Governor()
+        queries = [(u, 0, 500) for u in range(12)]
+        want = [view.neighbors(*q) for q in queries]
+        errors = []
+
+        def worker():
+            try:
+                for _ in range(10):
+                    for q, expected in zip(queries, want):
+                        ctx = QueryContext(timeout=30.0, governor=gov)
+                        if view.neighbors(*q, ctx=ctx) != expected:
+                            errors.append(q)
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            store.close()
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        stats = gov.stats()
+        assert stats["admitted"] == 8 * 10 * len(queries)
+        assert stats["in_flight"] == 0 and stats["rejected"] == 0
+        assert kernels.get_checkpoint_hook() is None
+        for snap in view._breakers.states().values():
+            assert snap["state"] == "closed" and snap["consecutive_failures"] == 0
+
+    def test_activated_context_is_still_admitted_once(self, tmp_path):
+        store = _segmented_store(tmp_path)
+        gov = Governor(max_concurrent=1)
+        ctx = QueryContext(governor=gov)
+        try:
+            with activate(ctx):
+                got = store.graph.neighbors(0, 0, 500, ctx=ctx)
+            assert got == store.graph.neighbors(0, 0, 500)
+            stats = gov.stats()
+            assert stats["admitted"] == 1 and stats["rejected"] == 0
+            assert stats["in_flight"] == 0
+        finally:
+            store.close()
+
+    def test_deadline_between_parts_fires_at_next_part(self, tmp_path):
+        # The deadline passes after the first planned segment answered:
+        # the next part's entry poll raises, and that part's breaker is
+        # charged with the failure.
+        store = _segmented_store(tmp_path)
+        view = store.graph
+        clock = StepClock()
+        board = BreakerBoard(clock=clock)
+        (first, graph), (second, _graph2) = view._segments[:2]
+        stalling = SegmentedChronoGraph(
+            view.kind,
+            ((first, _AnswerThenStall(graph, clock, 1.0)),) + view._segments[1:],
+            view._tail,
+            breakers=board,
+        )
+        gov = Governor(max_concurrent=1)
+        try:
+            assert len(stalling.plan(0, 500)) == view.segment_count
+            # Warm the record caches, so no decode checkpoint can stand
+            # in for the entry poll.
+            stalling.neighbors(0, 0, 500)
+            ctx = QueryContext(timeout=0.1, clock=clock, governor=gov)
+            with pytest.raises(QueryTimeout):
+                stalling.neighbors(0, 0, 500, ctx=ctx)
+            assert board.peek(first.name).snapshot()["consecutive_failures"] == 0
+            assert board.peek(second.name).snapshot()["consecutive_failures"] == 1
+            for info, _graph in view._segments[2:]:  # never reached
+                assert board.peek(info.name).snapshot()["consecutive_failures"] == 0
+            stats = gov.stats()
+            assert stats["admitted"] == 1 and stats["in_flight"] == 0
+            assert kernels.get_checkpoint_hook() is None
+            assert current_context() is None
+        finally:
+            store.close()
 
 
 class TestCircuitBreaker:
@@ -412,6 +604,41 @@ class TestCircuitBreaker:
         with pytest.raises(DomainError):
             CircuitBreaker(max_backoff=0.0)
 
+    @settings(max_examples=300)  # cheap steps; reach half-open often
+    @given(
+        threshold=st.integers(1, 4),
+        steps=st.lists(
+            st.one_of(
+                st.just(("allow",)),
+                st.just(("record_success",)),
+                st.tuples(
+                    st.just("record_failure"), st.sampled_from(["crc", "stall"])
+                ),
+                st.tuples(st.just("advance"), st.floats(0.0, 3.0)),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_lock_free_paths_match_locked_reference(self, threshold, steps):
+        clocks = (StepClock(), StepClock())
+        fast, locked = (
+            breaker_type(
+                failure_threshold=threshold,
+                retry=RetryPolicy(base_delay=0.25, jitter=0.0),
+                clock=clock,
+            )
+            for breaker_type, clock in zip((CircuitBreaker, _LockedBreaker), clocks)
+        )
+        for name, *args in steps:
+            if name == "advance":
+                for clock in clocks:
+                    clock.advance(*args)
+                continue
+            got = getattr(fast, name)(*args)
+            assert got == getattr(locked, name)(*args), (name, args)
+            assert fast.snapshot() == locked.snapshot(), (name, args)
+            assert _internals(fast) == _internals(locked), (name, args)
+
     def test_board_creates_tracks_and_counts(self):
         clock = StepClock()
         board = BreakerBoard(failure_threshold=1, clock=clock)
@@ -426,6 +653,43 @@ class TestCircuitBreaker:
         assert states["a"]["state"] == "open"
         assert states["b"]["state"] == "closed"
         assert len(board) == 2
+
+
+def _internals(breaker):
+    """The state :meth:`CircuitBreaker.snapshot` leaves out."""
+    return breaker._streak, breaker._backoff, breaker._probing, breaker._opened_at
+
+
+class _LockedBreaker(CircuitBreaker):
+    """Reference breaker: ``allow``/``record_success`` always take the lock.
+
+    Their bodies as they were before the lock-free closed path; every
+    other method of :class:`CircuitBreaker` was and is fully locked.
+    """
+
+    def allow(self):
+        with self._lock:
+            state = self._state
+            if state == STATE_CLOSED:
+                return True
+            if state == STATE_OPEN:
+                if self._clock() - self._opened_at < self._backoff:
+                    return False
+                self._state = STATE_HALF_OPEN
+                self._probing = True
+                return True
+            if self._probing:
+                return False
+            self._probing = True
+            return True
+
+    def record_success(self):
+        with self._lock:
+            self._state = STATE_CLOSED
+            self._consecutive = 0
+            self._streak = 0
+            self._backoff = 0.0
+            self._probing = False
 
 
 class TestStructuredErrors:

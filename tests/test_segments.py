@@ -12,6 +12,7 @@ import random
 import zlib
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core import compress
 from repro.errors import (
@@ -30,10 +31,13 @@ from repro.storage.segments import (
     WAL_TAIL_NAME,
     BackpressureError,
     Manifest,
+    SegmentedChronoGraph,
     SegmentInfo,
     SegmentStore,
     StoreClosedError,
     StorePolicy,
+    _segment_info_for,
+    _TailBuffer,
     is_segment_store,
 )
 
@@ -203,6 +207,49 @@ class TestOverlapPlanning:
     def test_inverted_window_never_overlaps(self):
         info = self._info(0, 100, 100)
         assert not info.overlaps(GraphKind.POINT, 50, 40)
+
+    @given(kind=st.sampled_from(list(GraphKind)), data=st.data())
+    def test_plan_is_sound(self, kind, data):
+        """Every segment holding a contact active in the window is planned.
+
+        Segments are random partitions of random contacts, summarised by
+        the manifest entry a seal writes; windows end on each segment's
+        ``t_min``/``t_max``/``t_end_max`` (and one past), or anywhere --
+        inverted windows included.
+        """
+        durations = st.integers(0, 12) if kind is GraphKind.INTERVAL else st.just(0)
+        contacts = data.draw(
+            st.lists(
+                st.builds(Contact, st.integers(0, 5), st.integers(0, 5),
+                          st.integers(0, 60), durations),
+                min_size=1, max_size=40,
+            )
+        )
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(contacts)), max_size=5)))
+        chunks = [
+            contacts[lo:hi]
+            for lo, hi in zip([0] + cuts, cuts + [len(contacts)])
+            if hi > lo
+        ]
+        segments = tuple(
+            (_segment_info_for(f"seg-{seq:08d}.chrono", seq, b"", chunk), chunk)
+            for seq, chunk in enumerate(chunks)
+        )
+        view = SegmentedChronoGraph(kind, segments, _TailBuffer(kind))
+        edges = sorted(
+            {t + d for info, _ in segments
+             for t in (info.t_min, info.t_max, info.t_end_max) for d in (-1, 0, 1)}
+        )
+        instant = st.one_of(st.sampled_from(edges), st.integers(-5, 80))
+        for _ in range(8):
+            t1, t2 = data.draw(instant), data.draw(instant)
+            plan = view.plan(t1, t2)
+            assert plan == [
+                info for info, _ in segments if info.overlaps(kind, t1, t2)
+            ]
+            for info, chunk in segments:
+                if any(c.is_active(t1, t2, kind) for c in chunk):
+                    assert info in plan, (info, t1, t2)
 
 
 # -- store lifecycle ---------------------------------------------------------

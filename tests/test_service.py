@@ -174,10 +174,49 @@ class TestProtocolErrors:
         assert info.value.error_type == "ProtocolError"
 
     def test_bad_arguments_are_rejected(self, service):
+        bad = [
+            ("neighbors", {"args": "nope"}),
+            # Wrong arity used to escape as a ValueError and kill the
+            # connection thread instead of answering with an error frame.
+            ("neighbors", {"args": [1, 2]}),
+            ("has_edge", {"args": [1, 2, 3]}),
+            ("edge_timestamps", {"args": [1]}),
+            # Non-integral numbers and booleans are refused, not coerced.
+            ("neighbors", {"args": [2.7, 0, 10]}),
+            ("neighbors", {"args": [True, 0, 10]}),
+            ("neighbors_many", {"queries": [[1, 0, 10], [1.5, 0, 10]]}),
+            ("neighbors_many", {"queries": [[1, 0]]}),
+        ]
         with _client(service) as client:
-            with pytest.raises(ServiceError) as info:
-                client._call("neighbors", {"args": "nope"})
-        assert info.value.error_type == "ProtocolError"
+            for op, params in bad:
+                with pytest.raises(ServiceError) as info:
+                    client._call(op, params)
+                assert info.value.error_type == "ProtocolError", (op, params)
+                # The same connection still answers after a bad request.
+                assert client.ping()["pong"]
+
+    def test_integral_float_arguments_are_accepted(self, service, local):
+        with _client(service) as client:
+            got = client._call("neighbors", {"args": [3.0, 0, float(T_MAX)]})
+        assert got == local.neighbors(3, 0, T_MAX)
+
+    @pytest.mark.parametrize("timeout", [b"NaN", b"Infinity", b"true", b"1e400"])
+    def test_non_finite_timeout_is_rejected(self, service, timeout):
+        # Raw frames: json.loads accepts NaN and Infinity, and NaN used to
+        # slip past the max_timeout ceiling as a deadline that never expires.
+        host, port = service.address
+        payload = (
+            b'{"id":7,"op":"neighbors","params":{"args":[0,0,10]},'
+            b'"timeout_ms":' + timeout + b"}"
+        )
+        with socket.create_connection((host, port), timeout=10) as raw:
+            raw.sendall(struct.pack("!I", len(payload)) + payload)
+            response = recv_message(raw)
+            assert response is not None and not response["ok"]
+            assert response["id"] == 7
+            assert response["error"]["type"] == "ProtocolError"
+            send_message(raw, {"id": 8, "op": "ping"})
+            assert recv_message(raw)["ok"]
 
     def test_negative_timeout_is_rejected(self, service):
         with _client(service, timeout_ms=-5) as client:
