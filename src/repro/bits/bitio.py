@@ -34,12 +34,10 @@ Thread contract (reader-per-thread rule)
 
 Neither class synchronises internally.  A :class:`BitReader` carries a
 mutable cursor and cached word, so it must never be shared between
-threads: give each thread its own reader over the same (immutable) byte
-buffer -- construction is cheap and the buffer itself is never copied.
-:meth:`BitReader.fork` spawns such an independent reader at the current
-position.  A :class:`BitWriter` likewise belongs to exactly one thread;
-parallel encoders give every worker its own writer and splice the results
-with :meth:`BitWriter.extend` / :meth:`BitWriter.from_bits`.
+threads: construct a :class:`BitReader` per thread over the same
+(immutable) byte buffer -- construction is cheap and the buffer itself is
+never copied.  A :class:`BitWriter` likewise belongs to exactly one
+thread.
 """
 
 from __future__ import annotations
@@ -73,33 +71,6 @@ class BitWriter:
         self._bytes = bytearray()
         self._acc = 0          # bits not yet flushed, MSB-aligned in `_nacc`
         self._nacc = 0         # number of valid bits in `_acc`
-
-    @classmethod
-    def from_bits(cls, data: Buffer, nbits: int) -> "BitWriter":
-        """A writer whose first ``nbits`` bits are the given serialised stream.
-
-        Reconstructs the exact accumulator state :meth:`to_bytes` flushed:
-        whole bytes go to the buffer, the trailing partial byte (if any)
-        back into the accumulator, so subsequent writes continue the stream
-        bit-for-bit.  This is how a parallel encoder adopts the first
-        worker's chunk without re-packing it.
-        """
-        if nbits < 0:
-            raise CodecDomainError(f"negative bit count: {nbits}")
-        if nbits > 8 * len(data):
-            raise CodecDomainError(
-                f"bit count {nbits} exceeds {8 * len(data)} available bits"
-            )
-        writer = cls()
-        whole = nbits >> 3
-        # Writers mutate their buffer, so adopting foreign bytes must
-        # copy them -- this is the encode path, not the decode path.
-        writer._bytes = bytearray(data[:whole])  # repro: noqa[CG006]
-        tail = nbits & 7
-        if tail:
-            writer._acc = data[whole] >> (8 - tail)
-            writer._nacc = tail
-        return writer
 
     def __len__(self) -> int:
         """Number of bits written so far."""
@@ -196,18 +167,6 @@ class BitReader:
     def position(self) -> int:
         """Current read position, in bits from the start of the stream."""
         return self._pos
-
-    def fork(self) -> "BitReader":
-        """An independent reader over the same buffer at the same position.
-
-        The byte buffer is shared (it is immutable); cursor and cached word
-        are per-reader, so the fork can be handed to another thread while
-        this reader continues -- the supported way to parallelise decoding
-        of one stream.
-        """
-        twin = BitReader(self._data, self._nbits)
-        twin._pos = self._pos
-        return twin
 
     @property
     def remaining(self) -> int:

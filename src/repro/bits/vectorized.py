@@ -119,9 +119,9 @@ _QIDX: Any = None  # _QIDX[j] = j >> 3, length tracks _ARANGE + 8
 _SHIFT: Any = None  # _SHIFT[j] = 16 - (j & 7), uint32
 
 #: Mutable per-thread scratch buffers (grow-only, capped by region size).
-#: Scratch is thread-local because PR 4's query plane decodes concurrently
-#: (``neighbors_many`` fans out over a thread pool); the read-only caches
-#: above are process-global with benign-race regrowth.
+#: Scratch is thread-local because threads sharing one graph decode
+#: concurrently; the read-only caches above are process-global with
+#: benign-race regrowth.
 _TLS = threading.local()
 
 

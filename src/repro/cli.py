@@ -31,7 +31,7 @@ from repro.analysis.gapstats import GAP_STRATEGIES, fraction_below, natural_gaps
 from repro.analysis.powerlawfit import fit_discrete_power_law
 from repro.baselines import get_compressor
 from repro.bench.harness import BENCH_METHODS, format_table
-from repro.core import ChronoGraphConfig, compress, compress_parallel
+from repro.core import ChronoGraphConfig, compress
 from repro.core.serialize import load_compressed, save_compressed
 from repro.errors import (
     ChecksumMismatchError,
@@ -63,9 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="timestamp zeta parameter; default auto-tunes")
     p.add_argument("--window", type=int, default=7,
                    help="reference window (Section IV-D2)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="encoder worker processes; output is bit-identical "
-                        "to the single-process encoder")
 
     p = sub.add_parser("inspect", help="print a .chrono file's statistics")
     p.add_argument("input")
@@ -204,10 +201,7 @@ def _cmd_compress(args) -> int:
         window=args.window,
     )
     start = time.perf_counter()
-    if getattr(args, "workers", 1) and args.workers > 1:
-        cg = compress_parallel(graph, config, workers=args.workers)
-    else:
-        cg = compress(graph, config)
+    cg = compress(graph, config)
     elapsed = time.perf_counter() - start
     nbytes = save_compressed(cg, args.out)
     print(f"compressed {graph.num_contacts} contacts in {elapsed:.2f}s")

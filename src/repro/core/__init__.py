@@ -18,7 +18,7 @@ matches the i-th decoded timestamp, which is what makes interval queries
 
 from repro.core.config import ChronoGraphConfig
 from repro.core.compressed import CompressedChronoGraph
-from repro.core.encoder import compress, compress_parallel
+from repro.core.encoder import compress
 from repro.core.serialize import (
     DEFAULT_LIMITS,
     DecodeLimits,
@@ -36,7 +36,6 @@ __all__ = [
     "DEFAULT_LIMITS",
     "SalvageReport",
     "compress",
-    "compress_parallel",
     "dumps_compressed",
     "load_compressed",
     "load_compressed_bytes",

@@ -40,11 +40,9 @@ The query surface is safe to share across threads:
   shared immutable stream bytes (reader-per-thread rule): readers carry
   mutable positions and must never be shared across threads.
 
-:meth:`neighbors_many` and :meth:`snapshot_parallel` are the batch forms
-of :meth:`neighbors` and :meth:`snapshot`; both accept ``workers`` and fan
-out over the bounded shared pool of a :class:`repro.runtime.governor.Governor`
-while keeping the exact sequential semantics (output order and cache
-counters included).
+:meth:`neighbors_many` is the batch form of :meth:`neighbors`: it groups
+the batch by node and decodes each node once, with the exact semantics of
+a :meth:`neighbors` loop (output order included).
 
 Resource governance
 -------------------
@@ -85,7 +83,6 @@ from repro.errors import (
 )
 from repro.graph.model import Contact, GraphKind
 from repro.runtime.context import QueryContext, activate, query_scope
-from repro.runtime.governor import Governor, default_governor
 
 #: Exceptions a decoder may hit on a corrupt stream; every decode path
 #: converts them to :class:`repro.errors.CorruptStreamError` so callers can
@@ -631,12 +628,9 @@ class CompressedChronoGraph:
     # -- sequential scans ------------------------------------------------------
 
     def _scan_records(
-        self,
-        lo: int,
-        hi: int,
-        ctx: Optional[QueryContext] = None,
+        self, ctx: Optional[QueryContext] = None
     ) -> Iterator[Tuple[int, NodeRecord]]:
-        """Yield ``(u, record)`` for ``lo <= u < hi``, decoding each node once.
+        """Yield ``(u, record)`` for every node, decoding each node once.
 
         Both streams are walked with a single reader each; reference chains
         resolve against the distinct lists of the last ``config.window``
@@ -650,7 +644,7 @@ class CompressedChronoGraph:
         only around the decode, never across a yield, so the ambient
         context can't leak into the consumer's frame.
         """
-        if hi <= lo:
+        if self.num_nodes == 0:
             return
         config = self.config
         window = config.window
@@ -666,12 +660,11 @@ class CompressedChronoGraph:
             got = recent.get(v)
             if got is not None:
                 return got
-            # Out-of-window reference (corrupt streams, window=0 configs) or
-            # a range scan starting past the window head: fall back to the
-            # random-access resolver.
+            # Out-of-window reference (corrupt streams, window=0 configs):
+            # fall back to the random-access resolver.
             return self._resolve_distinct(v)
 
-        for u in range(lo, hi):
+        for u in range(self.num_nodes):
             if ctx is not None:
                 ctx.checkpoint()
             record = self._cache_get(u)
@@ -889,30 +882,19 @@ class CompressedChronoGraph:
 
     # -- batch queries ---------------------------------------------------------
 
-    def _governor_for(self, ctx: Optional[QueryContext]) -> Governor:
-        """The governor whose shared pool a batch query fans out on."""
-        if ctx is not None and ctx.governor is not None:
-            return ctx.governor
-        return default_governor()
-
     def neighbors_many(
         self,
         queries: Sequence[Tuple[int, int, int]],
         *,
-        workers: Optional[int] = None,
         ctx: Optional[QueryContext] = None,
     ) -> List[List[int]]:
         """Batch :meth:`neighbors`: results align with the input order.
 
         ``queries`` is a sequence of ``(u, t_start, t_end)`` triples.  The
         batch is grouped by node so each distinct node is decoded (or
-        cache-probed) exactly once per call -- the win over a naive serial
-        loop even single-threaded -- then node groups fan out across the
-        governor's bounded shared pool when ``workers`` > 1 (the governor
-        comes from ``ctx`` or the process default; total decode
-        concurrency stays capped no matter how many batch calls are in
-        flight).  ``ctx`` bounds the whole batch: one envelope, polled by
-        every worker.
+        cache-probed) exactly once per call -- the win over a plain loop.
+        ``ctx`` bounds the whole batch: one admission, polled once per
+        node.
         """
         triples = [(int(u), t0, t1) for u, t0, t1 in queries]
         out: List[Optional[List[int]]] = [None] * len(triples)
@@ -921,81 +903,15 @@ class CompressedChronoGraph:
             for i, (u, t0, t1) in enumerate(triples):
                 self._check_node(u)
                 groups.setdefault(u, []).append((i, t0, t1))
-
-            def run(item: Tuple[int, List[Tuple[int, int, int]]]) -> None:
-                with activate(ctx):
-                    if ctx is not None:
-                        ctx.checkpoint()
-                    u, wants = item
-                    multiset, times, durations = self._decode_record(u)
-                    for i, t0, t1 in wants:
-                        out[i] = self._active_neighbors(
-                            multiset, times, durations, t0, t1
-                        )
-
-            items = list(groups.items())
-            if workers is not None and workers > 1 and len(items) > 1:
-                self._governor_for(ctx).run_parallel(
-                    run, items, workers=workers
-                )
-            else:
-                for item in items:
-                    run(item)
+            for u, wants in groups.items():
+                if ctx is not None:
+                    ctx.checkpoint()
+                multiset, times, durations = self._decode_record(u)
+                for i, t0, t1 in wants:
+                    out[i] = self._active_neighbors(
+                        multiset, times, durations, t0, t1
+                    )
         return out  # type: ignore[return-value]
-
-    def snapshot_parallel(
-        self,
-        t_start: int,
-        t_end: int,
-        *,
-        workers: Optional[int] = None,
-        ctx: Optional[QueryContext] = None,
-    ) -> List[Tuple[int, int]]:
-        """Parallel :meth:`snapshot`: identical output, ranges scanned concurrently.
-
-        The node range is split into ``workers`` contiguous slices, each
-        scanned by its own thread with its own :class:`BitReader` pair
-        (reader-per-thread rule).  The threads come from the governor's bounded shared pool (from
-        ``ctx`` or the process default), not a per-call executor.  Slice
-        outputs are concatenated in node order, so the result is exactly
-        ``snapshot(t_start, t_end)``.  ``ctx`` bounds the whole scan.
-        """
-        n = self.num_nodes
-        w = int(workers) if workers else 1
-        with query_scope(ctx):
-            if w <= 1 or n < 2:
-                return self._snapshot_range(0, n, t_start, t_end, ctx)
-            w = min(w, n)
-            bounds = [(n * i) // w for i in range(w + 1)]
-
-            def scan(i: int) -> List[Tuple[int, int]]:
-                return self._snapshot_range(
-                    bounds[i], bounds[i + 1], t_start, t_end, ctx
-                )
-
-            parts = self._governor_for(ctx).run_parallel(
-                scan, range(w), workers=w
-            )
-        edges: List[Tuple[int, int]] = []
-        for part in parts:
-            edges.extend(part)
-        return edges
-
-    def _snapshot_range(
-        self,
-        lo: int,
-        hi: int,
-        t_start: int,
-        t_end: int,
-        ctx: Optional[QueryContext] = None,
-    ) -> List[Tuple[int, int]]:
-        edges: List[Tuple[int, int]] = []
-        for u, (multiset, times, durations) in self._scan_records(lo, hi, ctx):
-            for v in self._active_neighbors(
-                multiset, times, durations, t_start, t_end
-            ):
-                edges.append((u, v))
-        return edges
 
     # -- structure-only scans --------------------------------------------------
 
@@ -1077,8 +993,14 @@ class CompressedChronoGraph:
         self, t_start: int, t_end: int, *, ctx: Optional[QueryContext] = None
     ) -> List[Tuple[int, int]]:
         """All distinct edges active within the closed interval, sorted."""
+        edges: List[Tuple[int, int]] = []
         with query_scope(ctx):
-            return self._snapshot_range(0, self.num_nodes, t_start, t_end, ctx)
+            for u, (multiset, times, durations) in self._scan_records(ctx):
+                for v in self._active_neighbors(
+                    multiset, times, durations, t_start, t_end
+                ):
+                    edges.append((u, v))
+        return edges
 
     def iter_window_neighbors(
         self, t_start: int, t_end: int, *, ctx: Optional[QueryContext] = None
@@ -1091,9 +1013,7 @@ class CompressedChronoGraph:
         polled per node as the consumer iterates (never held across a
         yield).
         """
-        for u, (multiset, times, durations) in self._scan_records(
-            0, self.num_nodes, ctx
-        ):
+        for u, (multiset, times, durations) in self._scan_records(ctx):
             yield u, self._active_neighbors(
                 multiset, times, durations, t_start, t_end
             )
@@ -1106,9 +1026,7 @@ class CompressedChronoGraph:
         beyond the output itself.  ``ctx`` is polled per node as the
         consumer iterates.
         """
-        for u, (multiset, times, durations) in self._scan_records(
-            0, self.num_nodes, ctx
-        ):
+        for u, (multiset, times, durations) in self._scan_records(ctx):
             if durations is None:
                 for v, t in zip(multiset, times):
                     yield Contact(u, v, t)

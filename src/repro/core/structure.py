@@ -286,8 +286,8 @@ def write_structure_record(
 ) -> None:
     """Write one node's structure record: two bulk calls.
 
-    The serial and the parallel encoder both end every node here, with
-    the chosen candidate's codes from :func:`singles_codes`.
+    The encoder ends every node here, with the chosen candidate's codes
+    from :func:`singles_codes`.
     """
     gammas, zetas = candidate
     codes.write_many_gamma_natural(writer, _dedup_codes(node, dedup) + gammas)

@@ -13,8 +13,7 @@ isolated instead of wedging every query that overlaps it.
   / :class:`repro.errors.QueryBudgetExceeded` branch.
 * :mod:`repro.runtime.governor` -- the admission controller: a
   concurrent-query cap, per-tenant token budgets and load shedding
-  (:class:`repro.errors.RejectedError` with a retry-after hint), plus the
-  one bounded shared pool behind ``neighbors_many``/``snapshot_parallel``.
+  (:class:`repro.errors.RejectedError` with a retry-after hint).
 * :mod:`repro.runtime.breaker` -- per-segment circuit breakers for
   :class:`repro.storage.segments.SegmentedChronoGraph`: repeated
   CRC/decode failure trips a segment open, queries skip it with a

@@ -364,12 +364,12 @@ def activate(ctx: Optional[QueryContext]) -> ContextManager[Optional[QueryContex
     """Install ``ctx`` as this thread's ambient context for the block.
 
     ``activate(None)`` is a no-op (the ambient context, if any, stays).
-    Nesting restores the previous context on exit.  Worker threads do not
-    inherit the parent's ambient context automatically -- parallel query
-    paths re-activate the context inside each task.  While at least one
-    activation is live (any thread), the decode checkpoint hook is
-    installed in :mod:`repro.bits.kernels`; the rest of the time the bulk
-    readers see ``None`` and skip the ambient poll entirely.
+    Nesting restores the previous context on exit.  Other threads do not
+    inherit the parent's ambient context: a query run on another thread
+    takes its context as ``ctx=``.  While at least one activation is live
+    (any thread), the decode checkpoint hook is installed in
+    :mod:`repro.bits.kernels`; the rest of the time the bulk readers see
+    ``None`` and skip the ambient poll entirely.
     """
     if ctx is None:
         return _NULL_SCOPE

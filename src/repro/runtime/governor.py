@@ -1,20 +1,16 @@
-"""Admission control: concurrency caps, tenant token budgets, shared pools.
+"""Admission control: concurrency caps and tenant token budgets.
 
 The :class:`Governor` is the load-shedding front door of the query plane.
 It enforces a concurrent-query cap and optional per-tenant token budgets
 -- rejecting excess work *before* it runs with a structured
-:class:`repro.errors.RejectedError` (retry-after hint included) -- and
-owns one bounded, shared :class:`~concurrent.futures.ThreadPoolExecutor`
-that the batch query paths (``neighbors_many``/``snapshot_parallel``)
-submit to instead of each spinning up an unbounded pool per call.
+:class:`repro.errors.RejectedError` (retry-after hint included).
 
 A query opts in by carrying a governor on its
 :class:`repro.runtime.context.QueryContext`; admission is taken once per
 context at the outermost :func:`repro.runtime.context.query_scope`, so
 segmented queries fanning out over parts (and batches over their
-entries) never double-count.  The batch paths always use the (default)
-governor's pool for their fan-out, even without a context, so a process
-can no longer accumulate one transient pool per in-flight batch call.
+entries) never double-count.  A query without a governor on its context
+is never admitted or shed.
 
 Clocks are injectable throughout so token-bucket refill and retry-after
 hints are testable without sleeping.
@@ -22,12 +18,10 @@ hints are testable without sleeping.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, TypeVar
+from typing import Any, Callable, Dict, Iterator, Optional
 
 from repro.errors import DomainError, RejectedError
 
@@ -40,9 +34,6 @@ __all__ = [
     "set_default_governor",
 ]
 
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
 #: Default concurrent-query cap: generous enough that only genuine
 #: overload (or a deliberate test) trips it, small enough to bound a
 #: worker's memory and thread pressure.
@@ -51,11 +42,6 @@ DEFAULT_MAX_CONCURRENT = 64
 #: Default retry-after hint, in seconds, for concurrency rejections
 #: (token rejections compute the exact refill time instead).
 DEFAULT_RETRY_AFTER = 0.05
-
-
-def _default_max_workers() -> int:
-    """Pool size bound mirroring the stdlib's ThreadPoolExecutor default."""
-    return min(32, 4 * (os.cpu_count() or 2))
 
 
 class TokenBucket:
@@ -116,27 +102,25 @@ class TokenBucket:
 
 
 class Governor:
-    """Concurrency cap + tenant token budgets + one bounded shared pool.
+    """Concurrency cap + tenant token budgets.
 
     ``max_concurrent`` bounds admitted queries in flight;
     ``tenant_rate``/``tenant_burst`` (both or neither) switch on
     per-tenant token budgets, with queries that carry no tenant sharing
-    one anonymous bucket; ``max_workers`` bounds the shared fan-out pool
-    used by :meth:`run_parallel`.  All rejection is immediate and carries
-    a structured retry-after -- the governor sheds, it never queues.
+    one anonymous bucket.  All rejection is immediate and carries a
+    structured retry-after -- the governor sheds, it never queues.
     """
 
     def __init__(
         self,
         *,
         max_concurrent: int = DEFAULT_MAX_CONCURRENT,
-        max_workers: Optional[int] = None,
         tenant_rate: Optional[float] = None,
         tenant_burst: Optional[float] = None,
         retry_after: float = DEFAULT_RETRY_AFTER,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        """Configure caps and budgets; the pool itself is created lazily."""
+        """Configure the concurrency cap and the tenant budgets."""
         if max_concurrent < 1:
             raise DomainError(
                 f"max_concurrent must be >= 1, got {max_concurrent}"
@@ -145,12 +129,7 @@ class Governor:
             raise DomainError(
                 "tenant_rate and tenant_burst must be set together"
             )
-        if max_workers is None:
-            max_workers = _default_max_workers()
-        if max_workers < 1:
-            raise DomainError(f"max_workers must be >= 1, got {max_workers}")
         self.max_concurrent = max_concurrent
-        self.max_workers = max_workers
         self.retry_after = retry_after
         self._tenant_rate = tenant_rate
         self._tenant_burst = tenant_burst
@@ -162,9 +141,6 @@ class Governor:
         self._rejected = 0
         self._rejected_by_reason: Dict[str, int] = {}
         self._buckets: Dict[str, TokenBucket] = {}
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
-        self._thread_prefix = f"repro-governor-{id(self):x}"
 
     # -- admission -----------------------------------------------------
 
@@ -249,57 +225,12 @@ class Governor:
         finally:
             self.release()
 
-    # -- the shared bounded pool --------------------------------------
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix=self._thread_prefix,
-                )
-            return self._pool
-
-    def _in_pool_thread(self) -> bool:
-        return threading.current_thread().name.startswith(self._thread_prefix)
-
-    def run_parallel(
-        self,
-        fn: Callable[[_T], _R],
-        items: Iterable[_T],
-        *,
-        workers: Optional[int] = None,
-    ) -> List[_R]:
-        """Map ``fn`` over ``items`` on the shared bounded pool, in order.
-
-        Replaces the historical one-transient-``ThreadPoolExecutor``-per-
-        call fan-out: total decode concurrency is bounded by
-        ``max_workers`` no matter how many batch queries are in flight.
-        ``workers`` is a per-call hint capped by the pool size;
-        ``workers=1`` (or a single item) runs serially inline, and calls
-        arriving *from* one of the pool's own threads also run inline so
-        nested fan-out can never deadlock the pool against itself.
-        Exceptions from ``fn`` propagate to the caller.
-        """
-        todo = list(items)
-        if not todo:
-            return []
-        limit = (
-            self.max_workers
-            if workers is None
-            else max(1, min(workers, self.max_workers))
-        )
-        if limit <= 1 or len(todo) == 1 or self._in_pool_thread():
-            return [fn(item) for item in todo]
-        pool = self._ensure_pool()
-        return list(pool.map(fn, todo))
-
     def shutdown(self) -> None:
-        """Tear down the shared pool (a later call re-creates it lazily)."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        """Do nothing: a governor holds no threads or other resources.
+
+        Kept only because traced runs of ``benchmarks/e2e/workloads.py``
+        call it; it goes with the next change to that benchmark.
+        """
 
     # -- introspection -------------------------------------------------
 
@@ -317,13 +248,11 @@ class Governor:
             }
             return {
                 "max_concurrent": self.max_concurrent,
-                "max_workers": self.max_workers,
                 "in_flight": self._in_flight,
                 "peak_in_flight": self._peak_in_flight,
                 "admitted": self._admitted,
                 "rejected": self._rejected,
                 "rejected_by_reason": dict(self._rejected_by_reason),
-                "pool_started": self._pool is not None,
                 "tenant_tokens": tenants,
             }
 
@@ -335,9 +264,8 @@ _default_lock = threading.Lock()
 def default_governor() -> Governor:
     """The process-wide governor, created lazily with default settings.
 
-    Used by the batch query paths when the query's context carries no
-    governor of its own (or there is no context at all), so their fan-out
-    is always bounded by one shared pool.
+    Queries are governed only by the governor on their context; this one
+    is what ``repro status --json`` reports.
     """
     global _default
     with _default_lock:
@@ -349,8 +277,7 @@ def default_governor() -> Governor:
 def set_default_governor(governor: Optional[Governor]) -> Optional[Governor]:
     """Replace the process-wide governor; returns the previous one.
 
-    ``None`` resets to lazy default creation.  The caller owns shutting
-    down the replaced governor's pool if it started one.
+    ``None`` resets to lazy default creation.
     """
     global _default
     with _default_lock:

@@ -27,7 +27,9 @@ without parsing messages.
 
 Frames are bounded by :data:`MAX_FRAME_BYTES`; an over-long or
 malformed frame raises :class:`ProtocolError` -- connections that
-violate framing are torn down, never guessed at.
+violate framing are torn down, never guessed at.  An answer too large
+for one frame is never sent: the server replies with a ``ProtocolError``
+frame instead and keeps the connection.
 """
 
 from __future__ import annotations

@@ -126,11 +126,16 @@ def _build_context(
     tenant = request.get("tenant")
     if tenant is not None and not isinstance(tenant, str):
         raise ProtocolError("tenant must be a string")
+    # Consent to subset answers must be explicit: "false" or 1 is refused,
+    # not read as truthy.
+    allow_partial = request.get("allow_partial")
+    if allow_partial is not None and not isinstance(allow_partial, bool):
+        raise ProtocolError("allow_partial must be true or false")
     return QueryContext(
         timeout=timeout,
         tenant=tenant,
         governor=governor,
-        allow_partial=bool(request.get("allow_partial", False)),
+        allow_partial=allow_partial is True,
     )
 
 
@@ -156,6 +161,18 @@ def _dispatch(graph, op: str, params: Dict[str, Any], ctx: QueryContext):
     raise ProtocolError(f"unknown op {op!r}")
 
 
+def _error_frame(request_id: Any, exc: Exception) -> Dict[str, Any]:
+    """The error response for ``exc``, echoing ``request_id``."""
+    error: Dict[str, Any] = {
+        "type": type(exc).__name__,
+        "message": str(exc),
+    }
+    retry_after = getattr(exc, "retry_after", None)
+    if retry_after is not None:
+        error["retry_after"] = retry_after
+    return {"id": request_id, "ok": False, "error": error}
+
+
 def _handle_request(
     graph,
     governor: Governor,
@@ -165,17 +182,6 @@ def _handle_request(
 ) -> Dict[str, Any]:
     """One request in, one response out; exceptions become error frames."""
     request_id = request.get("id")
-
-    def failure(exc: Exception) -> Dict[str, Any]:
-        error: Dict[str, Any] = {
-            "type": type(exc).__name__,
-            "message": str(exc),
-        }
-        retry_after = getattr(exc, "retry_after", None)
-        if retry_after is not None:
-            error["retry_after"] = retry_after
-        return {"id": request_id, "ok": False, "error": error}
-
     try:
         op = request.get("op")
         if op == "ping":
@@ -215,7 +221,7 @@ def _handle_request(
             ]
         return response
     except (RejectedError, QueryInterrupted, FormatError, DomainError) as exc:
-        return failure(exc)
+        return _error_frame(request_id, exc)
 
 
 def _serve_connection(
@@ -234,23 +240,23 @@ def _serve_connection(
             except ProtocolError as exc:
                 # Framing is unrecoverable: report once, then hang up.
                 try:
-                    send_message(
-                        conn,
-                        {
-                            "id": None, "ok": False,
-                            "error": {"type": "ProtocolError", "message": str(exc)},
-                        },
-                    )
+                    send_message(conn, _error_frame(None, exc))
                 except OSError:
                     pass
                 return
             if request is None:
                 return
-            send_message(
-                conn, _handle_request(graph, governor, config, request, worker_id)
-            )
-    except OSError:
-        return  # peer vanished; nothing to clean up beyond the socket
+            response = _handle_request(graph, governor, config, request, worker_id)
+            try:
+                send_message(conn, response)
+            except ProtocolError as exc:
+                # An answer too large for one frame; nothing was sent, so
+                # the stream is still in step: report it and keep serving.
+                send_message(conn, _error_frame(response["id"], exc))
+    except (OSError, ProtocolError):
+        # The peer vanished, or even the error frame overflowed (an id
+        # near the frame limit): nothing to clean up beyond the socket.
+        return
     finally:
         try:
             conn.close()

@@ -1217,7 +1217,6 @@ class StallingGraph:
             "contacts_of",
             "edge_timestamps",
             "snapshot",
-            "snapshot_parallel",
             "iter_window_neighbors",
         }
     )

@@ -204,14 +204,14 @@ def run_race_smoke(
     ``_SEAL_CONTACTS`` contacts) while a compactor thread merges segments
     and ``readers`` threads query captured store views (``neighbors``,
     ``contacts_of``, ``neighbors_many``, ``snapshot``) and the immutable
-    base graph (the same plus ``distinct_neighbors`` and
-    ``snapshot_parallel``), verifying every result against the reference
-    model.  ``cache_max_entries`` bounds the base graph's record cache --
-    deliberately tight by default so eviction races are exercised; pass
-    ``None`` to lift it.  The run ends once the writer has ingested every
-    batch and each reader has done at least ``min_reader_ops``
-    operations.  ``writer_pace_s`` throttles the writer slightly so
-    batches interleave with reads instead of racing ahead of them.
+    base graph (the same plus ``distinct_neighbors``), verifying every
+    result against the reference model.  ``cache_max_entries`` bounds the
+    base graph's record cache -- deliberately tight by default so
+    eviction races are exercised; pass ``None`` to lift it.  The run ends
+    once the writer has ingested every batch and each reader has done at
+    least ``min_reader_ops`` operations.  ``writer_pace_s`` throttles the
+    writer slightly so batches interleave with reads instead of racing
+    ahead of them.
     """
     graph = _base_graph(num_nodes, base_contacts, seed)
     batch_list = _make_batches(num_nodes, batches, seed)
@@ -276,10 +276,7 @@ def run_race_smoke(
             for _ in range(rng.randrange(2, 7)):
                 lo = rng.randrange(0, 5_000)
                 qs.append((rng.randrange(n), lo, lo + rng.randrange(0, 2_500)))
-            if target is cg:
-                outs = target.neighbors_many(qs, workers=2)
-            else:
-                outs = target.neighbors_many(qs)
+            outs = target.neighbors_many(qs)
             for (qu, qlo, qhi), out in zip(qs, outs):
                 check_sorted_distinct(f"{tag} neighbors_many({qu},{qlo},{qhi})", out)
                 if out != _expected_neighbors(state, qu, qlo, qhi):
@@ -290,10 +287,7 @@ def run_race_smoke(
             if out != sorted({v for v, _, _ in state.get(u, ())}):
                 report(f"{tag} distinct_neighbors({u}) diverges")
         else:
-            if target is cg and rng.random() < 0.5:
-                edges = target.snapshot_parallel(t0, t1, workers=2)
-            else:
-                edges = target.snapshot(t0, t1)
+            edges = target.snapshot(t0, t1)
             if edges != expected_snapshot(g):
                 report(f"{tag} snapshot diverges from generation {g}")
 

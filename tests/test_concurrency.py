@@ -8,8 +8,8 @@ The contract under test (documented in README "Concurrency"):
   -- a reader sees a batch entirely or not at all, and a view once read
   never changes;
 * cache counters are exact in quiescence and monotone under concurrency;
-* the batch APIs (``neighbors_many``, ``snapshot_parallel``) return
-  exactly what their serial counterparts return.
+* the batch API ``neighbors_many`` returns exactly what a ``neighbors``
+  loop returns.
 """
 
 import pickle
@@ -168,14 +168,13 @@ class TestGenerationSnapshots:
 
 
 class TestBatchAPIs:
-    @pytest.mark.parametrize("workers", [None, 1, 2, 4])
-    def test_neighbors_many_matches_serial(self, workers):
+    def test_neighbors_many_matches_serial(self):
         cg = _cg()
         queries = [
             (u, 10 * u, 10 * u + 3) for u in range(cg.num_nodes)
         ] + [(3, 0, 10_000), (3, 1, 0), (5, 0, 10_000)]
         expected = [cg.neighbors(u, a, b) for u, a, b in queries]
-        assert cg.neighbors_many(queries, workers=workers) == expected
+        assert cg.neighbors_many(queries) == expected
 
     def test_neighbors_many_validates_nodes(self):
         cg = _cg()
@@ -185,13 +184,12 @@ class TestBatchAPIs:
     def test_neighbors_many_empty(self):
         cg = _cg()
         assert cg.neighbors_many([]) == []
-        assert cg.neighbors_many([], workers=3) == []
 
     def test_neighbors_many_decodes_each_node_once(self):
         cg = _cg()
         stats0 = cg.cache_stats()
         queries = [(2, 0, 10), (2, 0, 10_000), (2, 5, 25), (4, 0, 10_000)]
-        cg.neighbors_many(queries, workers=2)
+        cg.neighbors_many(queries)
         stats = cg.cache_stats()
         # Two distinct nodes -> exactly two record lookups for four queries.
         delta = (stats["hits"] + stats["misses"]) - (
@@ -199,18 +197,9 @@ class TestBatchAPIs:
         )
         assert delta == 2
 
-    @pytest.mark.parametrize("workers", [None, 1, 2, 3])
-    @pytest.mark.parametrize("kind", [GraphKind.POINT, GraphKind.INTERVAL])
-    def test_snapshot_parallel_matches_serial(self, workers, kind):
-        cg = _cg(kind=kind)
-        for window in [(0, 10_000), (25, 60), (5, 5), (10, 9)]:
-            assert cg.snapshot_parallel(*window, workers=workers) == (
-                cg.snapshot(*window)
-            )
-
-    def test_snapshot_parallel_sees_overlay(self, tmp_path):
+    def test_sealed_tail_reaches_segment_snapshot(self, tmp_path):
         # Contacts ingested after a seal reach a compressed graph once the
-        # tail is sealed; snapshot_parallel over that segment sees them.
+        # tail is sealed; a snapshot of that segment sees them.
         with _store(tmp_path) as store:
             store.ingest([Contact(1, 9, 7777), Contact(20, 0, 7778)])
             store.seal()
@@ -218,7 +207,6 @@ class TestBatchAPIs:
             view_edges = store.graph.snapshot(7777, 7778)
         expected = segment.snapshot(7777, 7778)
         assert expected == view_edges == [(1, 9), (20, 0)]
-        assert segment.snapshot_parallel(7777, 7778, workers=3) == expected
 
 
 class TestPickleRoundTrip:

@@ -12,7 +12,7 @@ import hashlib
 
 import pytest
 
-from repro.core import ChronoGraphConfig, compress, compress_parallel
+from repro.core import ChronoGraphConfig, compress
 from repro.core.serialize import dumps_compressed
 from repro.datasets import registry
 
@@ -89,5 +89,3 @@ def test_config_bytes_match_pinned_digest(config_corpora, name, label):
     graph = config_corpora[name]
     blob = dumps_compressed(compress(graph, CONFIGS[label]))
     assert hashlib.sha256(blob).hexdigest() == CONFIG_DIGESTS[name][label]
-    parallel = dumps_compressed(compress_parallel(graph, CONFIGS[label], workers=2))
-    assert parallel == blob

@@ -3,17 +3,17 @@
 Edge-shape sweep for the structures the encoder special-cases: an empty
 graph, a single self-loop, all-isolated nodes, and a node whose adjacency
 is encoded entirely as a copy-list (zero residuals).  Each shape runs the
-whole lifecycle -- ``compress`` (serial and parallel), ``dumps_compressed``,
+whole lifecycle -- ``compress``, ``dumps_compressed``,
 ``load_compressed_bytes``, then the complete query surface including the
-concurrent batch APIs -- so a regression in any layer shows up as a wrong
-answer rather than a crash deep in a real dataset.  The segment store's
+batch API -- so a regression in any layer shows up as a wrong answer
+rather than a crash deep in a real dataset.  The segment store's
 tail buffer is one more surface: an empty store grows through ingest, and
 a self-loop lives in the tail.
 """
 
 import pytest
 
-from repro.core import compress, compress_parallel
+from repro.core import compress
 from repro.core.serialize import dumps_compressed, load_compressed_bytes
 from repro.graph.builders import graph_from_contacts
 from repro.graph.model import Contact, GraphKind
@@ -44,9 +44,8 @@ def _full_query_surface(cg, num_nodes):
     queries = [(u, 0, 10_000) for u in range(num_nodes)]
     return (
         per_node,
-        cg.neighbors_many(queries, workers=2) if num_nodes else [],
+        cg.neighbors_many(queries) if num_nodes else [],
         cg.snapshot(0, 10_000),
-        cg.snapshot_parallel(0, 10_000, workers=2),
         sorted(cg.iter_window_neighbors(0, 10_000)),
         sorted(tuple(c) for c in cg.iter_contacts()),
         cg.to_static_graph(),
@@ -144,21 +143,6 @@ class TestFullCopyList:
             assert c.decode_multiset(0) == [2, 4, 6, 8]
             assert c.decode_multiset(1) == [2, 4, 6, 8]
             assert _full_query_surface(c, 9) == _full_query_surface(cg, 9)
-
-    def test_parallel_encode_bit_identical_on_degenerates(self):
-        graphs = [
-            graph_from_contacts(GraphKind.POINT, [], num_nodes=0),
-            graph_from_contacts(GraphKind.POINT, [(0, 0, 7)], num_nodes=1),
-            graph_from_contacts(GraphKind.INTERVAL, [(9, 3, 5, 1)], num_nodes=20),
-            self._two_identical_nodes(),
-        ]
-        for g in graphs:
-            serial = dumps_compressed(compress(g))
-            for workers in (2, 3):
-                assert (
-                    dumps_compressed(compress_parallel(g, workers=workers))
-                    == serial
-                )
 
 
 class TestOverlayOnDegenerates:

@@ -1,11 +1,14 @@
 """Tests for the extended Section IV-F query surface."""
 
+import inspect
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import compress
+from repro.core import CompressedChronoGraph, compress
 from repro.graph.builders import graph_from_contacts
 from repro.graph.model import GraphKind
+from repro.storage.segments import SegmentedChronoGraph
 
 
 def _cg(contacts, kind=GraphKind.POINT, n=None):
@@ -154,3 +157,23 @@ class TestHasEdgeDuplicateRuns:
         assert cg.has_edge(0, 0, 5, 5)
         assert cg.has_edge(0, 9, 6, 6)
         assert not cg.has_edge(0, 9, 7, 9)
+
+
+class TestSharedSignatures:
+    """A monolithic graph and a store view take the same query arguments."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "neighbors",
+            "neighbors_many",
+            "has_edge",
+            "edge_timestamps",
+            "contacts_of",
+            "snapshot",
+        ],
+    )
+    def test_parameter_lists_match(self, name):
+        mono = inspect.signature(getattr(CompressedChronoGraph, name))
+        store = inspect.signature(getattr(SegmentedChronoGraph, name))
+        assert list(mono.parameters.values()) == list(store.parameters.values())

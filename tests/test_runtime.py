@@ -374,25 +374,6 @@ class TestGovernor:
         with pytest.raises(DomainError):
             Governor(tenant_rate=1.0)
 
-    def test_run_parallel_matches_serial(self):
-        gov = Governor(max_workers=4)
-        try:
-            items = list(range(40))
-            assert gov.run_parallel(lambda x: x * x, items, workers=4) == [
-                x * x for x in items
-            ]
-            assert gov.stats()["pool_started"]
-        finally:
-            gov.shutdown()
-
-    def test_run_parallel_propagates_exceptions(self):
-        gov = Governor(max_workers=2)
-        try:
-            with pytest.raises(ZeroDivisionError):
-                gov.run_parallel(lambda x: 1 // x, [1, 0, 2], workers=2)
-        finally:
-            gov.shutdown()
-
     def test_default_governor_swap(self):
         replacement = Governor(max_concurrent=1)
         previous = set_default_governor(replacement)
@@ -403,26 +384,21 @@ class TestGovernor:
 
     def test_batch_queries_use_governor_and_admit_once(self, tmp_path):
         graph = _graph()
-        gov = Governor(max_concurrent=1, max_workers=2)
-        try:
-            ctx = QueryContext(governor=gov)
-            queries = [(u, 0, 500) for u in range(8)]
-            want = graph.neighbors_many(queries)
-            assert graph.neighbors_many(queries, workers=2, ctx=ctx) == want
-            # One admission for the whole batch, not one per sub-query --
-            # with max_concurrent=1 any double-admission would have shed.
-            assert gov.stats()["admitted"] == 1
-            assert gov.stats()["rejected"] == 0
-            par = graph.snapshot_parallel(0, 500, workers=2, ctx=ctx)
-            assert par == graph.snapshot(0, 500)
-        finally:
-            gov.shutdown()
+        gov = Governor(max_concurrent=1)
+        ctx = QueryContext(governor=gov)
+        queries = [(u, 0, 500) for u in range(8)]
+        want = graph.neighbors_many(queries)
+        assert graph.neighbors_many(queries, ctx=ctx) == want
+        # One admission for the whole batch, not one per sub-query --
+        # with max_concurrent=1 any double-admission would have shed.
+        assert gov.stats()["admitted"] == 1
+        assert gov.stats()["rejected"] == 0
         # A store query fans out over planned segments and a batch over
         # its entries; each must still be one admission -- under a cap of
         # one, any nested admission would have shed.
         store = _segmented_store(tmp_path)
         view = store.graph
-        gov = Governor(max_concurrent=1, max_workers=2)
+        gov = Governor(max_concurrent=1)
         calls = [
             ("neighbors", (0, 0, 500)),
             ("has_edge", (0, 2, 0, 500)),
@@ -444,7 +420,6 @@ class TestGovernor:
             assert kernels.get_checkpoint_hook() is None
             assert current_context() is None
         finally:
-            gov.shutdown()
             store.close()
 
     def test_concurrent_governed_store_queries_pair_everything(self, tmp_path):

@@ -31,6 +31,7 @@ from repro.service import (
     ServiceConfig,
     ServiceError,
 )
+from repro.service import protocol
 from repro.service.protocol import recv_message, send_message
 from repro.storage.segments import SegmentStore, StorePolicy
 
@@ -217,6 +218,52 @@ class TestProtocolErrors:
             assert response["error"]["type"] == "ProtocolError"
             send_message(raw, {"id": 8, "op": "ping"})
             assert recv_message(raw)["ok"]
+
+    @pytest.mark.parametrize(
+        "allow_partial, accepted",
+        [
+            (b"null", True), (b"true", True), (b"false", True),
+            (b'"false"', False), (b'"no"', False), (b"1", False),
+            (b"0", False), (b"[]", False),
+        ],
+    )
+    def test_allow_partial_must_be_boolean(
+        self, service, local, allow_partial, accepted
+    ):
+        # Raw frames: a truthy string or number used to consent to
+        # breaker-skipped subset answers.
+        host, port = service.address
+        payload = (
+            b'{"id":7,"op":"neighbors","params":{"args":[0,0,10]},'
+            b'"allow_partial":' + allow_partial + b"}"
+        )
+        with socket.create_connection((host, port), timeout=10) as raw:
+            raw.sendall(struct.pack("!I", len(payload)) + payload)
+            response = recv_message(raw)
+            assert response is not None and response["id"] == 7
+            if accepted:
+                assert response["result"] == local.neighbors(0, 0, 10)
+            else:
+                assert response["error"]["type"] == "ProtocolError"
+            send_message(raw, {"id": 8, "op": "ping"})
+            assert recv_message(raw)["ok"]
+
+    def test_oversized_answer_gets_error_frame(self, tmp_path, monkeypatch):
+        # Lower the frame limit before the service forks, so its worker
+        # builds a snapshot answer too large to send.
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 2000)
+        rows = [(u, (u + i) % 60, i) for u in range(60) for i in range(1, 9)]
+        path = tmp_path / "small.chrono"
+        save_compressed(
+            compress(graph_from_contacts(GraphKind.POINT, rows, num_nodes=60)),
+            path,
+        )
+        with GraphService(str(path), ServiceConfig(workers=1)) as svc:
+            with _client(svc) as client:
+                with pytest.raises(ServiceError) as info:
+                    client.snapshot(0, 500)
+                assert info.value.error_type == "ProtocolError"
+                assert client.ping()["pong"]
 
     def test_negative_timeout_is_rejected(self, service):
         with _client(service, timeout_ms=-5) as client:

@@ -5,8 +5,8 @@ query surface: windows are closed on both ends, ``neighbors_before(u, t)``
 is strictly before ``t``, ``neighbors_after(u, t)`` includes ``t``, and an
 inverted window is empty.  These tests put a contact exactly on each
 boundary and check that ``neighbors``, ``has_edge``, ``neighbors_before``,
-``neighbors_after``, ``snapshot``, ``snapshot_parallel``,
-``iter_window_neighbors`` and ``neighbors_many`` all agree -- for every
+``neighbors_after``, ``snapshot``, ``iter_window_neighbors`` and
+``neighbors_many`` all agree -- for every
 graph kind, and on a segment store both while the contacts sit in its
 tail buffer and once they are sealed.
 """
@@ -47,11 +47,8 @@ def _window_views(cg, t0, t1, u=0):
     from_neighbors = cg.neighbors(u, t0, t1)
     from_many = cg.neighbors_many([(u, t0, t1)])[0]
     from_snapshot = sorted(v for a, v in cg.snapshot(t0, t1) if a == u)
-    from_parallel = sorted(
-        v for a, v in cg.snapshot_parallel(t0, t1, workers=2) if a == u
-    )
     from_iter = dict(cg.iter_window_neighbors(t0, t1))[u]
-    return from_neighbors, from_many, from_snapshot, from_parallel, from_iter
+    return from_neighbors, from_many, from_snapshot, from_iter
 
 
 class TestPointBoundaries:
