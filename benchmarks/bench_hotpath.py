@@ -42,7 +42,7 @@ from typing import Callable, Dict, List
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.bits import codes, kernels  # noqa: E402
+from repro.bits import codes  # noqa: E402
 from repro.bits.bitio import BitReader, BitWriter  # noqa: E402
 from repro.core import compress  # noqa: E402
 from repro.datasets.synthetic import comm_net, powerlaw_graph  # noqa: E402
@@ -64,11 +64,8 @@ GATED_OPS_SUFFIXES = (
     "to_static_graph",
     "iter_contacts",
     "bulk_timestamps_table",
-    "bulk_timestamps_numpy",
     "bulk_residuals_table",
-    "bulk_residuals_numpy",
     "bulk_pairs_table",
-    "bulk_pairs_numpy",
 )
 
 
@@ -162,16 +159,14 @@ def _bench_bitwriter_extend(quick: bool) -> Callable[[], object]:
 def _bench_bulk_decode(
     results: Dict[str, Dict[str, float]], quick: bool, iters: int
 ) -> None:
-    """Per-tier bulk decode of realistic gap streams (ISSUE 7 scenarios).
+    """Bulk decode of realistic gap streams on the table kernel.
 
     Streams mimic the two dominant whole-record runs: timestamp gaps
     (zeta_2 naturals, power-law-distributed small gaps) and structure
     residual gaps (zeta_3), plus the interval-graph (gap, duration)
-    interleaved pair run.  Each scenario is decoded once per tier first
-    and the answers asserted element-identical -- the tier ladder's
-    "identical answers, different speed" contract -- then timed under the
-    forced ``table`` and ``numpy`` tiers.  numpy scenarios are skipped
-    (not failed) when numpy is not installed; the gate ignores absent ops.
+    interleaved pair run.  Each scenario's answer is checked against the
+    values it encoded, then timed.  The ``_table`` suffix of the op names
+    keeps them comparable with earlier baselines.
     """
     rng = random.Random(77)
     n = 2048 if quick else 8192
@@ -194,35 +189,25 @@ def _bench_bulk_decode(
     pair_data, pair_bits = pair_writer.to_bytes(), pair_writer.bit_length
 
     scenarios = {
-        "bulk_timestamps": lambda: codes.read_many_zeta_natural(
-            BitReader(ts_data, ts_bits), n, 2
+        "bulk_timestamps": (
+            lambda: codes.read_many_zeta_natural(BitReader(ts_data, ts_bits), n, 2),
+            ts_gaps,
         ),
-        "bulk_residuals": lambda: codes.read_many_zeta_natural(
-            BitReader(res_data, res_bits), n, 3
+        "bulk_residuals": (
+            lambda: codes.read_many_zeta_natural(BitReader(res_data, res_bits), n, 3),
+            res_gaps,
         ),
-        "bulk_pairs": lambda: codes.read_many_zeta_natural_pairs(
-            BitReader(pair_data, pair_bits), n, 3, 2
+        "bulk_pairs": (
+            lambda: codes.read_many_zeta_natural_pairs(
+                BitReader(pair_data, pair_bits), n, 3, 2
+            ),
+            (res_gaps, durations),
         ),
     }
-    timed_tiers = ["table"] + (["numpy"] if kernels.numpy_available() else [])
-    previous = kernels.get_kernel()
-    try:
-        for name, op in scenarios.items():
-            reference = None
-            for tier in ["scalar"] + timed_tiers:
-                kernels.set_kernel(tier)
-                answer = op()
-                if reference is None:
-                    reference = answer
-                elif answer != reference:
-                    raise AssertionError(
-                        f"{name}: {tier} tier answers diverge from scalar"
-                    )
-            for tier in timed_tiers:
-                kernels.set_kernel(tier)
-                results[f"micro/{name}_{tier}"] = _time_op(op, iters, 1)
-    finally:
-        kernels.set_kernel(previous)
+    for name, (op, encoded) in scenarios.items():
+        if op() != encoded:
+            raise AssertionError(f"{name}: decoded values differ from the encoded run")
+        results[f"micro/{name}_table"] = _time_op(op, iters, 1)
 
 
 def measure_load_rss(quick: bool) -> Dict[str, object]:
@@ -327,20 +312,6 @@ def measure_load_rss(quick: bool) -> Dict[str, object]:
     }
 
 
-def kernel_speedups(ops: Dict[str, Dict[str, float]]) -> Dict[str, float]:
-    """numpy-vs-table ratio per bulk scenario present in ``ops``."""
-    speedups = {}
-    for op, stats in ops.items():
-        if not op.endswith("_table"):
-            continue
-        fast = ops.get(op[: -len("_table")] + "_numpy")
-        if fast and fast["min_us"] > 0:
-            speedups[op[len("micro/") :].rsplit("_", 1)[0]] = round(
-                stats["min_us"] / fast["min_us"], 2
-            )
-    return speedups
-
-
 def run_benchmarks(quick: bool) -> Dict[str, object]:
     rng = random.Random(42)
     iters = 5 if quick else 7
@@ -437,8 +408,6 @@ def run_benchmarks(quick: bool) -> Dict[str, object]:
         "quick": quick,
         "python": platform.python_version(),
         "calibration_us": _calibrate(),
-        "kernel_info": kernels.kernel_info(),
-        "kernel_speedup": kernel_speedups(results),
         "load_rss": measure_load_rss(quick),
         "ops": results,
     }
@@ -536,8 +505,6 @@ def merge_with_baseline(
         "calibration_us_before": _baseline_calibration(
             baseline, bool(current["quick"])
         ),
-        "kernel_info": current.get("kernel_info"),
-        "kernel_speedup": current.get("kernel_speedup"),
         "load_rss": current.get("load_rss"),
         "before": before,
         "after": after,
@@ -571,10 +538,6 @@ def main(argv: List[str] | None = None) -> int:
     current = run_benchmarks(args.quick)
     print(_fmt_table(current["ops"]))
     print(f"calibration: {current['calibration_us']:.1f}us")
-    if current["kernel_speedup"]:
-        print("bulk decode, numpy tier vs table tier:")
-        for name, ratio in sorted(current["kernel_speedup"].items()):
-            print(f"  {name:<24} {ratio:.2f}x")
     rss = current.get("load_rss")
     if rss:
         print(

@@ -4,9 +4,8 @@ A count read from a compressed stream is attacker-controlled: one flipped
 bit can turn a 3 into 3 billion.  Decode paths therefore charge the
 decode-limit budget (``charge(n)``, which raises
 :class:`repro.errors.LimitExceededError`) or bound the value explicitly
-*before* any allocation proportional to it -- bulk ``read_many_*`` and
-vectorized-kernel ``decode_run*`` calls, list repetition,
-``bytes``/``bytearray`` construction.
+*before* any allocation proportional to it -- bulk ``read_many_*``
+calls, list repetition, ``bytes``/``bytearray`` construction.
 
 The rule is a small flow-sensitive taint analysis per function: values
 returned by scalar codec readers are tainted; passing a tainted value
@@ -221,10 +220,7 @@ class DecodeBudgetRule(Rule):
         for node in ast.walk(root):
             if isinstance(node, ast.Call):
                 name = _call_name(node)
-                # `decode_run*` are the vectorized-kernel entry points
-                # (repro.bits.vectorized); same contract as `read_many_*`:
-                # the count must be charged before the bulk allocation.
-                if name.startswith("read_many") or name.startswith("decode_run"):
+                if name.startswith("read_many"):
                     for arg in node.args[1:]:
                         self._flag_tainted(
                             source,

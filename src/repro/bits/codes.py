@@ -13,7 +13,8 @@ The module exposes, per code, a writer (``write_*``), a reader (``read_*``)
 and a length function (``*_length``).  For the codes ChronoGraph emits in
 bulk there are also run-level counterparts:
 
-* ``read_many_*`` -- table-driven bulk readers (the record decoders);
+* ``read_many_*`` -- bulk readers (the record decoders), all on one
+  16-bit table kernel that escapes to the scalar reader for long codes;
 * ``write_many_gamma_natural``, ``write_many_zeta_natural`` and
   ``write_many_zeta_natural_pairs`` -- bulk writers that pack a whole run
   into a local accumulator and flush it to the writer in whole bytes every
@@ -26,7 +27,7 @@ bulk there are also run-level counterparts:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bits import kernels
 from repro.bits.bitio import BitReader, BitWriter
@@ -663,35 +664,11 @@ def decode_simple16(reader: BitReader, count: int) -> List[int]:
 # Decode whole runs of codes with the reader state held in locals; the
 # per-record decoders (structure, timestamps) are built on these.  Each
 # returns exactly ``count`` values or raises the same exceptions as its
-# scalar counterpart mid-run.  The actual kernel is chosen per run by the
-# planner in :mod:`repro.bits.kernels`: numpy-vectorised decoding
-# (:mod:`repro.bits.vectorized`) for long runs when numpy is available,
-# the inlined 16-bit table loop otherwise, with a per-code scalar tier for
-# differential testing.  All tiers are byte-exact mirrors of one another.
+# scalar counterpart mid-run.  Every run goes through the inlined 16-bit
+# table loop above, which takes the scalar ``read_*`` path only for a code
+# longer than the table window or at the end of the stream; the scalar
+# readers are also the reference the bulk readers are tested against.
 # --------------------------------------------------------------------------
-
-_VEC_CHECKED = False
-_VEC_MODULE: Optional[Any] = None
-
-
-def _vectorized_kernel() -> Optional[Any]:
-    """The numpy-tier module, imported lazily; ``None`` when unusable.
-
-    The planner only reports the numpy tier after probing numpy itself,
-    but the vectorized module is still imported defensively so a broken
-    numpy installation degrades to the table kernel instead of raising.
-    """
-    global _VEC_CHECKED, _VEC_MODULE
-    if not _VEC_CHECKED:
-        try:
-            from repro.bits import vectorized
-        except ImportError:
-            _VEC_MODULE = None
-        else:
-            _VEC_MODULE = vectorized
-        _VEC_CHECKED = True
-    return _VEC_MODULE
-
 
 def _check_count(count: int) -> None:
     """Bulk reads own their domain check: a negative count is a caller bug."""
@@ -707,11 +684,10 @@ def _decode_run(
     slow: Callable[[BitReader], int],
     delta: int = 0,
 ) -> List[int]:
-    """Decode ``count`` codes of one family on the planned kernel tier.
+    """Decode ``count`` codes of one family through the table kernel.
 
     ``delta`` is added to every decoded value (``-1`` for the ``*_natural``
-    wrappers) inside the kernel, where the numpy tier can apply it as one
-    array operation.
+    wrappers).
 
     When a query context is active on this thread (see the checkpoint
     hook in :mod:`repro.bits.kernels`), the run is charged against the
@@ -749,26 +725,7 @@ def _decode_run_plain(
     slow: Callable[[BitReader], int],
     delta: int = 0,
 ) -> List[int]:
-    """The uninterruptible kernel dispatch behind :func:`_decode_run`."""
-    tier = kernels.plan(count)
-    if tier == kernels.TIER_NUMPY:
-        vec = _vectorized_kernel()
-        if vec is not None:
-
-            def fallback(r: BitReader, c: int) -> List[int]:
-                raw = _read_many_table(r, c, vals, lens, slow)
-                return [x + delta for x in raw] if delta else raw
-
-            result: List[int] = vec.decode_run(
-                reader, count, vals, lens, slow, delta, fallback
-            )
-            return result
-        tier = kernels.TIER_TABLE
-    if tier == kernels.TIER_SCALAR:
-        out: List[int] = []
-        for _ in range(count):
-            out.append(slow(reader) + delta)
-        return out
+    """The uninterruptible table decode behind :func:`_decode_run`."""
     raw = _read_many_table(reader, count, vals, lens, slow)
     if delta:
         return [x + delta for x in raw]
@@ -786,7 +743,7 @@ def _decode_run_pairs(
     slow_b: Callable[[BitReader], int],
     delta: int = 0,
 ) -> Tuple[List[int], List[int]]:
-    """Decode ``count`` interleaved (a, b) pairs on the planned kernel tier.
+    """Decode ``count`` interleaved (a, b) pairs through the table kernel.
 
     Chunks against an active query context exactly like
     :func:`_decode_run` (pairs count as two work units each).
@@ -832,39 +789,7 @@ def _decode_run_pairs_plain(
     slow_b: Callable[[BitReader], int],
     delta: int = 0,
 ) -> Tuple[List[int], List[int]]:
-    """The uninterruptible kernel dispatch behind :func:`_decode_run_pairs`."""
-    tier = kernels.plan(count)
-    if tier == kernels.TIER_NUMPY:
-        vec = _vectorized_kernel()
-        if vec is not None:
-
-            def fallback(r: BitReader, c: int) -> Tuple[List[int], List[int]]:
-                raw_a, raw_b = _read_many_table_pairs(
-                    r, c, vals_a, lens_a, slow_a, vals_b, lens_b, slow_b
-                )
-                if delta:
-                    return (
-                        [x + delta for x in raw_a],
-                        [x + delta for x in raw_b],
-                    )
-                return raw_a, raw_b
-
-            pair: Tuple[List[int], List[int]] = vec.decode_run_pairs(
-                reader, count,
-                vals_a, lens_a, slow_a,
-                vals_b, lens_b, slow_b,
-                delta,
-                fallback,
-            )
-            return pair
-        tier = kernels.TIER_TABLE
-    if tier == kernels.TIER_SCALAR:
-        out_a: List[int] = []
-        out_b: List[int] = []
-        for _ in range(count):
-            out_a.append(slow_a(reader) + delta)
-            out_b.append(slow_b(reader) + delta)
-        return out_a, out_b
+    """The uninterruptible table decode behind :func:`_decode_run_pairs`."""
     raw_a, raw_b = _read_many_table_pairs(
         reader, count, vals_a, lens_a, slow_a, vals_b, lens_b, slow_b
     )

@@ -1,216 +1,53 @@
-"""Decode-kernel planner: picks a bulk-decode tier per run.
+"""The decode checkpoint hook shared by the bulk readers and the runtime.
 
-The ``read_many_*`` bulk readers in :mod:`repro.bits.codes` can decode a
-homogeneous run of codes through three interchangeable kernel tiers:
-
-``numpy``
-    :mod:`repro.bits.vectorized` -- broadcast 16-bit table lookups over the
-    whole run as numpy array operations (pointer doubling over the
-    successor array), with a scalar escape for codes longer than the table
-    window.  Fastest for long runs; needs numpy.
-``table``
-    The inlined pure-Python 16-bit table loop of
-    :func:`repro.bits.codes._read_many_table` -- the PR-2 kernels.  Fastest
-    for short runs and the fallback when numpy is not installed.
-``scalar``
-    One scalar ``read_*`` call per code.  The reference tier: trivially
-    correct, used for differential testing and as the last-resort
-    fallback.
-
-All three tiers consume exactly the same bits and return exactly the same
-values on every stream -- byte-identity is enforced by the cross-tier
-property tests (``tests/test_vectorized_kernels.py``).  Selection therefore
-only ever changes speed, never answers.
-
-Selection order for a run of ``count`` codes:
-
-1. An explicit override -- :func:`set_kernel` or the ``REPRO_DECODE_KERNEL``
-   environment variable (read at import time) -- wins.  Forcing ``numpy``
-   on a machine without numpy degrades to ``table`` rather than failing:
-   the tiers are answer-identical, so degradation is safe.
-2. Otherwise ``numpy`` when numpy is importable and the run is at least
-   :data:`DEFAULT_NUMPY_MIN_RUN` codes (per-call array overhead beats the
-   per-code loop only past that length), else ``table``.
-
-numpy is an *optional* dependency (the ``fast`` extra in pyproject.toml);
-nothing in this module imports it eagerly and every consumer must work
-without it.
+Every ``read_many_*`` bulk reader in :mod:`repro.bits.codes` decodes its
+run through one kernel: the inlined 16-bit table loop, with a scalar
+escape for codes longer than the table window.  While a query context is
+active, those readers split a run into stride-sized chunks and poll the
+hook installed here between chunks, so a single huge run still observes
+its deadline, cancel flag and work budget.  The hook lives in
+:mod:`repro.bits` (rather than :mod:`repro.runtime`) so the codecs carry no
+upward import.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Callable, Dict, Optional
-
-from repro.errors import CodecDomainError
+from typing import Callable, Dict, Optional
 
 __all__ = [
-    "TIER_NUMPY",
-    "TIER_TABLE",
-    "TIER_SCALAR",
-    "TIERS",
-    "AUTO",
-    "DEFAULT_NUMPY_MIN_RUN",
-    "ENV_VAR",
-    "numpy_or_none",
     "numpy_available",
     "plan",
     "set_kernel",
-    "get_kernel",
-    "refresh_from_env",
     "kernel_info",
     "CheckpointHook",
     "set_checkpoint_hook",
     "get_checkpoint_hook",
 ]
 
-TIER_NUMPY = "numpy"
-TIER_TABLE = "table"
-TIER_SCALAR = "scalar"
 
-#: The tier ladder, fastest-for-long-runs first.
-TIERS = (TIER_NUMPY, TIER_TABLE, TIER_SCALAR)
-
-#: Override value meaning "let the planner decide per run".
-AUTO = "auto"
-
-#: Environment variable holding a process-wide tier override.
-ENV_VAR = "REPRO_DECODE_KERNEL"
-
-#: Below this run length the planner prefers the table kernel even when
-#: numpy is available: a vectorised decode costs a fixed ~25 array
-#: operations, which the per-code table loop undercuts on short runs
-#: (measured break-even is roughly 256 codes on small gap codes).
-DEFAULT_NUMPY_MIN_RUN = 256
-
-_numpy_checked = False
-_numpy: Optional[Any] = None
-
-_override: str = AUTO
-_numpy_min_run: int = DEFAULT_NUMPY_MIN_RUN
-
-
-def _probe_numpy() -> Optional[Any]:
-    """Import numpy once; remember the outcome for the process lifetime."""
-    global _numpy_checked, _numpy
-    if not _numpy_checked:
-        try:
-            import numpy
-        except ImportError:
-            _numpy = None
-        else:
-            _numpy = numpy
-        _numpy_checked = True
-    return _numpy
-
-
-def numpy_or_none() -> Optional[Any]:
-    """The numpy module when importable, else ``None`` (import guard)."""
-    return _probe_numpy()
+# Constant stubs of the retired kernel planner.  The traced ``bits_micro``
+# probe of the end-to-end benchmark (benchmarks/e2e/workloads.py) still
+# calls them, and that directory changes only together with the benchmark
+# itself; delete them with its next change.
 
 
 def numpy_available() -> bool:
-    """Whether the numpy tier can run in this process."""
-    return _probe_numpy() is not None
-
-
-def _validate(name: str) -> str:
-    value = name.strip().lower()
-    if value not in TIERS and value != AUTO:
-        raise CodecDomainError(
-            f"unknown decode kernel {name!r}; expected one of "
-            f"{(AUTO,) + TIERS}"
-        )
-    return value
-
-
-def set_kernel(
-    name: Optional[str] = None, *, numpy_min_run: Optional[int] = None
-) -> None:
-    """Set the process-wide tier override (``None``/"auto" lifts it).
-
-    ``numpy_min_run`` re-tunes the auto-mode crossover run length.  Both
-    settings apply to every subsequent bulk read in the process; tests
-    forcing a tier must restore the previous value (see the
-    ``decode_kernel`` fixture pattern in tests/test_vectorized_kernels.py).
-
-    ``set_kernel(None)`` does not merely lift the override -- it re-reads
-    ``REPRO_DECODE_KERNEL`` via :func:`refresh_from_env`, so "reset to
-    defaults" means the same thing it would at process start.  Passing the
-    literal string ``"auto"`` lifts the override without consulting the
-    environment.
-    """
-    global _override, _numpy_min_run
-    if name is None:
-        refresh_from_env()
-    else:
-        _override = _validate(name)
-    if numpy_min_run is not None:
-        if numpy_min_run < 1:
-            raise CodecDomainError(
-                f"numpy_min_run must be >= 1, got {numpy_min_run}"
-            )
-        _numpy_min_run = numpy_min_run
-
-
-def get_kernel() -> str:
-    """The current override: one of :data:`TIERS` or :data:`AUTO`."""
-    return _override
-
-
-def refresh_from_env() -> str:
-    """Re-read ``REPRO_DECODE_KERNEL`` and adopt it as the override.
-
-    The environment variable is normally adopted once at import, which a
-    long-lived process that mutates ``os.environ`` (or is told to reload
-    configuration) would never observe.  Calling this re-reads the
-    variable now: a set, non-empty value becomes the override (invalid
-    values raise :class:`repro.errors.CodecDomainError`); unset or blank
-    restores :data:`AUTO`.  Returns the resulting override.
-    """
-    global _override
-    value = os.environ.get(ENV_VAR)
-    if value is not None and value.strip():
-        _override = _validate(value)
-    else:
-        _override = AUTO
-    return _override
+    """Always ``False``: no decode kernel uses numpy."""
+    return False
 
 
 def plan(count: int) -> str:
-    """The tier a bulk read of ``count`` codes should run on.
+    """Always ``"table"``: every run decodes on the table kernel."""
+    return "table"
 
-    Pure selection -- no validation of ``count`` (the ``read_many_*``
-    entry points own domain checks) and no side effects beyond the
-    memoised numpy probe.
-    """
-    override = _override
-    if override == TIER_NUMPY:
-        # Forced numpy degrades to the table kernel when numpy is missing:
-        # tiers are answer-identical, so degrading is safe and keeps a
-        # REPRO_DECODE_KERNEL=numpy deployment running on a bare machine.
-        return TIER_NUMPY if numpy_available() else TIER_TABLE
-    if override == TIER_TABLE or override == TIER_SCALAR:
-        return override
-    if count >= _numpy_min_run and numpy_available():
-        return TIER_NUMPY
-    return TIER_TABLE
+
+def set_kernel(name: Optional[str] = None) -> None:
+    """Does nothing: there is one kernel to choose."""
 
 
 def kernel_info() -> Dict[str, object]:
-    """Introspection snapshot: override, numpy availability, crossover.
-
-    Surfaced by ``CompressedChronoGraph.decode_kernel_info`` and the
-    segmented store so operators can confirm which tier a deployment is
-    actually running.
-    """
-    return {
-        "override": _override,
-        "numpy_available": numpy_available(),
-        "numpy_min_run": _numpy_min_run,
-        "tiers": TIERS,
-        "env": os.environ.get(ENV_VAR),
-    }
+    """The retired planner's snapshot keys, with their fixed values."""
+    return {"override": "table", "numpy_available": False, "numpy_min_run": None}
 
 
 #: Ambient decode checkpoint installed by :mod:`repro.runtime.context`.
@@ -246,11 +83,3 @@ def set_checkpoint_hook(hook: Optional[CheckpointHook]) -> None:
 def get_checkpoint_hook() -> Optional[CheckpointHook]:
     """The installed ambient decode checkpoint, or ``None``."""
     return _checkpoint_hook
-
-
-def _init_from_env() -> None:
-    """Adopt ``REPRO_DECODE_KERNEL`` at import; invalid values raise."""
-    refresh_from_env()
-
-
-_init_from_env()

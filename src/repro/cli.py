@@ -170,9 +170,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("store", help="segment store directory")
     p.add_argument("--json", action="store_true",
-                   help="machine-readable report: health, per-segment "
-                        "breaker states, governor stats and the resolved "
-                        "decode kernel")
+                   help="machine-readable report: health and per-segment "
+                        "breaker states")
 
     p = sub.add_parser(
         "figures", help="export figure series (CSV) and tables (LaTeX)"
@@ -540,8 +539,6 @@ def _cmd_status(args) -> int:
     import dataclasses as _dataclasses
     import json as _json
 
-    from repro.bits import kernels
-    from repro.runtime.governor import default_governor
     from repro.storage.segments import SegmentStore, is_segment_store
 
     if not is_segment_store(args.store):
@@ -554,8 +551,6 @@ def _cmd_status(args) -> int:
         doc = {
             "health": _dataclasses.asdict(health),
             "ok": health.ok,
-            "governor": default_governor().stats(),
-            "decode_kernel": kernels.kernel_info(),
         }
         print(_json.dumps(doc, indent=2, sort_keys=True, default=str))
     else:

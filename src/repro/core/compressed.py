@@ -68,7 +68,7 @@ from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.bits import codes, kernels
+from repro.bits import codes
 from repro.bits.bitio import BitReader, Buffer
 from repro.bits.eliasfano import EliasFano
 from repro.core.config import ChronoGraphConfig
@@ -329,17 +329,6 @@ class CompressedChronoGraph:
             "max_bytes": self._cache_max_bytes,
             "max_entries": self._cache_max_entries,
         }
-
-    def decode_kernel_info(self) -> Dict[str, object]:
-        """Which bulk-decode kernel tier this process resolves to.
-
-        Every record decode routes through the :mod:`repro.bits.kernels`
-        planner; this surfaces its process-wide settings (override, numpy
-        availability, auto-mode crossover) so operators can confirm what a
-        deployment is actually running.  Tier selection never changes
-        answers -- only speed -- so this is purely observability.
-        """
-        return kernels.kernel_info()
 
     def configure_cache(self, *, max_bytes=_UNSET, max_entries=_UNSET) -> None:
         """Re-bound the record cache; ``None`` lifts that bound.

@@ -38,12 +38,7 @@ from repro.runtime.context import (
     query_scope,
     resolve_context,
 )
-from repro.runtime.governor import (
-    Governor,
-    TokenBucket,
-    default_governor,
-    set_default_governor,
-)
+from repro.runtime.governor import Governor, TokenBucket
 
 __all__ = [
     "Deadline",
@@ -56,8 +51,6 @@ __all__ = [
     "query_scope",
     "Governor",
     "TokenBucket",
-    "default_governor",
-    "set_default_governor",
     "CircuitBreaker",
     "BreakerBoard",
     "STATE_CLOSED",

@@ -30,8 +30,6 @@ __all__ = [
     "DEFAULT_RETRY_AFTER",
     "TokenBucket",
     "Governor",
-    "default_governor",
-    "set_default_governor",
 ]
 
 #: Default concurrent-query cap: generous enough that only genuine
@@ -235,7 +233,7 @@ class Governor:
     # -- introspection -------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        """Machine-readable counters for ``status --json`` and tests.
+        """Machine-readable counters for the service ``stats`` op and tests.
 
         Includes the caps, live/peak in-flight counts, admitted/rejected
         totals (rejections broken down by reason) and per-tenant token
@@ -256,30 +254,3 @@ class Governor:
                 "tenant_tokens": tenants,
             }
 
-
-_default: Optional[Governor] = None
-_default_lock = threading.Lock()
-
-
-def default_governor() -> Governor:
-    """The process-wide governor, created lazily with default settings.
-
-    Queries are governed only by the governor on their context; this one
-    is what ``repro status --json`` reports.
-    """
-    global _default
-    with _default_lock:
-        if _default is None:
-            _default = Governor()
-        return _default
-
-
-def set_default_governor(governor: Optional[Governor]) -> Optional[Governor]:
-    """Replace the process-wide governor; returns the previous one.
-
-    ``None`` resets to lazy default creation.
-    """
-    global _default
-    with _default_lock:
-        previous, _default = _default, governor
-        return previous

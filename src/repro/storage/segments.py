@@ -47,7 +47,6 @@ import zlib
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.bits import kernels
 from repro.core.config import ChronoGraphConfig
 from repro.errors import (
     ChecksumMismatchError,
@@ -647,15 +646,6 @@ class SegmentedChronoGraph:
         return sum(info.contacts for info, _ in self._segments) + self._tail.num_contacts
 
     # -- planning ------------------------------------------------------------
-
-    def decode_kernel_info(self) -> Dict[str, object]:
-        """Which bulk-decode kernel tier per-part query merges resolve to.
-
-        Mirrors :meth:`CompressedChronoGraph.decode_kernel_info` (the
-        planner is process-wide); surfaced on the view so callers can
-        confirm the tier without reaching into a segment.
-        """
-        return kernels.kernel_info()
 
     def plan(self, t_start: int, t_end: int) -> List[SegmentInfo]:
         """The segments a window query must consult, in seal order.
@@ -1406,15 +1396,6 @@ class SegmentStore:
             events=list(self._events),
             breakers=self._breakers.states(),
         )
-
-    def decode_kernel_info(self) -> Dict[str, object]:
-        """Which bulk-decode kernel tier per-part query merges resolve to.
-
-        Mirrors :meth:`CompressedChronoGraph.decode_kernel_info` (the
-        planner is process-wide); surfaced here so a segmented deployment
-        can confirm its tier without reaching into a part.
-        """
-        return kernels.kernel_info()
 
     # -- ingest --------------------------------------------------------------
 

@@ -254,8 +254,6 @@ class LockSanitizer:
     _DECODE_PATCHES = (
         ("repro.bits.codes", "_decode_run"),
         ("repro.bits.codes", "_decode_run_pairs"),
-        ("repro.bits.vectorized", "decode_run"),
-        ("repro.bits.vectorized", "decode_run_pairs"),
     )
 
     #: os-level filesystem calls patched to report fs-under-lock.
@@ -412,10 +410,7 @@ class LockSanitizer:
         import importlib
 
         for module_name, attr in self._DECODE_PATCHES:
-            try:
-                module = importlib.import_module(module_name)
-            except ModuleNotFoundError:
-                continue  # the numpy tier is optional: nothing to patch
+            module = importlib.import_module(module_name)
             self._patch(
                 module, attr, self._blocking_wrapper("decode", getattr(module, attr))
             )

@@ -325,36 +325,6 @@ def test_cg005_accepts_charged_or_bounded_allocation(tmp_path):
     assert findings == []
 
 
-def test_cg005_covers_vectorized_decode_run_entry_points(tmp_path):
-    # The vectorized kernels expose `decode_run` / `decode_run_pairs`;
-    # they allocate proportionally to the count just like `read_many_*`,
-    # so an uncharged stream-decoded count through them is a finding and
-    # a charged one is not.
-    _write(
-        tmp_path,
-        "repro/bits/veccall.py",
-        """
-        from repro.bits import codes, vectorized
-
-        def uncharged(reader, vals, lens, slow):
-            count = codes.read_gamma_natural(reader)
-            return vectorized.decode_run(reader, count, vals, lens, slow)
-
-        def uncharged_pairs(reader, tables):
-            count = codes.read_gamma_natural(reader)
-            return vectorized.decode_run_pairs(reader, count, *tables)
-
-        def charged(reader, charge, vals, lens, slow):
-            count = codes.read_gamma_natural(reader)
-            charge(count)
-            return vectorized.decode_run(reader, count, vals, lens, slow)
-        """,
-    )
-    findings, _ = run_rules([str(tmp_path)], [get_rule("CG005")])
-    assert len(findings) == 2
-    assert all("decode_run" in f.message for f in findings)
-
-
 def test_cg005_taint_propagates_through_arithmetic(tmp_path):
     _write(
         tmp_path,

@@ -224,7 +224,7 @@ class TestStallingGraph:
 
 
 class TestStatusJson:
-    def test_status_json_reports_breakers_and_governor(self, tmp_path, capsys):
+    def test_status_json_reports_health_and_breakers(self, tmp_path, capsys):
         import json
 
         from repro.cli import main
@@ -238,6 +238,4 @@ class TestStatusJson:
         assert doc["ok"] is True
         assert doc["health"]["segments"] == 1
         assert "breakers" in doc["health"]
-        assert "in_flight" in doc["governor"]
-        assert "rejected_by_reason" in doc["governor"]
-        assert "override" in doc["decode_kernel"]
+        assert set(doc) == {"health", "ok"}

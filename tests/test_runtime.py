@@ -3,8 +3,7 @@
 Covers the resource-governance layer end to end: the typed interruption
 taxonomy, checkpoint semantics (cancel -> budget -> deadline), ambient
 activation down to the bulk-decode chunk loops, governor admission and
-load shedding, per-part circuit breakers on an injectable clock, and the
-``refresh_from_env`` kernel-planner hook.
+load shedding, and per-part circuit breakers on an injectable clock.
 """
 
 import os
@@ -35,10 +34,8 @@ from repro.runtime import (
     TokenBucket,
     activate,
     current_context,
-    default_governor,
     query_scope,
     resolve_context,
-    set_default_governor,
 )
 from repro.runtime.breaker import STATE_CLOSED, STATE_HALF_OPEN, STATE_OPEN
 from repro.storage.atomic import RetryPolicy
@@ -287,27 +284,6 @@ class TestDecodeInterruption:
             kernels.set_checkpoint_hook(None)
 
 
-class TestKernelRefresh:
-    def test_refresh_from_env_rereads_override(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "scalar")
-        assert kernels.refresh_from_env() == "scalar"
-        assert kernels.kernel_info()["override"] == "scalar"
-        monkeypatch.setenv(kernels.ENV_VAR, "table")
-        # A long-lived process re-reads the env via set_kernel(None).
-        kernels.set_kernel(None)
-        assert kernels.kernel_info()["override"] == "table"
-        monkeypatch.delenv(kernels.ENV_VAR)
-        kernels.set_kernel(None)
-        assert kernels.kernel_info()["override"] == kernels.AUTO
-
-    def test_refresh_rejects_junk(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "sausage")
-        with pytest.raises(ValueError):
-            kernels.refresh_from_env()
-        monkeypatch.delenv(kernels.ENV_VAR)
-        kernels.refresh_from_env()
-
-
 class TestTokenBucket:
     def test_grant_and_refill_schedule(self):
         clock = StepClock()
@@ -373,14 +349,6 @@ class TestGovernor:
     def test_tenant_knobs_must_pair(self):
         with pytest.raises(DomainError):
             Governor(tenant_rate=1.0)
-
-    def test_default_governor_swap(self):
-        replacement = Governor(max_concurrent=1)
-        previous = set_default_governor(replacement)
-        try:
-            assert default_governor() is replacement
-        finally:
-            set_default_governor(previous)
 
     def test_batch_queries_use_governor_and_admit_once(self, tmp_path):
         graph = _graph()
