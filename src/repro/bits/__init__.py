@@ -11,7 +11,8 @@ are built from:
 * :mod:`repro.bits.bitvector` -- a plain bitvector with O(1) rank and fast
   select.
 * :mod:`repro.bits.eliasfano` -- the Elias-Fano representation of monotone
-  sequences used for ChronoGraph's offset indexes.
+  sequences, and the closed-form payload size ChronoGraph charges for its
+  offset indexes.
 """
 
 from repro.bits.bitio import BitReader, BitWriter

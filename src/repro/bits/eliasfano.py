@@ -1,15 +1,18 @@
 """Elias-Fano representation of non-decreasing sequences.
 
-ChronoGraph keeps two offset indexes (structure stream, timestamp stream) so
-a node's records can be located in constant time.  Both are non-decreasing
-sequences of bit offsets; Elias-Fano stores them in roughly
-``2 + log2(u / n)`` bits per element (Section IV-E of the paper) while
-supporting O(1) ``access(i)``.
+Stores a monotone sequence of naturals in roughly ``2 + log2(u / n)`` bits
+per element (Section IV-E of the paper) while supporting O(1) ``access(i)``.
 
 Layout: with universe ``u`` and ``n`` elements, each value is split into
 ``l = max(0, floor(log2(u / n)))`` low bits stored verbatim, and high bits
 stored as a unary-coded sequence of bucket counters.  ``access(i)`` is a
 ``select1`` on the high-bits array plus a low-bits fetch.
+
+The payload size depends only on ``n``, the last value and ``u``, so
+:func:`payload_bits` gives it in closed form without building the
+structure.  ChronoGraph charges its two offset indexes (structure stream,
+timestamp stream) at exactly that figure while holding them as flat
+arrays; the baselines build :class:`EliasFano` itself.
 """
 
 from __future__ import annotations
@@ -18,6 +21,24 @@ from typing import Iterator, List, Sequence
 
 from repro.bits.bitvector import BitVector
 from repro.errors import CodecDomainError
+
+
+def _low_bits(n: int, universe: int) -> int:
+    """Low bits stored verbatim per element: ``max(0, floor(log2(u / n)))``."""
+    return max(0, (universe // n).bit_length() - 1)
+
+
+def payload_bits(n: int, last: int, universe: int) -> int:
+    """Payload bits of ``n`` values ending at ``last`` over ``[0, universe)``.
+
+    The ``n * l`` low bits plus the unary high-bits array, whose last set
+    bit sits at ``(last >> l) + n - 1``: the figure
+    :meth:`EliasFano.size_in_bits` reports for the same sequence.
+    """
+    if n == 0:
+        return 0
+    low = _low_bits(n, universe)
+    return n * low + (last >> low) + n
 
 
 class EliasFano:
@@ -47,8 +68,7 @@ class EliasFano:
         if universe <= top:
             raise CodecDomainError(f"universe {universe} <= max value {top}")
         self._universe = universe
-        ratio = universe // n
-        self._low_bits = max(0, ratio.bit_length() - 1) if ratio > 0 else 0
+        self._low_bits = _low_bits(n, universe)
         l = self._low_bits
         mask = (1 << l) - 1
         self._lows = [v & mask for v in values]
@@ -77,11 +97,14 @@ class EliasFano:
     def size_in_bits(self) -> int:
         """Payload size: low bits plus the unary high-bits array.
 
-        This is the figure ChronoGraph's size accounting charges for each
-        offset index (rank/select directories are bookkeeping, as in the
-        paper's Java implementation which reports the EF payload).
+        Equal to :func:`payload_bits` for the same sequence, the figure
+        ChronoGraph's size accounting charges for each offset index
+        (rank/select directories are bookkeeping, as in the paper's Java
+        implementation which reports the EF payload).
         """
-        return self._n * self._low_bits + len(self._high)
+        if self._n == 0:
+            return 0
+        return payload_bits(self._n, self.access(self._n - 1), self._universe)
 
     def predecessor_index(self, value: int) -> int:
         """Index of the last element ``<= value``; -1 if none.

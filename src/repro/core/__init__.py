@@ -1,7 +1,7 @@
 """ChronoGraph: the paper's dual-representation temporal graph compressor.
 
 The framework stores a temporal graph as two aligned compressed streams plus
-two Elias-Fano offset indexes:
+two offset indexes (flat arrays charged at their Elias-Fano payload):
 
 * the **network structure** (Section IV-D): per node, the label-sorted
   neighbor *multiset*, compressed with deduplication of multiple

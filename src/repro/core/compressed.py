@@ -3,7 +3,9 @@
 A :class:`CompressedChronoGraph` owns four artefacts (Section IV-F):
 
 * the compressed structure stream and the compressed timestamp stream,
-* one Elias-Fano offset index per stream.
+* one offset index per stream: a flat ``array('Q')`` of each node's
+  starting bit, charged at its Elias-Fano payload
+  (:func:`repro.bits.eliasfano.payload_bits`), as in the paper.
 
 Every query seeks straight to a node's records through the offset indexes,
 decodes only what it needs, and never touches the rest of the graph -- this
@@ -64,13 +66,14 @@ from __future__ import annotations
 
 import itertools
 import threading
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bits import codes
 from repro.bits.bitio import BitReader, Buffer
-from repro.bits.eliasfano import EliasFano
+from repro.bits.eliasfano import payload_bits
 from repro.core.config import ChronoGraphConfig
 from repro.core.structure import decode_node_structure, multiset_from_parts
 from repro.core.timestamps import decode_node_timestamps
@@ -118,6 +121,11 @@ _RUNTIME_KEYS = (
     "_distinct_cache",
     "_cache_evictions",
 )
+
+
+def _index_bits(offsets: "array[int]", nbits: int) -> int:
+    """Elias-Fano payload of an offset index over an ``nbits``-bit stream."""
+    return payload_bits(len(offsets), offsets[-1] if offsets else 0, nbits + 1)
 
 
 class _AtomicCounter:
@@ -180,8 +188,8 @@ class CompressedChronoGraph:
         structure_bits: int,
         timestamp_bytes: Buffer,
         timestamp_bits: int,
-        structure_offsets: EliasFano,
-        timestamp_offsets: EliasFano,
+        structure_offsets: "array[int]",
+        timestamp_offsets: "array[int]",
         name: str = "unnamed",
     ) -> None:
         self.kind = kind
@@ -251,6 +259,12 @@ class CompressedChronoGraph:
         # Pickles written before lazy verification existed lack these.
         self.__dict__.setdefault("_sverify", None)
         self.__dict__.setdefault("_tverify", None)
+        # Older pickles carry Elias-Fano objects; iterating one yields
+        # its offsets.
+        for key in ("_soffsets", "_toffsets"):
+            offsets = self.__dict__[key]
+            if not isinstance(offsets, array):
+                self.__dict__[key] = array("Q", offsets)
         self._init_runtime()
 
     # -- size accounting -----------------------------------------------------
@@ -258,12 +272,12 @@ class CompressedChronoGraph:
     @property
     def structure_size_bits(self) -> int:
         """Structure stream plus its offset index."""
-        return self._sbits + self._soffsets.size_in_bits()
+        return self._sbits + _index_bits(self._soffsets, self._sbits)
 
     @property
     def timestamp_size_bits(self) -> int:
         """Timestamp stream plus its offset index (the Table IV parenthesis)."""
-        return self._tbits + self._toffsets.size_in_bits()
+        return self._tbits + _index_bits(self._toffsets, self._tbits)
 
     @property
     def size_in_bits(self) -> int:
@@ -494,9 +508,13 @@ class CompressedChronoGraph:
         return CorruptStreamError(f"node {u}: {stage} decode failed: {exc}")
 
     def _structure_reader(self, u: int) -> BitReader:
+        if u < 0:
+            # A corrupt reference gap can point before node 0, and a
+            # negative index would wrap to the end of the offset array.
+            raise IndexError(f"record {u} before node 0")
         self._touch_structure()
         reader = BitReader(self._sbytes, self._sbits)
-        reader.seek(self._soffsets.access(u))
+        reader.seek(self._soffsets[u])
         return reader
 
     def _decode_structure(self, u: int):
@@ -580,7 +598,7 @@ class CompressedChronoGraph:
         try:
             self._touch_timestamps()
             reader = BitReader(self._tbytes, self._tbits)
-            reader.seek(self._toffsets.access(u))
+            reader.seek(self._toffsets[u])
             return decode_node_timestamps(
                 reader,
                 count,
@@ -643,6 +661,8 @@ class CompressedChronoGraph:
         self._touch_timestamps()
         sreader = BitReader(self._sbytes, self._sbits)
         treader = BitReader(self._tbytes, self._tbits)
+        soffsets = self._soffsets
+        toffsets = self._toffsets
         recent: Dict[int, List[int]] = {}
 
         def resolve(v: int) -> List[int]:
@@ -660,7 +680,7 @@ class CompressedChronoGraph:
             if record is None:
                 with activate(ctx):
                     try:
-                        sreader.seek(self._soffsets.access(u))
+                        sreader.seek(soffsets[u])
                         dedup, singles = decode_node_structure(
                             sreader, u, resolve, config, limit=limit
                         )
@@ -670,7 +690,7 @@ class CompressedChronoGraph:
                         raise self._corrupt(u, "structure", exc) from exc
                     multiset = multiset_from_parts(dedup, singles)
                     try:
-                        treader.seek(self._toffsets.access(u))
+                        treader.seek(toffsets[u])
                         times, durations = decode_node_timestamps(
                             treader,
                             len(multiset),
@@ -924,6 +944,7 @@ class CompressedChronoGraph:
         dcache = self._distinct_cache
         self._touch_structure()
         sreader = BitReader(self._sbytes, self._sbits)
+        soffsets = self._soffsets
         recent: Dict[int, List[int]] = {}
 
         def resolve(v: int) -> List[int]:
@@ -950,7 +971,7 @@ class CompressedChronoGraph:
                                 last = v
                     else:
                         try:
-                            sreader.seek(self._soffsets.access(u))
+                            sreader.seek(soffsets[u])
                             dedup, singles = decode_node_structure(
                                 sreader, u, resolve, config, limit=limit
                             )

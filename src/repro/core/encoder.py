@@ -9,12 +9,12 @@ form, and both records are written once through the bulk code writers.
 from __future__ import annotations
 
 import dataclasses
+from array import array
 from collections import Counter
 from typing import List, Optional, Tuple
 
 from repro.bits.bitio import BitWriter
 from repro.bits.codes import zeta_length_from_bits
-from repro.bits.eliasfano import EliasFano
 from repro.core.compressed import CompressedChronoGraph
 from repro.core.config import ChronoGraphConfig
 from repro.core.structure import encode_node_structure
@@ -100,8 +100,8 @@ def _build(
         structure_bits=len(structure),
         timestamp_bytes=timestamps.to_bytes(),
         timestamp_bits=len(timestamps),
-        structure_offsets=EliasFano(structure_offsets, universe=len(structure) + 1),
-        timestamp_offsets=EliasFano(timestamp_offsets, universe=len(timestamps) + 1),
+        structure_offsets=array("Q", structure_offsets),
+        timestamp_offsets=array("Q", timestamp_offsets),
         name=graph.name,
     )
 

@@ -10,9 +10,9 @@ disk and network boundaries:
   footer,
 * four length-prefixed, CRC32-guarded **payload sections** in fixed order:
   structure stream, timestamp stream, structure offsets, timestamp offsets
-  (offsets are VByte-coded deltas; the Elias-Fano indexes are rebuilt on
-  load -- they are derived structures, and rebuilding keeps the format
-  independent of index internals),
+  (offsets are VByte-coded deltas, decoded on load into the graph's flat
+  offset arrays; the in-memory index is derived, so the format does not
+  depend on it),
 * **decode limits**: every declared count and size is cross-checked against
   the actual file size *before* any proportional allocation, so a flipped
   header byte can never trigger a multi-gigabyte allocation or an unbounded
@@ -51,17 +51,18 @@ import mmap
 import pathlib
 import struct
 import zlib
+from array import array
+from bisect import bisect_right
 from typing import BinaryIO, List, Optional, Tuple, Union
 
-from repro.bits.bitio import BitReader, BitWriter, Buffer
-from repro.bits.codes import read_vbyte, write_vbyte
-from repro.bits.eliasfano import EliasFano
+from repro.bits.bitio import Buffer
 from repro.core.compressed import CompressedChronoGraph
 from repro.core.config import ChronoGraphConfig
 from repro.core.validate import SalvageReport, salvage_scan
 from repro.errors import (
     ChecksumMismatchError,
     CorruptStreamError,
+    EndOfStreamError,
     FormatError,
     GraphDomainError,
     LimitExceededError,
@@ -186,14 +187,28 @@ def _config_tuple(config: ChronoGraphConfig) -> tuple:
     )
 
 
-def _offsets_payload(offsets: List[int]) -> bytes:
-    writer = BitWriter()
+def _offsets_payload(offsets: "array[int]") -> bytes:
+    """The entry count, then each offset's delta as a VByte code.
+
+    VByte writes 7-bit groups, high group first, with the top bit set on
+    every byte but the last: the bytes
+    :func:`repro.bits.codes.write_vbyte` writes, appended directly.
+    """
+    out = array("B", struct.pack("<Q", len(offsets)))
+    append = out.append
     prev = 0
     for value in offsets:
-        write_vbyte(writer, value - prev)
+        delta = value - prev
         prev = value
-    data = writer.to_bytes()
-    return struct.pack("<Q", len(offsets)) + data
+        if delta < 0x80:
+            append(delta)
+            continue
+        shift = (delta.bit_length() - 1) // 7 * 7
+        while shift:
+            append(0x80 | ((delta >> shift) & 0x7F))
+            shift -= 7
+        append(delta & 0x7F)
+    return out.tobytes()
 
 
 def _write_section(out: BinaryIO, tag: int, *parts: Buffer) -> None:
@@ -246,12 +261,8 @@ def dumps_compressed(graph: CompressedChronoGraph) -> bytes:
     _write_section(
         buffer, _SECTION_TIMESTAMPS, struct.pack("<Q", graph._tbits), graph._tbytes
     )
-    _write_section(
-        buffer, _SECTION_SOFFSETS, _offsets_payload(list(graph._soffsets))
-    )
-    _write_section(
-        buffer, _SECTION_TOFFSETS, _offsets_payload(list(graph._toffsets))
-    )
+    _write_section(buffer, _SECTION_SOFFSETS, _offsets_payload(graph._soffsets))
+    _write_section(buffer, _SECTION_TOFFSETS, _offsets_payload(graph._toffsets))
     return buffer.getvalue()
 
 
@@ -291,7 +302,7 @@ def _save_v1_bytes(graph: CompressedChronoGraph) -> bytes:
     ):
         buffer.write(struct.pack("<QQ", nbits, len(data)))
         buffer.write(data)
-    for offsets in (list(graph._soffsets), list(graph._toffsets)):
+    for offsets in (graph._soffsets, graph._toffsets):
         payload = _offsets_payload(offsets)
         # v1 framed offsets as (count u64, nbytes u64, bytes).
         buffer.write(payload[:8] + struct.pack("<Q", len(payload) - 8))
@@ -303,6 +314,34 @@ def _save_v1_bytes(graph: CompressedChronoGraph) -> bytes:
 # Reading -- shared helpers
 # --------------------------------------------------------------------------
 
+def _read_offsets(data: Buffer, count: int) -> List[int]:
+    """The first ``count`` absolute offsets of a run of VByte deltas.
+
+    Reads no byte past the ``count``-th delta, so the work is bounded by
+    the declared count, not by the section's length.  Returns fewer when
+    ``data`` ends first; a code cut off by the end is dropped.  Shared by
+    the strict and the salvage loaders.
+    """
+    offsets: List[int] = []
+    if not count:
+        return offsets
+    append = offsets.append
+    left = count
+    value = 0
+    high = 0
+    for byte in data:
+        if byte < 0x80:
+            value += high | byte
+            high = 0
+            append(value)
+            left -= 1
+            if not left:
+                break
+        else:
+            high = (high | (byte & 0x7F)) << 7
+    return offsets
+
+
 def _decode_offset_deltas(
     data: Buffer, count: int, source: str, what: str
 ) -> List[int]:
@@ -313,12 +352,12 @@ def _decode_offset_deltas(
             f"{source}: {what}: {count} offsets declared but only "
             f"{len(data)} payload bytes"
         )
-    reader = BitReader(data)
-    offsets: List[int] = []
-    value = 0
-    for _ in range(count):
-        value += read_vbyte(reader)
-        offsets.append(value)
+    offsets = _read_offsets(data, count)
+    if len(offsets) < count:
+        raise EndOfStreamError(
+            f"{source}: {what}: delta stream ends after {len(offsets)} "
+            f"of {count} offsets"
+        )
     return offsets
 
 
@@ -439,13 +478,8 @@ def _assemble_graph(
             f"{source}: {num_contacts} contacts cannot fit in a "
             f"{tbits}-bit timestamp stream"
         )
-    try:
-        structure_index = EliasFano(soffsets, universe=sbits + 1)
-        timestamp_index = EliasFano(toffsets, universe=tbits + 1)
-    except ValueError as exc:
-        raise CorruptStreamError(
-            f"{source}: offset index rebuild failed: {exc}"
-        ) from exc
+    # Offsets never decrease, so with the last one inside its stream every
+    # entry fits the unsigned 64-bit array.
     return CompressedChronoGraph(
         kind=kind,
         num_nodes=num_nodes,
@@ -456,8 +490,8 @@ def _assemble_graph(
         structure_bits=sbits,
         timestamp_bytes=tbytes,
         timestamp_bits=tbits,
-        structure_offsets=structure_index,
-        timestamp_offsets=timestamp_index,
+        structure_offsets=array("Q", soffsets),
+        timestamp_offsets=array("Q", toffsets),
         name=name,
     )
 
@@ -784,19 +818,16 @@ def _salvage_offsets(
     if count != want:
         errors.append(f"{what}: {count} entries declared for {want} nodes")
     count = min(count, want, len(data))
-    reader = BitReader(data)
-    offsets: List[int] = []
-    value = 0
-    for _ in range(count):
-        try:
-            value += read_vbyte(reader)
-        except EOFError:
-            errors.append(f"{what}: delta stream ended early")
-            break
-        if value > nbits:
-            errors.append(f"{what}: offset {value} beyond {nbits}-bit stream")
-            break
-        offsets.append(value)
+    offsets = _read_offsets(data, count)
+    # Offsets never decrease, so those within the stream are a prefix.
+    keep = bisect_right(offsets, nbits)
+    if keep < len(offsets):
+        errors.append(
+            f"{what}: offset {offsets[keep]} beyond {nbits}-bit stream"
+        )
+        del offsets[keep:]
+    elif len(offsets) < count:
+        errors.append(f"{what}: delta stream ended early")
     return offsets
 
 
@@ -973,23 +1004,19 @@ def _salvage_parts(
         errors.append(
             f"only {usable} of {num_nodes} node offsets recoverable"
         )
-    try:
-        graph = CompressedChronoGraph(
-            kind=kind,
-            num_nodes=usable,
-            num_contacts=num_contacts,
-            t_min=t_min,
-            config=config,
-            structure_bytes=sbytes,
-            structure_bits=sbits,
-            timestamp_bytes=tbytes,
-            timestamp_bits=tbits,
-            structure_offsets=EliasFano(soffsets[:usable], universe=sbits + 1),
-            timestamp_offsets=EliasFano(toffsets[:usable], universe=tbits + 1),
-            name=name,
-        )
-    except ValueError as exc:
-        errors.append(f"offset index rebuild failed: {exc}")
-        return None
+    graph = CompressedChronoGraph(
+        kind=kind,
+        num_nodes=usable,
+        num_contacts=num_contacts,
+        t_min=t_min,
+        config=config,
+        structure_bytes=sbytes,
+        structure_bits=sbits,
+        timestamp_bytes=tbytes,
+        timestamp_bits=tbits,
+        structure_offsets=array("Q", soffsets[:usable]),
+        timestamp_offsets=array("Q", toffsets[:usable]),
+        name=name,
+    )
     graph._declared_nodes = num_nodes
     return graph

@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional
 
-from repro.bits.eliasfano import EliasFano
 from repro.core.compressed import CompressedChronoGraph
 from repro.errors import FormatError
 from repro.graph.model import TemporalGraph
@@ -154,7 +153,7 @@ class SalvageReport:
 def _prefix_graph(
     graph: CompressedChronoGraph, nodes: int, contacts: int
 ) -> CompressedChronoGraph:
-    """Restrict ``graph`` to its first ``nodes`` nodes (offsets rebuilt)."""
+    """Restrict ``graph`` to its first ``nodes`` nodes."""
     return CompressedChronoGraph(
         kind=graph.kind,
         num_nodes=nodes,
@@ -165,14 +164,8 @@ def _prefix_graph(
         structure_bits=graph._sbits,
         timestamp_bytes=graph._tbytes,
         timestamp_bits=graph._tbits,
-        structure_offsets=EliasFano(
-            [graph._soffsets.access(i) for i in range(nodes)],
-            universe=graph._sbits + 1,
-        ),
-        timestamp_offsets=EliasFano(
-            [graph._toffsets.access(i) for i in range(nodes)],
-            universe=graph._tbits + 1,
-        ),
+        structure_offsets=graph._soffsets[:nodes],
+        timestamp_offsets=graph._toffsets[:nodes],
         name=graph.name,
     )
 

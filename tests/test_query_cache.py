@@ -6,6 +6,8 @@ sequential-scan fast paths, and the salvage path (corrupt records are
 never cached; salvaged graphs answer queries through a clean cache).
 """
 
+import array
+
 import pytest
 
 from repro.core import compress
@@ -194,7 +196,7 @@ class TestCorruptionAndSalvage:
         cg = _chain(num_nodes=4)
         cg._tbytes = b"\x00"
         cg._tbits = 1
-        cg._toffsets = type(cg._toffsets)([0] * (cg.num_nodes + 1))
+        cg._toffsets = array.array("Q", [0] * (cg.num_nodes + 1))
         with pytest.raises(FormatError):
             cg.contacts_of(2)
         stats = cg.cache_stats()
