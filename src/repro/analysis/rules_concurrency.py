@@ -2,10 +2,10 @@
 
 The rule encodes the concurrency contract of
 :class:`repro.core.compressed.CompressedChronoGraph`: no decode, encode or
-filesystem work may run while a cache-shard lock is held, and lock
-acquisition order must be acyclic.  The distinct-list lock is exempt from
-the first clause by design: it is a reentrant lock whose purpose is to
-serialise decode-driven cache warming.
+filesystem work may run while a governed lock (such as the record cache's
+``_cache_lock``) is held, and lock acquisition order must be acyclic.  The
+distinct-list lock is exempt from the first clause by design: it is a
+reentrant lock whose purpose is to serialise decode-driven cache warming.
 
 CG002 is a whole-program rule: its call summaries -- which locks a
 function acquires, which banned decode/encode/filesystem calls it can
@@ -40,7 +40,7 @@ def _lock_name(expr: ast.AST) -> Optional[str]:
     """The lock identity of an expression, or None if it is not a lock.
 
     Locks are recognised by naming convention: an attribute or variable
-    whose name is ``lock`` or ends with ``_lock`` (``shard.lock``,
+    whose name is ``lock`` or ends with ``_lock`` (``self._cache_lock``,
     ``self._distinct_lock``).
     """
     name = None
@@ -125,14 +125,14 @@ class _LockModel:
 
 @register
 class LockDisciplineRule(Rule):
-    """CG002: no decode/encode/filesystem work under shard locks,
+    """CG002: no decode/encode/filesystem work under governed locks,
     and no cyclic lock-acquisition order -- checked across modules."""
 
     id = "CG002"
     name = "lock-discipline"
     summary = (
         "No decode, encode or filesystem call may run while holding a "
-        "shard lock (the reentrant distinct-list lock is exempt "
+        "governed lock (the reentrant distinct-list lock is exempt "
         "by design), and the lock acquisition order must be acyclic; call "
         "summaries flow through the cross-module call graph."
     )

@@ -28,11 +28,11 @@ Concurrency model
 
 The query surface is safe to share across threads:
 
-* The decoded-record cache is sharded; each shard guards its LRU segment
-  with its own lock, and the hit/miss counters live inside those locks, so
-  lookups from different threads never corrupt cache state.  Eviction
-  preserves the *global* LRU order exactly (per-entry sequence numbers)
-  by briefly holding every shard lock in index order.
+* The decoded-record cache is one ``OrderedDict`` LRU.  A hit takes no
+  lock: its ``get`` and ``move_to_end`` are single C calls, atomic under
+  the GIL.  One lock guards every insert, eviction and clear, so the
+  byte total and the eviction count stay exact; the hit and miss
+  counters are atomic, so no update is lost under threads.
 * The graph itself is immutable: streams, offsets and counts are fixed
   at construction, so a cached record stays valid for the graph's whole
   lifetime and the cache needs no invalidation.  Growing a graph online
@@ -103,23 +103,22 @@ _DISTINCT_CACHE_CAP = 4096
 #: Default memory budget of the decoded-record cache, in (estimated) bytes.
 DEFAULT_CACHE_BUDGET_BYTES = 32 << 20
 
-#: Shard count of the decoded-record cache (power of two; shard = u & mask).
-_CACHE_SHARDS = 8
-_SHARD_MASK = _CACHE_SHARDS - 1
-
 _UNSET = object()
 
 #: A decoded node record: (neighbor multiset, timestamps, durations-or-None).
 NodeRecord = Tuple[List[int], List[int], Optional[List[int]]]
 
-#: Attributes rebuilt from scratch on unpickle: locks, cache shards and the
-#: counters that live next to them (a transported graph starts cold).
+#: Attributes rebuilt from scratch on unpickle: locks, caches and their
+#: counters (a transported graph starts cold).
 _RUNTIME_KEYS = (
-    "_next_seq",
-    "_shards",
+    "_cache_lock",
+    "_records",
+    "_cache_bytes",
+    "_cache_hits",
+    "_cache_misses",
+    "_cache_evictions",
     "_distinct_lock",
     "_distinct_cache",
-    "_cache_evictions",
 )
 
 
@@ -150,27 +149,6 @@ class _AtomicCounter:
     def value(self) -> int:
         """Increments so far (``count.__reduce__`` exposes the next value)."""
         return self._advance.__self__.__reduce__()[1][0] - 1
-
-
-class _CacheShard:
-    """One segment of the decoded-record LRU.
-
-    ``records`` maps node -> ``[sequence, cost, record]``;
-    ``sequence`` is drawn from a graph-global clock on every hit, so the
-    entry with the minimum sequence across shards is the exact global LRU
-    victim.  Reads are lock-free (dict lookups and counter bumps are
-    GIL-atomic; the recency stamp is a single list-item store); the lock
-    guards every mutation of the dict or the byte total.
-    """
-
-    __slots__ = ("lock", "records", "bytes", "hits", "misses")
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.records: Dict[int, list] = {}
-        self.bytes = 0
-        self.hits = _AtomicCounter()
-        self.misses = _AtomicCounter()
 
 
 class CompressedChronoGraph:
@@ -214,14 +192,16 @@ class CompressedChronoGraph:
         self._init_runtime()
 
     def _init_runtime(self) -> None:
-        """Create the locks, cache shards and counters (never pickled)."""
-        # LRU clock: itertools.count.__next__ is a C call, atomic under the
-        # GIL, so recency stamps need no lock of their own.
-        self._next_seq = itertools.count(1).__next__
-        self._shards = tuple(_CacheShard() for _ in range(_CACHE_SHARDS))
+        """Create the locks, caches and counters (never pickled)."""
+        self._cache_lock = threading.Lock()
+        # node -> (cost, record), least recently used first.
+        self._records: "OrderedDict[int, Tuple[int, NodeRecord]]" = OrderedDict()
+        self._cache_bytes = 0
+        self._cache_hits = _AtomicCounter()
+        self._cache_misses = _AtomicCounter()
+        self._cache_evictions = 0
         self._distinct_lock = threading.RLock()
         self._distinct_cache: "OrderedDict[int, List[int]]" = OrderedDict()
-        self._cache_evictions = 0
 
     def _touch_structure(self) -> None:
         """Run (once) the deferred structure-stream checksum, if any."""
@@ -321,23 +301,16 @@ class CompressedChronoGraph:
         sequential pass) counts exactly one hit or one miss; evictions
         count records dropped to honour the budget, not overwrites.
         Counters are atomic and monotone, so no lost updates under
-        concurrency; occupancy is summed under every shard lock.
+        concurrency; occupancy is read under the cache lock.
         """
-        shards = self._shards
-        hits = sum(s.hits.value() for s in shards)
-        misses = sum(s.misses.value() for s in shards)
-        for shard in shards:
-            shard.lock.acquire()
-        try:
-            entries = sum(len(s.records) for s in shards)
-            current = sum(s.bytes for s in shards)
-        finally:
-            for shard in reversed(shards):
-                shard.lock.release()
+        with self._cache_lock:
+            entries = len(self._records)
+            current = self._cache_bytes
+            evictions = self._cache_evictions
         return {
-            "hits": hits,
-            "misses": misses,
-            "evictions": self._cache_evictions,
+            "hits": self._cache_hits.value(),
+            "misses": self._cache_misses.value(),
+            "evictions": evictions,
             "entries": entries,
             "current_bytes": current,
             "max_bytes": self._cache_max_bytes,
@@ -351,119 +324,61 @@ class CompressedChronoGraph:
         (:meth:`_record_cost`); ``max_entries`` caps the record count.
         Shrinking evicts least-recently-used records immediately.
         """
-        if max_bytes is not _UNSET:
-            self._cache_max_bytes = max_bytes
-        if max_entries is not _UNSET:
-            self._cache_max_entries = max_entries
-        self._evict_to_fit()
+        with self._cache_lock:
+            if max_bytes is not _UNSET:
+                self._cache_max_bytes = max_bytes
+            if max_entries is not _UNSET:
+                self._cache_max_entries = max_entries
+            self._evict_lru()
 
     def clear_cache(self) -> None:
         """Drop every cached decoded record (counters are preserved)."""
-        shards = self._shards
-        for shard in shards:
-            shard.lock.acquire()
-        try:
-            for shard in shards:
-                shard.records.clear()
-                shard.bytes = 0
-        finally:
-            for shard in reversed(shards):
-                shard.lock.release()
+        with self._cache_lock:
+            self._records.clear()
+            self._cache_bytes = 0
 
-    def _evict_to_fit(self) -> None:
-        """Evict global-LRU records in one batch until both bounds hold.
+    def _evict_lru(self) -> None:
+        """Drop least-recently-used records until both bounds hold.
 
-        Holds every shard lock (in index order -- the only multi-shard
-        acquisition pattern, so lock order is total), sorts every entry by
-        its recency sequence once, and evicts in that order: exactly the
-        global least-recently-used records first.  Hits stamp recency
-        without locks, so no per-shard order is maintained; one sorted
-        scan per batch pays for the lock-free hot path.
-
-        When a bound is exceeded, eviction overshoots down to ~7/8 of that
-        bound (an eighth of hysteresis, which rounds to zero for tiny
-        caches, keeping their eviction exact).  A sustained stream of
-        inserts against a full cache therefore triggers one global scan
-        per *batch* of evictions instead of one per inserted record --
-        amortised logarithmic, not quadratic.
+        The caller holds ``_cache_lock``.  An empty cache meets every
+        bound, including a negative ``max_entries``.
         """
+        records = self._records
         max_bytes = self._cache_max_bytes
         max_entries = self._cache_max_entries
-        if max_bytes is None and max_entries is None:
-            return
-        shards = self._shards
-        for shard in shards:
-            shard.lock.acquire()
-        try:
-            entries = sum(len(s.records) for s in shards)
-            total = sum(s.bytes for s in shards)
-            if not (
-                (max_entries is not None and entries > max_entries)
-                or (max_bytes is not None and total > max_bytes)
-            ):
-                return
-            goal_entries = (
-                None if max_entries is None else max_entries - max_entries // 8
-            )
-            goal_bytes = (
-                None if max_bytes is None else max_bytes - max_bytes // 8
-            )
-            order = [
-                (entry[0], key, shard)
-                for shard in shards
-                for key, entry in shard.records.items()
-            ]
-            order.sort(key=lambda item: item[0])
-            for _, key, shard in order:
-                if not (
-                    (goal_entries is not None and entries > goal_entries)
-                    or (goal_bytes is not None and total > goal_bytes)
-                ):
-                    break
-                evicted = shard.records.pop(key)
-                shard.bytes -= evicted[1]
-                total -= evicted[1]
-                entries -= 1
-                self._cache_evictions += 1
-        finally:
-            for shard in reversed(shards):
-                shard.lock.release()
-
-    def _maybe_evict(self) -> None:
-        """Cheap unlocked bound check before taking every shard lock."""
-        max_bytes = self._cache_max_bytes
-        max_entries = self._cache_max_entries
-        if max_bytes is None and max_entries is None:
-            return
-        shards = self._shards
-        if (
-            max_entries is not None
-            and sum(len(s.records) for s in shards) > max_entries
-        ) or (
-            max_bytes is not None and sum(s.bytes for s in shards) > max_bytes
+        # Each pass is one O(1) popitem, and a record is evicted at most
+        # once per insert, so the loop is bounded by the records cached.
+        while records and (  # repro: noqa[CG007]
+            (max_entries is not None and len(records) > max_entries)
+            or (max_bytes is not None and self._cache_bytes > max_bytes)
         ):
-            self._evict_to_fit()
+            _, (cost, _) = records.popitem(last=False)
+            self._cache_bytes -= cost
+            self._cache_evictions += 1
 
     def _cache_get(self, u: int) -> Optional[NodeRecord]:
         """Counting lookup: promotes and returns the record on a hit.
 
-        Lock-free: the dict read and counter bumps are GIL-atomic, and the
-        recency stamp is a single list-item store whose races only blur
-        LRU order, never a returned record.
+        Lock-free: ``get`` and ``move_to_end`` are single C calls, atomic
+        under the GIL.  A racing insert may evict ``u`` between the two;
+        the record is still returned, because the graph is immutable and
+        a record never goes stale.
         """
-        shard = self._shards[u & _SHARD_MASK]
-        entry = shard.records.get(u)
-        if entry is not None:
-            entry[0] = self._next_seq()
-            shard.hits.increment()
-            return entry[2]
-        shard.misses.increment()
-        return None
+        entry = self._records.get(u)
+        if entry is None:
+            self._cache_misses.increment()
+            return None
+        try:
+            self._records.move_to_end(u)
+        except KeyError:
+            pass
+        self._cache_hits.increment()
+        return entry[1]
 
     def _cache_peek(self, u: int) -> Optional[NodeRecord]:
         """Non-counting, non-promoting lookup (structure-only passes)."""
-        entry = self._shards[u & _SHARD_MASK].records.get(u)
-        return None if entry is None else entry[2]
+        entry = self._records.get(u)
+        return None if entry is None else entry[1]
 
     def _cache_put(self, u: int, record: NodeRecord) -> None:
         max_entries = self._cache_max_entries
@@ -473,16 +388,15 @@ class CompressedChronoGraph:
         max_bytes = self._cache_max_bytes
         if max_bytes is not None and cost > max_bytes:
             return  # would evict the whole cache for a single-use record
-        shard = self._shards[u & _SHARD_MASK]
-        with shard.lock:
-            old = shard.records.get(u)
+        with self._cache_lock:
+            # A racing decode of the same node may have got here first;
+            # both records are identical, so keep the byte total exact.
+            old = self._records.pop(u, None)
             if old is not None:
-                # A racing decode of the same node got here first; both
-                # records are identical, so keep the byte total exact.
-                shard.bytes -= old[1]
-            shard.records[u] = [self._next_seq(), cost, record]
-            shard.bytes += cost
-        self._maybe_evict()
+                self._cache_bytes -= old[0]
+            self._records[u] = (cost, record)
+            self._cache_bytes += cost
+            self._evict_lru()
 
     def _decode_record(self, u: int) -> NodeRecord:
         """The fully decoded record of ``u``, through the LRU cache."""

@@ -111,6 +111,14 @@ _KIND_FROM_CODE = {v: k for k, v in _KIND_CODES.items()}
 #: count) take one bit each.  Used to reject impossible node counts.
 _MIN_STRUCTURE_BITS_PER_NODE = 4
 
+#: Longest valid VByte offset code: a delta below 2**64 needs at most ten
+#: 7-bit groups.
+_MAX_CODE_BYTES = 10
+
+#: What :func:`_read_offsets` yields for a longer code: an offset beyond
+#: every stream, since a stream's bit length is a u64.
+_OVERLONG = 1 << 64
+
 PathLike = Union[str, pathlib.Path]
 
 
@@ -319,8 +327,10 @@ def _read_offsets(data: Buffer, count: int) -> List[int]:
 
     Reads no byte past the ``count``-th delta, so the work is bounded by
     the declared count, not by the section's length.  Returns fewer when
-    ``data`` ends first; a code cut off by the end is dropped.  Shared by
-    the strict and the salvage loaders.
+    ``data`` ends first; a code cut off by the end is dropped.  A code
+    longer than ``_MAX_CODE_BYTES`` is corrupt whatever its payload:
+    reading stops at its tenth byte, and the code yields ``_OVERLONG``
+    as the last offset.  Shared by the strict and the salvage loaders.
     """
     offsets: List[int] = []
     if not count:
@@ -328,16 +338,20 @@ def _read_offsets(data: Buffer, count: int) -> List[int]:
     append = offsets.append
     left = count
     value = 0
-    high = 0
+    high = run = 0
     for byte in data:
         if byte < 0x80:
             value += high | byte
-            high = 0
+            high = run = 0
             append(value)
             left -= 1
             if not left:
                 break
         else:
+            run += 1
+            if run == _MAX_CODE_BYTES:
+                append(_OVERLONG)
+                break
             high = (high | (byte & 0x7F)) << 7
     return offsets
 
@@ -353,6 +367,10 @@ def _decode_offset_deltas(
             f"{len(data)} payload bytes"
         )
     offsets = _read_offsets(data, count)
+    if offsets and offsets[-1] >= _OVERLONG:
+        raise CorruptStreamError(
+            f"{source}: {what}: offset {offsets[-1]} beyond any 64-bit stream"
+        )
     if len(offsets) < count:
         raise EndOfStreamError(
             f"{source}: {what}: delta stream ends after {len(offsets)} "

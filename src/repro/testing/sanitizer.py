@@ -5,8 +5,8 @@ discipline over the *code*; this module validates it over *executions*.
 While installed, every ``threading.Lock()`` / ``threading.RLock()``
 created from repro code is replaced by a recording wrapper that tracks,
 per thread, the real acquisition order; every bulk decode entry point and
-blocking filesystem call reports when it runs with a shard lock held.  A
-test run under the sanitizer therefore yields:
+blocking filesystem call reports when it runs with a governed lock held.
+A test run under the sanitizer therefore yields:
 
 * **dynamic lock-order inversions** -- thread A observed ``a -> b`` while
   some thread observed ``b -> a``: a latent deadlock no single run need
@@ -91,10 +91,11 @@ _REAL_RLOCK = threading.RLock
 
 
 def _governed(name: str) -> bool:
-    """Whether a lock name is a governed (shard) lock.
+    """Whether a lock name is governed: no decode or I/O may run under it.
 
-    Mirrors CG002's recogniser: ``lock`` or ``*_lock``, with the
-    reentrant distinct-list lock exempt by design.
+    Mirrors CG002's recogniser: ``lock`` or ``*_lock`` (the record cache's
+    ``_cache_lock``, for one), with the reentrant distinct-list lock
+    exempt by design.
     """
     if "distinct" in name:
         return False
@@ -332,7 +333,7 @@ class LockSanitizer:
                     held_names.append(prior._name)
             for prior in held_names:
                 if prior == lock._name:
-                    continue  # reentrant / same-named shard locks
+                    continue  # reentrant / same-named locks
                 edge = (prior, lock._name)
                 if edge not in self._edges:
                     self._edges[edge] = location

@@ -133,6 +133,31 @@ def corrupt_chrono(chrono_file, tmp_path):
     return path
 
 
+@pytest.fixture()
+def overlong_offset_chrono(chrono_file, tmp_path):
+    """A CRC-valid container whose last offset code runs 3,000 bytes."""
+    import struct
+    import zlib
+
+    blob = chrono_file.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 6)
+    pos = 10 + header_len + 4
+    for _ in range(3):  # skip to the last section, the timestamp offsets
+        (length,) = struct.unpack_from("<Q", blob, pos + 1)
+        pos += 9 + length + 4
+    tag, length = struct.unpack_from("<BQ", blob, pos)
+    body = blob[pos + 9 : pos + 9 + length]
+    body = body[:-1] + b"\xff" * 3000 + body[-1:]
+    path = tmp_path / "overlong.chrono"
+    path.write_bytes(
+        blob[:pos]
+        + struct.pack("<BQ", tag, len(body))
+        + body
+        + struct.pack("<I", zlib.crc32(body))
+    )
+    return path
+
+
 class TestErrorHandling:
     """Missing/corrupt inputs: one stderr line, nonzero exit, no traceback."""
 
@@ -212,9 +237,12 @@ class TestVerifyExitCodes:
         assert main(["verify", str(chrono_file), "--salvage"]) == 0
         assert "intact" in capsys.readouterr().out
 
-    def test_salvage_corrupt_container_exits_1(self, corrupt_chrono, capsys):
-        assert main(["verify", str(corrupt_chrono), "--salvage"]) == 1
-        assert "recovered" in capsys.readouterr().out
+    def test_salvage_corrupt_container_exits_1(
+        self, corrupt_chrono, overlong_offset_chrono, capsys
+    ):
+        for path in (corrupt_chrono, overlong_offset_chrono):
+            assert main(["verify", str(path), "--salvage"]) == 1
+            assert "recovered" in capsys.readouterr().out
 
     def test_salvage_never_tracebacks_on_junk(self, tmp_path, capsys):
         junk = tmp_path / "junk.chrono"

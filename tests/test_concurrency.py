@@ -1,4 +1,4 @@
-"""Concurrent query plane: sharded cache, snapshot reads, race smoke.
+"""Concurrent query plane: record cache, snapshot reads, race smoke.
 
 The contract under test (documented in README "Concurrency"):
 
@@ -13,7 +13,9 @@ The contract under test (documented in README "Concurrency"):
 """
 
 import pickle
+import sys
 import threading
+from collections import OrderedDict
 
 import pytest
 
@@ -85,25 +87,59 @@ class TestConcurrentReaders:
         assert not errors
 
     def test_counters_exact_after_concurrent_run(self):
+        # Every node of _cg() has 4 contacts, so all records cost the same.
+        probe = _cg()
+        probe.neighbors(0, 0, 10_000)
+        cost = probe.cache_stats()["current_bytes"]
+        # Unbounded, then a 4-record cache whose inserts evict while other
+        # threads hit and miss.  A short switch interval forces the threads
+        # to interleave inside the cache calls.
+        interval = sys.getswitchinterval()
+        for max_entries in (None, 4):
+            cg = _cg()
+            cg.configure_cache(max_entries=max_entries, max_bytes=None)
+            barrier = threading.Barrier(4, timeout=30)
+
+            def hammer():
+                barrier.wait()
+                for i in range(200):
+                    cg.neighbors(i % cg.num_nodes, 0, 10_000)
+
+            threads = [threading.Thread(target=hammer) for _ in range(4)]
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            stats = cg.cache_stats()
+            # Every lookup is a hit or a miss, nothing is lost.
+            assert stats["hits"] + stats["misses"] == 4 * 200
+            if max_entries is None:
+                assert stats["entries"] == cg.num_nodes
+                assert stats["evictions"] == 0
+            else:
+                assert stats["entries"] == max_entries
+                assert stats["current_bytes"] == max_entries * cost
+
+    def test_hit_survives_a_racing_eviction(self):
+        # A racing insert may evict the node between a hit's get and its
+        # move_to_end.  The hit still returns the record, which an
+        # immutable graph never invalidates.
+        class EvictedMidHit(OrderedDict):
+            def move_to_end(self, key, last=True):
+                raise KeyError(key)
+
         cg = _cg()
-        cg.configure_cache(max_entries=None, max_bytes=None)
-        barrier = threading.Barrier(4)
-
-        def hammer():
-            barrier.wait()
-            for i in range(200):
-                cg.neighbors(i % cg.num_nodes, 0, 10_000)
-
-        threads = [threading.Thread(target=hammer) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        expected = cg.neighbors(3, 0, 10_000)
+        cg._records = EvictedMidHit(cg._records)
+        assert cg.neighbors(3, 0, 10_000) == expected
         stats = cg.cache_stats()
-        # Unbounded cache: every lookup is a hit or a miss, nothing is lost.
-        assert stats["hits"] + stats["misses"] == 4 * 200
-        assert stats["entries"] == cg.num_nodes
-        assert stats["evictions"] == 0
+        assert stats["hits"] == 1
+        assert stats["misses"] == 1
 
 
 class TestGenerationSnapshots:
@@ -220,7 +256,7 @@ class TestPickleRoundTrip:
         assert clone.cache_stats()["hits"] + clone.cache_stats()["misses"] == 0
         assert clone.cache_stats()["entries"] == 0
         assert clone.neighbors(0, 0, 10_000) == cg.neighbors(0, 0, 10_000)
-        # The rebuilt shards work and are the clone's own.
+        # The rebuilt cache works and is the clone's own.
         clone.configure_cache(max_entries=0)
         assert clone.cache_stats()["entries"] == 0
         assert cg.cache_stats()["entries"] == 1

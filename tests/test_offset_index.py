@@ -26,6 +26,7 @@ from repro.core import compress
 from repro.core.compressed import HEADER_BITS, CompressedChronoGraph
 from repro.core.config import ChronoGraphConfig
 from repro.core.serialize import (
+    _OVERLONG,
     _decode_offset_deltas,
     _offsets_payload,
     _read_offsets,
@@ -196,6 +197,21 @@ class TestOffsetSections:
         assert _read_offsets(feed(), 2) == [5, 205]
         assert _read_offsets(feed(), 0) == []
 
+    def test_an_overlong_code_stops_at_its_tenth_byte(self):
+        # A delta below 2**64 takes at most ten bytes, so a tenth
+        # continuation byte ends the read, whatever the payload.
+        longest = _vbyte_reference([2**64 - 1])
+        assert len(longest) == 10
+        assert _read_offsets(longest + b"\x05", 2) == [2**64 - 1, 2**64 + 4]
+        for filler in (0xFF, 0x80):
+
+            def feed():
+                yield from _vbyte_reference([5])
+                yield from [filler] * 10
+                raise AssertionError("pulled an 11th byte of one code")
+
+            assert _read_offsets(feed(), 3) == [5, _OVERLONG]
+
 
 # --------------------------------------------------------------------------
 # Hostile offset sections through every loader
@@ -241,6 +257,15 @@ def _past_u64(deltas, nbits):
     return _vbyte_reference(deltas[:-1] + [2**64])
 
 
+def _overlong(deltas, nbits):
+    # The final code runs 100k bytes; unbounded, its decode is quadratic.
+    return _vbyte_reference(deltas[:-1]) + b"\xff" * 100_000 + b"\x01"
+
+
+def _overlong_cut(deltas, nbits):
+    return _vbyte_reference(deltas[:-1]) + b"\xff" * 100_000
+
+
 def _load_heap(blob, tmp_path):
     path = tmp_path / "g.chrono"
     path.write_bytes(blob)
@@ -264,14 +289,19 @@ class TestHostileOffsets:
     @pytest.mark.parametrize("loader", _LOADERS, ids=lambda f: f.__name__)
     @pytest.mark.parametrize("tag", sorted(_OFFSET_TAGS))
     def test_truncated_run_ends_the_stream(self, loader, tag, tmp_path):
-        blob = _hostile(compress(_graph(GraphKind.POINT)), tag, _truncated)
+        cg = compress(_graph(GraphKind.POINT))
         with pytest.raises(EndOfStreamError):
-            loader(blob, tmp_path)
+            loader(_hostile(cg, tag, _truncated), tmp_path)
+        # A run too long for any valid code is corrupt, not truncated,
+        # even when the section end cuts it off.
+        with pytest.raises(CorruptStreamError, match="beyond") as info:
+            loader(_hostile(cg, tag, _overlong_cut), tmp_path)
+        assert not isinstance(info.value, EndOfStreamError)
 
     @pytest.mark.parametrize("loader", _LOADERS, ids=lambda f: f.__name__)
     @pytest.mark.parametrize("tag", sorted(_OFFSET_TAGS))
     @pytest.mark.parametrize(
-        "make_body", [_beyond, _past_u64], ids=lambda f: f.__name__
+        "make_body", [_beyond, _past_u64, _overlong], ids=lambda f: f.__name__
     )
     def test_offset_beyond_stream_is_corrupt(
         self, loader, tag, make_body, tmp_path
@@ -288,8 +318,10 @@ class TestHostileOffsets:
             (_truncated, "delta stream ended early"),
             (_beyond, "beyond"),
             (_past_u64, "beyond"),
+            (_overlong, "beyond"),
+            (_overlong_cut, "beyond"),
         ],
-        ids=["truncated", "beyond", "past_u64"],
+        ids=["truncated", "beyond", "past_u64", "overlong", "overlong_cut"],
     )
     def test_salvage_keeps_the_prefix(self, tag, make_body, error, tmp_path):
         cg = compress(_graph(GraphKind.POINT))

@@ -161,24 +161,29 @@ class TestEviction:
         assert stats["evictions"] == 0
         assert stats["max_bytes"] is None
 
-    def test_large_cap_batch_eviction_keeps_bound_and_lru_head(self):
-        # Caps of 8+ evict with an eighth of hysteresis: one sorted scan
-        # drops a batch of cold records, so sustained inserts never pay a
-        # full scan per record.  The bound must still hold and the hottest
-        # records must survive the batch.
+    def test_large_cap_evicts_exactly_the_lru_records(self):
+        # Every node has one contact, so every record costs the same and
+        # either bound holds exactly 64 of them.  Eviction is exact LRU:
+        # 80 inserts evict the 16 oldest records and keep the last 64.
         n = 80
         contacts = [(u, (u + 1) % n, u) for u in range(n)]
-        cg = _cg(contacts, n=n)
-        cg.configure_cache(max_entries=64)
-        for u in range(n):
-            cg.contacts_of(u)
-            cg.contacts_of(n - 1)  # keep one node permanently hot
-        stats = cg.cache_stats()
-        assert stats["entries"] <= 64
-        assert stats["evictions"] > 0
-        hits = stats["hits"]
-        cg.contacts_of(n - 1)
-        assert cg.cache_stats()["hits"] == hits + 1  # hot node survived
+        probe = _cg(contacts, n=n)
+        probe.contacts_of(0)
+        cost = probe.cache_stats()["current_bytes"]
+        for bound in ({"max_entries": 64}, {"max_bytes": 64 * cost}):
+            cg = _cg(contacts, n=n)
+            cg.configure_cache(**bound)
+            for u in range(n):
+                cg.contacts_of(u)
+            stats = cg.cache_stats()
+            assert stats["entries"] == 64, bound
+            assert stats["current_bytes"] == 64 * cost, bound
+            assert stats["evictions"] == 16, bound
+            for u in range(n - 64, n):
+                cg.contacts_of(u)
+            stats = cg.cache_stats()
+            assert stats["hits"] == 64, bound
+            assert stats["misses"] == n, bound
 
     def test_results_identical_under_pressure(self):
         contacts = [(u, v, 3 * u + v) for u in range(5) for v in range(3)]
