@@ -3,18 +3,21 @@
 The rule encodes the concurrency contract of
 :class:`repro.core.compressed.CompressedChronoGraph`: no decode, encode or
 filesystem work may run while a governed lock (such as the record cache's
-``_cache_lock``) is held, and lock acquisition order must be acyclic.  The
-distinct-list lock is exempt from the first clause by design: it is a
-reentrant lock whose purpose is to serialise decode-driven cache warming.
+``_cache_lock``) is held, and no lock is acquired while a differently
+named lock is held.  With no nesting there is no acquisition order to get
+wrong.  The distinct-list lock is exempt from the first clause by design:
+it is a reentrant lock whose purpose is to serialise decode-driven cache
+warming.
 
 CG002 is a whole-program rule: its call summaries -- which locks a
 function acquires, which banned decode/encode/filesystem calls it can
 reach -- are computed as a fixpoint over the cross-module call graph
 (:mod:`repro.analysis.callgraph`), so a service handler that holds a lock
-while calling through the segment store into the codec layer is flagged
-even though the three frames live in three modules.  Lock-order edges are
-likewise collected project-wide and cycle-checked once, over the union
-graph.
+while calling through the segment store into the codec layer, or into a
+method that takes a second lock, is flagged even though the frames live
+in different modules.  Locks are told apart by name only, so two objects'
+same-named locks are left to the runtime sanitizer
+(:mod:`repro.testing.sanitizer`), which compares lock identities.
 """
 
 from __future__ import annotations
@@ -26,13 +29,11 @@ from repro.analysis.framework import (
     Finding,
     Project,
     Rule,
-    SourceFile,
     register,
 )
 
 __all__ = [
     "LockDisciplineRule",
-    "collect_lock_model",
 ]
 
 
@@ -103,53 +104,27 @@ class _FunctionSummary:
         self.bans: Set[str] = set()
 
 
-class _LockModel:
-    """The whole-program lock model CG002 computes in its project phase.
-
-    ``summaries`` maps function qualnames to their fixpoint facts;
-    ``order_edges`` maps observed ``(held, acquired)`` pairs to the first
-    source location that exhibits them.  The runtime sanitizer
-    (:mod:`repro.testing.sanitizer`) cross-checks its observed acquisition
-    orders against :attr:`order_edges`.
-    """
-
-    def __init__(self) -> None:
-        self.summaries: Dict[str, _FunctionSummary] = {}
-        self.order_edges: Dict[Tuple[str, str], Tuple[SourceFile, ast.AST]] = {}
-
-    @property
-    def edges(self) -> Set[Tuple[str, str]]:
-        """The static acquisition-order edge set (held -> acquired)."""
-        return set(self.order_edges)
-
-
 @register
 class LockDisciplineRule(Rule):
     """CG002: no decode/encode/filesystem work under governed locks,
-    and no cyclic lock-acquisition order -- checked across modules."""
+    and no lock taken while another is held -- checked across modules."""
 
     id = "CG002"
     name = "lock-discipline"
     summary = (
         "No decode, encode or filesystem call may run while holding a "
         "governed lock (the reentrant distinct-list lock is exempt "
-        "by design), and the lock acquisition order must be acyclic; call "
-        "summaries flow through the cross-module call graph."
+        "by design), and no lock may be acquired while a differently "
+        "named lock is held; call summaries flow through the "
+        "cross-module call graph."
     )
 
     def finish(self, project: Project) -> List[Finding]:
-        """Fixpoint the summaries, walk every function, then cycle-check."""
-        findings, _model = self._analyse(project)
-        return findings
-
-    def _analyse(
-        self, project: Project
-    ) -> Tuple[List[Finding], _LockModel]:
-        from repro.analysis.callgraph import CallGraph, FunctionInfo
+        """Fixpoint the summaries, then walk every function's held locks."""
+        from repro.analysis.callgraph import CallGraph
 
         graph: CallGraph = project.callgraph
-        model = _LockModel()
-        model.summaries = self._fixpoint(graph)
+        summaries = self._fixpoint(graph)
         findings: List[Finding] = []
         for qualname in sorted(graph.functions):
             info = graph.functions[qualname]
@@ -158,11 +133,10 @@ class LockDisciplineRule(Rule):
                 list(info.node.body),  # type: ignore[attr-defined]
                 frozenset(),
                 graph,
-                model,
+                summaries,
                 findings,
             )
-        findings.extend(self._order_cycles(model))
-        return findings, model
+        return findings
 
     # -- cross-module call summaries --------------------------------------
 
@@ -227,7 +201,7 @@ class LockDisciplineRule(Rule):
         body: List[ast.stmt],
         held: frozenset,
         graph,
-        model: _LockModel,
+        summaries: Dict[str, _FunctionSummary],
         findings: List[Finding],
     ) -> frozenset:
         """Walk statements propagating the running held-lock set.
@@ -242,7 +216,7 @@ class LockDisciplineRule(Rule):
                 # at definition time.  Its body is walked lock-free (its
                 # call sites resolve through the enclosing function).
                 self._walk_block(
-                    info, stmt.body, frozenset(), graph, model, findings
+                    info, stmt.body, frozenset(), graph, summaries, findings
                 )
                 continue
             if isinstance(stmt, ast.With):
@@ -250,12 +224,12 @@ class LockDisciplineRule(Rule):
                 for item in stmt.items:
                     lock = _lock_name(item.context_expr)
                     if lock:
-                        self._note_acquire(
-                            info, lock, entered, stmt, model
+                        self._check_nesting(
+                            info, lock, entered, stmt, None, findings
                         )
                         entered = entered | {lock}
                 self._walk_block(
-                    info, stmt.body, entered, graph, model, findings
+                    info, stmt.body, entered, graph, summaries, findings
                 )
                 continue
             if isinstance(stmt, (ast.If, ast.While)):
@@ -267,11 +241,11 @@ class LockDisciplineRule(Rule):
             else:
                 roots = [stmt]  # simple statement: scan the whole subtree
             held = self._scan_exprs(
-                info, roots, held, graph, model, findings
+                info, roots, held, graph, summaries, findings
             )
             for inner in self._inner_blocks(stmt):
                 held = self._walk_block(
-                    info, inner, held, graph, model, findings
+                    info, inner, held, graph, summaries, findings
                 )
         return held
 
@@ -291,7 +265,7 @@ class LockDisciplineRule(Rule):
         roots: List[ast.AST],
         held: frozenset,
         graph,
-        model: _LockModel,
+        summaries: Dict[str, _FunctionSummary],
         findings: List[Finding],
     ) -> frozenset:
         for node in [n for root in roots for n in ast.walk(root)]:
@@ -303,7 +277,7 @@ class LockDisciplineRule(Rule):
             if name == "acquire" and isinstance(node.func, ast.Attribute):
                 lock = _lock_name(node.func.value)
                 if lock:
-                    self._note_acquire(info, lock, held, node, model)
+                    self._check_nesting(info, lock, held, node, None, findings)
                     held = held | {lock}
                 continue
             if name == "release" and isinstance(node.func, ast.Attribute):
@@ -312,7 +286,7 @@ class LockDisciplineRule(Rule):
                     held = held - {lock}
                 continue
             callees = graph.resolve(node, info, fallback=False)
-            banned_here = self._effective_bans(name, callees, model)
+            banned_here = self._effective_bans(name, callees, summaries)
             if banned_here:
                 for lock in sorted(held):
                     if "distinct" in lock:
@@ -331,88 +305,59 @@ class LockDisciplineRule(Rule):
                             "critical section",
                         )
                     )
-            for callee in callees:
-                summary = model.summaries.get(callee.qualname)
-                if summary is not None:
-                    for lock in summary.acquires:
-                        self._note_acquire(info, lock, held, node, model)
+            if held:
+                acquired: Set[str] = set()
+                for callee in callees:
+                    summary = summaries.get(callee.qualname)
+                    if summary is not None:
+                        acquired |= summary.acquires
+                for lock in sorted(acquired):
+                    self._check_nesting(info, lock, held, node, name, findings)
         return held
 
     def _effective_bans(
-        self, name: str, callees: Sequence, model: _LockModel
+        self,
+        name: str,
+        callees: Sequence,
+        summaries: Dict[str, _FunctionSummary],
     ) -> Set[str]:
         if _is_banned(name):
             return {name}
         bans: Set[str] = set()
         for callee in callees:
-            summary = model.summaries.get(callee.qualname)
+            summary = summaries.get(callee.qualname)
             if summary is not None:
                 bans |= summary.bans
         return bans
 
-    def _note_acquire(
+    def _check_nesting(
         self,
         info,
         lock: str,
         held: frozenset,
         node: ast.AST,
-        model: _LockModel,
+        via: Optional[str],
+        findings: List[Finding],
     ) -> None:
-        for prior in held:
-            if prior != lock:
-                model.order_edges.setdefault(
-                    (prior, lock), (info.source, node)
-                )
+        """Flag acquiring ``lock`` while a differently named lock is held.
 
-    def _order_cycles(self, model: _LockModel) -> List[Finding]:
-        graph: Dict[str, Set[str]] = {}
-        for a, b in model.order_edges:
-            graph.setdefault(a, set()).add(b)
-        findings: List[Finding] = []
-        seen_cycles: Set[frozenset] = set()
-        for start in sorted(graph):
-            path: List[str] = []
-            on_path: Set[str] = set()
-
-            def dfs(v: str) -> None:
-                path.append(v)
-                on_path.add(v)
-                for w in sorted(graph.get(v, ())):
-                    if w in on_path:
-                        cycle = path[path.index(w):] + [w]
-                        key = frozenset(cycle)
-                        if key not in seen_cycles:
-                            seen_cycles.add(key)
-                            source, node = model.order_edges[(v, w)]
-                            findings.append(
-                                self.finding(
-                                    source,
-                                    node,
-                                    "lock-order cycle: "
-                                    + " -> ".join(cycle)
-                                    + "; acquisition order must be acyclic",
-                                )
-                            )
-                    else:
-                        dfs(w)
-                path.pop()
-                on_path.discard(v)
-
-            dfs(start)
-        return findings
-
-
-def collect_lock_model(paths: Sequence[str]) -> "_LockModel":
-    """Build CG002's static lock model for ``paths`` (sanitizer cross-check).
-
-    Returns the :class:`_LockModel` whose ``edges`` property is the static
-    acquisition-order graph the runtime sanitizer validates observed
-    orders against.
-    """
-    from repro.analysis.framework import load_sources
-
-    sources, _errors = load_sources(paths)
-    project = Project(sources, ["CG002"])
-    rule = LockDisciplineRule()
-    _findings, model = rule._analyse(project)
-    return model
+        ``via`` names the call whose summary acquires ``lock``, or is None
+        for a direct ``with`` or ``.acquire()``.  Re-entering a held name
+        is not flagged: an RLock may re-enter, and two objects' same-named
+        locks cannot be told apart here.
+        """
+        others = sorted(held - {lock})
+        if not others:
+            return
+        if via is None:
+            taken = f"`{lock}` is acquired"
+        else:
+            taken = f"`{via}` acquires `{lock}`"
+        findings.append(
+            self.finding(
+                info.source,
+                node,
+                f"{taken} while holding `{others[0]}`; release it first, "
+                "no lock may be taken while another is held",
+            )
+        )

@@ -49,6 +49,12 @@ class TokenBucket:
     :meth:`try_take` either grants immediately or reports how long until
     the requested tokens would accrue -- it never blocks, matching the
     governor's shed-don't-queue policy.
+
+    A bucket has no lock of its own, so threads must not share one
+    unguarded: the :class:`Governor` calls it only under its
+    ``self._lock``, which keeps the capacity check, the token take and the
+    in-flight increment one atomic step and takes no second lock inside
+    the first.
     """
 
     def __init__(
@@ -68,9 +74,8 @@ class TokenBucket:
         self._tokens = float(burst)
         self._clock = clock
         self._last = clock()
-        self._lock = threading.Lock()
 
-    def _refill_locked(self) -> None:
+    def _refill(self) -> None:
         now = self._clock()
         self._tokens = min(
             self.burst, self._tokens + (now - self._last) * self.rate
@@ -85,18 +90,16 @@ class TokenBucket:
         """
         if tokens <= 0:
             raise DomainError(f"tokens must be > 0, got {tokens}")
-        with self._lock:
-            self._refill_locked()
-            if tokens <= self._tokens:
-                self._tokens -= tokens
-                return 0.0
-            return (tokens - self._tokens) / self.rate
+        self._refill()
+        if tokens <= self._tokens:
+            self._tokens -= tokens
+            return 0.0
+        return (tokens - self._tokens) / self.rate
 
     def available(self) -> float:
         """Current token balance (after refill), for stats output."""
-        with self._lock:
-            self._refill_locked()
-            return self._tokens
+        self._refill()
+        return self._tokens
 
 
 class Governor:

@@ -42,12 +42,15 @@ import random
 import tempfile
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.encoder import compress
 from repro.graph.builders import graph_from_contacts
 from repro.graph.model import Contact, GraphKind, max_label
 from repro.storage.segments import SegmentStore, StorePolicy
+
+if TYPE_CHECKING:
+    from repro.testing.sanitizer import SanitizerReport
 
 #: A reference-model row: (neighbor label, timestamp, duration).
 _Row = Tuple[int, int, int]
@@ -425,16 +428,21 @@ def run_race_smoke(
     )
 
 
-def run_sanitized_race_smoke(**kwargs: object) -> Tuple[RaceReport, "object"]:
+def run_sanitized_race_smoke(
+    **kwargs: object,
+) -> Tuple[RaceReport, SanitizerReport]:
     """Run :func:`run_race_smoke` under the reprosan lock sanitizer.
 
     Installs :func:`repro.testing.sanitizer.sanitized` around the whole
     smoke run (so every lock the store and its compressed graphs create
     is wrapped), then returns ``(race_report, sanitizer_report)``.  A fully
     healthy run has ``race_report.ok`` and ``sanitizer_report.ok`` both
-    true -- no invariant violations, no lock-order inversions and no
-    blocking decode/filesystem work inside a governed critical section.
+    true -- no invariant violations, no lock taken while another is held
+    and no blocking decode/filesystem work inside a governed critical
+    section.
     """
+    # Imported here: ``python -m repro.testing.sanitizer`` runs that module
+    # as ``__main__``, and importing it with this package would load it twice.
     from repro.testing.sanitizer import sanitized
 
     with sanitized() as san:

@@ -1,30 +1,27 @@
-"""reprosan: a runtime lock-order and blocking-under-lock sanitizer.
+"""reprosan: a runtime nested-lock and blocking-under-lock sanitizer.
 
-The static engine (:mod:`repro.analysis`, rule CG002) proves lock
-discipline over the *code*; this module validates it over *executions*.
+The static engine (:mod:`repro.analysis`, rule CG002) checks lock
+discipline over the *code*; this module checks it over *executions*.
 While installed, every ``threading.Lock()`` / ``threading.RLock()``
-created from repro code is replaced by a recording wrapper that tracks,
-per thread, the real acquisition order; every bulk decode entry point and
-blocking filesystem call reports when it runs with a governed lock held.
-A test run under the sanitizer therefore yields:
+created from repro code is replaced by a recording wrapper that tracks
+the locks each thread holds; every bulk decode entry point and blocking
+filesystem call reports when it runs with a governed lock held.  A test
+run under the sanitizer reports a :class:`BlockingEvent` for:
 
-* **dynamic lock-order inversions** -- thread A observed ``a -> b`` while
-  some thread observed ``b -> a``: a latent deadlock no single run need
-  ever hit to be real;
-* **blocking-under-lock events** -- decode or filesystem work that
-  actually ran inside a governed critical section (the runtime analogue
-  of a CG002 finding; the reentrant distinct-list lock is exempt by the
-  same design rule);
-* an **observed order graph** that :func:`crosscheck` compares against
-  the static model from
-  :func:`repro.analysis.rules_concurrency.collect_lock_model` -- an
-  observed edge whose *reverse* is the only statically known order means
-  the model and reality disagree and one of them is wrong.
+* **nested acquisition** (``kind="lock"``) -- a thread acquired a lock
+  while it already held a different lock *object*.  With no nesting
+  there is no acquisition order to get wrong.  Comparing objects, not
+  names, catches two instances' same-named locks, which the static rule
+  cannot tell apart, while an RLock's re-entry is not nesting;
+* **blocking under lock** (``kind="decode"`` or ``"fs"``) -- decode or
+  filesystem work that actually ran inside a governed critical section
+  (the runtime analogue of a CG002 finding; the reentrant distinct-list
+  lock is exempt by the same design rule).
 
 Locks are named by their creation site: the assignment target on the
 source line that called the factory (``self._distinct_lock =
 threading.RLock()`` names the lock ``_distinct_lock``), which lines the
-dynamic names up with the static model's AST-derived names.  Locks
+dynamic names up with the static rule's AST-derived names.  Locks
 created outside the repro tree (pytest, logging, stdlib pools) are left
 unwrapped so the sanitizer only ever observes the system under test.
 
@@ -54,22 +51,18 @@ from contextlib import contextmanager
 from typing import (
     Any,
     Callable,
-    Dict,
     Iterator,
     List,
     Optional,
-    Set,
     Tuple,
 )
 
 __all__ = [
     "BlockingEvent",
-    "InversionEvent",
     "SanitizerReport",
     "LockSanitizer",
     "sanitized",
-    "crosscheck",
-    "run_seeded_inversion",
+    "run_seeded_nesting",
     "main",
 ]
 
@@ -104,9 +97,14 @@ def _governed(name: str) -> bool:
 
 @dataclasses.dataclass(frozen=True)
 class BlockingEvent:
-    """One blocking call that ran while a governed lock was held."""
+    """One call that ran while a lock was held and must not have.
 
-    kind: str  # "decode" or "fs"
+    ``kind`` is ``"lock"`` when ``func`` names a second lock acquired
+    while ``lock`` was held, and ``"decode"`` or ``"fs"`` when ``func`` is
+    blocking work that ran under the governed lock ``lock``.
+    """
+
+    kind: str
     func: str
     lock: str
     location: str
@@ -119,53 +117,25 @@ class BlockingEvent:
         )
 
 
-@dataclasses.dataclass(frozen=True)
-class InversionEvent:
-    """Two threads acquired the same pair of locks in opposite orders."""
-
-    first: Tuple[str, str]
-    first_location: str
-    second: Tuple[str, str]
-    second_location: str
-
-    def render(self) -> str:
-        """Human-readable one-liner for reports and CI logs."""
-        return (
-            f"lock-order inversion: {self.first[0]} -> {self.first[1]} "
-            f"(at {self.first_location}) vs {self.second[0]} -> "
-            f"{self.second[1]} (at {self.second_location})"
-        )
-
-
 @dataclasses.dataclass
 class SanitizerReport:
     """Everything one sanitized run observed."""
 
     locks_created: int
     acquisitions: int
-    order_edges: Set[Tuple[str, str]]
-    inversions: List[InversionEvent]
     blocking: List[BlockingEvent]
 
     @property
     def ok(self) -> bool:
-        """True when the run saw no inversion and no blocking-under-lock."""
-        return not self.inversions and not self.blocking
+        """True when the run saw no nested lock and no blocking-under-lock."""
+        return not self.blocking
 
     def summary(self) -> str:
         """One-line outcome for logs and assertion messages."""
-        status = (
-            "PASS"
-            if self.ok
-            else (
-                f"FAIL ({len(self.inversions)} inversions, "
-                f"{len(self.blocking)} blocking)"
-            )
-        )
+        status = "PASS" if self.ok else f"FAIL ({len(self.blocking)} events)"
         return (
             f"reprosan: {status}; {self.locks_created} locks, "
-            f"{self.acquisitions} acquisitions, "
-            f"{len(self.order_edges)} order edges"
+            f"{self.acquisitions} acquisitions"
         )
 
 
@@ -198,8 +168,10 @@ def _caller_location() -> str:
 class _SanitizedLock:
     """A recording proxy around one real lock (or RLock).
 
-    Supports the full lock protocol (``acquire``/``release``/context
-    manager/``locked``) and forwards everything else to the real lock.
+    Supports ``acquire``, ``release``, ``locked`` and the context-manager
+    protocol, and nothing else: a ``threading.Condition`` built on a
+    wrapped RLock cannot wait, because the proxy lacks the RLock's private
+    ownership hooks.
     """
 
     def __init__(
@@ -215,7 +187,7 @@ class _SanitizedLock:
         return self._name
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        """Acquire the real lock, then record the acquisition order."""
+        """Acquire the real lock, then record it as held by this thread."""
         got = self._real.acquire(blocking, timeout)
         if got:
             self._san._note_acquired(self)
@@ -264,8 +236,6 @@ class LockSanitizer:
         self._all_locks = all_locks
         self._meta = _REAL_LOCK()  # guards the shared tables below
         self._held = threading.local()
-        self._edges: Dict[Tuple[str, str], str] = {}
-        self._inversions: List[InversionEvent] = []
         self._blocking: List[BlockingEvent] = []
         self._locks_created = 0
         self._acquisitions = 0
@@ -324,29 +294,21 @@ class LockSanitizer:
 
     def _note_acquired(self, lock: _SanitizedLock) -> None:
         stack = self._stack()
-        location = _caller_location()
+        # Identity, not name: two objects' same-named locks nest, while an
+        # RLock re-entering itself does not.
+        other = next((held for held in reversed(stack) if held is not lock), None)
+        event = None
+        if other is not None:
+            event = BlockingEvent(
+                kind="lock",
+                func=lock._name,
+                lock=other._name,
+                location=_caller_location(),
+            )
         with self._meta:
             self._acquisitions += 1
-            held_names = []
-            for prior in stack:
-                if prior._name not in held_names:
-                    held_names.append(prior._name)
-            for prior in held_names:
-                if prior == lock._name:
-                    continue  # reentrant / same-named locks
-                edge = (prior, lock._name)
-                if edge not in self._edges:
-                    self._edges[edge] = location
-                    reverse = (lock._name, prior)
-                    if reverse in self._edges:
-                        self._inversions.append(
-                            InversionEvent(
-                                first=reverse,
-                                first_location=self._edges[reverse],
-                                second=edge,
-                                second_location=location,
-                            )
-                        )
+            if event is not None:
+                self._blocking.append(event)
         stack.append(lock)
 
     def _note_released(self, lock: _SanitizedLock) -> None:
@@ -433,8 +395,6 @@ class LockSanitizer:
             return SanitizerReport(
                 locks_created=self._locks_created,
                 acquisitions=self._acquisitions,
-                order_edges=set(self._edges),
-                inversions=list(self._inversions),
                 blocking=list(self._blocking),
             )
 
@@ -455,115 +415,55 @@ def sanitized(all_locks: bool = False) -> Iterator[LockSanitizer]:
         sanitizer.uninstall()
 
 
-def crosscheck(
-    observed: Set[Tuple[str, str]], static_edges: Set[Tuple[str, str]]
-) -> List[str]:
-    """Contradictions between an observed order graph and the static model.
+def run_seeded_nesting() -> SanitizerReport:
+    """Take one lock while holding another, under the sanitizer.
 
-    An observed edge ``a -> b`` contradicts the model when the model knows
-    the pair *only* in the opposite order: the code as analysed promises
-    ``b`` before ``a``, but a real thread did the reverse.  Observed edges
-    the model has never seen are fine (runtime composition can order locks
-    the AST never does in one function); same-order agreement is fine.
-    """
-    problems: List[str] = []
-    for a, b in sorted(observed):
-        if (b, a) in static_edges and (a, b) not in static_edges:
-            problems.append(
-                f"observed acquisition order {a} -> {b} contradicts the "
-                f"static model, which only knows {b} -> {a}"
-            )
-    return problems
-
-
-def run_seeded_inversion() -> SanitizerReport:
-    """Provoke a deliberate lock-order inversion under the sanitizer.
-
-    The CI proof that reprosan actually fires: two threads take the same
-    two locks in opposite orders (with a barrier ensuring both orders
-    really execute).  Returns the report, which must contain exactly the
-    seeded inversion.
+    The CI proof that reprosan actually fires: one thread acquires
+    ``seeded_inner`` inside ``seeded_outer``.  Returns the report, which
+    must contain exactly that nested acquisition.
     """
     # The names deliberately sit outside CG002's lock-naming convention:
-    # this inversion must be invisible to the static model, so detecting
-    # it proves the *dynamic* half of the sanitizer works on its own.
+    # this nesting must be invisible to the static rule, so detecting it
+    # proves the runtime half works on its own.
     with sanitized() as sanitizer:
-        seeded_alpha = threading.Lock()
-        seeded_beta = threading.Lock()
-        barrier = threading.Barrier(2)
-
-        def ab() -> None:
-            with seeded_alpha:
-                barrier.wait()
-                with seeded_beta:
-                    pass
-
-        def ba() -> None:
-            with seeded_beta:
-                barrier.wait()
-                with seeded_alpha:
-                    pass
-
-        # a->b runs to completion first, then b->a: both edges are
-        # observed without ever deadlocking on the real locks.
-        t = threading.Thread(target=ab)
-        u = threading.Thread(target=ba)
-        t.start()
-        barrier.wait()  # let ab() proceed while main mirrors ba's slot
-        t.join()
-        u.start()
-        barrier.wait()
-        u.join()
+        seeded_outer = threading.Lock()
+        seeded_inner = threading.Lock()
+        with seeded_outer:
+            with seeded_inner:
+                pass
     return sanitizer.report()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CI entry point: prove the sanitizer fires, then gate the real run.
 
-    1. The seeded inversion must be detected (else the sanitizer is
-       broken and exit code is 2).
+    1. The seeded nesting must be detected (else the sanitizer is broken
+       and exit code is 2).
     2. The race smoke suite must pass under the sanitizer with zero
-       inversions and zero blocking-under-lock events, and the observed
-       order graph must not contradict CG002's static model (exit 1).
+       nested acquisitions and zero blocking-under-lock events (exit 1).
     """
     from repro.testing.races import run_sanitized_race_smoke
 
-    seeded = run_seeded_inversion()
-    if not seeded.inversions:
-        print("reprosan: seeded inversion was NOT detected", flush=True)
+    seeded = run_seeded_nesting()
+    if not seeded.blocking:
+        print("reprosan: seeded nesting was NOT detected", flush=True)
         return 2
-    print(
-        "reprosan: seeded inversion detected: "
-        + seeded.inversions[0].render()
-    )
+    print("reprosan: seeded nesting detected: " + seeded.blocking[0].render())
 
     race, observed = run_sanitized_race_smoke()
     print(race.summary())
     print(observed.summary())
-    for event in observed.inversions:
-        print("  " + event.render())
-    for event in observed.blocking:
-        print("  " + event.render())
+    # One line per distinct site: a nesting on a hot path repeats per call.
+    for line in sorted({event.render() for event in observed.blocking}):
+        print("  " + line)
     problems: List[str] = []
     if not race.ok:
         problems.extend(race.violations)
     if not observed.ok:
-        problems.append("sanitizer observed inversions/blocking (above)")
-    try:
-        from repro.analysis.rules_concurrency import collect_lock_model
-
-        model = collect_lock_model(["src"])
-        disagreements = crosscheck(observed.order_edges, model.edges)
-    except Exception as exc:  # pragma: no cover - static model optional
-        print(f"reprosan: static cross-check skipped: {exc}")
-        disagreements = []
-    for line in disagreements:
-        print("  " + line)
-        problems.append(line)
+        problems.append("sanitizer observed nested locks/blocking (above)")
     if problems:
         print(f"reprosan: FAIL ({len(problems)} problem(s))")
         return 1
-    print("reprosan: static/dynamic cross-check clean")
     return 0
 
 

@@ -90,26 +90,46 @@ def test_cg002_flags_decode_under_lock(tmp_path):
     assert all("while holding" in f.message for f in findings)
 
 
-def test_cg002_flags_lock_order_cycle(tmp_path):
+def test_cg002_flags_nested_acquisition(tmp_path):
     _write(
         tmp_path,
-        "repro/core/order.py",
+        "repro/core/nesting.py",
         """
         class Shards:
-            def ab(self):
+            def nested_with(self):
                 with self._a_lock:
                     with self._b_lock:
                         pass
 
-            def ba(self):
+            def nested_acquire(self):
+                with self._a_lock:
+                    self._b_lock.acquire()
+                    self._b_lock.release()
+
+            def nested_call(self):
+                with self._a_lock:
+                    self.take_b()
+
+            def take_b(self):
                 with self._b_lock:
+                    pass
+
+            def reentrant(self):
+                with self._a_lock:
                     with self._a_lock:
                         pass
+
+            def sequential(self):
+                with self._a_lock:
+                    pass
+                with self._b_lock:
+                    pass
         """,
     )
     findings, _ = run_rules([str(tmp_path)], [get_rule("CG002")])
-    assert len(findings) == 1
-    assert "lock-order cycle" in findings[0].message
+    assert [f.line for f in findings] == [5, 10, 15]
+    assert all("while holding `_a_lock`" in f.message for f in findings)
+    assert "`take_b` acquires `_b_lock`" in findings[2].message
 
 
 def test_cg002_acquire_release_idiom(tmp_path):

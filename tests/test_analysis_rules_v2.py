@@ -114,31 +114,43 @@ def test_cg002_cross_module_clean_when_lock_released(tmp_path):
     assert findings == []
 
 
-def test_cg002_cross_module_lock_order_cycle(tmp_path):
-    """a->b in one module, b->a in another: the union graph has the cycle."""
+def test_cg002_cross_module_nested_acquisition(tmp_path):
+    """A lock held in one module while a call takes another in a second."""
     _write(
         tmp_path,
         "repro/service/first.py",
         """
-        def forward(a_lock, b_lock):
-            with a_lock:
-                with b_lock:
-                    pass
+        import threading
+        from repro.storage.second import bump
+
+        class First:
+            def __init__(self):
+                self._state_lock = threading.Lock()
+
+            def update(self):
+                with self._state_lock:
+                    bump()
         """,
     )
     _write(
         tmp_path,
         "repro/storage/second.py",
         """
-        def backward(a_lock, b_lock):
-            with b_lock:
-                with a_lock:
-                    pass
+        import threading
+
+        _count_lock = threading.Lock()
+
+        def bump():
+            with _count_lock:
+                pass
         """,
     )
     findings, _ = run_rules([str(tmp_path)], [get_rule("CG002")])
     assert len(findings) == 1
-    assert "cycle" in findings[0].message
+    assert findings[0].path.endswith("first.py")
+    assert findings[0].line == 11
+    assert "`bump` acquires `_count_lock`" in findings[0].message
+    assert "`_state_lock`" in findings[0].message
 
 
 # -- CG007 checkpoint coverage -----------------------------------------------
