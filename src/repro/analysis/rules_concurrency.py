@@ -206,7 +206,9 @@ class LockDisciplineRule(Rule):
     ) -> frozenset:
         """Walk statements propagating the running held-lock set.
 
-        ``with`` bodies see the set plus their lock; bare ``.acquire()`` /
+        ``with`` bodies see the set plus their lock, and a ``with`` item
+        that is not a lock (``with open(...)``) is scanned like a statement
+        under the locks entered before it; bare ``.acquire()`` /
         ``.release()`` statements mutate the running set, which flows out
         of nested control blocks (the acquire-try-finally-release idiom).
         """
@@ -228,6 +230,11 @@ class LockDisciplineRule(Rule):
                             info, lock, entered, stmt, None, findings
                         )
                         entered = entered | {lock}
+                    else:
+                        entered = self._scan_exprs(
+                            info, [item.context_expr], entered, graph,
+                            summaries, findings,
+                        )
                 self._walk_block(
                     info, stmt.body, entered, graph, summaries, findings
                 )

@@ -13,10 +13,12 @@ Usage (also via ``python -m repro``)::
     python -m repro ingest flows.store more_flows.txt
     python -m repro compact flows.store
     python -m repro status flows.store
-    python -m repro recover legacy.chrono   # -> legacy.chrono.store/
+    python -m repro recover flows.store --repair
 
-Every subcommand is a thin shell over the library API so scripted use and
-programmatic use stay equivalent.
+``ingest``, ``compact``, ``status`` and ``recover`` act on a segment store
+directory; any other path exits 2 with one line pointing at
+``repro ingest --init``.  Every subcommand is a thin shell over the
+library API so scripted use and programmatic use stay equivalent.
 """
 
 from __future__ import annotations
@@ -149,15 +151,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "recover",
-        help="recover a segment store and report what survives, or "
-             "convert a legacy .chrono + .wal pair into BASE.store/",
+        help="recover a segment store and report what survives",
     )
-    p.add_argument("base", help="segment store dir or legacy .chrono base")
-    p.add_argument("--wal", default=None,
-                   help="legacy WAL path (default: <base>.wal)")
+    p.add_argument("base", help="segment store dir")
     p.add_argument("--repair", action="store_true",
                    help="apply segment store repairs (quarantine renames, "
-                        "orphan sweeps); legacy files are never modified")
+                        "orphan sweeps)")
 
     p = sub.add_parser(
         "compact", help="seal and merge a segment store's segments",
@@ -439,8 +438,8 @@ def _cmd_verify(args) -> int:
 
 
 def _not_a_store(path: str) -> int:
-    print(f"error: {path} is not a segment store; convert a legacy .chrono "
-          f"(+ .wal) with: repro recover {path}", file=sys.stderr)
+    print(f"error: {path} is not a segment store (no MANIFEST); create one "
+          "with: repro ingest --init STORE_DIR CONTACTS", file=sys.stderr)
     return 2
 
 
@@ -490,27 +489,17 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    # Exit codes: 0 clean; 1 the store is degraded, or the legacy
-    # conversion dropped a torn tail or ignored a superseded log (loss is
-    # reported, never silent); 2 unreadable inputs, a WAL bound to another
-    # base, or an existing conversion target (raised and mapped in main()).
-    from repro.storage.recovery import convert_legacy_pair, default_wal_path
+    # Exit codes: 0 clean; 1 the store is degraded (loss is reported, never
+    # silent); 2 not a store or an unreadable manifest (mapped in main()).
     from repro.storage.segments import SegmentStore, is_segment_store
 
-    if is_segment_store(args.base):
-        # Without --repair the walk is read-only: report, change nothing.
-        with SegmentStore.open(args.base, read_only=not args.repair) as store:
-            health = store.health()
-        print(health.summary())
-        return 0 if health.ok else 1
-
-    store_dir = args.base + ".store"
-    report = convert_legacy_pair(
-        args.base, args.wal or default_wal_path(args.base), store_dir
-    )
-    print(report.summary())
-    print(f"converted into segment store {store_dir}")
-    return 0 if report.ok else 1
+    if not is_segment_store(args.base):
+        return _not_a_store(args.base)
+    # Without --repair the walk is read-only: report, change nothing.
+    with SegmentStore.open(args.base, read_only=not args.repair) as store:
+        health = store.health()
+    print(health.summary())
+    return 0 if health.ok else 1
 
 
 def _cmd_compact(args) -> int:
@@ -542,9 +531,7 @@ def _cmd_status(args) -> int:
     from repro.storage.segments import SegmentStore, is_segment_store
 
     if not is_segment_store(args.store):
-        print(f"error: {args.store} is not a segment store "
-              "(no MANIFEST file)", file=sys.stderr)
-        return 2
+        return _not_a_store(args.store)
     with SegmentStore.open(args.store, read_only=True) as store:
         health = store.health()
     if args.json:

@@ -19,8 +19,9 @@ disk and network boundaries:
   loop.
 
 All integers are little-endian.  Every failure mode raises an exception
-from the :class:`repro.errors.FormatError` hierarchy.  VERSION 1 containers
-(no checksums) continue to load read-only; saving always writes VERSION 2.
+from the :class:`repro.errors.FormatError` hierarchy.  VERSION 2 is the only
+version read or written; any other version byte raises
+:class:`repro.errors.UnsupportedVersionError`.
 
 ``load_compressed(path, salvage=True)`` switches to best-effort decoding:
 instead of raising, it returns a :class:`repro.core.validate.SalvageReport`
@@ -285,37 +286,6 @@ def save_compressed(graph: CompressedChronoGraph, path: PathLike) -> int:
 
     payload = dumps_compressed(graph)
     return atomic_write_bytes(path, payload)
-
-
-def _save_v1_bytes(graph: CompressedChronoGraph) -> bytes:
-    """Serialise to the legacy VERSION 1 layout (testing / fixtures only).
-
-    The v1 writer is retained so compatibility tests can fabricate genuine
-    v1 containers; production code always writes VERSION 2.
-    """
-    buffer = io.BytesIO()
-    buffer.write(MAGIC)
-    buffer.write(struct.pack("<B", 1))
-    buffer.write(struct.pack("<B", _KIND_CODES[graph.kind]))
-    buffer.write(
-        struct.pack("<QQq", graph.num_nodes, graph.num_contacts, graph.t_min)
-    )
-    buffer.write(struct.pack("<7I", *_config_tuple(graph.config)))
-    name_bytes = graph.name.encode("utf-8")[:255]
-    buffer.write(struct.pack("<B", len(name_bytes)))
-    buffer.write(name_bytes)
-    for nbits, data in (
-        (graph._sbits, graph._sbytes),
-        (graph._tbits, graph._tbytes),
-    ):
-        buffer.write(struct.pack("<QQ", nbits, len(data)))
-        buffer.write(data)
-    for offsets in (graph._soffsets, graph._toffsets):
-        payload = _offsets_payload(offsets)
-        # v1 framed offsets as (count u64, nbytes u64, bytes).
-        buffer.write(payload[:8] + struct.pack("<Q", len(payload) - 8))
-        buffer.write(payload[8:])
-    return buffer.getvalue()
 
 
 # --------------------------------------------------------------------------
@@ -661,51 +631,6 @@ def _load_v2_body(
     return graph
 
 
-def _load_v1_body(
-    cur: _Cursor, limits: DecodeLimits, source: str
-) -> CompressedChronoGraph:
-    kind, num_nodes, num_contacts, t_min, config, name = _parse_header_fields(
-        cur, source
-    )
-    _check_counts(num_nodes, num_contacts, len(cur._data), limits, source)
-    streams = []
-    for what in ("structure stream", "timestamp stream"):
-        nbits, nbytes = cur.unpack("<QQ", f"{what} lengths")
-        if nbytes > cur.remaining:
-            raise TruncatedContainerError(
-                f"{source}: {what}: declared {nbytes} bytes but only "
-                f"{cur.remaining} remain"
-            )
-        data = cur.read_exact(nbytes, what)
-        _check_stream_geometry(nbits, nbytes, source, what)
-        streams.append((nbits, data))
-    offset_lists = []
-    for what in ("structure offsets", "timestamp offsets"):
-        count, nbytes = cur.unpack("<QQ", f"{what} lengths")
-        data = cur.read_exact(nbytes, what)
-        if count != num_nodes:
-            raise CorruptStreamError(
-                f"{source}: {what}: {count} entries for {num_nodes} nodes"
-            )
-        offset_lists.append(_decode_offset_deltas(data, count, source, what))
-    (sbits, sbytes), (tbits, tbytes) = streams
-    return _assemble_graph(
-        kind=kind,
-        num_nodes=num_nodes,
-        num_contacts=num_contacts,
-        t_min=t_min,
-        config=config,
-        name=name,
-        sbits=sbits,
-        sbytes=sbytes,
-        tbits=tbits,
-        tbytes=tbytes,
-        soffsets=offset_lists[0],
-        toffsets=offset_lists[1],
-        source=source,
-    )
-
-
 def load_compressed_bytes(
     data: Buffer,
     *,
@@ -733,12 +658,9 @@ def load_compressed_bytes(
     if cur.read_exact(4, "magic") != MAGIC:
         raise FormatError(f"{source}: not a ChronoGraph file (bad magic)")
     (version,) = cur.unpack("<B", "version")
-    if version == 1:
-        # v1 carries no checksums at all; there is nothing to defer.
-        return _load_v1_body(cur, limits, source)
-    if version == VERSION:
-        return _load_v2_body(cur, limits, source, lazy_crc=lazy_crc)
-    raise UnsupportedVersionError(f"{source}: unsupported version {version}")
+    if version != VERSION:
+        raise UnsupportedVersionError(f"{source}: unsupported version {version}")
+    return _load_v2_body(cur, limits, source, lazy_crc=lazy_crc)
 
 
 def _map_readonly(path: PathLike) -> Buffer:
@@ -808,16 +730,8 @@ def load_compressed(
 # Salvage (best-effort) reading
 # --------------------------------------------------------------------------
 
-#: A section recovered by salvage: either the raw framed payload (v2 --
-#: u64 prefix still embedded) or an already-split ``(prefix, body)`` pair
-#: (v1, whose prefix fields are not adjacent to the body in the file).
-_SalvagePart = Union[Buffer, Tuple[int, Buffer]]
-
-
-def _split_part(part: _SalvagePart) -> Optional[Tuple[int, Buffer]]:
-    """Normalise a salvaged section to ``(prefix, body)`` views, or None."""
-    if isinstance(part, tuple):
-        return part
+def _split_part(part: Buffer) -> Optional[Tuple[int, Buffer]]:
+    """``(u64 prefix, body)`` views of a salvaged section payload, or None."""
     if len(part) < 8:
         return None
     (value,) = struct.unpack("<Q", part[:8])
@@ -825,7 +739,7 @@ def _split_part(part: _SalvagePart) -> Optional[Tuple[int, Buffer]]:
 
 
 def _salvage_offsets(
-    part: _SalvagePart, want: int, nbits: int, errors: List[str], what: str
+    part: Buffer, want: int, nbits: int, errors: List[str], what: str
 ) -> List[int]:
     """Decode as many in-range offsets as the payload yields, never raising."""
     split = _split_part(part)
@@ -850,7 +764,7 @@ def _salvage_offsets(
 
 
 def _salvage_stream(
-    part: _SalvagePart, errors: List[str], what: str
+    part: Buffer, errors: List[str], what: str
 ) -> Tuple[int, Buffer]:
     """Recover (nbits, data) from a stream payload, clipping as needed."""
     split = _split_part(part)
@@ -912,35 +826,23 @@ def _salvage_parts(
         errors.append(f"{source}: not a ChronoGraph file (bad magic)")
         return None
     version = data[4]
-    if version == 1:
-        body_start = 5
-        framed = False
-    elif version == VERSION:
-        body_start = 6  # skip the flags byte; salvage tolerates any value
-        framed = True
-    else:
+    if version != VERSION:
         errors.append(f"{source}: unsupported version {version}")
         return None
 
     cur = _Cursor(data, source)
-    cur._pos = body_start
+    cur._pos = 6  # skip the flags byte; salvage tolerates any value
     try:
-        if framed:
-            (header_len,) = cur.unpack("<I", "header length")
-            header = cur.read_exact(
-                min(header_len, cur.remaining), "header"
-            )
-            if cur.remaining >= 4:
-                (header_crc,) = cur.unpack("<I", "header checksum")
-                if zlib.crc32(header) != header_crc:
-                    errors.append("header checksum mismatch")
-            else:
-                errors.append("header checksum missing")
-            hcur = _Cursor(header, source)
+        (header_len,) = cur.unpack("<I", "header length")
+        header = cur.read_exact(min(header_len, cur.remaining), "header")
+        if cur.remaining >= 4:
+            (header_crc,) = cur.unpack("<I", "header checksum")
+            if zlib.crc32(header) != header_crc:
+                errors.append("header checksum mismatch")
         else:
-            hcur = cur
+            errors.append("header checksum missing")
         kind, num_nodes, num_contacts, t_min, config, name = (
-            _parse_header_fields(hcur, source)
+            _parse_header_fields(_Cursor(header, source), source)
         )
     except FormatError as exc:
         errors.append(f"header unreadable: {exc}")
@@ -955,53 +857,32 @@ def _salvage_parts(
     # pinpoints *where* in the container the damage lies -- operators (and
     # the fault-matrix tests) can correlate entries with hexdump offsets.
     payloads = {}
-    if framed:
-        for expected_tag in _SECTION_ORDER:
-            what = _SECTION_NAMES[expected_tag]
-            section_start = cur._pos
-            at = f"at byte {section_start}"
-            if cur.remaining < 9:
-                errors.append(f"{what}: section header missing ({at})")
-                break
-            (tag,) = cur.unpack("<B", "section tag")
-            (payload_len,) = cur.unpack("<Q", f"{what} length")
-            if tag != expected_tag:
-                errors.append(f"{what}: unexpected section tag {tag} ({at})")
-            take = min(payload_len, cur.remaining, limits.max_section_bytes)
-            if take != payload_len:
-                errors.append(
-                    f"{what}: declared {payload_len} bytes, "
-                    f"clipped to {take} ({at})"
-                )
-            payload = cur.read_exact(take, what)
-            if cur.remaining >= 4:
-                (crc,) = cur.unpack("<I", f"{what} checksum")
-                if zlib.crc32(payload) != crc:
-                    errors.append(f"{what} checksum mismatch ({at})")
-            else:
-                errors.append(f"{what}: checksum missing ({at})")
-                cur._pos = len(data)
-            payloads[expected_tag] = payload
-    else:
-        try:
-            for tag in (_SECTION_STRUCTURE, _SECTION_TIMESTAMPS):
-                what = _SECTION_NAMES[tag]
-                at = f"at byte {cur._pos}"
-                nbits, nbytes = cur.unpack("<QQ", f"{what} lengths")
-                take = min(nbytes, cur.remaining)
-                if take != nbytes:
-                    errors.append(
-                        f"{what}: declared {nbytes} bytes, "
-                        f"clipped to {take} ({at})"
-                    )
-                payloads[tag] = (nbits, cur.read_exact(take, what))
-            for tag in (_SECTION_SOFFSETS, _SECTION_TOFFSETS):
-                what = _SECTION_NAMES[tag]
-                count, nbytes = cur.unpack("<QQ", f"{what} lengths")
-                take = min(nbytes, cur.remaining)
-                payloads[tag] = (count, cur.read_exact(take, what))
-        except FormatError as exc:
-            errors.append(str(exc))
+    for expected_tag in _SECTION_ORDER:
+        what = _SECTION_NAMES[expected_tag]
+        section_start = cur._pos
+        at = f"at byte {section_start}"
+        if cur.remaining < 9:
+            errors.append(f"{what}: section header missing ({at})")
+            break
+        (tag,) = cur.unpack("<B", "section tag")
+        (payload_len,) = cur.unpack("<Q", f"{what} length")
+        if tag != expected_tag:
+            errors.append(f"{what}: unexpected section tag {tag} ({at})")
+        take = min(payload_len, cur.remaining, limits.max_section_bytes)
+        if take != payload_len:
+            errors.append(
+                f"{what}: declared {payload_len} bytes, "
+                f"clipped to {take} ({at})"
+            )
+        payload = cur.read_exact(take, what)
+        if cur.remaining >= 4:
+            (crc,) = cur.unpack("<I", f"{what} checksum")
+            if zlib.crc32(payload) != crc:
+                errors.append(f"{what} checksum mismatch ({at})")
+        else:
+            errors.append(f"{what}: checksum missing ({at})")
+            cur._pos = len(data)
+        payloads[expected_tag] = payload
 
     sbits, sbytes = _salvage_stream(
         payloads.get(_SECTION_STRUCTURE, b""), errors, "structure stream"

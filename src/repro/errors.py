@@ -7,9 +7,9 @@ covered *all* data-driven failures -- truncation, checksum mismatches,
 unsupported versions, resource-limit violations and plain stream
 corruption -- without accidentally swallowing programming errors.
 
-``FormatError`` subclasses :class:`ValueError` for backwards compatibility
-with callers written against the VERSION 1 container, where decode errors
-surfaced as assorted ``ValueError``/``EOFError``/``struct.error``.
+``FormatError`` subclasses :class:`ValueError`, so code that catches
+``ValueError`` for bad input -- the CLI's one-line error path among it --
+covers malformed files too.
 """
 
 from __future__ import annotations
@@ -201,12 +201,9 @@ class RejectedError(DomainError):
 
 
 class GenerationMismatchError(FormatError):
-    """A write-ahead log does not belong to the base snapshot it was
-    opened against.
+    """On-disk state is not the generation a handle expected.
 
-    The WAL header records the size and CRC32 of the exact ``.chrono``
-    snapshot its records extend; replaying it onto any other snapshot
-    would apply contacts to the wrong history, so the pairing is refused
-    outright (unless a compaction marker proves the snapshot supersedes
-    the log -- see :mod:`repro.storage.recovery`).
+    Raised by :meth:`repro.storage.segments.SegmentStore.verify_binding`
+    when the durable manifest's generation differs from the one the open
+    store believes is current -- something else swapped the manifest.
     """

@@ -4,19 +4,17 @@
   artefact (temp file + fsync + rename), with an injectable filesystem
   for fault injection and retry-with-backoff for transient errors.
 * :mod:`repro.storage.wal` -- the append-only, CRC32-guarded contact log
-  bound to what it extends by a generation header.
+  behind a store's hot tail (``wal.tail``), bound to the store by a
+  generation header.
 * :mod:`repro.storage.segments` -- the LSM-style segmented store, the one
   way a graph grows: immutable time-partitioned segments under a
   CRC-guarded generation-numbered manifest, a hot WAL tail, a
   :class:`SegmentedChronoGraph` query facade, and per-segment quarantine
   surfaced in a :class:`HealthReport`.
-* :mod:`repro.storage.recovery` -- one-time conversion of a legacy
-  ``base.chrono`` + ``.wal`` pair into a store
-  (:func:`convert_legacy_pair`, reporting in a :class:`RecoveryReport`).
 * :mod:`repro.storage.compactor` -- the background merge thread plus the
   watchdog that degrades ingestion instead of crashing when it wedges.
 
-``wal``/``recovery``/``segments``/``compactor`` names resolve lazily:
+``wal``/``segments``/``compactor`` names resolve lazily:
 :mod:`repro.core.serialize` imports :mod:`repro.storage.atomic` for
 durable saves, while the higher layers import the serializer back --
 deferring the heavy half keeps the cycle open-ended instead of circular.
@@ -50,10 +48,6 @@ __all__ = [
     "scan_wal",
     "scan_wal_bytes",
     "repair_torn_tail",
-    # recovery (lazy)
-    "RecoveryReport",
-    "default_wal_path",
-    "convert_legacy_pair",
     # segments (lazy)
     "Manifest",
     "SegmentInfo",
@@ -64,7 +58,6 @@ __all__ = [
     "HealthReport",
     "BackpressureError",
     "StoreClosedError",
-    "create_sealed_store",
     "is_segment_store",
     # compactor (lazy)
     "Compactor",
@@ -74,12 +67,10 @@ _WAL_NAMES = {
     "WalHeader", "WalScan", "WriteAheadLog",
     "scan_wal", "scan_wal_bytes", "repair_torn_tail",
 }
-_RECOVERY_NAMES = {"RecoveryReport", "default_wal_path", "convert_legacy_pair"}
 _SEGMENT_NAMES = {
     "Manifest", "SegmentInfo", "SegmentStore", "SegmentedChronoGraph",
     "StorePolicy", "QuarantineEntry", "HealthReport",
-    "BackpressureError", "StoreClosedError", "create_sealed_store",
-    "is_segment_store",
+    "BackpressureError", "StoreClosedError", "is_segment_store",
 }
 
 
@@ -88,10 +79,6 @@ def __getattr__(name: str):
         from repro.storage import wal
 
         return getattr(wal, name)
-    if name in _RECOVERY_NAMES:
-        from repro.storage import recovery
-
-        return getattr(recovery, name)
     if name in _SEGMENT_NAMES:
         from repro.storage import segments
 

@@ -85,7 +85,6 @@ __all__ = [
     "HealthReport",
     "SegmentedChronoGraph",
     "SegmentStore",
-    "create_sealed_store",
     "is_segment_store",
 ]
 
@@ -231,12 +230,13 @@ def _segment_name(seq: int) -> str:
 def _wal_binding(generation: int) -> Tuple[int, int]:
     """Synthetic (base_size, base_crc) binding a tail WAL to the store.
 
-    The classic WAL binds to one immutable snapshot's bytes; the segmented
-    store has no such single file, so the tail binds to its manifest-
-    recorded generation instead: both sides of the pair are derived from
-    the generation alone, and the manifest says which generation is
-    current.  A WAL whose binding disagrees with its own generation field
-    was written by something else entirely and is quarantined.
+    The WAL header carries ``base_size``/``base_crc`` fields; the segmented
+    store has no single base file for them to name, so the tail binds to
+    its manifest-recorded generation instead: both sides of the pair are
+    derived from the generation alone, and the manifest says which
+    generation is current.  A WAL whose binding disagrees with its own
+    generation field was written by something else entirely and is
+    quarantined.
     """
     tag = f"chrono-segment-store:wal:{generation}".encode("ascii")
     return generation, zlib.crc32(tag)
@@ -937,47 +937,6 @@ def _segment_info_for(
         t_max=t_max,
         t_end_max=max(t_max, t_end_max),
     )
-
-
-def create_sealed_store(
-    path: PathLike,
-    kind: GraphKind,
-    config: ChronoGraphConfig,
-    contacts: Sequence[Contact],
-    *,
-    fs: Filesystem = OS_FILESYSTEM,
-) -> None:
-    """Lay down a new store whose one segment holds ``contacts``.
-
-    ``contacts`` are in stored time units and go through the seal's
-    compress-stored path as they are, never re-bucketed.  Crash-safe by
-    ordering: the segment file and the empty tail log land first and the
-    ``MANIFEST`` naming them last, so a crash leaves either a directory
-    that is not yet a store (its files are swept by the open that follows
-    a retry) or the complete store -- never a store missing contacts.
-    """
-    directory = pathlib.Path(path)
-    if (directory / MANIFEST_NAME).exists():
-        raise FileExistsError(f"{directory} already holds a segment store")
-    os.makedirs(str(directory), exist_ok=True)
-    segments: Tuple[SegmentInfo, ...] = ()
-    if contacts:
-        name = _segment_name(0)
-        payload = _compress_stored(kind, contacts, config, name=name)
-        segments = (_segment_info_for(name, 0, payload, contacts),)
-        atomic_write_bytes(directory / name, payload, fs=fs)
-    manifest = Manifest(
-        generation=0,
-        kind=kind,
-        config=config,
-        wal_generation=0,
-        next_seq=len(segments),
-        segments=segments,
-    )
-    SegmentStore._create_tail_wal(
-        directory, manifest, fs=fs, retry=DEFAULT_RETRY
-    ).close()
-    atomic_write_bytes(directory / MANIFEST_NAME, manifest.to_bytes(), fs=fs)
 
 
 class SegmentStore:

@@ -3,26 +3,21 @@
 The incremental setting of the paper (Section III-A: contacts arrive over
 time and only ever extend the structure) needs a durable ingest path that
 does not recompress the whole graph per contact.  The WAL provides it:
-contacts are appended as length-prefixed, CRC32-guarded batch records to a
-side file bound to what it extends -- the tail of a segment store
-(:mod:`repro.storage.segments`), or, in the legacy single-file layout, one
-base ``.chrono`` snapshot (converted by
-:func:`repro.storage.recovery.convert_legacy_pair`).
+contacts are appended as length-prefixed, CRC32-guarded batch records to
+the hot tail of a segment store (:mod:`repro.storage.segments`).
 
 Layout (little-endian; see FORMAT.md):
 
 * a fixed 32-byte header: magic ``CWAL``, version, graph kind, flags, a
-  **generation** counter, and the byte size and CRC32 of the exact base
-  snapshot this log extends -- replaying a log onto any other snapshot is
-  refused (:class:`repro.errors.GenerationMismatchError`);
-* zero or more records, each ``u32 length | payload | u32 crc32(payload)``
-  (the same guard discipline as the VERSION 2 container sections):
-
-  * **batch** (type 1): ``u32 count`` then ``count`` contacts as
-    ``u64 u, u64 v, i64 time, i64 duration`` -- one committed append;
-  * **compaction marker** (type 2): the size and CRC32 of the snapshot a
-    compaction is about to install, so a crash between installing the
-    snapshot and resetting the log is recognisable afterwards.
+  **generation** counter, and ``base_size``/``base_crc`` fields that the
+  store fills from the generation, so a log that does not belong to the
+  store is recognised on open;
+* zero or more **batch** records, each
+  ``u32 length | payload | u32 crc32(payload)`` (the same guard discipline
+  as the VERSION 2 container sections), whose payload is the type byte
+  ``1``, ``u32 count``, then ``count`` contacts as
+  ``u64 u, u64 v, i64 time, i64 duration`` -- one committed append.  Any
+  other type byte is damage, reported at its byte offset.
 
 Durability contract: :meth:`WriteAheadLog.append` only buffers;
 :meth:`WriteAheadLog.commit` writes the batch in one append and fsyncs.
@@ -81,11 +76,9 @@ _RECORD_LEN = struct.Struct("<I")
 _RECORD_CRC = struct.Struct("<I")
 _BATCH_COUNT = struct.Struct("<I")
 _CONTACT = struct.Struct("<QQqq")
-_MARKER = struct.Struct("<QI")
 
-#: Record payload types.
+#: The one record payload type.
 _REC_BATCH = 1
-_REC_COMPACT = 2
 
 #: Decode limits, mirroring :class:`repro.core.serialize.DecodeLimits`:
 #: a flipped length or label byte must never trigger a huge allocation or
@@ -102,7 +95,7 @@ ContactRow = Union[Contact, Tuple[int, ...]]
 
 @dataclasses.dataclass(frozen=True)
 class WalHeader:
-    """The generation header tying a WAL to its base snapshot."""
+    """The generation header tying a WAL to the store tail it extends."""
 
     kind: GraphKind
     generation: int
@@ -170,67 +163,53 @@ def encode_batch(contacts: Sequence[Contact]) -> bytes:
     return _frame(b"".join(parts))
 
 
-def encode_compact_marker(snapshot_size: int, snapshot_crc: int) -> bytes:
-    """One framed compaction marker naming the snapshot about to land."""
-    payload = struct.pack("<B", _REC_COMPACT) + _MARKER.pack(
-        snapshot_size, snapshot_crc
-    )
-    return _frame(payload)
-
-
 def _parse_payload(
     payload: bytes, kind: GraphKind, source: str, offset: int
-):
-    """Decode one record payload -> ('batch', contacts) | ('marker', (s, c)).
+) -> List[Contact]:
+    """Decode one batch record payload into its contacts.
 
-    Raises from ``FormatError`` on structural damage so the scanner can
-    truncate at this record.
+    Raises from ``FormatError`` on structural damage (including any type
+    byte but a batch's) so the scanner can truncate at this record.
     """
     if not payload:
         raise CorruptStreamError(f"{source}: empty record at byte {offset}")
     rec_type = payload[0]
-    if rec_type == _REC_BATCH:
-        if len(payload) < 1 + _BATCH_COUNT.size:
-            raise TruncatedContainerError(
-                f"{source}: batch record at byte {offset} too short"
+    if rec_type != _REC_BATCH:
+        raise CorruptStreamError(
+            f"{source}: unknown record type {rec_type} at byte {offset}"
+        )
+    if len(payload) < 1 + _BATCH_COUNT.size:
+        raise TruncatedContainerError(
+            f"{source}: batch record at byte {offset} too short"
+        )
+    (count,) = _BATCH_COUNT.unpack_from(payload, 1)
+    expected = 1 + _BATCH_COUNT.size + count * _CONTACT.size
+    if expected != len(payload):
+        raise CorruptStreamError(
+            f"{source}: batch record at byte {offset} declares {count} "
+            f"contacts but carries {len(payload)} payload bytes"
+        )
+    contacts: List[Contact] = []
+    pos = 1 + _BATCH_COUNT.size
+    for _ in range(count):
+        u, v, time, duration = _CONTACT.unpack_from(payload, pos)
+        pos += _CONTACT.size
+        if u > _MAX_LABEL or v > _MAX_LABEL:
+            raise LimitExceededError(
+                f"{source}: contact label beyond {_MAX_LABEL} "
+                f"at byte {offset}"
             )
-        (count,) = _BATCH_COUNT.unpack_from(payload, 1)
-        expected = 1 + _BATCH_COUNT.size + count * _CONTACT.size
-        if expected != len(payload):
+        if duration < 0:
             raise CorruptStreamError(
-                f"{source}: batch record at byte {offset} declares {count} "
-                f"contacts but carries {len(payload)} payload bytes"
+                f"{source}: negative duration at byte {offset}"
             )
-        contacts: List[Contact] = []
-        pos = 1 + _BATCH_COUNT.size
-        for _ in range(count):
-            u, v, time, duration = _CONTACT.unpack_from(payload, pos)
-            pos += _CONTACT.size
-            if u > _MAX_LABEL or v > _MAX_LABEL:
-                raise LimitExceededError(
-                    f"{source}: contact label beyond {_MAX_LABEL} "
-                    f"at byte {offset}"
-                )
-            if duration < 0:
-                raise CorruptStreamError(
-                    f"{source}: negative duration at byte {offset}"
-                )
-            if kind is not GraphKind.INTERVAL and duration:
-                raise CorruptStreamError(
-                    f"{source}: {kind.value} contact with a duration "
-                    f"at byte {offset}"
-                )
-            contacts.append(Contact(u, v, time, duration))
-        return "batch", contacts
-    if rec_type == _REC_COMPACT:
-        if len(payload) != 1 + _MARKER.size:
+        if kind is not GraphKind.INTERVAL and duration:
             raise CorruptStreamError(
-                f"{source}: malformed compaction marker at byte {offset}"
+                f"{source}: {kind.value} contact with a duration "
+                f"at byte {offset}"
             )
-        return "marker", _MARKER.unpack_from(payload, 1)
-    raise CorruptStreamError(
-        f"{source}: unknown record type {rec_type} at byte {offset}"
-    )
+        contacts.append(Contact(u, v, time, duration))
+    return contacts
 
 
 @dataclasses.dataclass
@@ -246,7 +225,6 @@ class WalScan:
 
     header: Optional[WalHeader]
     batches: List[List[Contact]]
-    markers: List[Tuple[int, int]]
     record_ends: List[int]
     valid_end: int
     file_size: int
@@ -282,11 +260,10 @@ def scan_wal_bytes(data: bytes, source: str = "<wal>") -> WalScan:
     except FormatError as exc:
         errors.append(str(exc))
         return WalScan(
-            header=None, batches=[], markers=[], record_ends=[],
+            header=None, batches=[], record_ends=[],
             valid_end=0, file_size=len(data), errors=errors,
         )
     batches: List[List[Contact]] = []
-    markers: List[Tuple[int, int]] = []
     record_ends: List[int] = []
     pos = WAL_HEADER_SIZE
     valid_end = pos
@@ -312,19 +289,15 @@ def scan_wal_bytes(data: bytes, source: str = "<wal>") -> WalScan:
             errors.append(f"{source}: record checksum mismatch at byte {pos}")
             break
         try:
-            rec_type, value = _parse_payload(payload, header.kind, source, pos)
+            batches.append(_parse_payload(payload, header.kind, source, pos))
         except FormatError as exc:
             errors.append(str(exc))
             break
-        if rec_type == "batch":
-            batches.append(value)
-        else:
-            markers.append(value)
         pos = end
         valid_end = end
         record_ends.append(end)
     return WalScan(
-        header=header, batches=batches, markers=markers,
+        header=header, batches=batches,
         record_ends=record_ends, valid_end=valid_end,
         file_size=size, errors=errors,
     )
@@ -497,15 +470,3 @@ class WriteAheadLog:
         self._pending = []
         self.committed_contacts += len(batch)
         return len(batch)
-
-    def append_compact_marker(
-        self, snapshot_size: int, snapshot_crc: int
-    ) -> None:
-        """Durably record the snapshot a compaction is about to install."""
-        if self._pending:
-            raise ValueError(
-                "refusing to write a compaction marker over "
-                f"{len(self._pending)} uncommitted contacts"
-            )
-        self._write_all(encode_compact_marker(snapshot_size, snapshot_crc))
-        self._fs.fsync(self._fd)

@@ -10,6 +10,7 @@ clean -- the committed baseline is empty by policy.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -82,12 +83,18 @@ def test_cg002_flags_decode_under_lock(tmp_path):
             def distinct_ok(self, reader):
                 with self._distinct_lock:
                     return decode_node_structure(reader)
+
+            def bad_with_header(self, path):
+                with self._mutate_lock:
+                    with open(path, "w"):
+                        pass
         """,
     )
     findings, _ = run_rules([str(tmp_path)], [get_rule("CG002")])
     lines = sorted(f.line for f in findings)
-    assert len(findings) == 2
+    assert len(findings) == 3
     assert all("while holding" in f.message for f in findings)
+    assert lines[-1] == 25  # the `with open(...)` header
 
 
 def test_cg002_flags_nested_acquisition(tmp_path):
@@ -124,10 +131,19 @@ def test_cg002_flags_nested_acquisition(tmp_path):
                     pass
                 with self._b_lock:
                     pass
+
+            def nested_with_header_call(self):
+                with self._a_lock:
+                    with self.take_b_ctx():
+                        pass
+
+            def take_b_ctx(self):
+                with self._b_lock:
+                    return self
         """,
     )
     findings, _ = run_rules([str(tmp_path)], [get_rule("CG002")])
-    assert [f.line for f in findings] == [5, 10, 15]
+    assert [f.line for f in findings] == [5, 10, 15, 34]
     assert all("while holding `_a_lock`" in f.message for f in findings)
     assert "`take_b` acquires `_b_lock`" in findings[2].message
 
@@ -652,6 +668,6 @@ def test_module_invocation_exit_zero():
         cwd=REPO_ROOT,
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -13,8 +13,7 @@ MODULES = [
     "repro.testing", "repro.testing.faults", "repro.testing.races",
     "repro.testing.sanitizer",
     "repro.storage", "repro.storage.atomic", "repro.storage.wal",
-    "repro.storage.recovery", "repro.storage.segments",
-    "repro.storage.compactor",
+    "repro.storage.segments", "repro.storage.compactor",
     "repro.runtime", "repro.runtime.context", "repro.runtime.governor",
     "repro.runtime.breaker",
     "repro.bits", "repro.bits.bitio", "repro.bits.codes", "repro.bits.zigzag",

@@ -257,32 +257,6 @@ class TestVerifyExitCodes:
         assert "OK" in capsys.readouterr().out
 
 
-def _legacy_wal(base, batches):
-    """Write a legacy ``<base>.wal`` bound to ``base`` holding ``batches``."""
-    import zlib
-
-    from repro.core.serialize import load_compressed
-    from repro.storage.recovery import default_wal_path
-    from repro.storage.wal import WalHeader, WriteAheadLog
-
-    blob = base.read_bytes()
-    header = WalHeader(
-        kind=load_compressed(base).kind,
-        generation=0,
-        base_size=len(blob),
-        base_crc=zlib.crc32(blob),
-    )
-    path = default_wal_path(base)
-    with WriteAheadLog.create(path, header) as wal:
-        for batch in batches:
-            wal.append(batch)
-            wal.commit()
-    return path
-
-
-MORE = [(0, 1, 10, 3), (1, 2, 14, 2), (2, 0, 20, 1)]
-
-
 class TestDurabilityCommands:
     """``ingest`` / ``recover`` / ``compact`` exit codes and behaviour."""
 
@@ -298,23 +272,16 @@ class TestDurabilityCommands:
         return path
 
     @pytest.fixture()
-    def store(self, chrono_file, capsys):
-        """``chrono_file`` converted (no WAL) into ``<chrono>.store``."""
-        assert main(["recover", str(chrono_file)]) == 0
-        capsys.readouterr()
-        return str(chrono_file) + ".store"
+    def store(self, contact_file, tmp_path, capsys):
+        """``contact_file`` ingested into a new store and sealed.
 
-    def test_ingest_then_recover_clean(self, chrono_file, more_contacts, capsys):
-        _legacy_wal(chrono_file, [MORE])
-        assert main(["recover", str(chrono_file)]) == 0
-        out = capsys.readouterr().out
-        assert "clean" in out
-        assert "3 contacts" in out
-        store = str(chrono_file) + ".store"
-        assert main(["ingest", store, str(more_contacts)]) == 0
-        out = capsys.readouterr().out
-        assert "ingested 3 contacts" in out
-        assert "generation 0" in out
+        One segment and an empty tail, at generation 1.
+        """
+        path = str(tmp_path / "g.store")
+        assert main(["ingest", "--init", path, str(contact_file)]) == 0
+        assert main(["compact", path]) == 0
+        capsys.readouterr()
+        return path
 
     def test_ingest_twice_appends(self, store, more_contacts, capsys):
         assert main(["ingest", store, str(more_contacts)]) == 0
@@ -330,36 +297,12 @@ class TestDurabilityCommands:
         err = capsys.readouterr().err
         assert "error:" in err and "point" in err
 
-    def test_torn_wal_recover_exits_1_and_repair_truncates(
-        self, chrono_file, more_contacts, capsys
-    ):
-        import pathlib
-
-        wal = _legacy_wal(chrono_file, [MORE[:2], MORE[2:]])
-        torn = wal.read_bytes()[:-7]
-        wal.write_bytes(torn)
-        assert main(["recover", str(chrono_file)]) == 1
-        assert "recovered with loss" in capsys.readouterr().out
-        assert wal.read_bytes() == torn  # legacy files are never modified
-        # A torn store tail: reported read-only, truncated by --repair.
-        store = str(chrono_file) + ".store"
-        assert main(["ingest", store, str(more_contacts)]) == 0
-        tail = pathlib.Path(store) / "wal.tail"
-        good = tail.read_bytes()
-        tail.write_bytes(good + b"\x13half a record")
-        capsys.readouterr()
-        assert main(["recover", store]) == 0
-        assert "torn" in capsys.readouterr().out
-        assert tail.read_bytes() != good
-        assert main(["recover", store, "--repair"]) == 0
-        assert tail.read_bytes() == good
-
     def test_compact_folds_and_resets(self, store, more_contacts, capsys):
         assert main(["ingest", store, str(more_contacts)]) == 0
         capsys.readouterr()
         assert main(["compact", store]) == 0
         out = capsys.readouterr().out
-        assert "compacted" in out and "generation 1" in out
+        assert "compacted" in out and "generation 2" in out
         assert main(["recover", store]) == 0
         assert "tail: 0 contacts" in capsys.readouterr().out
 
@@ -367,8 +310,8 @@ class TestDurabilityCommands:
         assert main(["compact", store]) == 0
         assert "compacted" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["ingest", "compact"])
-    def test_plain_chrono_points_to_recover(
+    @pytest.mark.parametrize("command", ["ingest", "compact", "recover", "status"])
+    def test_plain_chrono_points_to_ingest_init(
         self, chrono_file, more_contacts, capsys, command
     ):
         argv = [command, str(chrono_file)]
@@ -378,7 +321,8 @@ class TestDurabilityCommands:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
-        assert f"repro recover {chrono_file}" in err
+        assert f"{chrono_file} is not a segment store" in err
+        assert "repro ingest --init" in err
         assert chrono_file.read_bytes() == before
 
     @pytest.mark.parametrize("argv", [
@@ -406,28 +350,11 @@ class TestDurabilityCommands:
             raise PermissionError(13, "Permission denied", str(self))
 
         monkeypatch.setattr(pathlib.Path, "read_bytes", deny)
-        assert main(["recover", str(chrono_file)]) == 2
+        assert main(["verify", str(chrono_file)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Permission denied" in err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
-
-    def test_wal_bound_to_other_snapshot_exits_2(
-        self, chrono_file, contact_file, capsys
-    ):
-        import pathlib
-
-        _legacy_wal(chrono_file, [MORE])
-        # Recompress the base with a different resolution: new bytes, same
-        # WAL -- the generation binding must refuse to replay.
-        assert main(["compress", str(contact_file), "--out", str(chrono_file),
-                     "--resolution", "7"]) == 0
-        capsys.readouterr()
-        assert main(["recover", str(chrono_file)]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err
-        assert len(err.strip().splitlines()) == 1
-        assert not pathlib.Path(str(chrono_file) + ".store").exists()
 
 
 class TestSegmentStoreCommands:
@@ -554,10 +481,16 @@ class TestSegmentStoreCommands:
         assert main(["ingest", "--init", str(store_dir), str(point_contacts),
                      "--seal", "10"]) == 0
         wal = pathlib.Path(store_dir) / "wal.tail"
-        wal.write_bytes(wal.read_bytes() + b"\x55torn")
+        good = wal.read_bytes()
+        wal.write_bytes(good + b"\x55torn")
         capsys.readouterr()
+        # Without --repair the torn tail is reported and left in place.
+        assert main(["recover", str(store_dir)]) == 0
+        assert "torn" in capsys.readouterr().out
+        assert wal.read_bytes() == good + b"\x55torn"
         assert main(["recover", "--repair", str(store_dir)]) == 0
         assert "torn" in capsys.readouterr().out
+        assert wal.read_bytes() == good
 
     def test_corrupt_manifest_exits_2(self, store_dir, point_contacts, capsys):
         import pathlib

@@ -154,7 +154,9 @@ def test_fs_call_under_governed_lock_is_reported(tmp_path):
     with sanitized(all_locks=True) as san:
         shard_lock = threading.Lock()
         with shard_lock:
-            with open(target, "w") as f:
+            # Deliberate fs-under-lock: the runtime analogue of a CG002
+            # finding is exactly what this test seeds.
+            with open(target, "w") as f:  # repro: noqa[CG002]
                 f.write("x")
     report = san.report()
     assert len(report.blocking) == 1

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ChronoGraphConfig, compress
-from repro.core.serialize import FormatError, load_compressed, save_compressed
+from repro.core.serialize import (
+    FormatError,
+    load_compressed,
+    salvage_bytes,
+    save_compressed,
+)
+from repro.errors import UnsupportedVersionError
 from repro.graph.builders import graph_from_contacts
 from repro.graph.model import GraphKind
 
@@ -94,16 +100,20 @@ class TestFormatErrors:
             load_compressed(path)
 
     def test_bad_version(self, tmp_path):
-        path = tmp_path / "bogus.chrono"
-        path.write_bytes(b"CHRG\xff" + b"\x00" * 64)
-        with pytest.raises(FormatError):
-            load_compressed(path)
-
-    def test_bad_kind_code(self, tmp_path):
-        path = tmp_path / "bogus.chrono"
-        path.write_bytes(b"CHRG\x01\x09" + b"\x00" * 64)
-        with pytest.raises(FormatError):
-            load_compressed(path)
+        # VERSION 2 is the only container version; 1 is refused like any
+        # unknown byte, by the heap, mmap and salvage loaders alike.
+        for version in (1, 0xFF):
+            blob = b"CHRG" + bytes([version]) + b"\x00" * 64
+            path = tmp_path / f"v{version}.chrono"
+            path.write_bytes(blob)
+            for mapped in (False, True):
+                with pytest.raises(UnsupportedVersionError):
+                    load_compressed(path, mmap=mapped)
+            report = salvage_bytes(blob)
+            assert report.graph is None
+            assert any(
+                f"unsupported version {version}" in e for e in report.errors
+            )
 
     def test_truncated_file(self, tmp_path):
         g = _graph()

@@ -1,4 +1,4 @@
-"""VERSION 2 container tests: checksums, limits, salvage, v1 compat."""
+"""VERSION 2 container tests: checksums, limits, salvage."""
 
 import random
 import struct
@@ -14,7 +14,6 @@ from repro.core.serialize import (
     DecodeLimits,
     MAGIC,
     VERSION,
-    _save_v1_bytes,
     dumps_compressed,
     load_compressed,
     load_compressed_bytes,
@@ -229,33 +228,6 @@ class TestDecodeLimits:
         )
         with pytest.raises(LimitExceededError):
             load_compressed_bytes(blob)
-
-
-class TestV1Compatibility:
-    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
-    def test_v1_container_still_loads(self, kind):
-        cg = compress(_graph(kind))
-        v1 = _save_v1_bytes(cg)
-        assert v1[4] == 1
-        back = load_compressed_bytes(v1)
-        assert list(back.iter_contacts()) == list(cg.iter_contacts())
-
-    def test_v1_and_v2_decode_identically(self):
-        cg = compress(_graph(GraphKind.INTERVAL))
-        from_v1 = load_compressed_bytes(_save_v1_bytes(cg))
-        from_v2 = load_compressed_bytes(dumps_compressed(cg))
-        assert list(from_v1.iter_contacts()) == list(from_v2.iter_contacts())
-
-    def test_v1_truncation_detected(self):
-        v1 = _save_v1_bytes(compress(_graph(GraphKind.POINT)))
-        with pytest.raises(FormatError):
-            load_compressed_bytes(v1[: len(v1) // 2])
-
-    def test_v1_header_bomb_detected(self):
-        v1 = bytearray(_save_v1_bytes(compress(_graph(GraphKind.POINT))))
-        struct.pack_into("<Q", v1, 6, 1 << 40)  # num_nodes field
-        with pytest.raises(LimitExceededError):
-            load_compressed_bytes(bytes(v1))
 
 
 class TestSalvage:

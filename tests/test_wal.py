@@ -24,6 +24,8 @@ from repro.storage.wal import (
     WAL_MAGIC,
     WalHeader,
     WriteAheadLog,
+    _frame,
+    encode_batch,
     repair_torn_tail,
     scan_wal,
     scan_wal_bytes,
@@ -217,18 +219,40 @@ class TestTornTails:
             assert scan.header is None or blob[:4] == WAL_MAGIC
 
 
-class TestCompactMarker:
-    def test_marker_scanned_and_separated_from_batches(self, tmp_path):
-        path = _make_wal(tmp_path, batches=[CONTACTS[:1]])
-        with WriteAheadLog.open(path) as wal:
-            wal.append_compact_marker(1234, 0xDEAD)
-        scan = scan_wal(path)
-        assert scan.markers == [(1234, 0xDEAD)]
-        assert scan.contacts == CONTACTS[:1]  # markers carry no contacts
+#: A CRC-valid record of type 2 (an old compaction marker's shape).
+TYPE_2_RECORD = _frame(struct.pack("<BQI", 2, 1234, 0xDEAD))
 
-    def test_marker_refuses_pending_contacts(self, tmp_path):
-        path = _make_wal(tmp_path)
-        with WriteAheadLog.open(path) as wal:
-            wal.append(CONTACTS[:1])
-            with pytest.raises(ValueError):
-                wal.append_compact_marker(1, 2)
+
+class TestUnknownRecordType:
+    """A batch is the only record type; any other is damage at its offset."""
+
+    def test_scan_stops_at_a_crc_valid_type_2_record(self, tmp_path):
+        good = _make_wal(tmp_path, batches=[CONTACTS[:1]]).read_bytes()
+        rest = TYPE_2_RECORD + encode_batch(CONTACTS[1:])
+        scan = scan_wal_bytes(good + rest)
+        assert scan.contacts == CONTACTS[:1]
+        assert scan.valid_end == len(good)
+        assert scan.dropped_bytes == len(rest)
+        assert scan.errors == [
+            f"<wal>: unknown record type 2 at byte {len(good)}"
+        ]
+
+    def test_store_tail_serves_the_batches_before_it(self, tmp_path):
+        from repro.storage.segments import WAL_TAIL_NAME, SegmentStore
+
+        directory = tmp_path / "s"
+        with SegmentStore.create(directory, GraphKind.POINT) as store:
+            store.ingest(CONTACTS[:2])
+        tail = directory / WAL_TAIL_NAME
+        good = tail.read_bytes()
+        rest = TYPE_2_RECORD + encode_batch(CONTACTS[2:])
+        tail.write_bytes(good + rest)
+        with SegmentStore.open(directory, read_only=True) as store:
+            served = sorted(store.graph.iter_contacts())
+            events = store.health().events
+        assert served == sorted(CONTACTS[:2])
+        assert any(f"{len(rest)} trailing bytes" in e for e in events)
+        assert any(
+            f"unknown record type 2 at byte {len(good)}" in e for e in events
+        )
+        assert tail.read_bytes() == good + rest  # read-only: not repaired
