@@ -19,9 +19,12 @@ Two layers keep the decode cost off the hot path:
   node decode it once -- see :meth:`CompressedChronoGraph.cache_stats`,
   :meth:`configure_cache` and :meth:`clear_cache`;
 * sequential-scan fast paths (:meth:`snapshot`, :meth:`to_static_graph`,
-  :meth:`iter_contacts`, :meth:`iter_window_neighbors`) that walk the
-  streams in storage order and decode every node at most once per pass,
-  resolving reference chains from a rolling window instead of re-seeking.
+  :meth:`iter_contacts`, :meth:`iter_window_neighbors`), all on one
+  walker that goes through the streams in storage order and decodes every
+  node at most once per pass, resolving reference chains from a rolling
+  window instead of re-seeking.  An empty node (the 4-bit record
+  ``1111``, no timestamp bits) is recognised from its offsets and passed
+  over without a decode or a cache lookup.
 
 Concurrency model
 -----------------
@@ -69,7 +72,7 @@ import threading
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bits import codes
 from repro.bits.bitio import BitReader, Buffer
@@ -125,6 +128,17 @@ _RUNTIME_KEYS = (
 def _index_bits(offsets: "array[int]", nbits: int) -> int:
     """Elias-Fano payload of an offset index over an ``nbits``-bit stream."""
     return payload_bits(len(offsets), offsets[-1] if offsets else 0, nbits + 1)
+
+
+def _distinct_of(multiset: List[int]) -> List[int]:
+    """The distinct labels of a label-sorted multiset, in order."""
+    distinct: List[int] = []
+    last = None
+    for v in multiset:
+        if v != last:
+            distinct.append(v)
+            last = v
+    return distinct
 
 
 class _AtomicCounter:
@@ -297,9 +311,11 @@ class CompressedChronoGraph:
     def cache_stats(self) -> Dict[str, Optional[int]]:
         """Hit/miss/eviction counters and current occupancy of the record cache.
 
-        Every record-level lookup (one per query, one per node of a
-        sequential pass) counts exactly one hit or one miss; evictions
-        count records dropped to honour the budget, not overwrites.
+        Every record-level lookup counts exactly one hit or one miss: one
+        per point query, and one per non-empty record of a sequential
+        pass, which never looks up, counts or caches an empty node.
+        Evictions count records dropped to honour the budget, not
+        overwrites.
         Counters are atomic and monotone, so no lost updates under
         concurrency; occupancy is read under the cache lock.
         """
@@ -548,35 +564,59 @@ class CompressedChronoGraph:
 
     # -- sequential scans ------------------------------------------------------
 
-    def _scan_records(
-        self, ctx: Optional[QueryContext] = None
-    ) -> Iterator[Tuple[int, NodeRecord]]:
-        """Yield ``(u, record)`` for every node, decoding each node once.
+    def _walk(
+        self,
+        ctx: Optional[QueryContext] = None,
+        *,
+        structure_only: bool = False,
+    ) -> Iterator[Tuple[int, Any]]:
+        """Yield ``(u, record)`` for every node in storage order, one decode each.
 
-        Both streams are walked with a single reader each; reference chains
-        resolve against the distinct lists of the last ``config.window``
-        nodes (the only legal targets), so a full pass never re-seeks or
-        re-decodes an earlier record.  Cached records short-circuit their
-        decode but still feed the rolling reference window.  No lock is
-        held across a yield.
+        The one sequential walker behind every full-graph scan.  Each
+        stream is read with a single reader; reference chains resolve
+        against the distinct lists of the last ``config.window`` non-empty
+        records (the only legal targets are among them), so a full pass
+        never re-seeks or re-decodes an earlier record.  No lock is held
+        across a yield.
 
-        ``ctx`` is polled once per node, and activated around each
+        An empty node -- a structure record of exactly the four bits
+        ``1111`` and a timestamp record of no bits -- is yielded without a
+        seek, a decode, a cache lookup or a cache insert.  A valid
+        non-empty record is never shorter than 7 bits, so any other 4-bit
+        record is corrupt and decodes, and fails, exactly as a lookup of
+        that node does.  Every other record costs one counting record-cache
+        lookup, and a miss decodes and caches it.
+
+        With ``structure_only`` the walk yields ``(u, distinct neighbors)``
+        and never touches the timestamp stream: distinct lists come from
+        the distinct-list cache, a non-counting peek at the record cache
+        or a structure-only decode, and feed the distinct-list cache so a
+        repeat pass is all hits.
+
+        ``ctx`` is polled once per node id, and activated around each
         stream decode so the bulk readers chunk against it too -- but
         only around the decode, never across a yield, so the ambient
         context can't leak into the consumer's frame.
         """
-        if self.num_nodes == 0:
+        n = self.num_nodes
+        if n == 0:
             return
         config = self.config
         window = config.window
         limit = self.num_contacts
         with_durations = self.kind is GraphKind.INTERVAL
         self._touch_structure()
-        self._touch_timestamps()
-        sreader = BitReader(self._sbytes, self._sbits)
-        treader = BitReader(self._tbytes, self._tbits)
+        if structure_only:
+            empty: Any = []
+        else:
+            self._touch_timestamps()
+            treader = BitReader(self._tbytes, self._tbits)
+            empty = ([], [], [] if with_durations else None)
+        sbytes = self._sbytes
+        sreader = BitReader(sbytes, self._sbits)
         soffsets = self._soffsets
         toffsets = self._toffsets
+        dcache = self._distinct_cache
         recent: Dict[int, List[int]] = {}
 
         def resolve(v: int) -> List[int]:
@@ -587,48 +627,86 @@ class CompressedChronoGraph:
             # fall back to the random-access resolver.
             return self._resolve_distinct(v)
 
-        for u in range(self.num_nodes):
+        def decode_structure(u: int, start: int):
+            try:
+                sreader.seek(start)
+                return decode_node_structure(
+                    sreader, u, resolve, config, limit=limit
+                )
+            except (FormatError, QueryInterrupted):
+                raise
+            except _DECODE_FAILURES as exc:
+                raise self._corrupt(u, "structure", exc) from exc
+
+        # Each node's record bounds in both streams: a record ends where
+        # the next one starts, the last one at the end of its stream.
+        bounds = zip(
+            range(n),
+            soffsets,
+            itertools.chain(itertools.islice(soffsets, 1, None), (self._sbits,)),
+            toffsets,
+            itertools.chain(itertools.islice(toffsets, 1, None), (self._tbits,)),
+        )
+        for u, start, end, tstart, tend in bounds:
             if ctx is not None:
                 ctx.checkpoint()
-            record = self._cache_get(u)
-            if record is None:
-                with activate(ctx):
-                    try:
-                        sreader.seek(soffsets[u])
-                        dedup, singles = decode_node_structure(
-                            sreader, u, resolve, config, limit=limit
+            if end - start == 4 and tend == tstart:
+                at, shift = start >> 3, start & 7
+                if shift <= 4:
+                    nibble = sbytes[at] >> (4 - shift)
+                else:
+                    nibble = (sbytes[at] << 8 | sbytes[at + 1]) >> (12 - shift)
+                if nibble & 15 == 15:
+                    yield u, empty
+                    continue
+            if structure_only:
+                # Lock-free hit: distinct lists are immutable once cached
+                # (see _resolve_distinct).
+                distinct = dcache.get(u)
+                if distinct is None:
+                    record = self._cache_peek(u)
+                    if record is not None:
+                        distinct = _distinct_of(record[0])
+                    else:
+                        dedup, singles = decode_structure(u, start)
+                        distinct = sorted(
+                            {*(label for label, _ in dedup), *singles}
                         )
-                    except (FormatError, QueryInterrupted):
-                        raise
-                    except _DECODE_FAILURES as exc:
-                        raise self._corrupt(u, "structure", exc) from exc
-                    multiset = multiset_from_parts(dedup, singles)
-                    try:
-                        treader.seek(toffsets[u])
-                        times, durations = decode_node_timestamps(
-                            treader,
-                            len(multiset),
-                            with_durations,
-                            self.t_min,
-                            config.timestamp_zeta_k,
-                            config.duration_zeta_k,
-                        )
-                    except (FormatError, QueryInterrupted):
-                        raise
-                    except _DECODE_FAILURES as exc:
-                        raise self._corrupt(u, "timestamp", exc) from exc
-                record = (multiset, times, durations)
-                self._cache_put(u, record)
+                    with self._distinct_lock:
+                        dcache[u] = distinct
+                        if len(dcache) > _DISTINCT_CACHE_CAP:
+                            dcache.popitem(last=False)
+                out: Any = distinct
+            else:
+                record = self._cache_get(u)
+                if record is None:
+                    with activate(ctx):
+                        dedup, singles = decode_structure(u, start)
+                        multiset = multiset_from_parts(dedup, singles)
+                        try:
+                            treader.seek(tstart)
+                            times, durations = decode_node_timestamps(
+                                treader,
+                                len(multiset),
+                                with_durations,
+                                self.t_min,
+                                config.timestamp_zeta_k,
+                                config.duration_zeta_k,
+                            )
+                        except (FormatError, QueryInterrupted):
+                            raise
+                        except _DECODE_FAILURES as exc:
+                            raise self._corrupt(u, "timestamp", exc) from exc
+                    record = (multiset, times, durations)
+                    self._cache_put(u, record)
+                out = record
+                if window > 0:
+                    distinct = _distinct_of(record[0])
             if window > 0:
-                distinct: List[int] = []
-                last = None
-                for v in record[0]:
-                    if v != last:
-                        distinct.append(v)
-                        last = v
                 recent[u] = distinct
-                recent.pop(u - window, None)
-            yield u, record
+                if len(recent) > window:
+                    del recent[next(iter(recent))]
+            yield u, out
 
     def _active_neighbors(
         self,
@@ -836,79 +914,10 @@ class CompressedChronoGraph:
                     )
         return out  # type: ignore[return-value]
 
-    # -- structure-only scans --------------------------------------------------
-
-    def _iter_distinct(self) -> Iterator[Tuple[int, List[int]]]:
-        """Yield ``(u, distinct neighbors)`` in storage order, structure only.
-
-        The timestamp stream is never touched; distinct lists come from the
-        distinct-list cache, the record cache, or a sequential
-        structure-only decode (references resolved from the rolling
-        window), and feed the distinct-list cache so repeat passes are pure
-        hits.  Record-cache counters are untouched: nothing here is a
-        record-level lookup.  The distinct-cache lock is taken per node,
-        never across a yield.
-        """
-        n = self.num_nodes
-        if n == 0:
-            return
-        config = self.config
-        window = config.window
-        limit = self.num_contacts
-        dcache = self._distinct_cache
-        self._touch_structure()
-        sreader = BitReader(self._sbytes, self._sbits)
-        soffsets = self._soffsets
-        recent: Dict[int, List[int]] = {}
-
-        def resolve(v: int) -> List[int]:
-            got = recent.get(v)
-            if got is not None:
-                return got
-            return self._resolve_distinct(v)
-
-        for u in range(n):
-            # Lock-free hit: distinct lists are immutable once cached (see
-            # _resolve_distinct).
-            distinct = dcache.get(u)
-            if distinct is None:
-                with self._distinct_lock:
-                    distinct = dcache.get(u)
-                if distinct is None:
-                    record = self._cache_peek(u)
-                    if record is not None:
-                        distinct = []
-                        last = None
-                        for v in record[0]:
-                            if v != last:
-                                distinct.append(v)
-                                last = v
-                    else:
-                        try:
-                            sreader.seek(soffsets[u])
-                            dedup, singles = decode_node_structure(
-                                sreader, u, resolve, config, limit=limit
-                            )
-                        except (FormatError, QueryInterrupted):
-                            raise
-                        except _DECODE_FAILURES as exc:
-                            raise self._corrupt(u, "structure", exc) from exc
-                        distinct = sorted(
-                            {*(label for label, _ in dedup), *singles}
-                        )
-                    with self._distinct_lock:
-                        dcache[u] = distinct
-                        if len(dcache) > _DISTINCT_CACHE_CAP:
-                            dcache.popitem(last=False)
-            if window > 0:
-                recent[u] = distinct
-                recent.pop(u - window, None)
-            yield u, distinct
-
     def to_static_graph(self) -> List[Tuple[int, int]]:
         """The "flattened" aggregated view of Figure 1(a): distinct edges."""
         edges: List[Tuple[int, int]] = []
-        for u, distinct in self._iter_distinct():
+        for u, distinct in self._walk(structure_only=True):
             for v in distinct:
                 edges.append((u, v))
         return edges
@@ -919,7 +928,7 @@ class CompressedChronoGraph:
         """All distinct edges active within the closed interval, sorted."""
         edges: List[Tuple[int, int]] = []
         with query_scope(ctx):
-            for u, (multiset, times, durations) in self._scan_records(ctx):
+            for u, (multiset, times, durations) in self._walk(ctx):
                 for v in self._active_neighbors(
                     multiset, times, durations, t_start, t_end
                 ):
@@ -937,7 +946,7 @@ class CompressedChronoGraph:
         polled per node as the consumer iterates (never held across a
         yield).
         """
-        for u, (multiset, times, durations) in self._scan_records(ctx):
+        for u, (multiset, times, durations) in self._walk(ctx):
             yield u, self._active_neighbors(
                 multiset, times, durations, t_start, t_end
             )
@@ -950,7 +959,7 @@ class CompressedChronoGraph:
         beyond the output itself.  ``ctx`` is polled per node as the
         consumer iterates.
         """
-        for u, (multiset, times, durations) in self._scan_records(ctx):
+        for u, (multiset, times, durations) in self._walk(ctx):
             if durations is None:
                 for v, t in zip(multiset, times):
                     yield Contact(u, v, t)

@@ -4,6 +4,8 @@
 nodes (Sections IV-A to IV-D): each node's structure record picks the
 cheapest reference among the previous ``window`` nodes, sized in closed
 form, and both records are written once through the bulk code writers.
+Nodes without contacts skip all of that: each run of them is written as
+one run of 4-bit ``1111`` records.
 """
 
 from __future__ import annotations
@@ -116,22 +118,39 @@ def compress(
     that granularity (Section IV-C), trading temporal precision for space.
 
     Compression streams through the nodes once; only the distinct neighbor
-    lists of the last ``window`` nodes are retained for reference selection,
-    so peak memory stays proportional to the window, matching the paper's
-    remark that ChronoGraph's compression-time memory use is dominated by
-    the offset indexes.
+    lists of the last ``window`` nodes with contacts are retained for
+    reference selection, so peak memory stays proportional to the window,
+    matching the paper's remark that ChronoGraph's compression-time memory
+    use is dominated by the offset indexes.  Only nodes with contacts go
+    through reference selection and the record writers; each run of empty
+    nodes between them is written in one piece.
     """
     graph, config = _prepare(graph, config)
     t_min = graph.t_min
     with_durations = graph.kind is GraphKind.INTERVAL
+    window = config.window
     structure = BitWriter()
     timestamps = BitWriter()
     structure_offsets: List[int] = []
     timestamp_offsets: List[int] = []
+    # Distinct lists and chain depths of the last ``window`` active nodes,
+    # which include every reference candidate: an empty node's list is
+    # never one (see encode_node_structure), so empty nodes get no entry.
     window_distinct: dict = {}
     ref_depth: dict = {}
 
-    for u in range(graph.num_nodes):
+    def write_empty_run(end: int) -> None:
+        # The node ids from the next one up to ``end`` have no contacts:
+        # each record is 1111 (four gamma(0) codes), no timestamp bits.
+        m = end - len(structure_offsets)
+        if m:
+            start = len(structure)
+            structure_offsets.extend(range(start, start + 4 * m, 4))
+            timestamp_offsets.extend([len(timestamps)] * m)
+            structure.write_bits((1 << 4 * m) - 1, 4 * m)
+
+    for u in graph.active_nodes():
+        write_empty_run(u)
         structure_offsets.append(len(structure))
         timestamp_offsets.append(len(timestamps))
         contacts = graph.contacts_of(u)
@@ -149,10 +168,11 @@ def compress(
             config.timestamp_zeta_k,
             config.duration_zeta_k,
         )
-        evicted = u - config.window
-        if evicted >= 0:
-            window_distinct.pop(evicted, None)
-            ref_depth.pop(evicted, None)
+        if len(window_distinct) > window:
+            oldest = next(iter(window_distinct))
+            del window_distinct[oldest]
+            del ref_depth[oldest]
+    write_empty_run(graph.num_nodes)
 
     return _build(
         graph, config, structure, timestamps,

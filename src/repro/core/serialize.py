@@ -801,11 +801,16 @@ def salvage_bytes(
     try:
         graph = load_compressed_bytes(data, limits=limits, source=source)
     except FormatError as exc:
-        errors.append(str(exc))
+        strict = str(exc)
     else:
         return salvage_scan(graph, errors=[])
 
     parts = _salvage_parts(data, limits, source, errors)
+    # The lenient parse reports the flaw the strict loader stopped at, and
+    # every later one; the strict message stands only for a flaw the
+    # lenient parse tolerates.
+    if not errors:
+        errors.append(strict)
     if parts is None:
         return SalvageReport(
             graph=None,

@@ -12,7 +12,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.bits import codes
 from repro.bits.bitio import BitWriter
@@ -240,6 +240,41 @@ def temporal_graphs(draw):
         contacts = [t + (d,) for t, d in zip(triples, durations)]
     else:
         contacts = triples
+    return graph_from_contacts(kind, contacts, num_nodes=n)
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Up to 2,000 node ids, 0 to 30 of them with contacts.
+
+    Sources come in clusters whose neighbor labels overlap, so nearby
+    sources are each other's reference candidates, and runs of empty
+    records fall before, between and after the clusters.  Every draw
+    picks one of three shapes: clustered sources, no contacts at all
+    (an all-empty graph), or contacts on the last node id only.
+    """
+    kind = draw(st.sampled_from(GraphKind))
+    n = draw(st.integers(1, 2000))
+    shape = draw(st.sampled_from(["clustered", "all-empty", "last-only"]))
+    if shape == "all-empty":
+        sources = []
+    elif shape == "last-only":
+        sources = [n - 1]
+    else:
+        picked = set()
+        for center in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)):
+            for offset in draw(st.lists(st.integers(0, 12), min_size=1, max_size=8)):
+                picked.add(min(n - 1, center + offset))
+        sources = sorted(picked)[:30]
+    contacts = []
+    for u in sources:
+        lo, hi = max(0, u - 24), min(n - 1, u + 24)
+        for _ in range(draw(st.integers(1, 8))):
+            v = draw(st.integers(lo, hi))
+            t = draw(st.integers(0, 500))
+            contacts.append((u, v, t, draw(st.integers(0, 60))))
+    if kind is not GraphKind.INTERVAL:
+        contacts = [c[:3] for c in contacts]
     return graph_from_contacts(kind, contacts, num_nodes=n)
 
 
@@ -485,6 +520,21 @@ def streams(cg):
 class TestEncoderEquivalence:
     @given(temporal_graphs(), st.sampled_from(CONFIGS))
     def test_bytes_match_materialising_encoder(self, graph, config):
+        assert streams(compress(graph, config)) == streams(
+            reference_compress(graph, config)
+        )
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @given(graph=sparse_graphs())
+    @example(graph=graph_from_contacts(GraphKind.POINT, [], num_nodes=2000))
+    @example(
+        graph=graph_from_contacts(
+            GraphKind.INTERVAL, [(1999, 3, 7, 2), (1999, 4, 7, 0)], num_nodes=2000
+        )
+    )
+    def test_sparse_graphs_match_materialising_encoder(self, config, graph):
+        # Runs of empty records are written in one piece; the bytes,
+        # offsets and reference choices are those of a per-node encode.
         assert streams(compress(graph, config)) == streams(
             reference_compress(graph, config)
         )

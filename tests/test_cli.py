@@ -306,7 +306,7 @@ class TestDurabilityCommands:
         assert main(["recover", store]) == 0
         assert "tail: 0 contacts" in capsys.readouterr().out
 
-    def test_compact_without_wal_exits_0(self, store, capsys):
+    def test_compact_with_empty_tail_exits_0(self, store, capsys):
         assert main(["compact", store]) == 0
         assert "compacted" in capsys.readouterr().out
 

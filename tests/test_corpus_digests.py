@@ -1,4 +1,4 @@
-"""Compressed bytes of the Table V corpora are pinned.
+"""Compressed bytes of the Table V corpora and of store segments are pinned.
 
 The encoder is the single source of truth for the on-disk format, and the
 paper's headline figure (bits per contact, Tables III-V) follows from its
@@ -15,6 +15,7 @@ import pytest
 from repro.core import ChronoGraphConfig, compress
 from repro.core.serialize import dumps_compressed
 from repro.datasets import registry
+from repro.storage.segments import SegmentStore, StorePolicy
 
 #: sha256 of ``dumps_compressed(compress(registry.load(name)))`` at scale 1.0.
 DIGESTS = {
@@ -89,3 +90,40 @@ def test_config_bytes_match_pinned_digest(config_corpora, name, label):
     graph = config_corpora[name]
     blob = dumps_compressed(compress(graph, CONFIGS[label]))
     assert hashlib.sha256(blob).hexdigest() == CONFIG_DIGESTS[name][label]
+
+
+#: sha256 over each sealed segment's name and bytes, in manifest order, of a
+#: store fed a corpus in time order, 256 contacts per ``ingest``.  Sealed
+#: segments are time-partitioned, so most of their node ids are empty
+#: records, written and scanned as runs.  "merged" also runs
+#: ``compact_once`` whenever the store asks for it, so its segments include
+#: merges re-encoded from ``iter_contacts``.
+STORE_DIGESTS = {
+    "sealed": "67b3cfbd3f0a7b7d671f2650f5f3e6982d41d98f6ae48597726cbfdc63b65d40",
+    "merged": "d8d1c987b975c875a2c12fd5100672047bebb25287fc4d2f7c1ce30402360cb0",
+}
+
+#: (corpus, scale, policy, compact) per store: "sealed" is the default policy
+#: over the full yahoo-full corpus (8 segments, no merge); "merged" seals 16
+#: times and merges 12 times in about a second.
+STORES = {
+    "sealed": ("yahoo-full", 1.0, StorePolicy(), False),
+    "merged": ("yahoo-full", 0.25, StorePolicy(seal_contacts=512, max_segments=4), True),
+}
+
+
+@pytest.mark.parametrize("label", sorted(STORES))
+def test_segment_bytes_match_pinned_digest(tmp_path, label):
+    name, scale, policy, compact = STORES[label]
+    graph = registry.load(name, scale)
+    order = sorted(graph.contacts, key=lambda c: (c.time, c.u, c.v, c.duration))
+    with SegmentStore.create(tmp_path / "store", graph.kind, policy=policy) as store:
+        for lo in range(0, len(order), 256):
+            store.ingest(order[lo:lo + 256])
+            while compact and store.compaction_needed():
+                store.compact_once()
+        digest = hashlib.sha256()
+        for info in store.manifest.segments:
+            digest.update(info.name.encode())
+            digest.update((tmp_path / "store" / info.name).read_bytes())
+    assert digest.hexdigest() == STORE_DIGESTS[label]

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import ChronoGraphConfig, compress
 from repro.core.serialize import (
     FormatError,
+    dumps_compressed,
     load_compressed,
     salvage_bytes,
     save_compressed,
@@ -15,6 +16,7 @@ from repro.core.serialize import (
 from repro.errors import UnsupportedVersionError
 from repro.graph.builders import graph_from_contacts
 from repro.graph.model import GraphKind
+from repro.testing.faults import _v2_section_spans
 
 
 def _graph(kind=GraphKind.POINT, seed=0, n=20, m=100):
@@ -114,6 +116,23 @@ class TestFormatErrors:
             assert any(
                 f"unsupported version {version}" in e for e in report.errors
             )
+
+    def test_salvage_reports_each_flaw_once(self):
+        # The strict loader and the lenient parse both see the first flaw;
+        # the report names it once.
+        assert salvage_bytes(b"NOPE" + bytes(64)).errors == [
+            "<bytes>: not a ChronoGraph file (bad magic)"
+        ]
+        assert salvage_bytes(b"CHRG\x01" + bytes(64)).errors == [
+            "<bytes>: unsupported version 1"
+        ]
+        blob = bytearray(dumps_compressed(compress(_graph())))
+        start, end = _v2_section_spans(bytes(blob))[-1]  # timestamp offsets
+        blob[end - 1] ^= 0xFF  # the section's CRC
+        report = salvage_bytes(bytes(blob))
+        assert report.errors == [
+            f"timestamp offsets checksum mismatch (at byte {start})"
+        ]
 
     def test_truncated_file(self, tmp_path):
         g = _graph()

@@ -71,7 +71,7 @@ class TestGrowth:
 
 
 class TestQueries:
-    def test_queries_span_base_and_delta(self, tmp_path):
+    def test_queries_span_segment_and_tail(self, tmp_path):
         with _store(tmp_path, base=[(0, 1, 5)]) as store:
             store.ingest([(0, 2, 50)])
             g = store.graph
@@ -93,15 +93,15 @@ class TestQueries:
             with pytest.raises(ValueError):
                 store.graph.contacts_of(9)
 
-    def test_new_node_only_in_delta(self, tmp_path):
+    def test_new_node_only_in_tail(self, tmp_path):
         with _store(tmp_path, base=[(0, 1, 5)]) as store:
             store.ingest([(4, 0, 7)])
             assert store.graph.num_nodes == 5
             assert store.graph.neighbors(4, 0, 10) == [0]
 
 
-class TestCheckpoint:
-    def test_checkpoint_compresses_delta(self, tmp_path):
+class TestSeal:
+    def test_seal_compresses_tail(self, tmp_path):
         with _store(tmp_path) as store:
             store.ingest([(i % 5, (i + 1) % 5, i) for i in range(50)])
             raw = 50 * 3 * 64  # three 64-bit words per buffered contact
@@ -111,7 +111,7 @@ class TestCheckpoint:
             assert info.size * 8 < raw
             assert store.graph.num_contacts == 50
 
-    def test_checkpoint_preserves_queries(self, tmp_path):
+    def test_seal_preserves_queries(self, tmp_path):
         rng = random.Random(3)
         contacts = [(rng.randrange(8), rng.randrange(8), rng.randrange(100))
                     for _ in range(60)]
@@ -124,7 +124,7 @@ class TestCheckpoint:
                 for t1, t2 in [(0, 100), (10, 30)]:
                     assert g.neighbors(u, t1, t2) == ref.ref_neighbors(u, t1, t2)
 
-    def test_checkpoint_due_threshold(self, tmp_path):
+    def test_seal_threshold_seals_inline(self, tmp_path):
         with _store(tmp_path, seal_contacts=10) as store:
             store.ingest([(0, 1, t) for t in range(9)])
             assert store.manifest.segments == ()
@@ -132,7 +132,7 @@ class TestCheckpoint:
             assert len(store.manifest.segments) == 1
             assert store.tail_size == 0
 
-    def test_multiple_checkpoint_cycles(self, tmp_path):
+    def test_multiple_seal_cycles(self, tmp_path):
         expected = []
         with _store(tmp_path, GraphKind.INTERVAL) as store:
             for epoch in range(3):
@@ -155,7 +155,7 @@ class TestCheckpoint:
     ),
     st.integers(0, 59),
 )
-def test_property_growable_matches_reference(contacts, split):
+def test_property_store_matches_reference(contacts, split):
     split = min(split, len(contacts))
     ref = _reference(contacts, 7)
     with tempfile.TemporaryDirectory() as work:

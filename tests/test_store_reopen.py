@@ -22,8 +22,8 @@ def _segment(store, index=-1):
     return store.graph._segments[index][1]
 
 
-class TestGrowableSerializeCycle:
-    def test_checkpoint_then_save_then_load(self, tmp_path):
+class TestSealReopenCycle:
+    def test_sealed_segment_loads_on_its_own(self, tmp_path):
         rng = random.Random(4)
         rows = [(rng.randrange(6), rng.randrange(6), rng.randrange(500))
                 for _ in range(80)]
@@ -35,7 +35,7 @@ class TestGrowableSerializeCycle:
         ref = graph_from_contacts(GraphKind.POINT, rows, num_nodes=6)
         assert loaded.to_temporal_graph().contacts == ref.contacts
 
-    def test_resume_growth_from_loaded_base(self, tmp_path):
+    def test_reopened_store_resumes_ingest(self, tmp_path):
         with _create(tmp_path) as store:
             store.ingest([(0, 1, 5), (1, 2, 9)])
             store.seal()
@@ -46,7 +46,7 @@ class TestGrowableSerializeCycle:
             assert g.neighbors(2, 0, 30) == [0]
             assert g.has_edge(0, 1, 5, 5)
 
-    def test_checkpointed_graph_validates(self, tmp_path):
+    def test_sealed_segment_validates(self, tmp_path):
         rng = random.Random(7)
         rows = [(rng.randrange(5), rng.randrange(5), rng.randrange(300),
                  rng.randrange(1, 20)) for _ in range(60)]
@@ -59,7 +59,7 @@ class TestGrowableSerializeCycle:
             )
         assert report.ok
 
-    def test_growable_respects_custom_config(self, tmp_path):
+    def test_seal_respects_custom_config(self, tmp_path):
         cfg = ChronoGraphConfig(resolution=10, timestamp_zeta_k=3)
         with _create(tmp_path, config=cfg) as store:
             store.ingest([(0, 1, 95), (0, 1, 99), (0, 1, 105)])
@@ -69,7 +69,7 @@ class TestGrowableSerializeCycle:
         assert segment.edge_timestamps(0, 1) == [9, 9, 10]
         assert segment.config.timestamp_zeta_k == 3
 
-    def test_checkpoint_after_aggregating_config_shrinks(self, tmp_path):
+    def test_aggregating_config_shrinks_sealed_segment(self, tmp_path):
         rows = [(0, 1, t) for t in range(0, 100_000, 7)]
         sizes = []
         for name, cfg in [("fine", None),
@@ -107,7 +107,7 @@ class TestSerializedSizeModel:
 
 
 class TestSaveLoadSession:
-    def test_save_folds_delta_and_load_resumes(self, tmp_path):
+    def test_reopen_replays_tail_and_resumes(self, tmp_path):
         with _create(tmp_path) as store:
             store.ingest([(0, 1, 5), (1, 2, 9)])
             store.seal()
@@ -142,7 +142,7 @@ class TestSaveLoadSession:
                 for t1, t2 in [(0, 200), (50, 120)]:
                     assert g.neighbors(u, t1, t2) == ref.ref_neighbors(u, t1, t2)
 
-    def test_repeated_checkpoints_do_not_reaggregate(self, tmp_path):
+    def test_repeated_seals_do_not_reaggregate(self, tmp_path):
         """Regression: resolution must apply once, not per seal."""
         cfg = ChronoGraphConfig(resolution=10, timestamp_zeta_k=3)
         with _create(tmp_path, config=cfg) as store:

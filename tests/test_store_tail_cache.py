@@ -74,8 +74,8 @@ class TestInvalidation:
             assert stats["misses"] == misses0
 
 
-class TestOverlayQueries:
-    def test_queries_see_base_and_overlay(self, tmp_path):
+class TestTailQueries:
+    def test_queries_see_segment_and_tail(self, tmp_path):
         with _store(tmp_path) as store:
             store.ingest([Contact(0, 5, 500), Contact(5, 0, 501)])
             view = store.graph
@@ -85,7 +85,7 @@ class TestOverlayQueries:
             assert Contact(0, 5, 500) in view.contacts_of(0)
             assert view.neighbors(0, 0, 10_000) == [1, 2, 3, 5]
 
-    def test_overlay_counts_toward_size(self, tmp_path):
+    def test_tail_counts_toward_size(self, tmp_path):
         with _store(tmp_path) as store:
             base = store.graph.num_contacts
             store.ingest([Contact(0, 5, 500)])
@@ -94,7 +94,7 @@ class TestOverlayQueries:
             assert health.tail_contacts == 1
             assert health.total_contacts == base + 1
 
-    def test_sequential_pass_includes_overlay(self, tmp_path):
+    def test_sequential_pass_includes_tail(self, tmp_path):
         with _store(tmp_path) as store:
             store.ingest([Contact(2, 0, 777)])
             assert Contact(2, 0, 777) in list(store.graph.iter_contacts())
