@@ -6,7 +6,8 @@ Usage (also via ``python -m repro``)::
     python -m repro compress flows.txt --out flows.chrono --resolution 60
     python -m repro inspect flows.chrono
     python -m repro query flows.chrono neighbors 17 100 200
-    python -m repro query flows.chrono edge 17 44 100 200
+    python -m repro query flows.chrono has_edge 17 44 100 200
+    python -m repro query flows.chrono snapshot 100 200
     python -m repro sweep yahoo-sub --scale 0.2
     python -m repro gapstats flows.txt --strategy previous
     python -m repro ingest --init flows.store new_flows.txt
@@ -14,6 +15,9 @@ Usage (also via ``python -m repro``)::
     python -m repro compact flows.store
     python -m repro status flows.store
     python -m repro recover flows.store --repair
+
+``query`` offers the ops of :data:`repro.service.protocol.QUERY_OPS` that
+take integers, on a ``.chrono`` file, a store directory or ``tcp://``.
 
 ``ingest``, ``compact``, ``status`` and ``recover`` act on a segment store
 directory; any other path exits 2 with one line pointing at
@@ -42,6 +46,13 @@ from repro.errors import (
 )
 from repro.datasets import dataset_names, load
 from repro.graph.io import read_contact_text, write_contact_text
+from repro.service.protocol import QUERY_OPS
+
+#: The ``repro query`` ops: every table op whose arguments are integers.
+_CLI_OPS = {
+    name: query for name, query in QUERY_OPS.items()
+    if "queries" not in query.args
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,13 +80,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inspect", help="print a .chrono file's statistics")
     p.add_argument("input")
 
-    p = sub.add_parser("query", help="run a neighbor or edge query")
+    p = sub.add_parser("query", help="run one query op")
     p.add_argument("input",
                    help=".chrono file, segment store dir, or tcp://host:port "
                         "of a running `repro serve`")
-    p.add_argument("kind", choices=["neighbors", "edge", "timestamps"])
+    p.add_argument("kind", choices=list(_CLI_OPS))
     p.add_argument("args", nargs="+", type=int,
-                   help="neighbors: u t1 t2 | edge: u v t1 t2 | timestamps: u v")
+                   help=" | ".join(
+                       f"{name}: {' '.join(query.args)}"
+                       for name, query in _CLI_OPS.items()
+                   ))
     p.add_argument("--tenant", default=None,
                    help="tenant budget key (tcp:// targets only)")
     p.add_argument("--timeout-ms", type=int, default=None,
@@ -273,23 +287,20 @@ def _interrupt(_signum, _frame) -> None:
 
 def _run_query(graph, args) -> int:
     """Print one query's answer; ``graph`` is local or a ServiceClient."""
-    if args.kind == "neighbors":
-        if len(args.args) != 3:
-            print("neighbors query needs: u t_start t_end", file=sys.stderr)
-            return 2
-        result = graph.neighbors(*args.args)
-        print(" ".join(map(str, result)) if result else "(none)")
-    elif args.kind == "edge":
-        if len(args.args) != 4:
-            print("edge query needs: u v t_start t_end", file=sys.stderr)
-            return 2
-        print("active" if graph.has_edge(*args.args) else "inactive")
-    else:
-        if len(args.args) != 2:
-            print("timestamps query needs: u v", file=sys.stderr)
-            return 2
-        result = graph.edge_timestamps(*args.args)
-        print(" ".join(map(str, result)) if result else "(none)")
+    names = _CLI_OPS[args.kind].args
+    if len(args.args) != len(names):
+        print(f"{args.kind} query needs: {' '.join(names)}", file=sys.stderr)
+        return 2
+    answer = getattr(graph, args.kind)(*args.args)
+    if isinstance(answer, bool):
+        print("active" if answer else "inactive")
+    elif not answer:
+        print("(none)")
+    elif isinstance(answer[0], int):
+        print(" ".join(map(str, answer)))
+    else:  # edges or contacts: one per line
+        for row in answer:
+            print(" ".join(map(str, row)))
     return 0
 
 
@@ -446,8 +457,9 @@ def _not_a_store(path: str) -> int:
 def _cmd_ingest(args) -> int:
     # Contacts land in the store's hot WAL tail and seal into immutable
     # segments past --seal.  Exit codes: 0 committed; 1 committed into a
-    # degraded store (reported); 2 not a store, unreadable inputs, kind
-    # mismatch, or backpressure (mapped in main()).
+    # degraded store (reported); 2 not a store, a kind mismatch, or
+    # unreadable inputs (mapped in main()).  No compactor is attached
+    # here, so ingest never meets backpressure.
     from repro.core.config import ChronoGraphConfig
     from repro.storage.segments import SegmentStore, StorePolicy, is_segment_store
 

@@ -24,7 +24,8 @@ Two layers keep the decode cost off the hot path:
   node at most once per pass, resolving reference chains from a rolling
   window instead of re-seeking.  An empty node (the 4-bit record
   ``1111``, no timestamp bits) is recognised from its offsets and passed
-  over without a decode or a cache lookup.
+  over without a decode or a cache lookup; a point lookup of one caches
+  the graph's one shared empty record instead of decoding it.
 
 Concurrency model
 -----------------
@@ -114,6 +115,7 @@ NodeRecord = Tuple[List[int], List[int], Optional[List[int]]]
 #: Attributes rebuilt from scratch on unpickle: locks, caches and their
 #: counters (a transported graph starts cold).
 _RUNTIME_KEYS = (
+    "_empty_record",
     "_cache_lock",
     "_records",
     "_cache_bytes",
@@ -128,6 +130,26 @@ _RUNTIME_KEYS = (
 def _index_bits(offsets: "array[int]", nbits: int) -> int:
     """Elias-Fano payload of an offset index over an ``nbits``-bit stream."""
     return payload_bits(len(offsets), offsets[-1] if offsets else 0, nbits + 1)
+
+
+def _is_empty_record(
+    sbytes: Buffer, start: int, end: int, tstart: int, tend: int
+) -> bool:
+    """Whether a node's records, given by their bit bounds, are empty.
+
+    An empty node is a structure record of exactly the four bits ``1111``
+    (four γ(0) codes) and a timestamp record of no bits.  A valid
+    non-empty record is never shorter than 7 bits, so any other 4-bit
+    record is corrupt and must decode, and fail, like any other record.
+    """
+    if end - start != 4 or tend != tstart:
+        return False
+    at, shift = start >> 3, start & 7
+    if shift <= 4:
+        nibble = sbytes[at] >> (4 - shift)
+    else:
+        nibble = (sbytes[at] << 8 | sbytes[at + 1]) >> (12 - shift)
+    return nibble & 15 == 15
 
 
 def _distinct_of(multiset: List[int]) -> List[int]:
@@ -207,6 +229,11 @@ class CompressedChronoGraph:
 
     def _init_runtime(self) -> None:
         """Create the locks, caches and counters (never pickled)."""
+        # What a decode of an empty node returns.  Every empty node shares
+        # this one value; no caller mutates a decoded record.
+        self._empty_record: NodeRecord = (
+            [], [], [] if self.kind is GraphKind.INTERVAL else None
+        )
         self._cache_lock = threading.Lock()
         # node -> (cost, record), least recently used first.
         self._records: "OrderedDict[int, Tuple[int, NodeRecord]]" = OrderedDict()
@@ -415,15 +442,31 @@ class CompressedChronoGraph:
             self._evict_lru()
 
     def _decode_record(self, u: int) -> NodeRecord:
-        """The fully decoded record of ``u``, through the LRU cache."""
+        """The fully decoded record of ``u``, through the LRU cache.
+
+        An empty node is recognised from its offsets, as the walk does,
+        and caches the shared empty record without a decode.
+        """
         self._check_node(u)
         record = self._cache_get(u)
         if record is not None:
             return record
-        dedup, singles = self._decode_structure(u)
-        multiset = multiset_from_parts(dedup, singles)
-        times, durations = self._decode_timestamps(u, len(multiset))
-        record = (multiset, times, durations)
+        # Checksums first: mapped bytes are read only once verified.
+        self._touch_structure()
+        self._touch_timestamps()
+        soffsets = self._soffsets
+        toffsets = self._toffsets
+        if u + 1 < self.num_nodes:
+            end, tend = soffsets[u + 1], toffsets[u + 1]
+        else:
+            end, tend = self._sbits, self._tbits
+        if _is_empty_record(self._sbytes, soffsets[u], end, toffsets[u], tend):
+            record = self._empty_record
+        else:
+            dedup, singles = self._decode_structure(u)
+            multiset = multiset_from_parts(dedup, singles)
+            times, durations = self._decode_timestamps(u, len(multiset))
+            record = (multiset, times, durations)
         self._cache_put(u, record)
         return record
 
@@ -579,13 +622,11 @@ class CompressedChronoGraph:
         never re-seeks or re-decodes an earlier record.  No lock is held
         across a yield.
 
-        An empty node -- a structure record of exactly the four bits
-        ``1111`` and a timestamp record of no bits -- is yielded without a
-        seek, a decode, a cache lookup or a cache insert.  A valid
-        non-empty record is never shorter than 7 bits, so any other 4-bit
-        record is corrupt and decodes, and fails, exactly as a lookup of
-        that node does.  Every other record costs one counting record-cache
-        lookup, and a miss decodes and caches it.
+        An empty node (:func:`_is_empty_record`) is yielded as the shared
+        empty record without a seek, a decode, a cache lookup or a cache
+        insert; any other 4-bit record is corrupt and decodes, and fails,
+        exactly as a lookup of that node does.  Every other record costs
+        one counting record-cache lookup, and a miss decodes and caches it.
 
         With ``structure_only`` the walk yields ``(u, distinct neighbors)``
         and never touches the timestamp stream: distinct lists come from
@@ -607,11 +648,11 @@ class CompressedChronoGraph:
         with_durations = self.kind is GraphKind.INTERVAL
         self._touch_structure()
         if structure_only:
-            empty: Any = []
+            empty: Any = self._empty_record[0]
         else:
             self._touch_timestamps()
             treader = BitReader(self._tbytes, self._tbits)
-            empty = ([], [], [] if with_durations else None)
+            empty = self._empty_record
         sbytes = self._sbytes
         sreader = BitReader(sbytes, self._sbits)
         soffsets = self._soffsets
@@ -650,15 +691,9 @@ class CompressedChronoGraph:
         for u, start, end, tstart, tend in bounds:
             if ctx is not None:
                 ctx.checkpoint()
-            if end - start == 4 and tend == tstart:
-                at, shift = start >> 3, start & 7
-                if shift <= 4:
-                    nibble = sbytes[at] >> (4 - shift)
-                else:
-                    nibble = (sbytes[at] << 8 | sbytes[at + 1]) >> (12 - shift)
-                if nibble & 15 == 15:
-                    yield u, empty
-                    continue
+            if _is_empty_record(sbytes, start, end, tstart, tend):
+                yield u, empty
+                continue
             if structure_only:
                 # Lock-free hit: distinct lists are immutable once cached
                 # (see _resolve_distinct).

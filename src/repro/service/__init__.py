@@ -4,10 +4,9 @@ The service front end (:mod:`repro.service.server`) runs one supervisor
 and N worker processes.  Every worker opens the same ``.chrono`` container
 or segment-store directory read-only with ``mmap=True``, so the OS page
 cache holds exactly one copy of the compressed graph no matter how many
-workers (or unrelated processes) are serving it.  Workers answer
-``neighbors`` / ``neighbors_many`` / ``has_edge`` / ``snapshot`` /
-``edge_timestamps`` requests over the length-prefixed JSON protocol of
-:mod:`repro.service.protocol`, with admission control, per-tenant budgets
+workers (or unrelated processes) are serving it.  Workers answer the ops
+of :data:`repro.service.protocol.QUERY_OPS` over that module's
+length-prefixed JSON protocol, with admission control, per-tenant budgets
 and deadlines handled by the :mod:`repro.runtime` governor -- a request's
 ``timeout_ms`` becomes the worker-side :class:`repro.runtime.QueryContext`
 deadline, and breaker-skipped segments come back as ``skipped``

@@ -22,6 +22,7 @@ import socket
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DomainError
+from repro.graph.model import Contact
 from repro.service.protocol import ProtocolError, recv_message, send_message
 
 __all__ = ["ServiceClient", "ServiceError"]
@@ -113,7 +114,7 @@ class ServiceClient:
         self.last_skipped = list(response.get("skipped") or [])
         return response.get("result")
 
-    # -- query surface -------------------------------------------------
+    # -- ping, stats and one method per op of protocol.QUERY_OPS --------
 
     def ping(self) -> Dict[str, Any]:
         """Liveness probe; the response names the worker that answered."""
@@ -148,6 +149,10 @@ class ServiceClient:
     def edge_timestamps(self, u: int, v: int) -> List[int]:
         """All activation timestamps of edge (u, v), ascending."""
         return self._call("edge_timestamps", {"args": [u, v]})
+
+    def contacts_of(self, u: int) -> List[Contact]:
+        """Every contact of ``u``, in (label, time) order."""
+        return [Contact(*c) for c in self._call("contacts_of", {"args": [u]})]
 
     # -- lifecycle -----------------------------------------------------
 

@@ -30,6 +30,14 @@ malformed frame raises :class:`ProtocolError` -- connections that
 violate framing are torn down, never guessed at.  An answer too large
 for one frame is never sent: the server replies with a ``ProtocolError``
 frame instead and keeps the connection.
+
+The query ops are listed once, in :data:`QUERY_OPS`, with each op's
+arguments and its answer on a plain :class:`repro.graph.model.TemporalGraph`
+-- the oracle every query surface is checked against.  A request carries
+an op's integers as ``{"args": [...]}``, except ``neighbors_many``:
+``{"queries": [[u, t_start, t_end], ...]}``.  An answer is the graph's
+own value as JSON: an edge is ``[u, v]``, a contact ``[u, v, time,
+duration]``.  ``ping`` and ``stats`` are served too, but are not queries.
 """
 
 from __future__ import annotations
@@ -37,11 +45,15 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.errors import DomainError
+from repro.graph.model import TemporalGraph
 
-__all__ = ["MAX_FRAME_BYTES", "ProtocolError", "send_message", "recv_message"]
+__all__ = [
+    "MAX_FRAME_BYTES", "ProtocolError", "QueryOp", "QUERY_OPS",
+    "send_message", "recv_message",
+]
 
 #: Hard bound on one frame's JSON body.  Large enough for any sane batch
 #: or snapshot answer; small enough that a corrupt length prefix cannot
@@ -53,6 +65,32 @@ _LEN = struct.Struct("!I")
 
 class ProtocolError(DomainError):
     """A frame violated the wire contract (size, framing or JSON shape)."""
+
+
+class QueryOp(NamedTuple):
+    """One query op: its arguments and its answer on the plain model."""
+
+    #: Argument names in call order.  Each is an integer, except
+    #: ``queries``: ``neighbors_many``'s list of ``(u, t_start, t_end)``.
+    args: Tuple[str, ...]
+    #: ``answer(graph, *args)``: the op's answer on a plain
+    #: :class:`TemporalGraph`.
+    answer: Callable[..., Any]
+
+
+#: The query surface both graph views answer and the service serves,
+#: keyed by method name.
+QUERY_OPS: Dict[str, QueryOp] = {
+    "neighbors": QueryOp(("u", "t_start", "t_end"), TemporalGraph.ref_neighbors),
+    "neighbors_many": QueryOp(
+        ("queries",),
+        lambda graph, queries: [graph.ref_neighbors(*q) for q in queries],
+    ),
+    "has_edge": QueryOp(("u", "v", "t_start", "t_end"), TemporalGraph.ref_has_edge),
+    "edge_timestamps": QueryOp(("u", "v"), TemporalGraph.ref_edge_timestamps),
+    "contacts_of": QueryOp(("u",), TemporalGraph.contacts_of),
+    "snapshot": QueryOp(("t_start", "t_end"), TemporalGraph.ref_snapshot),
+}
 
 
 def send_message(sock: socket.socket, message: Dict[str, Any]) -> None:

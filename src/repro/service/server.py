@@ -17,8 +17,8 @@ returned as ``skipped`` annotations rather than silent truncation.
 
 Workers exit cleanly on SIGTERM/SIGINT; the supervisor respawns workers
 that die unexpectedly and tears everything down in :meth:`GraphService.stop`.
-On platforms without ``fork`` the service degrades to worker *threads* in
-one process -- same protocol, same semantics, no page-cache claim.
+Workers are forked, so the service needs a platform with the ``fork``
+start method; elsewhere :meth:`GraphService.start` refuses to start.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.errors import DomainError, FormatError, QueryInterrupted, RejectedError
 from repro.runtime.context import QueryContext
 from repro.runtime.governor import Governor
-from repro.service.protocol import ProtocolError, recv_message, send_message
+from repro.service.protocol import QUERY_OPS, ProtocolError, recv_message, send_message
 
 __all__ = ["ServiceConfig", "GraphService", "open_query_target"]
 
@@ -67,9 +67,9 @@ class ServiceConfig:
 def open_query_target(path: str, *, mmap: bool = True):
     """Open ``path`` read-only for serving: container file or store dir.
 
-    Returns an object exposing the query surface (``neighbors``,
-    ``neighbors_many``, ``has_edge``, ``snapshot``, ``edge_timestamps``)
-    -- a :class:`CompressedChronoGraph` for a ``.chrono`` file, a
+    Returns an object answering every op of
+    :data:`repro.service.protocol.QUERY_OPS` -- a
+    :class:`CompressedChronoGraph` for a ``.chrono`` file, a
     :class:`SegmentedChronoGraph` view for a segment-store directory.
     """
     from repro.core.serialize import load_compressed
@@ -140,25 +140,17 @@ def _build_context(
 
 
 def _dispatch(graph, op: str, params: Dict[str, Any], ctx: QueryContext):
-    if op == "neighbors":
-        u, t1, t2 = _int_list(params.get("args"), "args", 3)
-        return graph.neighbors(u, t1, t2, ctx=ctx)
+    query = QUERY_OPS.get(op)
+    if query is None:
+        raise ProtocolError(f"unknown op {op!r}")
     if op == "neighbors_many":
         queries = params.get("queries")
         if not isinstance(queries, list):
             raise ProtocolError("queries must be a list of [u, t1, t2]")
-        triples = [tuple(_int_list(q, "each query", 3)) for q in queries]
-        return graph.neighbors_many(triples, ctx=ctx)
-    if op == "has_edge":
-        u, v, t1, t2 = _int_list(params.get("args"), "args", 4)
-        return graph.has_edge(u, v, t1, t2, ctx=ctx)
-    if op == "snapshot":
-        t1, t2 = _int_list(params.get("args"), "args", 2)
-        return [[u, v] for u, v in graph.snapshot(t1, t2, ctx=ctx)]
-    if op == "edge_timestamps":
-        u, v = _int_list(params.get("args"), "args", 2)
-        return graph.edge_timestamps(u, v, ctx=ctx)
-    raise ProtocolError(f"unknown op {op!r}")
+        args = [[tuple(_int_list(q, "each query", 3)) for q in queries]]
+    else:
+        args = _int_list(params.get("args"), "args", len(query.args))
+    return getattr(graph, op)(*args, ctx=ctx)
 
 
 def _error_frame(request_id: Any, exc: Exception) -> Dict[str, Any]:
@@ -264,39 +256,10 @@ def _serve_connection(
             pass
 
 
-def _worker_loop(
-    listener: socket.socket,
-    path: str,
-    config: ServiceConfig,
-    worker_id: int,
-    *,
-    stop: Optional[threading.Event] = None,
-) -> None:
-    """Accept loop shared by forked workers and the threaded fallback."""
-    graph = open_query_target(path, mmap=config.mmap)
-    governor = Governor(
-        max_concurrent=config.max_concurrent,
-        tenant_rate=config.tenant_rate,
-        tenant_burst=config.tenant_burst,
-    )
-    while stop is None or not stop.is_set():
-        try:
-            conn, _addr = listener.accept()
-        except OSError:
-            return  # listener closed: shutdown
-        thread = threading.Thread(
-            target=_serve_connection,
-            args=(conn, graph, governor, config, worker_id),
-            name=f"repro-service-conn-{worker_id}",
-            daemon=True,
-        )
-        thread.start()
-
-
 def _worker_main(
     listener: socket.socket, path: str, config: ServiceConfig, worker_id: int
 ) -> None:
-    """Entry point of a forked worker process."""
+    """A forked worker: one thread per accepted connection, until shutdown."""
 
     def _shutdown(_signum, _frame):  # pragma: no cover - signal timing
         try:
@@ -307,8 +270,24 @@ def _worker_main(
 
     signal.signal(signal.SIGTERM, _shutdown)
     signal.signal(signal.SIGINT, _shutdown)
-    _worker_loop(listener, path, config, worker_id)
-    sys.exit(0)
+    graph = open_query_target(path, mmap=config.mmap)
+    governor = Governor(
+        max_concurrent=config.max_concurrent,
+        tenant_rate=config.tenant_rate,
+        tenant_burst=config.tenant_burst,
+    )
+    while True:
+        try:
+            conn, _addr = listener.accept()
+        except OSError:
+            sys.exit(0)  # listener closed: shutdown
+        thread = threading.Thread(
+            target=_serve_connection,
+            args=(conn, graph, governor, config, worker_id),
+            name=f"repro-service-conn-{worker_id}",
+            daemon=True,
+        )
+        thread.start()
 
 
 class GraphService:
@@ -324,9 +303,7 @@ class GraphService:
         self.config = config or ServiceConfig()
         self._listener: Optional[socket.socket] = None
         self._workers: List[multiprocessing.Process] = []
-        self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
-        self._forked = False
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -337,12 +314,19 @@ class GraphService:
         return addr[0], addr[1]
 
     def start(self) -> Tuple[str, int]:
-        """Bind the listener, validate the target, spawn workers."""
+        """Bind the listener, validate the target, fork the workers."""
         if self._listener is not None:
             raise DomainError("service already started")
         config = self.config
         if config.workers < 1:
             raise DomainError(f"workers must be >= 1, got {config.workers}")
+        try:
+            multiprocessing.get_context("fork")
+        except ValueError as exc:
+            raise DomainError(
+                "the graph service forks its workers, and this platform "
+                "has no fork start method"
+            ) from exc
         # Fail fast in the supervisor on an unreadable target instead of
         # letting every worker crash-loop on it.
         open_query_target(self.path, mmap=config.mmap)
@@ -351,39 +335,23 @@ class GraphService:
         listener.bind((config.host, config.port))
         listener.listen(128)
         self._listener = listener
-        try:
-            mp = multiprocessing.get_context("fork")
-            self._forked = True
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            mp = None
-            self._forked = False
-        for worker_id in range(config.workers):
-            if mp is not None:
-                process = mp.Process(
-                    target=_worker_main,
-                    args=(listener, self.path, config, worker_id),
-                    name=f"repro-service-worker-{worker_id}",
-                )
-                process.start()
-                self._workers.append(process)
-            else:  # pragma: no cover - non-POSIX fallback
-                thread = threading.Thread(
-                    target=_worker_loop,
-                    args=(listener, self.path, config, worker_id),
-                    kwargs={"stop": self._stop},
-                    name=f"repro-service-worker-{worker_id}",
-                    daemon=True,
-                )
-                thread.start()
-                self._threads.append(thread)
+        self._workers = [self._fork(i) for i in range(config.workers)]
         return self.address
+
+    def _fork(self, worker_id: int) -> multiprocessing.Process:
+        """Start worker ``worker_id`` on the listener."""
+        process = multiprocessing.get_context("fork").Process(
+            target=_worker_main,
+            args=(self._listener, self.path, self.config, worker_id),
+            name=f"repro-service-worker-{worker_id}",
+        )
+        process.start()
+        return process
 
     def serve_forever(self, poll_interval: float = 0.2) -> None:
         """Supervise until :meth:`stop`: respawn workers that die."""
         while not self._stop.is_set():
             time.sleep(poll_interval)
-            if not self._forked:
-                continue
             for index, process in enumerate(self._workers):
                 if process.is_alive() or self._stop.is_set():
                     continue
@@ -394,14 +362,7 @@ class GraphService:
                     "respawning",
                     file=sys.stderr,
                 )
-                mp = multiprocessing.get_context("fork")
-                replacement = mp.Process(
-                    target=_worker_main,
-                    args=(self._listener, self.path, self.config, index),
-                    name=f"repro-service-worker-{index}",
-                )
-                replacement.start()
-                self._workers[index] = replacement
+                self._workers[index] = self._fork(index)
 
     def stop(self) -> None:
         """Terminate workers, join them, close the listener."""
@@ -418,7 +379,6 @@ class GraphService:
             except OSError:
                 pass
             self._listener = None
-        self._threads = []
 
     def __enter__(self) -> "GraphService":
         self.start()

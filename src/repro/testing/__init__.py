@@ -18,10 +18,16 @@ against the quarantine-or-detect contract, and
 :func:`run_segment_crash_matrix` exhausts every crash point of the full
 ingest -> seal -> compact -> swap -> delete lifecycle.
 
+Every harness checks answers against one oracle, the plain
+:class:`repro.graph.model.TemporalGraph`:
+:func:`first_divergence` runs ``(op, args)`` calls of
+:data:`repro.service.protocol.QUERY_OPS` on any query surface and on the
+plain model and names the first that differs.
+
 The concurrency contract has its own harness: :func:`run_race_smoke`
 (:mod:`repro.testing.races`) races seeded reader threads against a
 segment-store writer and a compaction thread and verifies that every
-captured view answers exactly as the reference model at its batch count,
+captured view answers exactly as the plain model of its batch count,
 torn-record freedom and counter monotonicity.
 """
 
@@ -37,6 +43,7 @@ from repro.testing.faults import (
     default_mutations,
     default_wal_mutations,
     extend_mutations,
+    first_divergence,
     manifest_field_mutations,
     random_region_mutations,
     run_fault_injection,
@@ -74,6 +81,7 @@ __all__ = [
     "default_manifest_mutations",
     "run_segment_store_fault_injection",
     "run_segment_crash_matrix",
+    "first_divergence",
     "RaceReport",
     "run_race_smoke",
 ]

@@ -42,13 +42,17 @@ from __future__ import annotations
 import collections
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import random
+import reprlib
 import shutil
 import struct
 import time
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.core.serialize import (
     DecodeLimits,
@@ -57,6 +61,9 @@ from repro.core.serialize import (
     salvage_bytes,
 )
 from repro.errors import FormatError
+from repro.graph.model import TemporalGraph
+from repro.runtime.context import QueryContext
+from repro.service.protocol import QUERY_OPS
 from repro.storage.atomic import Filesystem
 
 __all__ = [
@@ -83,6 +90,7 @@ __all__ = [
     "default_manifest_mutations",
     "run_segment_store_fault_injection",
     "run_segment_crash_matrix",
+    "first_divergence",
     "StepClock",
     "SlowFilesystem",
     "StallingGraph",
@@ -238,6 +246,28 @@ class FaultInjectionReport:
         """Whether every mutation round-tripped or was cleanly detected."""
         return not self.failures
 
+    def book(self, result: FaultResult, time_budget: float = math.inf) -> None:
+        """Count one finished outcome; past ``time_budget`` it is ``overbudget``.
+
+        Taking longer than the per-mutation budget is the hang proxy: it
+        overrides whatever the attempt concluded.
+        """
+        if result.elapsed > time_budget:
+            result = FaultResult(
+                result.mutation,
+                "overbudget",
+                f"{result.elapsed:.2f}s > {time_budget:.2f}s budget",
+                result.elapsed,
+            )
+        self.total += 1
+        self.slowest = max(self.slowest, result.elapsed)
+        if result.outcome == "identical":
+            self.identical += 1
+        elif result.outcome == "detected":
+            self.detected += 1
+        if result.failed:
+            self.failures.append(result)
+
     def summary(self) -> str:
         """One-paragraph human-readable account of the campaign."""
         lines = [
@@ -294,24 +324,15 @@ def run_fault_injection(
                 outcome = "mismatch"
                 detail = f"{len(contacts)} vs {len(baseline)} contacts"
         elapsed = time.perf_counter() - start
-        if elapsed > time_budget:
-            outcome = "overbudget"
-            detail = f"{elapsed:.2f}s > {time_budget:.2f}s budget"
-        if check_salvage and outcome != "overbudget":
+        if check_salvage and elapsed <= time_budget:
             try:
                 salvage_bytes(mutation.data, limits=limits)
             except Exception as exc:  # noqa: BLE001 - salvage must not raise
                 outcome = "escaped"
                 detail = f"salvage raised {exc!r}"
-        result = FaultResult(mutation.name, outcome, detail, elapsed)
-        report.total += 1
-        report.slowest = max(report.slowest, elapsed)
-        if outcome == "identical":
-            report.identical += 1
-        elif outcome == "detected":
-            report.detected += 1
-        if result.failed:
-            report.failures.append(result)
+        report.book(
+            FaultResult(mutation.name, outcome, detail, elapsed), time_budget
+        )
     return report
 
 
@@ -389,18 +410,9 @@ def run_mmap_fault_injection(
                 outcome = "mismatch"
                 detail = f"{len(eager_value)} vs {len(baseline)} contacts"  # type: ignore[arg-type]
         elapsed = time.perf_counter() - start
-        if elapsed > time_budget:
-            outcome = "overbudget"
-            detail = f"{elapsed:.2f}s > {time_budget:.2f}s budget"
-        result = FaultResult(mutation.name, outcome, detail, elapsed)
-        report.total += 1
-        report.slowest = max(report.slowest, elapsed)
-        if outcome == "identical":
-            report.identical += 1
-        elif outcome == "detected":
-            report.detected += 1
-        if result.failed:
-            report.failures.append(result)
+        report.book(
+            FaultResult(mutation.name, outcome, detail, elapsed), time_budget
+        )
     return report
 
 
@@ -732,18 +744,10 @@ def run_wal_fault_injection(
                         "contacts with a clean report"
                     )
             elapsed = time.perf_counter() - start
-            if elapsed > time_budget:
-                outcome = "overbudget"
-                detail = f"{elapsed:.2f}s > {time_budget:.2f}s budget"
-            result = FaultResult(mutation.name, outcome, detail, elapsed)
-            report.total += 1
-            report.slowest = max(report.slowest, elapsed)
-            if outcome == "identical":
-                report.identical += 1
-            elif outcome == "detected":
-                report.detected += 1
-            if result.failed:
-                report.failures.append(result)
+            report.book(
+                FaultResult(mutation.name, outcome, detail, elapsed),
+                time_budget,
+            )
     finally:
         tail_path.write_bytes(original)
     return report
@@ -928,18 +932,10 @@ def run_segment_store_fault_injection(
                         "contacts with a clean health report"
                     )
             elapsed = time.perf_counter() - start
-            if elapsed > time_budget:
-                outcome = "overbudget"
-                detail = f"{elapsed:.2f}s > {time_budget:.2f}s budget"
-            result = FaultResult(mutation.name, outcome, detail, elapsed)
-            report.total += 1
-            report.slowest = max(report.slowest, elapsed)
-            if outcome == "identical":
-                report.identical += 1
-            elif outcome == "detected":
-                report.detected += 1
-            if result.failed:
-                report.failures.append(result)
+            report.book(
+                FaultResult(mutation.name, outcome, detail, elapsed),
+                time_budget,
+            )
     finally:
         target_path.write_bytes(original)
     return report
@@ -967,14 +963,13 @@ def run_segment_crash_matrix(
     * the recovered contacts equal exactly a *batch prefix* bounded below
       by the last ingest that returned and above by the last one started
       (the durability boundary is the WAL commit inside ingest);
-    * query answers over the recovered store are bit-identical to a fresh
-      reference graph compressed from that same prefix;
+    * query answers over the recovered store equal the plain
+      :class:`TemporalGraph` of that same prefix (:func:`first_divergence`);
     * the recovered store accepts further ingest.
 
     Every crash point is one report entry: ``identical`` when the
     contract holds, a failure naming the violated clause otherwise.
     """
-    from repro.core import compress
     from repro.graph.builders import graph_from_contacts
     from repro.graph.model import Contact, GraphKind
     from repro.storage.atomic import NO_RETRY
@@ -1015,14 +1010,7 @@ def run_segment_crash_matrix(
     report = FaultInjectionReport()
 
     def record(n: int, outcome: str, detail: str = "") -> None:
-        result = FaultResult(f"crash@{n}", outcome, detail)
-        report.total += 1
-        if outcome == "identical":
-            report.identical += 1
-        elif outcome == "detected":
-            report.detected += 1
-        if result.failed:
-            report.failures.append(result)
+        report.book(FaultResult(f"crash@{n}", outcome, detail))
 
     for n, _fs in crash_points(action, partial_bytes=partial_bytes):
         lo, hi = progress["done"], progress["started"]
@@ -1064,13 +1052,19 @@ def run_segment_crash_matrix(
                     f"prefix in [{lo}, {hi}]",
                 )
                 continue
-            flaw = _crash_queries_match(
-                store, prefixes[match], kind, compress, graph_from_contacts,
-                queries_per_crash,
-            )
-            if flaw is not None:
-                record(n, "mismatch", flaw)
-                continue
+            prefix = prefixes[match]
+            if prefix:
+                view = store.graph
+                oracle = graph_from_contacts(
+                    kind, prefix, num_nodes=view.num_nodes
+                )
+                calls = _prefix_calls(
+                    prefix, min(view.num_nodes, queries_per_crash)
+                )
+                flaw = first_divergence(view, oracle, calls)
+                if flaw is not None:
+                    record(n, "mismatch", flaw)
+                    continue
             # Recovery must yield a live, writable store.
             probe_d = 1 if kind is GraphKind.INTERVAL else 0
             store.ingest([(0, 1, 1, probe_d)])
@@ -1080,24 +1074,42 @@ def run_segment_crash_matrix(
     return report
 
 
-def _crash_queries_match(
-    store, prefix_rows, kind, compress, graph_from_contacts, per_node: int
-) -> Optional[str]:
-    """Compare recovered query answers against a reference graph; None if ok."""
-    if not prefix_rows:
-        return None
-    n = store.graph.num_nodes
-    reference = compress(graph_from_contacts(kind, prefix_rows, num_nodes=n))
-    t_lo = min(r[2] for r in prefix_rows)
-    t_hi = max(r[2] + r[3] for r in prefix_rows)
+def _prefix_calls(rows: Sequence[tuple], nodes: int) -> List[Tuple[str, tuple]]:
+    """Query calls over a recovered prefix: ``nodes`` nodes, three windows."""
+    t_lo = min(r[2] for r in rows)
+    t_hi = max(r[2] + r[3] for r in rows)
     third = (t_hi - t_lo) // 3
-    windows = [(t_lo, t_hi), (t_lo + third, t_hi - third), (t_hi + 1, t_hi + 2)]
-    for t1, t2 in windows:
-        if store.graph.snapshot(t1, t2) != reference.snapshot(t1, t2):
-            return f"snapshot({t1}, {t2}) diverged from the reference"
-        for u in range(min(n, per_node)):
-            if store.graph.neighbors(u, t1, t2) != reference.neighbors(u, t1, t2):
-                return f"neighbors({u}, {t1}, {t2}) diverged from the reference"
+    calls: List[Tuple[str, tuple]] = [("contacts_of", (u,)) for u in range(nodes)]
+    for t1, t2 in [(t_lo, t_hi), (t_lo + third, t_hi - third), (t_hi + 1, t_hi + 2)]:
+        calls.append(("snapshot", (t1, t2)))
+        calls.extend(("neighbors", (u, t1, t2)) for u in range(nodes))
+    return calls
+
+
+def first_divergence(
+    surface: Any,
+    oracle: TemporalGraph,
+    calls: Iterable[Tuple[str, Sequence[Any]]],
+    ctx: Optional[QueryContext] = None,
+) -> Optional[str]:
+    """The first query call whose answer on ``surface`` is not the oracle's.
+
+    Each ``(op, args)`` call names an op of
+    :data:`repro.service.protocol.QUERY_OPS`.  It runs as
+    ``surface.<op>(*args)``, passing ``ctx=ctx`` when a context is given,
+    and its answer must equal the op's answer on the plain ``oracle``.
+    Returns one line naming the first call that differs and both answers,
+    or ``None`` when every call agrees.
+    """
+    for op, args in calls:
+        want = QUERY_OPS[op].answer(oracle, *args)
+        method = getattr(surface, op)
+        got = method(*args) if ctx is None else method(*args, ctx=ctx)
+        if got != want:
+            return (
+                f"{op}{tuple(args)} = {reprlib.repr(got)}, "
+                f"the plain model gives {reprlib.repr(want)}"
+            )
     return None
 
 
@@ -1197,29 +1209,16 @@ class SlowFilesystem(Filesystem):
 
 
 class StallingGraph:
-    """Proxy over one query part that stalls before every query method.
+    """Proxy over one query part that stalls before every query op.
 
     ``stall`` is any zero-argument callable -- typically one that
     advances a :class:`StepClock` past the query deadline, modelling a
-    segment whose decode path has hit pathological latency.  Everything
-    else (sizes, ``iter_contacts``, attributes) passes straight through,
-    so a chaos view built around this proxy still supports reference
-    building and seal/compact reads.
+    segment whose decode path has hit pathological latency.  The ops of
+    :data:`repro.service.protocol.QUERY_OPS` stall; everything else
+    (sizes, ``iter_contacts``, attributes) passes straight through, so a
+    chaos view built around this proxy still supports reference building
+    and seal/compact reads.
     """
-
-    _STALLED = frozenset(
-        {
-            "neighbors",
-            "neighbors_many",
-            "neighbors_before",
-            "neighbors_after",
-            "has_edge",
-            "contacts_of",
-            "edge_timestamps",
-            "snapshot",
-            "iter_window_neighbors",
-        }
-    )
 
     def __init__(self, inner, stall: Callable[[], None]) -> None:
         """Wrap ``inner``, invoking ``stall()`` before each query."""
@@ -1230,7 +1229,7 @@ class StallingGraph:
     def __getattr__(self, name: str):
         """Delegate to the inner graph, stalling the query surface."""
         attr = getattr(self._inner, name)
-        if name in type(self)._STALLED and callable(attr):
+        if name in QUERY_OPS and callable(attr):
             def stalled(*args, _attr=attr, **kwargs):
                 self.calls += 1
                 self._stall()
@@ -1298,9 +1297,9 @@ def run_chaos_harness(
        default query is shed with :class:`repro.errors.RejectedError`
        (structured retry-after) without touching the stalled part.
     3. **Partial answers are exact** -- queries consenting via
-       ``allow_partial`` return, annotate the skipped segment, and are
-       compared *byte-identical* to a monolithic graph compressed from
-       the healthy subset (healthy segments plus tail).
+       ``allow_partial`` return, annotate the skipped segment, and equal
+       the plain :class:`TemporalGraph` of the healthy subset (healthy
+       segments plus tail).
     4. **Half-open re-trips** -- advancing the clock past the backoff
        admits a single probe, which stalls again and re-opens the
        breaker with a longer backoff.
@@ -1308,11 +1307,8 @@ def run_chaos_harness(
     The store itself is never mutated; the chaos view shares its segment
     graphs read-only.
     """
-    from repro.core import compress
     from repro.errors import QueryTimeout, RejectedError
-    from repro.graph.builders import graph_from_contacts
     from repro.runtime.breaker import BreakerBoard
-    from repro.runtime.context import QueryContext
     from repro.storage.segments import SegmentedChronoGraph
 
     view = store.graph
@@ -1330,18 +1326,12 @@ def run_chaos_harness(
         breakers=board,
     )
 
-    healthy_rows = [
-        (c.u, c.v, c.time, c.duration)
-        for _info, graph in view._segments[1:]
-        for c in graph.iter_contacts()
+    healthy = [
+        c for _info, graph in view._segments[1:] for c in graph.iter_contacts()
     ]
-    healthy_rows.extend(
-        (c.u, c.v, c.time, c.duration) for c in view._tail.iter_contacts()
-    )
+    healthy.extend(view._tail.iter_contacts())
     n = view.num_nodes
-    reference = compress(
-        graph_from_contacts(view.kind, healthy_rows, num_nodes=n)
-    )
+    reference = TemporalGraph(view.kind, n, healthy)
     all_rows = [
         (c.u, c.v, c.time, c.duration) for c in view.iter_contacts()
     ]
@@ -1417,25 +1407,16 @@ def run_chaos_harness(
             time.perf_counter() - start,
         )
 
-    # 3. Partial answers: annotated, unthrottled, byte-identical to the
-    #    monolithic healthy-subset reference.
+    # 3. Partial answers: annotated, unthrottled, equal to the plain
+    #    model of the healthy subset.
     windows = [(t_lo, t_hi), (t_lo, (t_lo + t_hi) // 2)]
     for t1, t2 in windows:
         ctx = QueryContext(allow_partial=True, timeout=deadline, clock=clock)
+        calls = [("snapshot", (t1, t2))]
+        calls += [("neighbors", (u, t1, t2)) for u in range(min(n, probe_nodes))]
         start = time.perf_counter()
         try:
-            got = chaos.snapshot(t1, t2, ctx=ctx)
-            want = reference.snapshot(t1, t2)
-            node_flaw = ""
-            for u in range(min(n, probe_nodes)):
-                cu = QueryContext(
-                    allow_partial=True, timeout=deadline, clock=clock
-                )
-                if chaos.neighbors(u, t1, t2, ctx=cu) != reference.neighbors(
-                    u, t1, t2
-                ):
-                    node_flaw = f"neighbors({u}) diverged"
-                    break
+            flaw = first_divergence(chaos, reference, calls, ctx)
         except Exception as exc:  # noqa: BLE001 - the contract under test
             record(
                 f"partial@{t1}-{t2}", "escaped", repr(exc),
@@ -1444,14 +1425,8 @@ def run_chaos_harness(
             continue
         elapsed = time.perf_counter() - start
         skipped = [s.part for s in ctx.skipped]
-        if got != want:
-            record(
-                f"partial@{t1}-{t2}", "mismatch",
-                "partial snapshot diverged from healthy-subset reference",
-                elapsed,
-            )
-        elif node_flaw:
-            record(f"partial@{t1}-{t2}", "mismatch", node_flaw, elapsed)
+        if flaw is not None:
+            record(f"partial@{t1}-{t2}", "mismatch", flaw, elapsed)
         elif victim_info.name not in skipped:
             record(
                 f"partial@{t1}-{t2}", "mismatch",

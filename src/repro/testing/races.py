@@ -9,9 +9,9 @@ the library documents:
 
 * **Views are snapshots** -- a reader captures ``store.graph`` once per
   operation and every answer from that view (point, batch and full-scan
-  queries) must equal the plain reference model at exactly the
-  generation the view's ``num_contacts`` identifies, however the writer
-  and the compactor move on meanwhile.
+  queries) must equal the plain :class:`repro.graph.model.TemporalGraph`
+  of exactly the generation the view's ``num_contacts`` identifies,
+  however the writer and the compactor move on meanwhile.
 * **No torn records** -- every neighbor list is strictly increasing and
   every contact run is (label, time)-sorted.
 * **Whole batches** -- each ingest publishes its batch at once: the view
@@ -46,18 +46,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.encoder import compress
 from repro.graph.builders import graph_from_contacts
-from repro.graph.model import Contact, GraphKind, max_label
+from repro.graph.model import Contact, GraphKind, TemporalGraph, max_label
 from repro.storage.segments import SegmentStore, StorePolicy
 
 if TYPE_CHECKING:
     from repro.testing.sanitizer import SanitizerReport
-
-#: A reference-model row: (neighbor label, timestamp, duration).
-_Row = Tuple[int, int, int]
-
-#: Fixed window used by the snapshot checks (must be precomputed per
-#: generation, so the harness pins one window for the whole run).
-_SNAPSHOT_WINDOW = (0, 10_000_000)
 
 #: Tail size that triggers a seal: small, so views swap segments often.
 _SEAL_CONTACTS = 16
@@ -135,57 +128,26 @@ def _make_batches(
     return out
 
 
-def _build_model(
-    graph, batches: Sequence[Sequence[Contact]]
-) -> Tuple[List[Dict[int, Tuple[_Row, ...]]], List[int], Dict[int, int]]:
-    """Per-generation reference state: node -> sorted (v, t, d) rows.
+def _generations(
+    graph: TemporalGraph, batches: Sequence[Sequence[Contact]]
+) -> Tuple[List[TemporalGraph], Dict[int, int]]:
+    """The plain model of every generation, and each one's contact count.
 
-    Generation ``g`` reflects the base graph plus the first ``g`` batches.
-    Returns the states, the node range of each generation (one past the
-    highest label its contacts use) and the map from contact count to
-    generation -- every batch adds contacts, so the count names the
-    generation.  Dicts are copied per generation but row tuples are
-    shared, so the model stays cheap for hundreds of generations.
+    Generation ``g`` holds the base graph's contacts plus the first ``g``
+    batches, over one past the highest label they use -- the node range a
+    store view reports.  Every batch adds contacts, so the count names
+    the generation.
     """
-    state: Dict[int, Tuple[_Row, ...]] = {}
-    for c in graph.contacts:
-        state.setdefault(c.u, ())
-        state[c.u] += ((c.v, c.time, c.duration),)
-    state = {u: tuple(sorted(rows)) for u, rows in state.items()}
-    states = [dict(state)]
-    top = max_label(graph.contacts)
-    nodes = [top + 1]
-    count = len(graph.contacts)
-    generation_of = {count: 0}
+    contacts = list(graph.contacts)
+    top = max_label(contacts)
+    models = [TemporalGraph(GraphKind.POINT, top + 1, contacts)]
+    generation_of = {len(contacts): 0}
     for g, batch in enumerate(batches, 1):
-        state = dict(state)
-        for c in batch:
-            row = (c.v, c.time, c.duration)
-            state[c.u] = tuple(sorted(state.get(c.u, ()) + (row,)))
-            top = max(top, c.u, c.v)
-        states.append(state)
-        nodes.append(top + 1)
-        count += len(batch)
-        generation_of[count] = g
-    return states, nodes, generation_of
-
-
-def _expected_neighbors(
-    state: Dict[int, Tuple[_Row, ...]], u: int, t0: int, t1: int
-) -> List[int]:
-    """Reference answer for a point-graph ``neighbors(u, t0, t1)``."""
-    return sorted({v for v, t, _ in state.get(u, ()) if t0 <= t <= t1})
-
-
-def _expected_snapshot(
-    state: Dict[int, Tuple[_Row, ...]], num_nodes: int, t0: int, t1: int
-) -> List[Tuple[int, int]]:
-    """Reference answer for ``snapshot(t0, t1)`` in storage order."""
-    edges: List[Tuple[int, int]] = []
-    for u in range(num_nodes):
-        for v in _expected_neighbors(state, u, t0, t1):
-            edges.append((u, v))
-    return edges
+        contacts = contacts + list(batch)
+        top = max(top, max_label(batch))
+        models.append(TemporalGraph(GraphKind.POINT, top + 1, contacts))
+        generation_of[len(contacts)] = g
+    return models, generation_of
 
 
 def run_race_smoke(
@@ -208,9 +170,10 @@ def run_race_smoke(
     and ``readers`` threads query captured store views (``neighbors``,
     ``contacts_of``, ``neighbors_many``, ``snapshot``) and the immutable
     base graph (the same plus ``distinct_neighbors``), verifying every
-    result against the reference model.  ``cache_max_entries`` bounds the
-    base graph's record cache -- deliberately tight by default so
-    eviction races are exercised; pass ``None`` to lift it.  The run ends
+    result against the plain model of the view's generation.
+    ``cache_max_entries`` bounds the base graph's record cache --
+    deliberately tight by default so eviction races are exercised; pass
+    ``None`` to lift it.  The run ends
     once the writer has ingested every batch and each reader has done at
     least ``min_reader_ops`` operations.  ``writer_pace_s`` throttles the
     writer slightly so batches interleave with reads instead of racing
@@ -218,7 +181,7 @@ def run_race_smoke(
     """
     graph = _base_graph(num_nodes, base_contacts, seed)
     batch_list = _make_batches(num_nodes, batches, seed)
-    states, nodes_per_gen, generation_of = _build_model(graph, batch_list)
+    models, generation_of = _generations(graph, batch_list)
     cg = compress(graph)
     if cache_max_entries is not None:
         cg.configure_cache(max_entries=cache_max_entries)
@@ -237,62 +200,54 @@ def run_race_smoke(
         with vlock:
             return len(violations) >= max_violations
 
-    t0, t1 = _SNAPSHOT_WINDOW
-    snapshot_per_gen: Dict[int, List[Tuple[int, int]]] = {}
-
-    def expected_snapshot(g: int) -> List[Tuple[int, int]]:
-        got = snapshot_per_gen.get(g)
-        if got is None:
-            got = _expected_snapshot(states[g], nodes_per_gen[g], t0, t1)
-            snapshot_per_gen[g] = got
-        return got
-
     def check_sorted_distinct(tag: str, out: List[int]) -> None:
         if any(out[i] >= out[i + 1] for i in range(len(out) - 1)):
             report(f"{tag}: torn/unsorted neighbor list {out}")
 
-    def check_rows(tag: str, rows: List[Contact], want: Tuple[_Row, ...]) -> None:
+    def check_rows(tag: str, rows: List[Contact], want: List[Contact]) -> None:
         if any(
             (rows[i].v, rows[i].time) > (rows[i + 1].v, rows[i + 1].time)
             for i in range(len(rows) - 1)
         ):
             report(f"{tag}: rows out of order")
-        if sorted((c.v, c.time, c.duration) for c in rows) != sorted(want):
+        elif rows != want:
             report(f"{tag}: rows diverge from the model")
 
-    def query(rng: random.Random, target, state, n: int, g: int, tag: str) -> None:
-        """One random operation on ``target``, checked against ``state``."""
+    def window(rng: random.Random) -> Tuple[int, int]:
+        lo = rng.randrange(0, 5_000)
+        return lo, lo + rng.randrange(0, 2_500)
+
+    def query(rng: random.Random, target, model: TemporalGraph, tag: str) -> None:
+        """One random operation on ``target``, checked against ``model``."""
         op = rng.random()
+        n = model.num_nodes
         u = rng.randrange(n)
         if op < 0.4:
-            lo = rng.randrange(0, 5_000)
-            hi = lo + rng.randrange(0, 2_500)
+            lo, hi = window(rng)
             out = target.neighbors(u, lo, hi)
             check_sorted_distinct(f"{tag} neighbors({u},{lo},{hi})", out)
-            if out != _expected_neighbors(state, u, lo, hi):
+            if out != model.ref_neighbors(u, lo, hi):
                 report(f"{tag} neighbors({u},{lo},{hi}) = {out} diverges")
         elif op < 0.55:
             check_rows(f"{tag} contacts_of({u})", target.contacts_of(u),
-                       state.get(u, ()))
+                       model.contacts_of(u))
         elif op < 0.85:
-            qs = []
-            for _ in range(rng.randrange(2, 7)):
-                lo = rng.randrange(0, 5_000)
-                qs.append((rng.randrange(n), lo, lo + rng.randrange(0, 2_500)))
+            qs = [(rng.randrange(n), *window(rng))
+                  for _ in range(rng.randrange(2, 7))]
             outs = target.neighbors_many(qs)
             for (qu, qlo, qhi), out in zip(qs, outs):
                 check_sorted_distinct(f"{tag} neighbors_many({qu},{qlo},{qhi})", out)
-                if out != _expected_neighbors(state, qu, qlo, qhi):
+                if out != model.ref_neighbors(qu, qlo, qhi):
                     report(f"{tag} neighbors_many({qu},{qlo},{qhi}) diverges")
         elif target is cg and op < 0.9:
             out = target.distinct_neighbors(u)
             check_sorted_distinct(f"{tag} distinct_neighbors({u})", out)
-            if out != sorted({v for v, _, _ in state.get(u, ())}):
+            if out != model.distinct_neighbors(u):
                 report(f"{tag} distinct_neighbors({u}) diverges")
         else:
-            edges = target.snapshot(t0, t1)
-            if edges != expected_snapshot(g):
-                report(f"{tag} snapshot diverges from generation {g}")
+            lo, hi = window(rng)
+            if target.snapshot(lo, hi) != model.ref_snapshot(lo, hi):
+                report(f"{tag} snapshot({lo},{hi}) diverges")
 
     with tempfile.TemporaryDirectory(prefix="race-smoke-") as work:
         store = SegmentStore.create(
@@ -350,17 +305,16 @@ def run_race_smoke(
                         if rng.random() < 0.5:
                             view = store.graph
                             g = generation_of.get(view.num_contacts)
-                            if g is None or view.num_nodes != nodes_per_gen[g]:
+                            if g is None or view.num_nodes != models[g].num_nodes:
                                 report(
                                     f"view of {view.num_contacts} contacts / "
                                     f"{view.num_nodes} nodes matches no "
                                     "generation"
                                 )
                                 continue
-                            query(rng, view, states[g], view.num_nodes, g,
-                                  f"view@{g}")
+                            query(rng, view, models[g], f"view@{g}")
                         else:
-                            query(rng, cg, states[0], cg.num_nodes, 0, "base")
+                            query(rng, cg, graph, "base")
                         ops += 1
                     stats = cg.cache_stats()
                     lookups = stats["hits"] + stats["misses"]
@@ -406,14 +360,14 @@ def run_race_smoke(
                 f"final view holds {final.num_contacts} contacts, not "
                 f"generation {len(batch_list)}"
             )
-        if final.num_nodes != nodes_per_gen[-1]:
+        model = models[-1]
+        if final.num_nodes != model.num_nodes:
             violations.append(
                 f"final num_nodes {final.num_nodes} != expected "
-                f"{nodes_per_gen[-1]}"
+                f"{model.num_nodes}"
             )
-        for u in range(min(final.num_nodes, nodes_per_gen[-1])):
-            got = sorted((c.v, c.time, c.duration) for c in final.contacts_of(u))
-            if got != sorted(states[-1].get(u, ())):
+        for u in range(min(final.num_nodes, model.num_nodes)):
+            if final.contacts_of(u) != model.contacts_of(u):
                 violations.append(f"final contacts of node {u} diverged")
                 break
 

@@ -3,6 +3,10 @@
 import pytest
 
 from repro.cli import main
+from repro.service.protocol import QUERY_OPS
+
+#: The table's ops whose arguments are all integers.
+FIXED_OPS = [op for op, query in QUERY_OPS.items() if "queries" not in query.args]
 
 
 @pytest.fixture()
@@ -65,17 +69,17 @@ class TestQuery:
         assert capsys.readouterr().out.strip()
 
     def test_edge_query(self, chrono_file, capsys):
-        assert main(["query", str(chrono_file), "edge", "0", "1", "0", "100"]) == 0
+        assert main(["query", str(chrono_file), "has_edge", "0", "1", "0", "100"]) == 0
         assert capsys.readouterr().out.strip() in ("active", "inactive")
 
     def test_timestamps_query(self, chrono_file, capsys):
-        assert main(["query", str(chrono_file), "timestamps", "0", "1"]) == 0
+        assert main(["query", str(chrono_file), "edge_timestamps", "0", "1"]) == 0
         assert capsys.readouterr().out.strip()
 
     def test_wrong_arity_returns_error(self, chrono_file, capsys):
         assert main(["query", str(chrono_file), "neighbors", "0"]) == 2
-        assert main(["query", str(chrono_file), "edge", "0", "1"]) == 2
-        assert main(["query", str(chrono_file), "timestamps", "0"]) == 2
+        assert main(["query", str(chrono_file), "has_edge", "0", "1"]) == 2
+        assert main(["query", str(chrono_file), "edge_timestamps", "0"]) == 2
 
     def test_query_matches_library(self, contact_file, chrono_file, capsys):
         from repro.graph.io import read_contact_text
@@ -85,6 +89,48 @@ class TestQuery:
         out = capsys.readouterr().out.strip()
         got = [] if out == "(none)" else list(map(int, out.split()))
         assert got == graph.ref_neighbors(0, 0, 1000)
+
+
+class TestQueryOps:
+    """``repro query`` offers exactly the table's integer-argument ops."""
+
+    def test_help_lists_the_table_ops(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["query", "--help"])
+        assert "{" + ",".join(FIXED_OPS) + "}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("op", FIXED_OPS)
+    def test_wrong_arity_names_the_arguments(self, chrono_file, op, capsys):
+        names = QUERY_OPS[op].args
+        argv = ["query", str(chrono_file), op] + ["0"] * (len(names) + 1)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"{op} query needs: {' '.join(names)}\n"
+
+    def test_every_op_prints_alike_on_file_store_and_service(
+        self, contact_file, chrono_file, tmp_path, capsys
+    ):
+        from repro.graph.io import read_contact_text
+        from repro.service.server import GraphService, ServiceConfig
+
+        store = str(tmp_path / "g.store")
+        assert main(["ingest", "--init", store, str(contact_file),
+                     "--seal", "400"]) == 0
+        graph = read_contact_text(contact_file)
+        c = next(c for c in graph.contacts if c.duration > 0)
+        values = {"u": c.u, "v": c.v, "t_start": c.time, "t_end": c.time + 40}
+        capsys.readouterr()
+        with GraphService(store, ServiceConfig(workers=1)) as svc:
+            host, port = svc.address
+            targets = [str(chrono_file), store, f"tcp://{host}:{port}"]
+            for op in FIXED_OPS:
+                args = [str(values[name]) for name in QUERY_OPS[op].args]
+                printed = []
+                for target in targets:
+                    assert main(["query", target, op] + args) == 0, target
+                    printed.append(capsys.readouterr().out)
+                assert printed[0] == printed[1] == printed[2], op
+                assert printed[0] not in ("(none)\n", "inactive\n"), op
 
 
 class TestSweepAndStats:
@@ -418,9 +464,9 @@ class TestSegmentStoreCommands:
         queries = [
             ["neighbors", "1", "0", "90"],
             ["neighbors", "4", "60", "90"],
-            ["edge", "3", "4", "0", "90"],
-            ["edge", "3", "0", "0", "90"],
-            ["timestamps", "2", "3"],
+            ["has_edge", "3", "4", "0", "90"],
+            ["has_edge", "3", "0", "0", "90"],
+            ["edge_timestamps", "2", "3"],
         ]
         local = []
         for q in queries:

@@ -7,6 +7,9 @@ a seek, a decode or a record-cache lookup.  These tests pin what that must
 not change: the answers on sparse graphs, heap-loaded and mapped alike; the
 cache counters, which count non-empty records only; and the error raised
 when a 4-bit record is corrupt.
+
+A point lookup of an empty node caches the graph's one shared empty
+record instead of decoding it, and keeps the same error parity.
 """
 
 import pickle
@@ -17,8 +20,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import compress
+from repro.core import compressed
 from repro.core.serialize import load_compressed, save_compressed
 from repro.errors import FormatError, QueryCancelled
+from repro.errors import ChecksumMismatchError
 from repro.graph.builders import graph_from_contacts
 from repro.graph.model import GraphKind
 from repro.runtime.context import QueryContext
@@ -115,6 +120,31 @@ class TestCacheAccounting:
         assert len(sparse._distinct_cache) == _ACTIVE
         assert sparse.cache_stats()["misses"] == 0
 
+    def test_point_lookups_cache_one_shared_empty_record(
+        self, sparse, monkeypatch
+    ):
+        decoded = []
+        decode = compressed.decode_node_structure
+
+        def counting(reader, u, *args, **kwargs):
+            decoded.append(u)
+            return decode(reader, u, *args, **kwargs)
+
+        monkeypatch.setattr(compressed, "decode_node_structure", counting)
+        empty = sorted(set(range(sparse.num_nodes)) - {r[0] for r in _ROWS})
+        for u in empty:
+            assert sparse.neighbors(u, 0, 100) == []
+            assert sparse.contacts_of(u) == []
+        records = [sparse._records[u][1] for u in empty]
+        assert all(record is records[0] for record in records)
+        assert records[0] == (
+            [], [], [] if sparse.kind is GraphKind.INTERVAL else None
+        )
+        assert decoded == []
+        stats = sparse.cache_stats()
+        assert (stats["misses"], stats["hits"]) == (len(empty), len(empty))
+        assert stats["current_bytes"] == 120 * len(empty)
+
 
 def _overwrite(data, start, pattern):
     """``data`` with the 4 bits at ``start`` replaced by ``pattern``."""
@@ -164,3 +194,50 @@ class TestCorruptionParity:
                     {(c.u, c.v) for c in expected if c.is_active(0, 100, kind)}
                 )
             assert _outcome(lambda: fresh().snapshot(0, 100)) == expected
+
+    @pytest.mark.parametrize("pattern", range(16))
+    def test_corrupt_4_bit_record_point_lookups(
+        self, sparse, pattern, tmp_path, monkeypatch
+    ):
+        # Saved with fresh checksums, so only the record itself is corrupt.
+        # Lookups of every node, heap-loaded and mapped, answer or fail as
+        # lookups that decode every record, empty ones included, do.
+        n = sparse.num_nodes
+        blob = pickle.dumps(sparse)
+        empty = sorted(set(range(n)) - {r[0] for r in _ROWS})
+
+        def lookups(graph):
+            return _outcome(lambda: [graph.contacts_of(w) for w in range(n)])
+
+        for u in empty:
+            graph = pickle.loads(blob)
+            graph._sbytes = _overwrite(
+                sparse._sbytes, sparse._soffsets[u], pattern
+            )
+            path = tmp_path / f"{u}.chrono"
+            save_compressed(graph, path)
+            with monkeypatch.context() as patch:
+                patch.setattr(compressed, "_is_empty_record", lambda *a: False)
+                expected = lookups(load_compressed(path))
+            for mapped in (False, True):
+                assert lookups(load_compressed(path, mmap=mapped)) == expected
+
+    @pytest.mark.parametrize("stream", ["_sbytes", "_tbytes"])
+    def test_mapped_empty_lookup_verifies_both_streams(
+        self, sparse, stream, tmp_path
+    ):
+        # One flipped bit anywhere in either stream: the heap load refuses
+        # the container, so a mapped lookup of an empty node refuses too.
+        path = tmp_path / "g.chrono"
+        save_compressed(sparse, path)
+        blob = bytearray(path.read_bytes())
+        payload = bytes(getattr(sparse, stream))
+        assert blob.count(payload) == 1
+        blob[blob.index(payload) + len(payload) - 1] ^= 1
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ChecksumMismatchError):
+            load_compressed(path)
+        empty = sorted(set(range(sparse.num_nodes)) - {r[0] for r in _ROWS})
+        for u in empty:
+            with pytest.raises(ChecksumMismatchError):
+                load_compressed(path, mmap=True).neighbors(u, 0, 100)

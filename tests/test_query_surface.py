@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import CompressedChronoGraph, compress
 from repro.graph.builders import graph_from_contacts
 from repro.graph.model import GraphKind
+from repro.service.protocol import QUERY_OPS
 from repro.storage.segments import SegmentedChronoGraph
 
 
@@ -162,18 +163,21 @@ class TestHasEdgeDuplicateRuns:
 class TestSharedSignatures:
     """A monolithic graph and a store view take the same query arguments."""
 
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "neighbors",
-            "neighbors_many",
-            "has_edge",
-            "edge_timestamps",
-            "contacts_of",
-            "snapshot",
-        ],
-    )
+    @pytest.mark.parametrize("name", list(QUERY_OPS))
     def test_parameter_lists_match(self, name):
         mono = inspect.signature(getattr(CompressedChronoGraph, name))
         store = inspect.signature(getattr(SegmentedChronoGraph, name))
         assert list(mono.parameters.values()) == list(store.parameters.values())
+
+    @pytest.mark.parametrize("name", list(QUERY_OPS))
+    def test_positional_parameters_are_the_table_arguments(self, name):
+        op = QUERY_OPS[name]
+        view = inspect.signature(getattr(CompressedChronoGraph, name))
+        positional = [
+            p.name for p in view.parameters.values()
+            if p.kind is p.POSITIONAL_OR_KEYWORD
+        ]
+        assert positional == ["self", *op.args]
+        assert view.parameters["ctx"].kind is inspect.Parameter.KEYWORD_ONLY
+        oracle = list(inspect.signature(op.answer).parameters)
+        assert oracle[1:] == list(op.args)

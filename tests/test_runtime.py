@@ -38,6 +38,7 @@ from repro.runtime import (
     resolve_context,
 )
 from repro.runtime.breaker import STATE_CLOSED, STATE_HALF_OPEN, STATE_OPEN
+from repro.service.protocol import QUERY_OPS
 from repro.storage.atomic import RetryPolicy
 from repro.storage.segments import (
     BackpressureError,
@@ -367,16 +368,13 @@ class TestGovernor:
         store = _segmented_store(tmp_path)
         view = store.graph
         gov = Governor(max_concurrent=1)
-        calls = [
-            ("neighbors", (0, 0, 500)),
-            ("has_edge", (0, 2, 0, 500)),
-            ("edge_timestamps", (0, 3)),
-            ("contacts_of", (0,)),
-            ("snapshot", (0, 500)),
-            ("neighbors_many", ([(u % 12, 0, 500) for u in range(16)],)),
-        ]
+        values = {
+            "u": 0, "v": 2, "t_start": 0, "t_end": 500,
+            "queries": [(u % 12, 0, 500) for u in range(16)],
+        }
         try:
-            for op, args in calls:
+            for op, query in QUERY_OPS.items():
+                args = [values[name] for name in query.args]
                 fn = getattr(view, op)
                 want = fn(*args)
                 admitted = gov.stats()["admitted"]

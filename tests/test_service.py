@@ -8,6 +8,8 @@ exception class name and its ``retry_after`` hint, never as silently
 wrong or truncated answers.
 """
 
+import inspect
+import multiprocessing
 import os
 import pathlib
 import random
@@ -33,7 +35,9 @@ from repro.service import (
 )
 from repro.service import protocol
 from repro.service.protocol import recv_message, send_message
+from repro.service.protocol import QUERY_OPS
 from repro.storage.segments import SegmentStore, StorePolicy
+from repro.testing import first_divergence
 
 N_NODES = 120
 T_MAX = 4000
@@ -381,3 +385,56 @@ class TestSegmentStoreTarget:
             with _client(svc) as client:
                 for u, answer in expected.items():
                     assert client.neighbors(u, 0, T_MAX) == answer
+
+
+class TestOpTable:
+    """The served query surface is the op table, and only the table."""
+
+    def test_client_query_methods_are_the_table(self):
+        plumbing = {"ping", "stats", "close", "from_url"}
+        public = {name for name in vars(ServiceClient) if not name.startswith("_")}
+        assert public - plumbing == set(QUERY_OPS)
+        for op, query in QUERY_OPS.items():
+            params = inspect.signature(getattr(ServiceClient, op)).parameters
+            assert list(params)[1:] == list(query.args), op
+
+    def test_every_op_answers_as_the_plain_model(self, service):
+        oracle = graph_from_contacts(
+            GraphKind.POINT, _contacts(), num_nodes=N_NODES
+        )
+        values = {
+            "u": 3, "v": 4, "t_start": 100, "t_end": 900,
+            "queries": [(u, 100, 900) for u in range(0, N_NODES, 9)],
+        }
+        calls = [
+            (op, tuple(values[name] for name in query.args))
+            for op, query in QUERY_OPS.items()
+        ]
+        with _client(service) as client:
+            assert first_divergence(client, oracle, calls) is None
+            assert client.contacts_of(3) == oracle.contacts_of(3) != []
+
+    @pytest.mark.parametrize(
+        "op", ["configure_cache", "__class__", "_records", "stats_"]
+    )
+    def test_other_names_are_unknown_ops(self, service, op):
+        with _client(service) as client:
+            with pytest.raises(ServiceError) as info:
+                client._call(op, {"args": []})
+            assert info.value.error_type == "ProtocolError"
+            assert "unknown op" in str(info.value)
+            assert client.ping()["pong"]
+
+    def test_start_without_fork_refuses_and_binds_nothing(
+        self, container, monkeypatch
+    ):
+        from repro.errors import DomainError
+
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        svc = GraphService(str(container), ServiceConfig(workers=1))
+        with pytest.raises(DomainError, match="fork"):
+            svc.start()
+        assert svc._listener is None and svc._workers == []
