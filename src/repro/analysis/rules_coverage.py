@@ -104,8 +104,8 @@ class CheckpointCoverageRule(Rule):
                 continue  # only production modules owe polls
             if self._direct_poll(info.node):
                 # The function manages its own checkpoint discipline
-                # (e.g. the hook-chunked bulk readers, whose `*_plain`
-                # kernels it strides); its loops are its business.
+                # (e.g. the record decoders, which chunk their table
+                # loops by the hook's stride); its loops are its business.
                 continue
             for loop in self._significant_loops(info.node):
                 if self._loop_polls(loop, info, graph, polls):
@@ -149,8 +149,8 @@ class CheckpointCoverageRule(Rule):
             # encode plane and half the project into "reachable from a
             # query" through names like `extend` or `get`.  The walk also
             # stops at functions that poll directly -- their callees (the
-            # ``*_plain`` kernels, table fills) run inside the stride the
-            # poller enforces, so their loops are governed by design.
+            # table step, table fills) run inside the stride the poller
+            # enforces, so their loops are governed by design.
             frontier = [entry]
             while frontier:
                 info = frontier.pop()

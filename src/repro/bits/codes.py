@@ -13,8 +13,13 @@ The module exposes, per code, a writer (``write_*``), a reader (``read_*``)
 and a length function (``*_length``).  For the codes ChronoGraph emits in
 bulk there are also run-level counterparts:
 
-* ``read_many_*`` -- bulk readers (the record decoders), all on one
-  16-bit table kernel that escapes to the scalar reader for long codes;
+* ``gamma_table``, ``zeta_table``, ``table_step`` and ``strides`` -- the
+  16-bit table loop every run decode is written on: tables of naturals, a
+  step for refills and codes longer than the window, and the checkpoint
+  chunking.  The record decoders of :mod:`repro.core` run it inline with
+  the record's arithmetic folded in, one pass per record;
+* ``read_many_gamma_natural``, ``read_many_zeta_natural`` and
+  ``read_many_zeta_natural_pairs`` -- plain bulk readers on the same loop;
 * ``write_many_gamma_natural``, ``write_many_zeta_natural`` and
   ``write_many_zeta_natural_pairs`` -- bulk writers that pack a whole run
   into a local accumulator and flush it to the writer in whole bytes every
@@ -27,7 +32,7 @@ bulk there are also run-level counterparts:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bits import kernels
 from repro.bits.bitio import BitReader, BitWriter
@@ -48,8 +53,9 @@ __all__ = [
     "write_rice", "read_rice", "rice_length",
     "write_vbyte", "read_vbyte", "vbyte_length",
     "encode_simple16", "decode_simple16",
-    "read_many_unary", "read_many_gamma", "read_many_gamma_natural",
-    "read_many_zeta", "read_many_zeta_natural", "read_many_zeta_natural_pairs",
+    "gamma_table", "zeta_table", "table_step", "strides",
+    "read_many_gamma_natural", "read_many_zeta_natural",
+    "read_many_zeta_natural_pairs",
     "write_many_gamma_natural", "write_many_zeta_natural",
     "write_many_zeta_natural_pairs",
     "size_many_gamma_natural", "size_many_zeta_natural",
@@ -59,20 +65,53 @@ __all__ = [
 # --------------------------------------------------------------------------
 # Table-driven prefix decoding
 #
-# A 16-bit window peeked at the cursor resolves the vast majority of unary,
-# gamma and zeta codes in one lookup (the Zuckerli trick): per window the
-# tables hold the decoded value and the bits consumed, with 0 consumed
-# meaning "code does not fit in 16 bits, take the scalar path".  Tables are
-# built lazily on first use (the zeta family is per-k) and shared by the
-# scalar readers and the ``read_many_*`` bulk readers below.
+# A 16-bit window at the cursor resolves the vast majority of gamma and
+# zeta codes in one lookup (the Zuckerli trick): per window the tables hold
+# the decoded *natural* (code value - 1, what every ChronoGraph stream
+# stores) and the bits consumed.  A window whose code does not fit in 16
+# bits holds the length ``_ESCAPE``, longer than any cached word, so the
+# one test ``n <= wbits`` both bounds a code by the bits at hand and sends
+# long codes down the slow path.  Tables are built lazily on first use
+# (the zeta family is per k) and shared by the scalar readers, the bulk
+# readers and the record decoders of :mod:`repro.core`.
+#
+# A table loop keeps its cursor in three locals, ``(word, wbits, end)``:
+# ``word`` holds the stream's bits up to bit ``end``, followed by 16 zero
+# bits, and its low ``wbits`` stream bits are unread.  So the window at the
+# cursor is ``word >> wbits & 0xFFFF`` and consuming ``n`` bits is
+# ``wbits -= n``; the cursor's bit position is ``end - wbits``.  Consumed
+# bits are never masked off -- the ``& 0xFFFF`` drops them -- and a window
+# that runs past ``end`` reads zeros, which is harmless: a code is taken
+# only when all of its ``n`` bits are unread stream bits.  Every loop is
+#
+#     w = word >> wbits & 0xFFFF
+#     n = lens[w]
+#     if n <= wbits:
+#         wbits -= n
+#         x = vals[w]
+#     else:
+#         x, word, wbits, end = table_step(reader, word, wbits, end, vals, lens, k)
+#
+# starting from the empty cursor ``(0, 0, reader.position)`` and ending
+# with ``reader.seek(end - wbits)``.
 # --------------------------------------------------------------------------
 
 _TABLE_BITS = 16
 _TABLE_SIZE = 1 << _TABLE_BITS
 
-_UNARY_TABLE: Optional[Tuple[List[int], List[int]]] = None
-_GAMMA_TABLE: Optional[Tuple[List[int], List[int]]] = None
-_ZETA_TABLES: Dict[int, Tuple[List[int], List[int]]] = {}
+#: Table length of a window whose code is longer than the window: more
+#: bits than any cursor word holds, so ``n <= wbits`` always fails.
+_ESCAPE = 255
+
+#: Bytes a table loop loads per refill: at least 121 stream bits, so a
+#: record's short codes refill once every dozen or more codes.
+_REFILL_BYTES = 16
+
+#: A decode table: per 16-bit window, the natural and the code length.
+Table = Tuple[List[int], List[int]]
+
+_GAMMA_TABLE: Optional[Table] = None
+_ZETA_TABLES: Dict[int, Table] = {}
 
 
 def _fill(vals: List[int], lens: List[int], code: int, n: int, value: int) -> None:
@@ -83,45 +122,34 @@ def _fill(vals: List[int], lens: List[int], code: int, n: int, value: int) -> No
     lens[start : start + span] = [n] * span
 
 
-def _unary_table() -> Tuple[List[int], List[int]]:
-    global _UNARY_TABLE
-    if _UNARY_TABLE is None:
-        vals = [0] * _TABLE_SIZE
-        lens = [0] * _TABLE_SIZE
-        for zeros in range(_TABLE_BITS):
-            # `zeros` leading zeros then a 1: the code for value zeros + 1.
-            _fill(vals, lens, 1, zeros + 1, zeros + 1)
-        _UNARY_TABLE = (vals, lens)
-    return _UNARY_TABLE
-
-
-def _gamma_table() -> Tuple[List[int], List[int]]:
+def gamma_table() -> Table:
+    """The (naturals, lengths) decode table of Elias gamma."""
     global _GAMMA_TABLE
     if _GAMMA_TABLE is None:
         vals = [0] * _TABLE_SIZE
-        lens = [0] * _TABLE_SIZE
-        # Table build is bounded by _TABLE_BITS and memoised per process,
-        # so the one cold-path run needs no checkpoint.
-        for lead in range((_TABLE_BITS - 1) // 2 + 1):  # repro: noqa[CG007]
+        lens = [_ESCAPE] * _TABLE_SIZE
+        # Table build is bounded by _TABLE_BITS and memoised per process.
+        for lead in range((_TABLE_BITS - 1) // 2 + 1):
             n = 2 * lead + 1
             # The n-bit gamma codeword of x is x itself (unary exponent
             # prefix then the low bits), so the fill is direct.
-            for x in range(1 << lead, 1 << (lead + 1)):  # repro: noqa[CG007]
-                _fill(vals, lens, x, n, x)
+            for x in range(1 << lead, 1 << (lead + 1)):
+                _fill(vals, lens, x, n, x - 1)
         _GAMMA_TABLE = (vals, lens)
     return _GAMMA_TABLE
 
 
-def _zeta_table(k: int) -> Tuple[List[int], List[int]]:
+def zeta_table(k: int) -> Table:
+    """The (naturals, lengths) decode table of zeta_k."""
     table = _ZETA_TABLES.get(k)
     if table is not None:
         return table
     vals = [0] * _TABLE_SIZE
-    lens = [0] * _TABLE_SIZE
+    lens = [_ESCAPE] * _TABLE_SIZE
     h = 0
     # Exits once the shortest h-level code overflows _TABLE_BITS, so the
-    # memoised build is bounded; no checkpoint needed on the cold path.
-    while True:  # repro: noqa[CG007]
+    # memoised build is bounded.
+    while True:
         un = h + 1  # unary part: h zeros then a 1
         low = 1 << (h * k)
         z = (low << k) - low
@@ -131,134 +159,149 @@ def _zeta_table(k: int) -> Tuple[List[int], List[int]]:
         if shortest > _TABLE_BITS:
             break
         if z == 1:
-            _fill(vals, lens, 1, un, low)
+            _fill(vals, lens, 1, un, low - 1)
         else:
             if m > 0 and un + s - 1 <= _TABLE_BITS:
                 # Short codes: s - 1 payload bits (table-bounded fill).
-                for d in range(m):  # repro: noqa[CG007]
-                    _fill(vals, lens, (1 << (s - 1)) | d, un + s - 1, low + d)
+                for d in range(m):
+                    _fill(vals, lens, (1 << (s - 1)) | d, un + s - 1, low + d - 1)
             if un + s <= _TABLE_BITS:
                 # Long codes: s payload bits of d + m (table-bounded fill).
-                for d in range(m, z):  # repro: noqa[CG007]
-                    _fill(vals, lens, (1 << s) | (d + m), un + s, low + d)
+                for d in range(m, z):
+                    _fill(vals, lens, (1 << s) | (d + m), un + s, low + d - 1)
         h += 1
     _ZETA_TABLES[k] = (vals, lens)
     return _ZETA_TABLES[k]
 
 
-def _read_many_table(
-    reader: BitReader,
-    count: int,
-    vals: Sequence[int],
-    lens: Sequence[int],
-    slow: Callable[[BitReader], int],
-) -> List[int]:
-    """Decode ``count`` codes through a 16-bit table, ``slow`` as fallback.
+def _escape(reader: BitReader, k: int) -> int:
+    """The natural of the zeta_k code at the reader's cursor, bit by bit.
 
-    Operates on the reader's cached-word internals directly (same-package
-    contract with :class:`repro.bits.bitio.BitReader`): the refill is inlined
-    so the per-code cost is a shift, two list lookups and a mask.
+    The path for codes longer than the table window and for codes cut by
+    the end of the stream (:class:`EndOfStreamError`).  zeta_1 is gamma.
     """
-    out: List[int] = []
-    if count <= 0:
-        return out
-    append = out.append
-    data = reader._data
-    nbits = reader._nbits
-    pos = reader._pos
-    word = reader._word
+    h = reader.read_unary_run()
+    low = 1 << (h * k)
+    return low - 1 + read_minimal_binary(reader, (low << k) - low)
+
+
+def _read_natural(reader: BitReader, vals: List[int], lens: List[int], k: int) -> int:
+    """One code's natural through a table: the scalar readers' fast path.
+
+    Works on the reader's own cached word (same-package contract with
+    :class:`repro.bits.bitio.BitReader`), with no method call unless the
+    word needs a refill or the code escapes.
+    """
     wbits = reader._wbits
-    for _ in range(count):
-        if wbits < 16:
-            i = pos >> 3
-            chunk = data[i : i + 8]
-            total = (len(chunk) << 3) - (pos & 7)
-            word = int.from_bytes(chunk, "big")
-            avail = nbits - pos
-            if total > avail:
-                word >>= total - avail
-                total = avail
-            word &= (1 << total) - 1
-            wbits = total
-        w16 = (word >> (wbits - 16)) if wbits >= 16 else (word << (16 - wbits))
-        n = lens[w16]
-        if 0 < n <= wbits:
-            append(vals[w16])
-            wbits -= n
-            word &= (1 << wbits) - 1
-            pos += n
-        else:
-            # Long code or end-of-stream: sync, take the scalar path, resync.
-            reader._pos = pos
-            reader._word = word
-            reader._wbits = wbits
-            append(slow(reader))
-            pos = reader._pos
-            word = reader._word
-            wbits = reader._wbits
-    reader._pos = pos
-    reader._word = word
-    reader._wbits = wbits
-    return out
+    if wbits < _TABLE_BITS:
+        reader._refill()
+        wbits = reader._wbits
+    word = reader._word
+    w = word >> (wbits - 16) if wbits >= 16 else word << (16 - wbits)
+    n = lens[w]
+    if n <= wbits:
+        wbits -= n
+        reader._word = word & ((1 << wbits) - 1)
+        reader._wbits = wbits
+        reader._pos += n
+        return vals[w]
+    return _escape(reader, k)
 
 
-def _read_many_table_pairs(
+def table_step(
     reader: BitReader,
-    count: int,
-    vals_a: Sequence[int],
-    lens_a: Sequence[int],
-    slow_a: Callable[[BitReader], int],
-    vals_b: Sequence[int],
-    lens_b: Sequence[int],
-    slow_b: Callable[[BitReader], int],
-) -> Tuple[List[int], List[int]]:
-    """Decode ``count`` interleaved (a, b) code pairs; two result lists."""
-    out_a: List[int] = []
-    out_b: List[int] = []
-    if count <= 0:
-        return out_a, out_b
-    append_a = out_a.append
-    append_b = out_b.append
-    data = reader._data
-    nbits = reader._nbits
-    pos = reader._pos
-    word = reader._word
-    wbits = reader._wbits
-    for _ in range(count):
-        for append, vals, lens, slow in (
-            (append_a, vals_a, lens_a, slow_a),
-            (append_b, vals_b, lens_b, slow_b),
-        ):
-            if wbits < 16:
-                i = pos >> 3
-                chunk = data[i : i + 8]
-                total = (len(chunk) << 3) - (pos & 7)
-                word = int.from_bytes(chunk, "big")
-                avail = nbits - pos
-                if total > avail:
-                    word >>= total - avail
-                    total = avail
-                word &= (1 << total) - 1
-                wbits = total
-            w16 = (word >> (wbits - 16)) if wbits >= 16 else (word << (16 - wbits))
-            n = lens[w16]
-            if 0 < n <= wbits:
-                append(vals[w16])
-                wbits -= n
-                word &= (1 << wbits) - 1
-                pos += n
-            else:
-                reader._pos = pos
-                reader._word = word
-                reader._wbits = wbits
-                append(slow(reader))
-                pos = reader._pos
-                word = reader._word
-                wbits = reader._wbits
-    reader._pos = pos
-    reader._word = word
-    reader._wbits = wbits
-    return out_a, out_b
+    word: int,
+    wbits: int,
+    end: int,
+    vals: List[int],
+    lens: List[int],
+    k: int,
+) -> Tuple[int, int, int, int]:
+    """Decode one zeta_k code (gamma: ``k = 1``) at a table loop's cursor.
+
+    Returns ``(natural, word, wbits, end)``.  The table loops inline the
+    common case and call this when the window test fails: it refills the
+    cursor's word from the stream and retries the table.  A code longer
+    than the window is decoded from the word when the word holds all of
+    it, and by the scalar escape otherwise (very long codes, and codes cut
+    by the end of the stream).  Record decoders also read their single
+    codes (block counts, first gaps) through it.
+    """
+    w = word >> wbits & 0xFFFF
+    n = lens[w]
+    if n > wbits:
+        pos = end - wbits
+        i = pos >> 3
+        chunk = reader._data[i : i + _REFILL_BYTES]
+        wbits = (len(chunk) << 3) - (pos & 7)
+        word = int.from_bytes(chunk, "big")
+        end = pos + wbits
+        over = end - reader._nbits
+        if over > 0:
+            word >>= over
+            wbits -= over
+            end -= over
+        # Bits before the cursor stay above the window; no mask needed.
+        word <<= 16
+        w = word >> wbits & 0xFFFF
+        n = lens[w]
+        if n > wbits:
+            # zeta_k of h zeros, a one, then a minimal binary payload of
+            # s - 1 or s bits over an interval of z values (read_zeta).
+            rest = word >> 16 & ((1 << wbits) - 1)
+            h = wbits - rest.bit_length()
+            low = 1 << (h * k)
+            z = (low << k) - low
+            s = (z - 1).bit_length()
+            if rest and h + 1 + s <= wbits:
+                wbits -= h + 1
+                payload = rest >> (wbits - s) & ((1 << s) - 1)
+                m = (1 << s) - z
+                if payload >> 1 < m:
+                    return low - 1 + (payload >> 1), word, wbits - s + 1, end
+                return low - 1 + payload - m, word, wbits - s, end
+            reader.seek(pos)
+            natural = _escape(reader, k)
+            return natural, 0, 0, reader.position
+    return vals[w], word, wbits - n, end
+
+
+def strides(
+    hook: Optional[kernels.CheckpointHook], count: int, width: int = 1
+) -> Iterable[int]:
+    """Chunk sizes of a table loop over a run's items after the first.
+
+    A record loop decodes a run's first item (``width`` codes) on its own,
+    then loops over the other ``count - 1`` in the chunks returned here.
+    With the checkpoint ``hook`` (read by the caller from
+    :mod:`repro.bits.kernels`) installed, the whole run's ``count * width``
+    codes are charged up front -- which may raise the typed interruption
+    errors -- and the run is split into chunks of the active context's
+    stride, polling the hook between chunks; the first chunk carries the
+    first item, so a run polls once per stride of codes.  Without a hook,
+    or with no context active, the run is one chunk.
+    """
+    if hook is not None:
+        stride = hook(count * width)
+        if stride > 0:
+            stride = -(-stride // width)
+            if stride < count:
+                return _polled_strides(hook, count, stride)
+    return (count - 1,)
+
+
+def _polled_strides(
+    hook: kernels.CheckpointHook, count: int, stride: int
+) -> Iterator[int]:
+    """The chunks of :func:`strides` for a run longer than one stride."""
+    step = stride - 1
+    left = count - 1
+    while left > step:
+        yield step
+        left -= step
+        hook(0)
+        step = stride
+    yield left
 
 
 # --------------------------------------------------------------------------
@@ -358,18 +401,7 @@ def write_gamma(writer: BitWriter, x: int) -> int:
 
 def read_gamma(reader: BitReader) -> int:
     """Read an Elias gamma code."""
-    # Table probe first: gamma decoding is the hottest loop of every
-    # structure-record decode, and nearly every code fits 16 bits.
-    vals, lens = _gamma_table()
-    w16 = reader.peek_bits(16)
-    n = lens[w16]
-    if n:
-        reader.skip(n)
-        return vals[w16]
-    l = reader.read_unary_run()
-    if l == 0:
-        return 1
-    return (1 << l) | reader.read_bits(l)
+    return read_gamma_natural(reader) + 1
 
 
 def gamma_length(x: int) -> int:
@@ -386,7 +418,8 @@ def write_gamma_natural(writer: BitWriter, n: int) -> int:
 
 def read_gamma_natural(reader: BitReader) -> int:
     """Inverse of :func:`write_gamma_natural`."""
-    return read_gamma(reader) - 1
+    vals, lens = gamma_table()
+    return _read_natural(reader, vals, lens, 1)
 
 
 def write_gamma_integer(writer: BitWriter, x: int) -> int:
@@ -450,15 +483,7 @@ def write_zeta(writer: BitWriter, x: int, k: int) -> int:
 
 def read_zeta(reader: BitReader, k: int) -> int:
     """Read a zeta_k code."""
-    vals, lens = _zeta_table(k)
-    w16 = reader.peek_bits(16)
-    n = lens[w16]
-    if n:
-        reader.skip(n)
-        return vals[w16]
-    h = reader.read_unary_run()
-    low = 1 << (h * k)
-    return low + read_minimal_binary(reader, (low << k) - low)
+    return read_zeta_natural(reader, k) + 1
 
 
 def zeta_length(x: int, k: int) -> int:
@@ -495,7 +520,8 @@ def write_zeta_natural(writer: BitWriter, n: int, k: int) -> int:
 
 def read_zeta_natural(reader: BitReader, k: int) -> int:
     """Inverse of :func:`write_zeta_natural`."""
-    return read_zeta(reader, k) - 1
+    vals, lens = zeta_table(k)
+    return _read_natural(reader, vals, lens, k)
 
 
 def write_zeta_integer(writer: BitWriter, x: int, k: int) -> int:
@@ -661,13 +687,13 @@ def decode_simple16(reader: BitReader, count: int) -> List[int]:
 # --------------------------------------------------------------------------
 # Bulk readers
 #
-# Decode whole runs of codes with the reader state held in locals; the
-# per-record decoders (structure, timestamps) are built on these.  Each
-# returns exactly ``count`` values or raises the same exceptions as its
-# scalar counterpart mid-run.  Every run goes through the inlined 16-bit
-# table loop above, which takes the scalar ``read_*`` path only for a code
-# longer than the table window or at the end of the stream; the scalar
-# readers are also the reference the bulk readers are tested against.
+# Decode whole runs of naturals on the table loop above, one pass over the
+# run's bits.  Each returns exactly ``count`` values or raises the same
+# exceptions as a loop of its scalar counterpart, which is also the
+# reference it is tested against.  The record decoders of
+# :mod:`repro.core` run the same loop with the record's arithmetic folded
+# in; these plain runs serve the remaining callers (reference scans,
+# benchmarks).
 # --------------------------------------------------------------------------
 
 def _check_count(count: int) -> None:
@@ -676,158 +702,46 @@ def _check_count(count: int) -> None:
         raise CodecDomainError(f"negative bulk read count: {count}")
 
 
-def _decode_run(
-    reader: BitReader,
-    count: int,
-    vals: Sequence[int],
-    lens: Sequence[int],
-    slow: Callable[[BitReader], int],
-    delta: int = 0,
+def _read_run(
+    reader: BitReader, count: int, vals: List[int], lens: List[int], k: int
 ) -> List[int]:
-    """Decode ``count`` codes of one family through the table kernel.
+    """Decode ``count`` zeta_k naturals (gamma: ``k = 1``) in one table loop.
 
-    ``delta`` is added to every decoded value (``-1`` for the ``*_natural``
-    wrappers).
-
-    When a query context is active on this thread (see the checkpoint
-    hook in :mod:`repro.bits.kernels`), the run is charged against the
-    context's decode-work budget and split into stride-sized chunks with
-    a checkpoint between each, so even a single huge run observes its
-    deadline within one stride of decode work.  Each chunk decodes whole
-    codes and leaves the reader cursor between codes, so chunked and
-    unchunked decodes are byte-identical; an interruption raises with the
-    cursor in a consistent (between-codes) position.
+    Polls the checkpoint hook stride by stride (:func:`strides`).
     """
     _check_count(count)
-    hook = kernels._checkpoint_hook
-    if hook is not None:
-        stride = hook(count)
-        if 0 < stride < count:
-            out: List[int] = []
-            done = 0
-            while True:
-                step = min(stride, count - done)
-                out.extend(
-                    _decode_run_plain(reader, step, vals, lens, slow, delta)
+    if not count:
+        return []
+    chunks = strides(kernels._checkpoint_hook, count)
+    x, word, wbits, end = table_step(reader, 0, 0, reader.position, vals, lens, k)
+    out = [x]
+    append = out.append
+    for chunk in chunks:
+        for _ in range(chunk):
+            w = word >> wbits & 0xFFFF
+            n = lens[w]
+            if n <= wbits:
+                wbits -= n
+                append(vals[w])
+            else:
+                x, word, wbits, end = table_step(
+                    reader, word, wbits, end, vals, lens, k
                 )
-                done += step
-                if done >= count:
-                    return out
-                hook(0)
-    return _decode_run_plain(reader, count, vals, lens, slow, delta)
-
-
-def _decode_run_plain(
-    reader: BitReader,
-    count: int,
-    vals: Sequence[int],
-    lens: Sequence[int],
-    slow: Callable[[BitReader], int],
-    delta: int = 0,
-) -> List[int]:
-    """The uninterruptible table decode behind :func:`_decode_run`."""
-    raw = _read_many_table(reader, count, vals, lens, slow)
-    if delta:
-        return [x + delta for x in raw]
-    return raw
-
-
-def _decode_run_pairs(
-    reader: BitReader,
-    count: int,
-    vals_a: Sequence[int],
-    lens_a: Sequence[int],
-    slow_a: Callable[[BitReader], int],
-    vals_b: Sequence[int],
-    lens_b: Sequence[int],
-    slow_b: Callable[[BitReader], int],
-    delta: int = 0,
-) -> Tuple[List[int], List[int]]:
-    """Decode ``count`` interleaved (a, b) pairs through the table kernel.
-
-    Chunks against an active query context exactly like
-    :func:`_decode_run` (pairs count as two work units each).
-    """
-    _check_count(count)
-    hook = kernels._checkpoint_hook
-    if hook is not None:
-        stride = hook(2 * count)
-        # A pair is two codes; halve the stride so a chunk does roughly
-        # the same decode work as in the single-code readers.
-        stride //= 2
-        if 0 < stride < count:
-            out_a: List[int] = []
-            out_b: List[int] = []
-            done = 0
-            while True:
-                step = min(stride, count - done)
-                part_a, part_b = _decode_run_pairs_plain(
-                    reader, step,
-                    vals_a, lens_a, slow_a,
-                    vals_b, lens_b, slow_b,
-                    delta,
-                )
-                out_a.extend(part_a)
-                out_b.extend(part_b)
-                done += step
-                if done >= count:
-                    return out_a, out_b
-                hook(0)
-    return _decode_run_pairs_plain(
-        reader, count, vals_a, lens_a, slow_a, vals_b, lens_b, slow_b, delta
-    )
-
-
-def _decode_run_pairs_plain(
-    reader: BitReader,
-    count: int,
-    vals_a: Sequence[int],
-    lens_a: Sequence[int],
-    slow_a: Callable[[BitReader], int],
-    vals_b: Sequence[int],
-    lens_b: Sequence[int],
-    slow_b: Callable[[BitReader], int],
-    delta: int = 0,
-) -> Tuple[List[int], List[int]]:
-    """The uninterruptible table decode behind :func:`_decode_run_pairs`."""
-    raw_a, raw_b = _read_many_table_pairs(
-        reader, count, vals_a, lens_a, slow_a, vals_b, lens_b, slow_b
-    )
-    if delta:
-        return [x + delta for x in raw_a], [x + delta for x in raw_b]
-    return raw_a, raw_b
-
-
-def read_many_unary(reader: BitReader, count: int) -> List[int]:
-    """Read ``count`` unary codes (values >= 1)."""
-    vals, lens = _unary_table()
-    return _decode_run(reader, count, vals, lens, read_unary)
-
-
-def read_many_gamma(reader: BitReader, count: int) -> List[int]:
-    """Read ``count`` Elias gamma codes (values >= 1)."""
-    vals, lens = _gamma_table()
-    return _decode_run(reader, count, vals, lens, read_gamma)
+                append(x)
+    reader.seek(end - wbits)
+    return out
 
 
 def read_many_gamma_natural(reader: BitReader, count: int) -> List[int]:
     """Read ``count`` gamma-coded naturals (values >= 0)."""
-    vals, lens = _gamma_table()
-    return _decode_run(reader, count, vals, lens, read_gamma, delta=-1)
-
-
-def read_many_zeta(reader: BitReader, count: int, k: int) -> List[int]:
-    """Read ``count`` zeta_k codes (values >= 1)."""
-    vals, lens = _zeta_table(k)
-    return _decode_run(reader, count, vals, lens, lambda r: read_zeta(r, k))
+    vals, lens = gamma_table()
+    return _read_run(reader, count, vals, lens, 1)
 
 
 def read_many_zeta_natural(reader: BitReader, count: int, k: int) -> List[int]:
     """Read ``count`` zeta_k-coded naturals (values >= 0)."""
-    vals, lens = _zeta_table(k)
-    return _decode_run(
-        reader, count, vals, lens, lambda r: read_zeta(r, k), delta=-1
-    )
+    vals, lens = zeta_table(k)
+    return _read_run(reader, count, vals, lens, k)
 
 
 def read_many_zeta_natural_pairs(
@@ -838,15 +752,44 @@ def read_many_zeta_natural_pairs(
     This is the layout of interval-graph timestamp records: a timestamp gap
     followed by its duration, each with its own shrinking parameter.
     """
-    vals_a, lens_a = _zeta_table(k_a)
-    vals_b, lens_b = _zeta_table(k_b)
-    return _decode_run_pairs(
-        reader, count,
-        vals_a, lens_a, lambda r: read_zeta(r, k_a),
-        vals_b, lens_b, lambda r: read_zeta(r, k_b),
-        delta=-1,
+    _check_count(count)
+    if not count:
+        return [], []
+    vals_a, lens_a = zeta_table(k_a)
+    vals_b, lens_b = zeta_table(k_b)
+    chunks = strides(kernels._checkpoint_hook, count, 2)
+    a, word, wbits, end = table_step(
+        reader, 0, 0, reader.position, vals_a, lens_a, k_a
     )
-
+    b, word, wbits, end = table_step(reader, word, wbits, end, vals_b, lens_b, k_b)
+    out_a = [a]
+    out_b = [b]
+    append_a = out_a.append
+    append_b = out_b.append
+    for chunk in chunks:
+        for _ in range(chunk):
+            w = word >> wbits & 0xFFFF
+            n = lens_a[w]
+            if n <= wbits:
+                wbits -= n
+                append_a(vals_a[w])
+            else:
+                a, word, wbits, end = table_step(
+                    reader, word, wbits, end, vals_a, lens_a, k_a
+                )
+                append_a(a)
+            w = word >> wbits & 0xFFFF
+            n = lens_b[w]
+            if n <= wbits:
+                wbits -= n
+                append_b(vals_b[w])
+            else:
+                b, word, wbits, end = table_step(
+                    reader, word, wbits, end, vals_b, lens_b, k_b
+                )
+                append_b(b)
+    reader.seek(end - wbits)
+    return out_a, out_b
 
 
 # --------------------------------------------------------------------------

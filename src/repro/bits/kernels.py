@@ -1,13 +1,14 @@
-"""The decode checkpoint hook shared by the bulk readers and the runtime.
+"""The decode checkpoint hook shared by the table loops and the runtime.
 
-Every ``read_many_*`` bulk reader in :mod:`repro.bits.codes` decodes its
-run through one kernel: the inlined 16-bit table loop, with a scalar
-escape for codes longer than the table window.  While a query context is
-active, those readers split a run into stride-sized chunks and poll the
-hook installed here between chunks, so a single huge run still observes
-its deadline, cancel flag and work budget.  The hook lives in
-:mod:`repro.bits` (rather than :mod:`repro.runtime`) so the codecs carry no
-upward import.
+Every run of codes -- the record decoders of :mod:`repro.core.structure`
+and :mod:`repro.core.timestamps`, and the ``read_many_*`` bulk readers of
+:mod:`repro.bits.codes` -- decodes on one inlined 16-bit table loop.
+While a query context is active, each loop reads the hook installed here
+and splits its run into stride-sized chunks (``codes.strides``), polling
+the hook between chunks, so a single huge record still observes its
+deadline, cancel flag and work budget.  The hook lives in
+:mod:`repro.bits` (rather than :mod:`repro.runtime`) so the codecs carry
+no upward import.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def kernel_info() -> Dict[str, object]:
 
 #: Ambient decode checkpoint installed by :mod:`repro.runtime.context`.
 #:
-#: Called by the bulk readers as ``hook(work)``: it charges ``work`` decode
+#: Called by the table loops as ``hook(work)``: it charges ``work`` decode
 #: units against the active :class:`repro.runtime.context.QueryContext` (if
 #: any), raises the typed interruption errors when the deadline, cancel
 #: flag or work budget says stop, and returns the preferred chunk stride in
@@ -62,7 +63,7 @@ def kernel_info() -> Dict[str, object]:
 #: :mod:`repro.bits` free of upward imports: the runtime layer registers
 #: itself while at least one query context is active on any thread, and
 #: removes itself when the last deactivates -- so when the hook is
-#: ``None`` the bulk readers know no thread anywhere is governed and skip
+#: ``None`` the table loops know no thread anywhere is governed and skip
 #: even the thread-local poll.
 CheckpointHook = Callable[[int], int]
 

@@ -56,7 +56,7 @@ Resource governance
 Every query entry point accepts an optional
 ``ctx=`` :class:`repro.runtime.context.QueryContext` -- a wall-clock
 deadline, cooperative cancel flag and decode-work budget polled at cheap
-checkpoints down to the bulk-decode loops.  An expired envelope raises
+checkpoints down to the record-decode loops.  An expired envelope raises
 the typed :class:`repro.errors.QueryTimeout` /
 :class:`repro.errors.QueryCancelled` / :class:`repro.errors.QueryBudgetExceeded`
 branch; interruption always leaves reader cursors (query-local) and the
@@ -635,7 +635,7 @@ class CompressedChronoGraph:
         repeat pass is all hits.
 
         ``ctx`` is polled once per node id, and activated around each
-        stream decode so the bulk readers chunk against it too -- but
+        stream decode so the decode loops chunk against it too -- but
         only around the decode, never across a yield, so the ambient
         context can't leak into the consumer's frame.
         """

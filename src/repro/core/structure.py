@@ -23,11 +23,11 @@ functions (see ``tests/test_paper_examples.py``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bits import codes
+from repro.bits import codes, kernels
 from repro.bits.bitio import BitReader, BitWriter
-from repro.bits.zigzag import to_integer, to_natural
+from repro.bits.zigzag import to_natural
 from repro.core.config import ChronoGraphConfig
 from repro.errors import LimitExceededError
 
@@ -300,7 +300,7 @@ def write_structure_record(
 def decode_node_structure(
     reader: BitReader,
     node: int,
-    resolve_distinct,
+    resolve_distinct: Callable[[int], List[int]],
     config: ChronoGraphConfig,
     limit: Optional[int] = None,
 ) -> Tuple[List[DedupPair], List[int]]:
@@ -308,7 +308,8 @@ def decode_node_structure(
 
     ``resolve_distinct(v)`` must return the distinct neighbor list of the
     (already encoded, hence decodable) node ``v``; it is called when the
-    record carries a reference.  Returns ``(dedup_pairs, singles)``.
+    record carries a reference.  Returns ``(dedup_pairs, singles)``; the
+    singles are label-sorted, in a new list the caller owns.
 
     ``limit`` bounds the total number of neighbor labels the record may
     expand to (a valid record never exceeds the graph's contact count); a
@@ -316,11 +317,15 @@ def decode_node_structure(
     :class:`repro.errors.LimitExceededError` *before* any proportional
     allocation, so a flipped bit cannot trigger a multi-gigabyte list.
 
-    Each block is a homogeneous run of codes, so the body is built on the
-    ``read_many_*`` bulk readers: the block's count is read first, its
-    guaranteed minimum expansion is charged against ``limit`` (bounding the
-    bulk allocation), then the whole run is table-decoded at once and the
-    remainder of each element's expansion charged exactly as before.
+    One pass over the record's bits, on the 16-bit table loop of
+    :mod:`repro.bits.codes`: block counts go through ``table_step``, and
+    each block's codes turn straight into what the block means -- dedup
+    (label, count) pairs, copied slices of the reference list, interval
+    extremes, extra-node labels.  Each block charges its guaranteed
+    minimum expansion before its loop and the rest after it, before
+    anything is expanded, so the charges fail exactly where they would
+    after a full decode of the block.  The singles are sorted only when
+    more than one block contributes labels; each block alone is sorted.
     """
     budget = limit
 
@@ -334,84 +339,165 @@ def decode_node_structure(
                 f"node {node}: structure record expands past {limit} labels"
             )
 
-    dedup: List[DedupPair] = []
-    dedup_count = codes.read_gamma_natural(reader)
-    if dedup_count:
-        charge(2 * dedup_count)  # every dedup pair expands to >= 2 labels
-        raw = codes.read_many_gamma_natural(reader, 2 * dedup_count)
-        label = node + to_integer(raw[0])
-        count = raw[1] + 2
-        charge(count - 2)
-        dedup.append((label, count))
-        prev = label
-        # Trip count was charged against the decode-limit budget above.
-        for i in range(1, dedup_count):  # repro: noqa[CG007]
-            label = prev + raw[2 * i] + 1
-            count = raw[2 * i + 1] + 2
-            charge(count - 2)
-            dedup.append((label, count))
-            prev = label
+    hook = kernels._checkpoint_hook
+    step = codes.table_step
+    strides = codes.strides
+    vals, lens = codes.gamma_table()
 
-    r = codes.read_gamma_natural(reader)
+    dedup: List[DedupPair] = []
+    count, word, wbits, end = step(reader, 0, 0, reader.position, vals, lens, 1)
+    if count:
+        charge(2 * count)  # every dedup pair expands to >= 2 labels
+        chunks = strides(hook, count, 2)
+        gap, word, wbits, end = step(reader, word, wbits, end, vals, lens, 1)
+        extra, word, wbits, end = step(reader, word, wbits, end, vals, lens, 1)
+        label = node + ((gap >> 1) ^ -(gap & 1))  # Eq. (1) first gap
+        dedup.append((label, extra + 2))
+        add_pair = dedup.append
+        for chunk in chunks:
+            for _ in range(chunk):
+                w = word >> wbits & 0xFFFF
+                n = lens[w]
+                if n <= wbits:
+                    wbits -= n
+                    gap = vals[w]
+                else:
+                    gap, word, wbits, end = step(reader, word, wbits, end, vals, lens, 1)
+                w = word >> wbits & 0xFFFF
+                n = lens[w]
+                if n <= wbits:
+                    wbits -= n
+                    x = vals[w]
+                else:
+                    x, word, wbits, end = step(reader, word, wbits, end, vals, lens, 1)
+                label += gap + 1
+                add_pair((label, x + 2))
+                extra += x
+        charge(extra)
+
     copied: List[int] = []
+    r, word, wbits, end = step(reader, word, wbits, end, vals, lens, 1)
     if r:
-        run_count = codes.read_gamma_natural(reader)
+        run_count, word, wbits, end = step(reader, word, wbits, end, vals, lens, 1)
         reference_list = resolve_distinct(node - r)
         # A valid copy-block list never has more runs than the reference
-        # has distinct neighbors; checking before the bulk read keeps the
-        # allocation proportional to the reference, not to a corrupt count.
+        # has distinct neighbors; checking before the runs are decoded
+        # keeps the work proportional to the reference, not to a corrupt
+        # count.
         if run_count > len(reference_list) + 1:
             raise LimitExceededError(
                 f"node {node}: {run_count} copy runs against a reference "
                 f"with {len(reference_list)} distinct neighbors"
             )
-        raw = codes.read_many_gamma_natural(reader, run_count)
-        runs = raw[:1] + [run + 1 for run in raw[1:]]
-        copied = expand_copy_blocks(reference_list, runs)
+        # Runs alternate copy / skip, starting with a copy run that may be
+        # empty; every later run is stored minus one, and the run after
+        # the last is implicit (the rest of the reference).
+        at = 0
+        copying = True
+        if run_count:
+            chunks = strides(hook, run_count)
+            at, word, wbits, end = step(reader, word, wbits, end, vals, lens, 1)
+            copied = reference_list[:at]
+            copying = False
+            for chunk in chunks:
+                for _ in range(chunk):
+                    w = word >> wbits & 0xFFFF
+                    n = lens[w]
+                    if n <= wbits:
+                        wbits -= n
+                        x = vals[w]
+                    else:
+                        x, word, wbits, end = step(reader, word, wbits, end, vals, lens, 1)
+                    if copying:
+                        copied += reference_list[at : at + x + 1]
+                    at += x + 1
+                    copying = not copying
+        if copying:
+            copied += reference_list[at:]
         charge(len(copied))
 
     intervals: List[int] = []
-    interval_count = codes.read_gamma_natural(reader)
-    if interval_count:
+    count, word, wbits, end = step(reader, word, wbits, end, vals, lens, 1)
+    if count:
         min_length = config.min_interval_length
-        charge(interval_count * min_length)
-        raw = codes.read_many_gamma_natural(reader, 2 * interval_count)
-        left = node + to_integer(raw[0])
-        length = raw[1] + min_length
-        charge(length - min_length)
-        intervals.extend(range(left, left + length))
-        prev_end = left + length - 1
-        # Trip count was charged against the decode-limit budget above.
-        for i in range(1, interval_count):  # repro: noqa[CG007]
-            left = prev_end + raw[2 * i] + 2
-            length = raw[2 * i + 1] + min_length
-            charge(length - min_length)
-            intervals.extend(range(left, left + length))
-            prev_end = left + length - 1
+        charge(count * min_length)
+        chunks = strides(hook, count, 2)
+        gap, word, wbits, end = step(reader, word, wbits, end, vals, lens, 1)
+        extra, word, wbits, end = step(reader, word, wbits, end, vals, lens, 1)
+        left = node + ((gap >> 1) ^ -(gap & 1))  # Eq. (1) first gap
+        right = left + extra + min_length  # one past the interval's end
+        extremes = [left, right]
+        add_extreme = extremes.append
+        for chunk in chunks:
+            for _ in range(chunk):
+                w = word >> wbits & 0xFFFF
+                n = lens[w]
+                if n <= wbits:
+                    wbits -= n
+                    gap = vals[w]
+                else:
+                    gap, word, wbits, end = step(reader, word, wbits, end, vals, lens, 1)
+                w = word >> wbits & 0xFFFF
+                n = lens[w]
+                if n <= wbits:
+                    wbits -= n
+                    x = vals[w]
+                else:
+                    x, word, wbits, end = step(reader, word, wbits, end, vals, lens, 1)
+                # Stored gaps are minus 2: maximal runs are at least one
+                # label apart.
+                left = right + gap + 1
+                right = left + x + min_length
+                add_extreme(left)
+                add_extreme(right)
+                extra += x
+        charge(extra)
+        for i in range(0, 2 * count, 2):
+            intervals += range(extremes[i], extremes[i + 1])
 
     extras: List[int] = []
-    extra_count = codes.read_gamma_natural(reader)
-    charge(extra_count)
-    if extra_count:
-        raw = codes.read_many_zeta_natural(
-            reader, extra_count, config.structure_zeta_k
-        )
-        label = node + to_integer(raw[0])
+    count, word, wbits, end = step(reader, word, wbits, end, vals, lens, 1)
+    charge(count)
+    if count:
+        k = config.structure_zeta_k
+        zvals, zlens = codes.zeta_table(k)
+        chunks = strides(hook, count)
+        x, word, wbits, end = step(reader, word, wbits, end, zvals, zlens, k)
+        label = node + ((x >> 1) ^ -(x & 1))  # Eq. (1) first gap
         extras.append(label)
-        prev = label
-        for gap in raw[1:]:
-            label = prev + gap + 1
-            extras.append(label)
-            prev = label
+        add_label = extras.append
+        for chunk in chunks:
+            for _ in range(chunk):
+                w = word >> wbits & 0xFFFF
+                n = zlens[w]
+                if n <= wbits:
+                    wbits -= n
+                    label += zvals[w] + 1
+                else:
+                    x, word, wbits, end = step(reader, word, wbits, end, zvals, zlens, k)
+                    label += x + 1
+                add_label(label)
+    reader.seek(end - wbits)
 
-    singles = sorted(copied + intervals + extras)
-    return dedup, singles
+    if copied:
+        if intervals or extras:
+            return dedup, sorted(copied + intervals + extras)
+        return dedup, copied
+    if intervals and extras:
+        return dedup, sorted(intervals + extras)
+    return dedup, intervals or extras
 
 
 def multiset_from_parts(dedup: Sequence[DedupPair], singles: Sequence[int]) -> List[int]:
-    """Rebuild the label-sorted neighbor multiset from decoded parts."""
+    """Rebuild the label-sorted neighbor multiset from decoded parts.
+
+    ``singles`` must be label-sorted, as :func:`decode_node_structure`
+    returns them; only duplicates need a sort.  The result is a new list
+    sized to its contents.
+    """
     expanded = list(singles)
-    for label, count in dedup:
-        expanded.extend([label] * count)
-    expanded.sort()
+    if dedup:
+        for label, count in dedup:
+            expanded.extend([label] * count)
+        expanded.sort()
     return expanded

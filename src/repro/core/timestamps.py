@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 from typing import List, Optional, Sequence, Tuple
 
-from repro.bits import codes
+from repro.bits import codes, kernels
 from repro.bits.bitio import BitReader, BitWriter
 from repro.errors import GraphDomainError
 
@@ -94,26 +94,60 @@ def decode_node_timestamps(
 ) -> Tuple[List[int], Optional[List[int]]]:
     """Decode ``count`` timestamps (and durations) from the reader cursor.
 
-    The record is one homogeneous zeta run (or an interleaved pair run for
-    interval graphs), so the whole node decodes through the bulk readers;
-    only the prefix-sum over the Eq. (1)-folded gaps stays per-element.
+    One pass over the record: each zeta code is decoded through the 16-bit
+    table loop of :mod:`repro.bits.codes` and folded into the running
+    timestamp in the same iteration -- the first natural is the offset
+    from ``t_min``, every later one the Eq. (1) fold of a gap, unfolded
+    inline as ``(x >> 1) ^ -(x & 1)``.  An interval record interleaves
+    each duration after its gap; the pair loop is unrolled.  The loop
+    polls the checkpoint hook stride by stride (:func:`codes.strides`).
     """
     dk = zeta_k if duration_zeta_k is None else duration_zeta_k
     if count <= 0:
         return [], ([] if with_durations else None)
-    if with_durations:
-        raw, durations = codes.read_many_zeta_natural_pairs(
-            reader, count, zeta_k, dk
-        )
-    else:
-        raw = codes.read_many_zeta_natural(reader, count, zeta_k)
-        durations = None
-    t = t_min + raw[0]
+    step = codes.table_step
+    vals, lens = codes.zeta_table(zeta_k)
+    chunks = codes.strides(kernels._checkpoint_hook, count, 2 if with_durations else 1)
+    x, word, wbits, end = step(reader, 0, 0, reader.position, vals, lens, zeta_k)
+    t = t_min + x
     timestamps = [t]
     append = timestamps.append
-    for gap in raw[1:]:
-        # Inlined Eq. (1) unfolding (repro.bits.zigzag.to_integer).
-        t += (gap >> 1) if not gap & 1 else -((gap + 1) >> 1)
-        append(t)
+    if not with_durations:
+        for chunk in chunks:
+            for _ in range(chunk):
+                w = word >> wbits & 0xFFFF
+                n = lens[w]
+                if n <= wbits:
+                    wbits -= n
+                    x = vals[w]
+                else:
+                    x, word, wbits, end = step(reader, word, wbits, end, vals, lens, zeta_k)
+                t += (x >> 1) ^ -(x & 1)
+                append(t)
+        reader.seek(end - wbits)
+        return timestamps, None
+    dvals, dlens = codes.zeta_table(dk)
+    d, word, wbits, end = step(reader, word, wbits, end, dvals, dlens, dk)
+    durations = [d]
+    dappend = durations.append
+    for chunk in chunks:
+        for _ in range(chunk):
+            w = word >> wbits & 0xFFFF
+            n = lens[w]
+            if n <= wbits:
+                wbits -= n
+                x = vals[w]
+            else:
+                x, word, wbits, end = step(reader, word, wbits, end, vals, lens, zeta_k)
+            t += (x >> 1) ^ -(x & 1)
+            append(t)
+            w = word >> wbits & 0xFFFF
+            n = dlens[w]
+            if n <= wbits:
+                wbits -= n
+                dappend(dvals[w])
+            else:
+                d, word, wbits, end = step(reader, word, wbits, end, dvals, dlens, dk)
+                dappend(d)
+    reader.seek(end - wbits)
     return timestamps, durations
-

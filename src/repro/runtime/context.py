@@ -6,9 +6,10 @@ budget, all checked at cheap *checkpoints* sprinkled through the query
 paths.  Every :class:`repro.core.compressed.CompressedChronoGraph` and
 :class:`repro.storage.segments.SegmentedChronoGraph` query entry point
 accepts ``ctx=``; inside, the context is *activated* (installed in a
-thread-local) so that even the innermost bulk-decode loops in
-:mod:`repro.bits.codes` -- which cannot take parameters without breaking
-their byte-exact signatures -- can poll it through the
+thread-local) so that even the innermost decode loops (the record
+decoders and the bulk readers, on the table loop of
+:mod:`repro.bits.codes`) -- which take no context parameter -- can poll
+it through the
 :data:`repro.bits.kernels.CheckpointHook` this module registers while any
 context is active (and removes when the last one deactivates, so
 un-governed queries pay nothing for the machinery).
@@ -368,7 +369,7 @@ def activate(ctx: Optional[QueryContext]) -> ContextManager[Optional[QueryContex
     inherit the parent's ambient context: a query run on another thread
     takes its context as ``ctx=``.  While at least one activation is live
     (any thread), the decode checkpoint hook is installed in
-    :mod:`repro.bits.kernels`; the rest of the time the bulk readers see
+    :mod:`repro.bits.kernels`; the rest of the time the decode loops see
     ``None`` and skip the ambient poll entirely.
     """
     if ctx is None:
@@ -446,9 +447,9 @@ def query_scope(ctx: Optional[QueryContext]) -> ContextManager[Optional[QueryCon
 def checkpoint_ambient(work: int = 0) -> None:
     """Poll this thread's ambient context, if any (no-op un-governed).
 
-    The explicit poll for pure-Python query loops that never route
-    through a bulk reader (and therefore never hit the decode checkpoint
-    hook): walk frontiers, cache scans, segment iteration.  Costs one
+    The explicit poll for pure-Python query loops that never run a decode
+    loop (and therefore never hit the decode checkpoint hook): walk
+    frontiers, cache scans, segment iteration.  Costs one
     thread-local read when no context is active, so hot loops may call it
     unconditionally.  CG007 (checkpoint coverage) accepts this call as a
     poll.
@@ -463,7 +464,7 @@ def _decode_checkpoint(work: int) -> int:
 
     Charges ``work`` against this thread's ambient context and returns
     the context's chunk stride, or ``0`` when no context is active (the
-    bulk readers then take their unchunked fast path).
+    decode loops then take their unchunked fast path).
     """
     ctx = getattr(_active, "ctx", None)
     if ctx is None:

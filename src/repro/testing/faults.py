@@ -233,13 +233,19 @@ class FaultResult:
 
 @dataclasses.dataclass
 class FaultInjectionReport:
-    """Aggregate outcome of a fault-injection campaign."""
+    """Aggregate outcome of a fault-injection campaign.
+
+    ``unit`` names what one entry is, for :meth:`summary`: a byte or
+    filesystem ``mutations`` campaign, or the ``crash points`` of
+    :func:`run_segment_crash_matrix`.
+    """
 
     total: int = 0
     identical: int = 0
     detected: int = 0
     failures: List[FaultResult] = dataclasses.field(default_factory=list)
     slowest: float = 0.0
+    unit: str = "mutations"
 
     @property
     def ok(self) -> bool:
@@ -271,7 +277,7 @@ class FaultInjectionReport:
     def summary(self) -> str:
         """One-paragraph human-readable account of the campaign."""
         lines = [
-            f"{self.total} mutations: {self.identical} identical, "
+            f"{self.total} {self.unit}: {self.identical} identical, "
             f"{self.detected} detected, {len(self.failures)} failures "
             f"(slowest {self.slowest * 1000:.1f} ms)"
         ]
@@ -1007,7 +1013,7 @@ def run_segment_crash_matrix(
         store.compact_once()
         store.close()
 
-    report = FaultInjectionReport()
+    report = FaultInjectionReport(unit="crash points")
 
     def record(n: int, outcome: str, detail: str = "") -> None:
         report.book(FaultResult(f"crash@{n}", outcome, detail))

@@ -223,10 +223,17 @@ class LockSanitizer:
     same thread.
     """
 
-    #: (module, attribute) pairs patched to report decode-under-lock.
+    #: (module, attribute) pairs patched to report decode-under-lock: the
+    #: record decoders, also where the query surface imports them by
+    #: name, and the bulk readers.
     _DECODE_PATCHES = (
-        ("repro.bits.codes", "_decode_run"),
-        ("repro.bits.codes", "_decode_run_pairs"),
+        ("repro.core.structure", "decode_node_structure"),
+        ("repro.core.timestamps", "decode_node_timestamps"),
+        ("repro.core.compressed", "decode_node_structure"),
+        ("repro.core.compressed", "decode_node_timestamps"),
+        ("repro.bits.codes", "read_many_gamma_natural"),
+        ("repro.bits.codes", "read_many_zeta_natural"),
+        ("repro.bits.codes", "read_many_zeta_natural_pairs"),
     )
 
     #: os-level filesystem calls patched to report fs-under-lock.
@@ -372,8 +379,12 @@ class LockSanitizer:
             self._patch(os, attr, self._blocking_wrapper("fs", getattr(os, attr)))
         import importlib
 
-        for module_name, attr in self._DECODE_PATCHES:
-            module = importlib.import_module(module_name)
+        # Import every module before patching any, so no by-name import
+        # binds a wrapper that uninstall would not restore.
+        modules = [
+            importlib.import_module(name) for name, _ in self._DECODE_PATCHES
+        ]
+        for module, (_, attr) in zip(modules, self._DECODE_PATCHES):
             self._patch(
                 module, attr, self._blocking_wrapper("decode", getattr(module, attr))
             )

@@ -1,7 +1,7 @@
 """The bulk readers decode exactly what a loop of scalar readers decodes.
 
-Every ``read_many_*`` run goes through the 16-bit table kernel of
-:mod:`repro.bits.codes`, which escapes to the scalar ``read_*`` reader for
+Every ``read_many_*`` run goes through the 16-bit table loop of
+:mod:`repro.bits.codes`, whose ``table_step`` refills the word and decodes
 codes longer than the table window.  These tests hold the bulk readers to
 the scalar readers as the reference: the same values and the same final
 bit position on every stream, and the same exception on truncated ones.
@@ -36,23 +36,19 @@ def _encode(write, values):
 def _families():
     """name -> (writer, bulk reader, scalar reader, value strategy)."""
     return {
-        "unary": (
-            codes.write_unary,
-            lambda r, n: codes.read_many_unary(r, n),
-            codes.read_unary,
-            st.integers(1, 70),
-        ),
-        "gamma": (
-            codes.write_gamma,
-            lambda r, n: codes.read_many_gamma(r, n),
-            codes.read_gamma,
-            st.integers(1, 1 << 20),
-        ),
         "gamma_natural": (
             codes.write_gamma_natural,
             lambda r, n: codes.read_many_gamma_natural(r, n),
             codes.read_gamma_natural,
             st.integers(0, 1 << 20),
+        ),
+        "gamma_natural_long": (
+            # Codes up to 71 bits: unary prefixes past the 16-bit window
+            # and past a 64-bit word.
+            codes.write_gamma_natural,
+            lambda r, n: codes.read_many_gamma_natural(r, n),
+            codes.read_gamma_natural,
+            st.integers(0, 1 << 35),
         ),
         "zeta2_natural": (
             lambda w, v: codes.write_zeta_natural(w, v, 2),
@@ -60,11 +56,11 @@ def _families():
             lambda r: codes.read_zeta_natural(r, 2),
             st.integers(0, 1 << 18),
         ),
-        "zeta4": (
-            lambda w, v: codes.write_zeta(w, v, 4),
-            lambda r, n: codes.read_many_zeta(r, n, 4),
-            lambda r: codes.read_zeta(r, 4),
-            st.integers(1, 1 << 22),
+        "zeta4_natural": (
+            lambda w, v: codes.write_zeta_natural(w, v, 4),
+            lambda r, n: codes.read_many_zeta_natural(r, n, 4),
+            lambda r: codes.read_zeta_natural(r, 4),
+            st.integers(0, 1 << 22),
         ),
     }
 
@@ -150,12 +146,13 @@ class TestBulkMatchesScalar:
 
     def test_max_length_gamma_codes(self):
         # gamma near the 64-bit decode limit: far past the 16-bit window,
-        # every one of these takes the table kernel's scalar escape.
-        values = [(1 << 62) + 12345, 1, (1 << 40) - 1, 2, (1 << 62) + 7]
-        stream, nbits = _encode(codes.write_gamma, values)
+        # every one of these takes the table kernel's long-code path.
+        values = [(1 << 62) + 12344, 0, (1 << 40) - 2, 1, (1 << 62) + 6]
+        stream, nbits = _encode(codes.write_gamma_natural, values)
         _assert_matches_scalar(
             stream, nbits, values,
-            lambda r, n: codes.read_many_gamma(r, n), codes.read_gamma,
+            lambda r, n: codes.read_many_gamma_natural(r, n),
+            codes.read_gamma_natural,
         )
 
     def test_word_straddling_codes(self):
@@ -165,14 +162,14 @@ class TestBulkMatchesScalar:
             w = BitWriter()
             w.write_bits((1 << lead) - 1, lead)
             # Mix in-window codes with 27-bit escapes at every alignment.
-            values = [3 + i % 5 if i % 2 else (1 << 13) + i for i in range(64)]
+            values = [2 + i % 5 if i % 2 else (1 << 13) + i for i in range(64)]
             for v in values:
-                codes.write_gamma(w, v)
+                codes.write_gamma_natural(w, v)
             stream, nbits = w.to_bytes(), w.bit_length
             results = []
             for read in (
-                lambda r: codes.read_many_gamma(r, len(values)),
-                lambda r: [codes.read_gamma(r) for _ in values],
+                lambda r: codes.read_many_gamma_natural(r, len(values)),
+                lambda r: [codes.read_gamma_natural(r) for _ in values],
             ):
                 reader = BitReader(stream, nbits)
                 assert reader.read_bits(lead) == (1 << lead) - 1
@@ -196,13 +193,21 @@ class TestBulkMatchesScalar:
         )
 
     def test_counts_zero_and_one(self):
-        stream, nbits = _encode(codes.write_gamma, [5])
+        stream, nbits = _encode(codes.write_gamma_natural, [4])
         reader = BitReader(stream, nbits)
-        assert codes.read_many_gamma(reader, 0) == []
+        assert codes.read_many_gamma_natural(reader, 0) == []
         assert reader.position == 0
         scalar = BitReader(stream, nbits)
-        assert codes.read_many_gamma(reader, 1) == [codes.read_gamma(scalar)] == [5]
+        assert codes.read_many_gamma_natural(reader, 1) == [
+            codes.read_gamma_natural(scalar)
+        ] == [4]
         assert reader.position == scalar.position == nbits
+        stream, nbits = _encode(lambda w, v: codes.write_zeta_natural(w, v, 3), [9])
+        reader = BitReader(stream, nbits)
+        assert codes.read_many_zeta_natural(reader, 0, 3) == []
+        assert reader.position == 0
+        assert codes.read_many_zeta_natural(reader, 1, 3) == [9]
+        assert reader.position == nbits
         reader = BitReader(stream, nbits)
         assert codes.read_many_zeta_natural_pairs(reader, 0, 3, 2) == ([], [])
         assert reader.position == 0
@@ -210,10 +215,9 @@ class TestBulkMatchesScalar:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda r: codes.read_many_unary(r, -1),
-            lambda r: codes.read_many_gamma(r, -1),
+            lambda r: codes.read_many_gamma_natural(r, -1),
             lambda r: codes.read_many_gamma_natural(r, -2),
-            lambda r: codes.read_many_zeta(r, -1, 3),
+            lambda r: codes.read_many_zeta_natural(r, -1, 3),
             lambda r: codes.read_many_zeta_natural(r, -5, 2),
             lambda r: codes.read_many_zeta_natural_pairs(r, -1, 3, 2),
         ],

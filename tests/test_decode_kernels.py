@@ -1,8 +1,9 @@
 """Tests for the table-driven decode kernels and the cached-word reader.
 
-The bulk ``read_many_*`` readers and the 16-bit lookup tables must be
-bit-for-bit equivalent to the scalar decoders on every input, including
-codes longer than one table window and streams that end mid-code.
+The bulk ``read_many_*`` readers and the 16-bit lookup tables of naturals
+must be bit-for-bit equivalent to the scalar decoders on every input,
+including codes longer than one table window and streams that end
+mid-code.
 """
 
 import pytest
@@ -62,25 +63,30 @@ class TestTables:
     """The lazily built 16-bit tables agree with the code definitions."""
 
     def test_gamma_table_entries(self):
-        vals, lens = codes._gamma_table()
-        # gamma(1) = "1": every window starting with a 1 decodes to 1 in 1 bit.
-        assert vals[0x8000] == 1 and lens[0x8000] == 1
-        # gamma(5) = 00101: window 0010 1xxx ...
-        assert vals[0b0010_1000_0000_0000] == 5
+        vals, lens = codes.gamma_table()
+        # gamma(1) = "1": every window starting with a 1 decodes to the
+        # natural 0 in 1 bit.
+        assert vals[0x8000] == 0 and lens[0x8000] == 1
+        # gamma(5) = 00101: window 0010 1xxx ... holds the natural 4.
+        assert vals[0b0010_1000_0000_0000] == 4
         assert lens[0b0010_1000_0000_0000] == 5
-        # 8 leading zeros -> 17-bit code: longer than the window, no entry.
-        assert lens[0x00FF] == 0
+        # 8 leading zeros -> 17-bit code: longer than the window, escapes.
+        assert lens[0x00FF] == codes._ESCAPE
 
-    def test_unary_table_entries(self):
-        vals, lens = codes._unary_table()
-        assert vals[0x8000] == 1 and lens[0x8000] == 1
-        assert vals[0b0000_0001_0000_0000] == 8
-        assert lens[0b0000_0001_0000_0000] == 8
-        assert lens[0x0000] == 0  # all zeros: code exceeds the window
+    def test_all_zero_window_escapes(self):
+        # An all-zero window is a code longer than the window in every
+        # table, and an escape length fails the `n <= wbits` test of any
+        # cursor word, refilled or not.
+        assert codes._ESCAPE > 8 * codes._REFILL_BYTES
+        for vals, lens in [codes.gamma_table()] + [
+            codes.zeta_table(k) for k in (1, 2, 3, 7)
+        ]:
+            assert lens[0x0000] == codes._ESCAPE
+            assert all(1 <= n <= 16 or n == codes._ESCAPE for n in lens)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
     def test_zeta_table_matches_scalar(self, k):
-        vals, lens = codes._zeta_table(k)
+        vals, lens = codes.zeta_table(k)
         for x in range(1, 2000):
             w = BitWriter()
             codes.write_zeta(w, x, k)
@@ -88,23 +94,28 @@ class TestTables:
             if nbits > 16:
                 continue
             window = BitReader(w.to_bytes() + b"\x00\x00").peek_bits(16)
-            assert vals[window] == x, (k, x)
+            assert vals[window] == x - 1, (k, x)
             assert lens[window] == nbits, (k, x)
 
 
 class TestBulkReaders:
     """read_many_* must equal a loop of scalar reads on the same stream."""
 
-    @given(st.lists(st.integers(1, 100_000), max_size=60))
-    def test_property_many_unary(self, values):
-        r = _stream(codes.write_unary, values)
-        assert codes.read_many_unary(r, len(values)) == values
+    @given(st.lists(st.integers(0, 1 << 35), max_size=60))
+    def test_property_many_gamma_natural_long(self, values):
+        # Up to 71-bit codes: unary prefixes that run past the 16-bit
+        # window and past a 64-bit word, as the unary run reader sees.
+        r = _stream(codes.write_gamma_natural, values)
+        assert codes.read_many_gamma_natural(r, len(values)) == values
         assert r.remaining == 0
 
     @given(st.lists(st.integers(1, 1 << 40), max_size=60))
     def test_property_many_gamma(self, values):
+        # Codes of positive values read back as their naturals.
         r = _stream(codes.write_gamma, values)
-        assert codes.read_many_gamma(r, len(values)) == values
+        assert codes.read_many_gamma_natural(r, len(values)) == [
+            v - 1 for v in values
+        ]
         assert r.remaining == 0
 
     @given(st.lists(st.integers(0, 1 << 40), max_size=60))
@@ -119,7 +130,9 @@ class TestBulkReaders:
     )
     def test_property_many_zeta(self, values, k):
         r = _stream(lambda w, v: codes.write_zeta(w, v, k), values)
-        assert codes.read_many_zeta(r, len(values), k) == values
+        assert codes.read_many_zeta_natural(r, len(values), k) == [
+            v - 1 for v in values
+        ]
         assert r.remaining == 0
 
     @given(
@@ -148,18 +161,18 @@ class TestBulkReaders:
             codes.write_gamma(w, v)
         codes.write_zeta(w, 77, 3)
         r = BitReader(w.to_bytes(), len(w))
-        assert codes.read_many_gamma(r, 3) == [3, 9, 1]
+        assert codes.read_many_gamma_natural(r, 3) == [2, 8, 0]
         assert codes.read_zeta(r, 3) == 77
 
     def test_long_codes_fall_back_to_scalar(self):
         # Values whose codes exceed 16 bits exercise the slow path per item.
-        values = [1, 1 << 20, 2, 1 << 33, 3]
-        r = _stream(codes.write_gamma, values)
-        assert codes.read_many_gamma(r, len(values)) == values
+        values = [0, 1 << 20, 1, 1 << 33, 2]
+        r = _stream(codes.write_gamma_natural, values)
+        assert codes.read_many_gamma_natural(r, len(values)) == values
 
     def test_zero_count_reads_nothing(self):
         r = BitReader(b"\xff")
-        assert codes.read_many_gamma(r, 0) == []
+        assert codes.read_many_gamma_natural(r, 0) == []
         assert r.position == 0
 
     def test_truncated_stream_raises_eos(self):
@@ -167,7 +180,7 @@ class TestBulkReaders:
         codes.write_gamma(w, 2)  # 010: 3 bits
         r = BitReader(w.to_bytes(), 2)  # cut mid-code
         with pytest.raises(EndOfStreamError):
-            codes.read_many_gamma(r, 1)
+            codes.read_many_gamma_natural(r, 1)
 
     def test_truncated_zeta_run_raises_eos(self):
         w = BitWriter()
@@ -175,7 +188,7 @@ class TestBulkReaders:
         codes.write_zeta(w, 6, 2)
         r = BitReader(w.to_bytes(), len(w) - 1)
         with pytest.raises(EndOfStreamError):
-            codes.read_many_zeta(r, 2, 2)
+            codes.read_many_zeta_natural(r, 2, 2)
 
 
 class TestScalarTableProbe:

@@ -185,21 +185,38 @@ def test_decode_under_governed_lock_is_reported():
     from repro.bits.bitio import BitReader
     from repro.bits import codes
 
-    payload = bytes([0b10000000])  # gamma code for 1
+    payload = bytes([0b10000000])  # gamma code for natural 0
     with sanitized(all_locks=True) as san:
         mutate_lock = threading.Lock()
         with mutate_lock:
             # Call through the module so the patched attribute is hit,
-            # exactly as read_many_gamma does at runtime.
-            vals, lens = codes._gamma_table()
+            # exactly as the query surface does at runtime.
             # Deliberate decode-under-lock: the runtime analogue of a
             # CG002 finding is exactly what this test seeds.
-            codes._decode_run(  # repro: noqa[CG002]
-                BitReader(payload), 1, vals, lens, codes.read_gamma
+            codes.read_many_gamma_natural(  # repro: noqa[CG002]
+                BitReader(payload), 1
             )
     report = san.report()
     assert any(e.kind == "decode" for e in report.blocking)
     assert report.blocking[0].lock == "mutate_lock"
+
+
+def test_record_decoders_are_patched_where_imported_by_name():
+    from repro.core import compressed, structure, timestamps
+
+    originals = (
+        structure.decode_node_structure,
+        timestamps.decode_node_timestamps,
+    )
+    assert compressed.decode_node_structure is originals[0]
+    with sanitized():
+        assert compressed.decode_node_structure is not originals[0]
+        assert compressed.decode_node_timestamps is not originals[1]
+        assert structure.decode_node_structure is not originals[0]
+    assert compressed.decode_node_structure is originals[0]
+    assert compressed.decode_node_timestamps is originals[1]
+    assert structure.decode_node_structure is originals[0]
+    assert timestamps.decode_node_timestamps is originals[1]
 
 
 def test_fs_call_with_no_lock_held_is_fine(tmp_path):

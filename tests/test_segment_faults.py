@@ -55,6 +55,15 @@ class TestCrashMatrix:
         )
         assert report.ok, report.summary()
 
+    def test_report_counts_crash_points(self, tmp_path):
+        report = run_segment_crash_matrix(
+            tmp_path / "m", _batches(GraphKind.POINT, count=1, per_batch=3),
+            kind=GraphKind.POINT,
+        )
+        summary = report.summary()
+        assert summary.startswith(f"{report.total} crash points: ")
+        assert "mutations" not in summary
+
 
 def _built(tmp_path, kind=GraphKind.POINT):
     store = SegmentStore.create(tmp_path / "s", kind, policy=POLICY)
