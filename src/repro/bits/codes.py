@@ -58,7 +58,7 @@ __all__ = [
     "read_many_zeta_natural_pairs",
     "write_many_gamma_natural", "write_many_zeta_natural",
     "write_many_zeta_natural_pairs",
-    "size_many_gamma_natural", "size_many_zeta_natural",
+    "size_many_gamma_natural", "size_many_zeta_natural", "zeta_widths",
 ]
 
 
@@ -843,6 +843,16 @@ def _zeta_code_table(k: int, bits: int) -> Tuple[List[int], List[int]]:
     table = (widths, masks)
     _ZETA_CODE_TABLES[k] = table
     return table
+
+
+def zeta_widths(k: int, bits: int) -> List[int]:
+    """Code lengths of zeta_k indexed by the bit length of the code value.
+
+    ``zeta_widths(k, bits)[b] == zeta_length_from_bits(b, k)`` for every
+    ``1 <= b <= bits``: the size of the natural ``n`` is the entry at
+    ``(n + 1).bit_length()``.  The list is shared; callers only read it.
+    """
+    return _zeta_code_table(k, bits)[0]
 
 
 def _run_bits(values: Sequence[int]) -> int:

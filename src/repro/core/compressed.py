@@ -445,7 +445,8 @@ class CompressedChronoGraph:
         """The fully decoded record of ``u``, through the LRU cache.
 
         An empty node is recognised from its offsets, as the walk does,
-        and caches the shared empty record without a decode.
+        and caches the shared empty record without a decode.  A miss
+        touches each stream once and builds its two readers here.
         """
         self._check_node(u)
         record = self._cache_get(u)
@@ -456,19 +457,66 @@ class CompressedChronoGraph:
         self._touch_timestamps()
         soffsets = self._soffsets
         toffsets = self._toffsets
+        start, tstart = soffsets[u], toffsets[u]
         if u + 1 < self.num_nodes:
             end, tend = soffsets[u + 1], toffsets[u + 1]
         else:
             end, tend = self._sbits, self._tbits
-        if _is_empty_record(self._sbytes, soffsets[u], end, toffsets[u], tend):
+        if _is_empty_record(self._sbytes, start, end, tstart, tend):
             record = self._empty_record
         else:
-            dedup, singles = self._decode_structure(u)
-            multiset = multiset_from_parts(dedup, singles)
-            times, durations = self._decode_timestamps(u, len(multiset))
-            record = (multiset, times, durations)
+            record = self._decode_at(
+                u,
+                BitReader(self._sbytes, self._sbits),
+                start,
+                BitReader(self._tbytes, self._tbits),
+                tstart,
+                self._resolve_distinct,
+            )
         self._cache_put(u, record)
         return record
+
+    def _decode_at(
+        self,
+        u: int,
+        sreader: BitReader,
+        start: int,
+        treader: BitReader,
+        tstart: int,
+        resolve: Callable[[int], List[int]],
+    ) -> NodeRecord:
+        """Decode ``u``'s two records from their starting bits.
+
+        The record decode of both a point lookup's miss and the walk.  The
+        caller has run the streams' deferred checksums.  A failure in
+        either stream raises :class:`CorruptStreamError` naming its stage.
+        """
+        config = self.config
+        try:
+            sreader.seek(start)
+            dedup, singles = decode_node_structure(
+                sreader, u, resolve, config, limit=self.num_contacts
+            )
+        except (FormatError, QueryInterrupted):
+            raise
+        except _DECODE_FAILURES as exc:
+            raise self._corrupt(u, "structure", exc) from exc
+        multiset = multiset_from_parts(dedup, singles)
+        try:
+            treader.seek(tstart)
+            times, durations = decode_node_timestamps(
+                treader,
+                len(multiset),
+                self.kind is GraphKind.INTERVAL,
+                self.t_min,
+                config.timestamp_zeta_k,
+                config.duration_zeta_k,
+            )
+        except (FormatError, QueryInterrupted):
+            raise
+        except _DECODE_FAILURES as exc:
+            raise self._corrupt(u, "timestamp", exc) from exc
+        return multiset, times, durations
 
     # -- decoding ------------------------------------------------------------
 
@@ -565,26 +613,6 @@ class CompressedChronoGraph:
         """The label-sorted neighbor multiset of ``u`` (Figure 5(a) order)."""
         return list(self._decode_record(u)[0])
 
-    def _decode_timestamps(
-        self, u: int, count: int
-    ) -> Tuple[List[int], Optional[List[int]]]:
-        try:
-            self._touch_timestamps()
-            reader = BitReader(self._tbytes, self._tbits)
-            reader.seek(self._toffsets[u])
-            return decode_node_timestamps(
-                reader,
-                count,
-                self.kind is GraphKind.INTERVAL,
-                self.t_min,
-                self.config.timestamp_zeta_k,
-                self.config.duration_zeta_k,
-            )
-        except (FormatError, QueryInterrupted):
-            raise
-        except _DECODE_FAILURES as exc:
-            raise self._corrupt(u, "timestamp", exc) from exc
-
     def contacts_of(
         self, u: int, *, ctx: Optional[QueryContext] = None
     ) -> List[Contact]:
@@ -645,7 +673,6 @@ class CompressedChronoGraph:
         config = self.config
         window = config.window
         limit = self.num_contacts
-        with_durations = self.kind is GraphKind.INTERVAL
         self._touch_structure()
         if structure_only:
             empty: Any = self._empty_record[0]
@@ -716,23 +743,9 @@ class CompressedChronoGraph:
                 record = self._cache_get(u)
                 if record is None:
                     with activate(ctx):
-                        dedup, singles = decode_structure(u, start)
-                        multiset = multiset_from_parts(dedup, singles)
-                        try:
-                            treader.seek(tstart)
-                            times, durations = decode_node_timestamps(
-                                treader,
-                                len(multiset),
-                                with_durations,
-                                self.t_min,
-                                config.timestamp_zeta_k,
-                                config.duration_zeta_k,
-                            )
-                        except (FormatError, QueryInterrupted):
-                            raise
-                        except _DECODE_FAILURES as exc:
-                            raise self._corrupt(u, "timestamp", exc) from exc
-                    record = (multiset, times, durations)
+                        record = self._decode_at(
+                            u, sreader, start, treader, tstart, resolve
+                        )
                     self._cache_put(u, record)
                 out = record
                 if window > 0:
@@ -1001,6 +1014,21 @@ class CompressedChronoGraph:
             else:
                 for v, t, d in zip(multiset, times, durations):
                     yield Contact(u, v, t, d)
+
+    def iter_records(
+        self, *, ctx: Optional[QueryContext] = None
+    ) -> Iterator[Tuple[int, List[int], List[int], Optional[List[int]]]]:
+        """Yield ``(u, multiset, times, durations)`` for every node with contacts.
+
+        In id order: the encoder's input form
+        (:func:`repro.core.encoder.encode_records`), so a graph re-encodes
+        without going through contacts.  The lists are the cached decoded
+        records; callers must not mutate them.  ``ctx`` is polled per node
+        as the consumer iterates.
+        """
+        for u, (multiset, times, durations) in self._walk(ctx):
+            if multiset:
+                yield u, multiset, times, durations
 
     def to_temporal_graph(self) -> "object":
         """Full decompression back to a :class:`repro.graph.model.TemporalGraph`."""

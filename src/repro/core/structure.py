@@ -23,6 +23,7 @@ functions (see ``tests/test_paper_examples.py``).
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bits import codes, kernels
@@ -174,15 +175,15 @@ def encode_node_structure(
     neighbor lists (the reference targets); ``ref_depth`` tracks chain
     depths so ``max_ref_chain`` can be enforced at compression time.
 
-    Every candidate is sized in closed form from its code lists
-    (:func:`singles_codes`); only the winner is written.
+    Every candidate is sized in one pass (:func:`candidate_bits`), bounded
+    by the smallest size so far; only the winner's codes are built
+    (:func:`singles_codes`) and written.  ``multiset`` is only read.
     """
     dedup, singles = split_duplicates(multiset)
-    k = config.structure_zeta_k
 
     best_ref = 0
-    best = singles_codes(node, singles, None, config)
-    best_len = singles_bits(best, k)
+    best_list: Sequence[int] = ()
+    best_len = candidate_bits(node, singles, None, config)
     best_depth = 0
     single_set = set(singles)
     for r in range(1, config.window + 1):
@@ -197,19 +198,125 @@ def encode_node_structure(
             continue
         if single_set.isdisjoint(reference_list):
             continue  # nothing to copy; the no-reference encoding wins
-        candidate = singles_codes(node, singles, (r, reference_list), config)
-        size = singles_bits(candidate, k)
+        # Only a strictly smaller size wins, and a size only grows while
+        # it is summed, so sizing stops once it reaches the best so far.
+        size = candidate_bits(node, singles, (r, reference_list), config, best_len)
         if size < best_len:
-            best = candidate
             best_len = size
             best_ref = r
+            best_list = reference_list
             best_depth = depth
 
-    write_structure_record(writer, node, dedup, best, k)
+    best = singles_codes(
+        node, singles, (best_ref, best_list) if best_ref else None, config
+    )
+    write_structure_record(writer, node, dedup, best, config.structure_zeta_k)
 
-    distinct = sorted({*(label for label, _ in dedup), *singles})
-    previous_distinct[node] = distinct
+    previous_distinct[node] = sorted(set(multiset))
     ref_depth[node] = best_depth if best_ref else 0
+
+
+def candidate_bits(
+    node: int,
+    singles: Sequence[int],
+    reference: Optional[Tuple[int, Sequence[int]]],
+    config: ChronoGraphConfig,
+    bound: float = math.inf,
+) -> int:
+    """Bit size of one candidate's blocks, in one pass, without its codes.
+
+    Equals ``singles_bits(singles_codes(node, singles, reference, config),
+    config.structure_zeta_k)``.  The reference list and the singles, both
+    label-sorted, are walked together: each reference label extends or
+    closes a copy run, and each single the reference lacks joins the rest.
+    The rest is then walked once, each maximal run of consecutive labels
+    closing as an interval or as extra nodes.  The size only grows along
+    the way, so once it reaches ``bound`` the walk stops and returns it:
+    such a candidate cannot be strictly smaller than the one that set the
+    bound.
+    """
+    rest: Sequence[int]
+    if reference is None:
+        bits = 1  # gamma(0): no reference
+        rest = singles
+    else:
+        r, reference_list = reference
+        bits = 2 * (r + 1).bit_length() - 1
+        uncopied: List[int] = []
+        add_rest = uncopied.append
+        n = len(singles)
+        i = 0
+        runs = 0  # copy runs closed (hence coded) so far
+        copying = True  # the first run copies, and may be empty
+        run = 0
+        for x in reference_list:
+            while i < n and singles[i] < x:
+                add_rest(singles[i])
+                i += 1
+            if i < n and singles[i] == x:
+                i += 1
+                if copying:
+                    run += 1
+                    continue
+            elif not copying:
+                run += 1
+                continue
+            # The bitmap flips at x: the current run closes.  The first
+            # run is coded as is, every later one minus one.
+            bits += 2 * (run + (runs == 0)).bit_length() - 1
+            if bits >= bound:
+                return bits
+            runs += 1
+            copying = not copying
+            run = 1
+        uncopied += singles[i:]
+        rest = uncopied
+        bits += 2 * (runs + 1).bit_length() - 1  # the last run is implicit
+    if bits >= bound:
+        return bits
+    min_length = config.min_interval_length
+    widths: List[int] = []
+    if rest:
+        # Covers every code: the first gap folds to at most 2 * max(label,
+        # node), and later gaps are smaller than the largest label.
+        top = max(rest[-1], node)
+        widths = codes.zeta_widths(config.structure_zeta_k, (2 * top + 1).bit_length())
+    m = len(rest)
+    intervals = extras = 0
+    prev_end = prev_extra = 0
+    j = 0
+    while j < m:
+        left = rest[j]
+        e = j + 1
+        while e < m and rest[e] == left + e - j:
+            e += 1
+        if e - j >= min_length:
+            if intervals:
+                gap = left - prev_end - 2
+            else:
+                gap = left - node
+                gap = gap << 1 if gap >= 0 else ~(gap << 1)  # Eq. (1)
+            bits += (
+                2 * (gap + 1).bit_length()
+                + 2 * (e - j - min_length + 1).bit_length()
+                - 2
+            )
+            intervals += 1
+            prev_end = rest[e - 1]
+        else:
+            for label in rest[j:e]:
+                if extras:
+                    gap = label - prev_extra - 1
+                else:
+                    gap = label - node
+                    gap = gap << 1 if gap >= 0 else ~(gap << 1)  # Eq. (1)
+                bits += widths[(gap + 1).bit_length()]
+                extras += 1
+                prev_extra = label
+        if bits >= bound:
+            return bits
+        j = e
+    return bits + 2 * (intervals + 1).bit_length() + 2 * (extras + 1).bit_length() - 2
 
 
 #: One reference candidate's codes in stream order: the gamma-coded
@@ -228,8 +335,9 @@ def singles_codes(
     Returns ``(gammas, zetas)``: the gamma-coded naturals in stream order
     (reference, copy runs, intervals, extra count) and the zeta-coded extra
     gaps.  Signed first gaps are already folded with Eq. (1).  The encoder
-    sizes candidates with :func:`singles_bits` and writes the winner with
-    :func:`write_structure_record`, both from this one list.
+    sizes candidates with :func:`candidate_bits` and builds this list only
+    for the winner, which :func:`write_structure_record` writes;
+    :func:`singles_bits` sizes it.
     """
     if reference is None:
         gammas = [0]

@@ -83,6 +83,9 @@ class TemporalGraph:
         if num_nodes < 0:
             raise ValueError(f"negative node count: {num_nodes}")
         contact_list = list(contacts)
+        # The time bounds are gathered in the validation pass: the graph
+        # never changes, and the encoder reads them several times.
+        t_min = t_max = contact_list[0].time if contact_list else 0
         for c in contact_list:
             if not (0 <= c.u < num_nodes and 0 <= c.v < num_nodes):
                 raise ValueError(f"contact {c} references node >= {num_nodes}")
@@ -92,6 +95,10 @@ class TemporalGraph:
                 raise ValueError(
                     f"{kind.value} graphs cannot carry durations: {c}"
                 )
+            if c.time < t_min:
+                t_min = c.time
+            elif c.time > t_max:
+                t_max = c.time
         if sort:
             contact_list.sort()
         self.kind = kind
@@ -100,6 +107,8 @@ class TemporalGraph:
         self.granularity = granularity
         self._contacts: List[Contact] = contact_list
         self._adjacency: Dict[int, List[Contact]] | None = None
+        self._t_min = t_min
+        self._t_max = t_max
 
     # -- basic accessors ---------------------------------------------------
 
@@ -121,12 +130,12 @@ class TemporalGraph:
     @property
     def t_min(self) -> int:
         """Smallest timestamp; 0 for an empty graph."""
-        return min((c.time for c in self._contacts), default=0)
+        return self._t_min
 
     @property
     def t_max(self) -> int:
         """Largest timestamp (start times only); 0 for an empty graph."""
-        return max((c.time for c in self._contacts), default=0)
+        return self._t_max
 
     @property
     def lifetime(self) -> int:

@@ -93,9 +93,18 @@ QUERY_OPS: Dict[str, QueryOp] = {
 }
 
 
+#: The one frame encoder: ``json.dumps`` with non-default separators builds
+#: a new encoder per call.  An encoder keeps no state between calls.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def send_message(sock: socket.socket, message: Dict[str, Any]) -> None:
-    """Serialise ``message`` and write it as one length-prefixed frame."""
-    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    """Serialise ``message`` and write it as one length-prefixed frame.
+
+    The body is byte-identical to ``json.dumps(message,
+    separators=(",", ":"))``.
+    """
+    body = _ENCODER.encode(message).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"outgoing frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}"

@@ -16,7 +16,12 @@ way a graph grows.  It provides the structure continuous ingestion needs:
   ``write-new -> fsync -> manifest swap -> delayed delete``: at every
   crash point the manifest references only complete, fsynced files, so
   recovery either restores bit-identical state or reports what it
-  quarantined -- never silently wrong answers;
+  quarantined -- never silently wrong answers.  Both encode node records
+  through the encoder's records core
+  (:func:`repro.core.encoder.encode_records`), never contacts: a seal
+  groups the sorted tail into one record per node, and a compaction
+  merges the two segments' decoded records node by node, gathering the
+  manifest entry's fields in the same pass (:class:`_SegmentBuilder`);
 * per-segment **quarantine**: a segment that fails its CRC binding or
   strict load on open is isolated (queries degrade to the remaining
   segments) and surfaced in a :class:`HealthReport` instead of poisoning
@@ -37,8 +42,10 @@ swap publishes a new view -- a view once read never changes.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
+import operator
 import os
 import pathlib
 import struct
@@ -48,6 +55,8 @@ from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import ChronoGraphConfig
+from repro.core.encoder import Record, encode_records, resolve_zeta_k
+from repro.core.serialize import dumps_compressed
 from repro.errors import (
     ChecksumMismatchError,
     CorruptStreamError,
@@ -887,56 +896,86 @@ def is_segment_store(path: PathLike) -> bool:
     return path.is_dir() and (path / MANIFEST_NAME).is_file()
 
 
-def _compress_stored(
-    kind: GraphKind,
-    contacts: Sequence[Contact],
-    config: ChronoGraphConfig,
-    name: str,
-):
-    """Compress already-bucketed contacts into container bytes.
+class _SegmentBuilder:
+    """The node records of one new segment and the manifest fields they imply.
 
-    Stored contacts are in post-aggregation time units, so compression
-    runs at resolution 1 and the provenance resolution is stamped back.
+    Seal and compaction add records in id order (:meth:`add`), and every
+    :class:`SegmentInfo` field is gathered in the same pass; :meth:`encode`
+    then runs them through the encoder's records core
+    (:func:`repro.core.encoder.encode_records`).  Records are in stored
+    time units, so the store's resolution is recorded in the container,
+    not applied again.  The record sequences are only read: a merge passes
+    the input segments' cached records through as they are.
     """
-    from repro.core import compress
-    from repro.core.serialize import dumps_compressed
-    from repro.graph.model import TemporalGraph
 
-    resolution = config.resolution
-    cfg = (
-        dataclasses.replace(config, resolution=1) if resolution > 1 else config
-    )
-    num_nodes = 0
-    for c in contacts:
-        num_nodes = max(num_nodes, c.u + 1, c.v + 1)
-    graph = TemporalGraph(kind, num_nodes, list(contacts), name=name, granularity="stored")
-    fresh = compress(graph, cfg)
-    if resolution > 1:
-        fresh.config = dataclasses.replace(fresh.config, resolution=resolution)
-    return dumps_compressed(fresh)
+    __slots__ = ("records", "contacts", "nodes", "lows", "highs", "ends")
+
+    def __init__(self) -> None:
+        self.records: List[Record] = []
+        self.contacts = 0
+        self.nodes = 0
+        # Per-record time bounds, reduced once in encode().
+        self.lows: List[int] = []
+        self.highs: List[int] = []
+        self.ends: List[int] = []
+
+    def add(
+        self,
+        u: int,
+        multiset: Sequence[int],
+        times: Sequence[int],
+        durations: Optional[Sequence[int]],
+    ) -> None:
+        """Append node ``u``'s record (label-sorted, ``u`` above the last)."""
+        self.records.append((u, multiset, times, durations))
+        self.contacts += len(multiset)
+        top = max(u, multiset[-1]) + 1
+        if top > self.nodes:
+            self.nodes = top
+        self.lows.append(min(times))
+        self.highs.append(max(times))
+        if durations is not None:
+            self.ends.append(max(map(operator.add, times, durations)))
+
+    def encode(
+        self, manifest: Manifest, name: str, seq: int
+    ) -> Tuple[bytes, SegmentInfo]:
+        """The segment's container bytes and the manifest entry binding them."""
+        t_min = min(self.lows)
+        t_max = max(self.highs)
+        config = resolve_zeta_k(manifest.config, manifest.kind, self.records, t_min)
+        payload = dumps_compressed(
+            encode_records(
+                manifest.kind, self.nodes, t_min, self.records, config, name=name
+            )
+        )
+        return payload, SegmentInfo(
+            name=name,
+            seq=seq,
+            size=len(payload),
+            crc=zlib.crc32(payload),
+            contacts=self.contacts,
+            nodes=self.nodes,
+            t_min=t_min,
+            t_max=t_max,
+            t_end_max=max(self.ends, default=t_max),
+        )
 
 
-def _segment_info_for(
-    name: str, seq: int, payload: bytes, contacts: Sequence[Contact]
-) -> SegmentInfo:
-    """Manifest entry binding ``payload`` and summarising its time range."""
-    t_min = min(c.time for c in contacts)
-    t_max = max(c.time for c in contacts)
-    t_end_max = max(c.time + c.duration for c in contacts)
-    nodes = 0
-    for c in contacts:
-        nodes = max(nodes, c.u + 1, c.v + 1)
-    return SegmentInfo(
-        name=name,
-        seq=seq,
-        size=len(payload),
-        crc=zlib.crc32(payload),
-        contacts=len(contacts),
-        nodes=nodes,
-        t_min=t_min,
-        t_max=t_max,
-        t_end_max=max(t_max, t_end_max),
-    )
+def _merged_record(
+    first: Tuple[List[int], List[int], Optional[List[int]]],
+    second: Tuple[List[int], List[int], Optional[List[int]]],
+) -> Tuple[Sequence[int], Sequence[int], Optional[Sequence[int]]]:
+    """One node's records from two segments as one, sorted on (v, time, duration)."""
+    multiset_a, times_a, durations_a = first
+    multiset_b, times_b, durations_b = second
+    if durations_a is None or durations_b is None:
+        multiset, times = zip(*sorted(zip(multiset_a + multiset_b, times_a + times_b)))
+        return multiset, times, None
+    multiset, times, durations = zip(*sorted(zip(
+        multiset_a + multiset_b, times_a + times_b, durations_a + durations_b
+    )))
+    return multiset, times, durations
 
 
 class SegmentStore:
@@ -1450,10 +1489,15 @@ class SegmentStore:
         seq = self._next_seq
         self._next_seq += 1
         name = _segment_name(seq)
-        payload = _compress_stored(
-            manifest.kind, contacts, manifest.config, name=name
-        )
-        info = _segment_info_for(name, seq, payload, contacts)
+        # The tail is sorted by (u, v, time, duration) and every contact in
+        # it was validated by WriteAheadLog.append or by the replay scan, so
+        # each node's contacts are one run, already a record.
+        builder = _SegmentBuilder()
+        interval = manifest.kind is GraphKind.INTERVAL
+        for u, run in itertools.groupby(contacts, operator.itemgetter(0)):
+            _us, multiset, times, durations = zip(*run)
+            builder.add(u, multiset, times, durations if interval else None)
+        payload, info = builder.encode(manifest, name, seq)
         # 1. write-new: the segment is complete and fsynced before anything
         #    references it; a crash here leaves an orphan the sweep removes.
         atomic_write_bytes(
@@ -1525,6 +1569,12 @@ class SegmentStore:
     def compact_once(self) -> bool:
         """Merge one adjacent segment pair crash-safely; False when idle.
 
+        The merge works on node records: a node held by one segment keeps
+        its decoded record as is, a node held by both gets the two merged
+        on ``(v, time, duration)``, and the result is encoded by the
+        records core -- the bytes a recompression of the two segments'
+        contacts would give.
+
         Phases: (1) read the immutable inputs and write the merged
         replacement -- no guard held, ingest proceeds concurrently;
         (2) under the commit guard, re-check the inputs are still current
@@ -1541,14 +1591,21 @@ class SegmentStore:
         if a.name not in graphs or b.name not in graphs:
             return False  # raced with another swap; retry next cycle
         manifest = self._manifest
-        contacts = list(graphs[a.name].iter_contacts())
-        contacts.extend(graphs[b.name].iter_contacts())
+        left = {u: (m, t, d) for u, m, t, d in graphs[a.name].iter_records()}
+        right = {u: (m, t, d) for u, m, t, d in graphs[b.name].iter_records()}
+        builder = _SegmentBuilder()
+        for u in sorted(left.keys() | right.keys()):
+            if u not in right:
+                builder.add(u, *left[u])
+            elif u not in left:
+                builder.add(u, *right[u])
+            else:
+                builder.add(u, *_merged_record(left[u], right[u]))
         with self._commit_guard:
             seq = self._next_seq
             self._next_seq += 1
         name = _segment_name(seq)
-        payload = _compress_stored(manifest.kind, contacts, manifest.config, name=name)
-        info = _segment_info_for(name, seq, payload, contacts)
+        payload, info = builder.encode(manifest, name, seq)
         # 1. write-new (complete + fsynced before any reference exists).
         atomic_write_bytes(
             self.directory / name, payload, fs=self._fs, retry=self._retry

@@ -8,8 +8,10 @@ give the same bits, the same ``len()`` and the same choices, down to the
 tie-break between two equally good k.
 """
 
+import copy
 import random
 import time
+from array import array
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -17,13 +19,16 @@ from hypothesis import example, given, strategies as st
 from repro.bits import codes
 from repro.bits.bitio import BitWriter
 from repro.core import ChronoGraphConfig, compress
+from repro.core.compressed import CompressedChronoGraph
 from repro.core.encoder import (
-    _build,
     _prepare,
+    encode_records,
+    node_records,
     select_timestamp_zeta_k,
 )
 from repro.core.serialize import dumps_compressed
 from repro.core.structure import (
+    candidate_bits,
     copy_blocks,
     dedup_gap_pairs,
     extra_gaps,
@@ -171,7 +176,20 @@ def reference_compress(graph, config=None):
         if evicted >= 0:
             window_distinct.pop(evicted, None)
             ref_depth.pop(evicted, None)
-    return _build(graph, config, structure, timestamps, soffsets, toffsets)
+    return CompressedChronoGraph(
+        kind=graph.kind,
+        num_nodes=graph.num_nodes,
+        num_contacts=graph.num_contacts,
+        t_min=t_min,
+        config=config,
+        structure_bytes=structure.to_bytes(),
+        structure_bits=len(structure),
+        timestamp_bytes=timestamps.to_bytes(),
+        timestamp_bits=len(timestamps),
+        structure_offsets=array("Q", soffsets),
+        timestamp_offsets=array("Q", toffsets),
+        name=graph.name,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -489,6 +507,41 @@ class TestCandidateSizing:
             assert len(bulk) == len(scalar)
 
 
+    @given(
+        st.integers(0, 60),
+        st.sets(st.integers(0, 30), max_size=30),
+        st.sets(st.integers(0, 30), min_size=1, max_size=30),
+        st.integers(0, 30),
+        st.integers(1, 7),
+        st.integers(1, 16),
+        st.integers(2, 6),
+        st.data(),
+    )
+    @example(5, {1, 2, 3}, {1, 2, 3, 9}, 0, 1, 3, 4, None)  # empty rest
+    @example(5, {1, 2, 3}, {7, 8, 9}, 0, 1, 3, 4, None)  # no overlap
+    @example(40, {0, 1, 2, 3, 4, 10, 11, 12, 13, 50}, {11, 50}, 0, 2, 3, 4, None)
+    @example(3, {0, 1, 2, 4, 5, 6, 8, 9}, {20}, 0, 1, 3, 2, None)  # gaps of 0
+    def test_one_pass_size_matches_codes_and_scalar_writer(
+        self, node, singles, reference, shared, r, k, min_length, data
+    ):
+        # Labels come from a small range, so the reference overlaps the
+        # singles, copy runs alternate and the rest holds intervals.
+        singles = sorted(singles)
+        reference_list = sorted(reference | set(singles[:shared]))
+        config = ChronoGraphConfig(structure_zeta_k=k, min_interval_length=min_length)
+        for candidate in (None, (r, reference_list)):
+            size = candidate_bits(node, singles, candidate, config)
+            assert size == singles_bits(singles_codes(node, singles, candidate, config), k)
+            assert size == len(reference_singles(node, singles, candidate, config))
+            # A bounded sizing stops at the bound or returns the exact size.
+            bound = data.draw(st.integers(0, size + 2)) if data else size
+            bounded = candidate_bits(node, singles, candidate, config, bound)
+            if size < bound:
+                assert bounded == size
+            else:
+                assert bound <= bounded <= size
+
+
 # --------------------------------------------------------------------------
 # Whole-encoder equivalence
 # --------------------------------------------------------------------------
@@ -523,6 +576,23 @@ class TestEncoderEquivalence:
         assert streams(compress(graph, config)) == streams(
             reference_compress(graph, config)
         )
+
+    @given(temporal_graphs(), st.sampled_from(CONFIGS))
+    def test_records_core_reads_its_records_only(self, graph, config):
+        # Seals and merges hand the core lists they keep using (a merge
+        # passes the segments' cached records through): encoding must
+        # leave them as they were, and give compress()'s bytes.
+        prepared, resolved = _prepare(graph, config)
+        records = [
+            (u, list(m), list(t), None if d is None else list(d))
+            for u, m, t, d in node_records(prepared)
+        ]
+        before = copy.deepcopy(records)
+        encoded = encode_records(
+            prepared.kind, prepared.num_nodes, prepared.t_min, records, resolved
+        )
+        assert records == before
+        assert streams(encoded) == streams(compress(graph, config))
 
     @pytest.mark.parametrize("config", CONFIGS)
     @given(graph=sparse_graphs())

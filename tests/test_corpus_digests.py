@@ -95,20 +95,31 @@ def test_config_bytes_match_pinned_digest(config_corpora, name, label):
 #: sha256 over each sealed segment's name and bytes, in manifest order, of a
 #: store fed a corpus in time order, 256 contacts per ``ingest``.  Sealed
 #: segments are time-partitioned, so most of their node ids are empty
-#: records, written and scanned as runs.  "merged" also runs
-#: ``compact_once`` whenever the store asks for it, so its segments include
-#: merges re-encoded from ``iter_contacts``.
+#: records, written and scanned as runs.  The "merged" stores also run
+#: ``compact_once`` whenever the store asks for it, so their segments
+#: include merges, encoded from the two inputs' decoded node records.  The
+#: digests were computed with the contact path seals and merges took
+#: before (segment contacts -> ``TemporalGraph`` -> ``compress``).
 STORE_DIGESTS = {
     "sealed": "67b3cfbd3f0a7b7d671f2650f5f3e6982d41d98f6ae48597726cbfdc63b65d40",
     "merged": "d8d1c987b975c875a2c12fd5100672047bebb25287fc4d2f7c1ce30402360cb0",
+    "merged-interval":
+        "64b77dd671a2b73c07fe64697c79c3e5be952b9466940d6d7c026d9ee612ba65",
+    "merged-incremental":
+        "493205b34cbc55051b16e3a596e323c981bdca6f4477df7994eeee485682c44e",
 }
 
 #: (corpus, scale, policy, compact) per store: "sealed" is the default policy
 #: over the full yahoo-full corpus (8 segments, no merge); "merged" seals 16
-#: times and merges 12 times in about a second.
+#: times and merges 12 times in about a second; the interval store
+#: (comm-net, 200 nodes, so most nodes are held by both inputs of a merge)
+#: merges 7 times and the incremental one (flickr) 10 times.
+MERGING = StorePolicy(seal_contacts=512, max_segments=4)
 STORES = {
     "sealed": ("yahoo-full", 1.0, StorePolicy(), False),
-    "merged": ("yahoo-full", 0.25, StorePolicy(seal_contacts=512, max_segments=4), True),
+    "merged": ("yahoo-full", 0.25, MERGING, True),
+    "merged-interval": ("comm-net", 0.5, MERGING, True),
+    "merged-incremental": ("flickr", 0.5, MERGING, True),
 }
 
 

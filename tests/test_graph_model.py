@@ -116,6 +116,35 @@ class TestStatistics:
         assert max_label([Contact(3, 9, 1)]) == 9
         assert max_label([]) == -1
 
+    @pytest.mark.parametrize("kind", list(GraphKind))
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                st.integers(0, 5),
+                st.integers(-(2**40), 2**40),
+                st.integers(0, 9),
+            ),
+            max_size=30,
+        )
+    )
+    def test_time_bounds_are_min_and_max_over_contacts(self, kind, rows):
+        # The bounds are gathered once, at construction; unsorted input,
+        # negative times and a lone contact included.
+        contacts = [
+            Contact(u, v, t, d if kind is GraphKind.INTERVAL else 0)
+            for u, v, t, d in rows
+        ]
+        g = TemporalGraph(kind, 6, contacts, sort=False)
+        times = [c.time for c in contacts]
+        assert g.t_min == min(times, default=0)
+        assert g.t_max == max(times, default=0)
+        assert g.lifetime == (
+            max((c.end for c in contacts), default=0) - g.t_min
+            if kind is GraphKind.INTERVAL and contacts
+            else g.t_max - g.t_min
+        )
+
 
 class TestOrderingContract:
     def test_contacts_of_sorted_by_label_then_time(self):

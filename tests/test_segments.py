@@ -36,12 +36,27 @@ from repro.storage.segments import (
     SegmentStore,
     StoreClosedError,
     StorePolicy,
-    _segment_info_for,
     _TailBuffer,
     is_segment_store,
 )
 
 POLICY = StorePolicy(seal_contacts=10, max_segments=3, backpressure_contacts=64)
+
+
+def _summary(name, seq, contacts):
+    """The manifest entry of a segment holding ``contacts`` (no payload)."""
+    t_max = max(c.time for c in contacts)
+    return SegmentInfo(
+        name=name,
+        seq=seq,
+        size=0,
+        crc=0,
+        contacts=len(contacts),
+        nodes=max(max(c.u, c.v) for c in contacts) + 1,
+        t_min=min(c.time for c in contacts),
+        t_max=t_max,
+        t_end_max=max(t_max, max(c.time + c.duration for c in contacts)),
+    )
 
 
 def _rows(kind, seed=5, n=12, m=60, t_span=400):
@@ -232,7 +247,7 @@ class TestOverlapPlanning:
             if hi > lo
         ]
         segments = tuple(
-            (_segment_info_for(f"seg-{seq:08d}.chrono", seq, b"", chunk), chunk)
+            (_summary(f"seg-{seq:08d}.chrono", seq, chunk), chunk)
             for seq, chunk in enumerate(chunks)
         )
         view = SegmentedChronoGraph(kind, segments, _TailBuffer(kind))

@@ -9,6 +9,7 @@ wrong or truncated answers.
 """
 
 import inspect
+import json
 import multiprocessing
 import os
 import pathlib
@@ -438,3 +439,26 @@ class TestOpTable:
         with pytest.raises(DomainError, match="fork"):
             svc.start()
         assert svc._listener is None and svc._workers == []
+
+
+class TestFrames:
+    """A frame body is ``json.dumps`` with compact separators, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            {"id": 1, "op": "neighbors", "args": [3, 0, 500]},
+            {"id": 2, "result": "café 東京 \U0001f600", "op": "ü"},
+            {"id": 3, "result": {"nested": [[1, [2, {"x": None}]], {"y": True}]}},
+            {"id": 4, "result": [0.1, -2.5e-300, 1e308, 3.0, float("inf")]},
+            {"id": 5, "result": [2**63, -(2**64) - 1, 10**40]},
+            {"id": 6, "result": [], "error": {}, "skipped": ""},
+        ],
+    )
+    def test_frames_match_json_dumps(self, message):
+        left, right = socket.socketpair()
+        with left, right:
+            send_message(left, message)
+            body = json.dumps(message, separators=(",", ":")).encode("utf-8")
+            frame = right.recv(1 << 16)
+            assert frame == struct.pack(">I", len(body)) + body
