@@ -16,7 +16,8 @@ to the call site.  This module builds that view once per analysis run:
 
 Resolution is deliberately *conservative over-approximation*, in this
 order: exact matches first (same-module functions, imported names, the
-caller's own class for ``self.``/``cls.`` calls, class-qualified calls
+caller's own class for ``self.``/``cls.`` calls -- or, for a hook the
+class leaves to its subclasses, every override -- class-qualified calls
 like ``WriteAheadLog.open``), then a project-wide bare-name fallback for
 attribute calls (``part.graph.neighbors(...)`` matches every ``neighbors``
 in the project).  Over-approximation can only create extra call edges,
@@ -99,6 +100,8 @@ class CallGraph:
         self.functions: Dict[str, FunctionInfo] = {}
         self._module_functions: Dict[str, Dict[str, FunctionInfo]] = {}
         self._class_methods: Dict[Tuple[str, str], Dict[str, FunctionInfo]] = {}
+        #: base class name -> (module, name) of each class deriving from it.
+        self._subclasses: Dict[str, List[Tuple[str, str]]] = {}
         self._bare_functions: Dict[str, List[FunctionInfo]] = {}
         self._bare_any: Dict[str, List[FunctionInfo]] = {}
         self._imports: Dict[str, Dict[str, str]] = {}
@@ -128,6 +131,12 @@ class CallGraph:
                 methods = self._class_methods.setdefault(
                     (module, stmt.name), {}
                 )
+                for base in stmt.bases:
+                    base_name = _dotted(base)
+                    if base_name is not None:
+                        self._subclasses.setdefault(
+                            base_name.rpartition(".")[2], []
+                        ).append((module, stmt.name))
                 for sub in stmt.body:
                     if isinstance(
                         sub, (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -233,6 +242,9 @@ class CallGraph:
                 ).get(attr)
                 if own is not None:
                     return [own]
+                overrides = self._overrides(caller.cls, attr)
+                if overrides:
+                    return overrides
             else:
                 # Class-qualified call in the same module: WAL.open(...).
                 own = self._class_methods.get(
@@ -262,6 +274,15 @@ class CallGraph:
             return []
         # Conservative fallback: any function or method with this name.
         return list(self._bare_any.get(attr, ()))
+
+    def _overrides(self, cls: str, attr: str) -> List[FunctionInfo]:
+        """Method ``attr`` of each class deriving from ``cls``: the targets
+        of a hook a base class calls but leaves to its subclasses."""
+        methods = (
+            self._class_methods.get(key, {}).get(attr)
+            for key in self._subclasses.get(cls, ())
+        )
+        return [method for method in methods if method is not None]
 
     def callees(
         self, caller: FunctionInfo, fallback: bool = True

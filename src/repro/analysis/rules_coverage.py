@@ -7,7 +7,8 @@ ever reaching ``QueryContext.checkpoint`` (directly, through
 that polls the :data:`repro.bits.kernels.CheckpointHook`) can outrun any
 budget the caller set.  This rule closes that gap whole-program:
 
-1. *Entry points* are the methods of ``CompressedChronoGraph`` /
+1. *Entry points* are the methods of ``QueryEngine`` (where the query
+   ops are written once), ``CompressedChronoGraph`` and
    ``SegmentedChronoGraph`` that enter a ``query_scope`` -- the documented
    shape of every governed query entry point.
 2. A *polling* function either calls ``checkpoint`` /
@@ -36,7 +37,7 @@ from repro.analysis.framework import Finding, Project, Rule, register
 __all__ = ["CheckpointCoverageRule"]
 
 #: Classes whose query_scope-entering methods are the governed entry points.
-_ENTRY_CLASSES = ("CompressedChronoGraph", "SegmentedChronoGraph")
+_ENTRY_CLASSES = ("QueryEngine", "CompressedChronoGraph", "SegmentedChronoGraph")
 
 #: Direct poll call names (QueryContext.checkpoint and the ambient helper).
 _POLL_CALLS = {"checkpoint", "checkpoint_ambient"}
@@ -83,8 +84,9 @@ class CheckpointCoverageRule(Rule):
     id = "CG007"
     name = "checkpoint-coverage"
     summary = (
-        "Every unbounded loop reachable from a CompressedChronoGraph / "
-        "SegmentedChronoGraph query entry point must reach a "
+        "Every unbounded loop reachable from a QueryEngine / "
+        "CompressedChronoGraph / SegmentedChronoGraph query entry point "
+        "must reach a "
         "QueryContext.checkpoint poll, checkpoint_ambient, or a bulk "
         "reader that polls the kernels checkpoint hook."
     )

@@ -1,4 +1,4 @@
-"""The in-memory compressed temporal graph and its query surface.
+"""The in-memory compressed temporal graph: the one-part query view.
 
 A :class:`CompressedChronoGraph` owns four artefacts (Section IV-F):
 
@@ -7,10 +7,12 @@ A :class:`CompressedChronoGraph` owns four artefacts (Section IV-F):
   starting bit, charged at its Elias-Fano payload
   (:func:`repro.bits.eliasfano.payload_bits`), as in the paper.
 
-Every query seeks straight to a node's records through the offset indexes,
-decodes only what it needs, and never touches the rest of the graph -- this
-is why the paper's access times depend on the average degree, not the graph
-size (Section V-D).
+Its query ops are written once, in :class:`repro.core.engine.QueryEngine`;
+it is the view of one part, itself.  A point query seeks straight to a
+node's records through the offset indexes, decodes only what it needs,
+and never touches the rest of the graph -- this is why the paper's
+access times depend on the average degree, not the graph size (Section
+V-D).
 
 Two layers keep the decode cost off the hot path:
 
@@ -18,11 +20,10 @@ Two layers keep the decode cost off the hot path:
   multiset, timestamps, durations) so repeated queries against the same
   node decode it once -- see :meth:`CompressedChronoGraph.cache_stats`,
   :meth:`configure_cache` and :meth:`clear_cache`;
-* sequential-scan fast paths (:meth:`snapshot`, :meth:`to_static_graph`,
-  :meth:`iter_contacts`, :meth:`iter_window_neighbors`), all on one
-  walker that goes through the streams in storage order and decodes every
-  node at most once per pass, resolving reference chains from a rolling
-  window instead of re-seeking.  An empty node (the 4-bit record
+* one sequential walker, :meth:`CompressedChronoGraph._walk`, behind
+  every scan: it goes through the streams in storage order and decodes
+  every node at most once per pass, resolving reference chains from a
+  rolling window instead of re-seeking.  An empty node (the 4-bit record
   ``1111``, no timestamp bits) is recognised from its offsets and passed
   over without a decode or a cache lookup; a point lookup of one caches
   the graph's one shared empty record instead of decoding it.
@@ -46,10 +47,6 @@ The query surface is safe to share across threads:
   shared immutable stream bytes (reader-per-thread rule): readers carry
   mutable positions and must never be shared across threads.
 
-:meth:`neighbors_many` is the batch form of :meth:`neighbors`: it groups
-the batch by node and decodes each node once, with the exact semantics of
-a :meth:`neighbors` loop (output order included).
-
 Resource governance
 -------------------
 
@@ -71,25 +68,24 @@ from __future__ import annotations
 import itertools
 import threading
 from array import array
-from bisect import bisect_left, bisect_right
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.bits import codes
 from repro.bits.bitio import BitReader, Buffer
 from repro.bits.eliasfano import payload_bits
 from repro.core.config import ChronoGraphConfig
+from repro.core.engine import NodeRecord, QueryEngine, distinct_of
 from repro.core.structure import decode_node_structure, multiset_from_parts
 from repro.core.timestamps import decode_node_timestamps
 from repro.errors import (
     CorruptStreamError,
     FormatError,
-    GraphDomainError,
     LimitExceededError,
     QueryInterrupted,
 )
-from repro.graph.model import Contact, GraphKind
-from repro.runtime.context import QueryContext, activate, query_scope
+from repro.graph.model import GraphKind
+from repro.runtime.context import QueryContext, activate
 
 #: Exceptions a decoder may hit on a corrupt stream; every decode path
 #: converts them to :class:`repro.errors.CorruptStreamError` so callers can
@@ -108,9 +104,6 @@ _DISTINCT_CACHE_CAP = 4096
 DEFAULT_CACHE_BUDGET_BYTES = 32 << 20
 
 _UNSET = object()
-
-#: A decoded node record: (neighbor multiset, timestamps, durations-or-None).
-NodeRecord = Tuple[List[int], List[int], Optional[List[int]]]
 
 #: Attributes rebuilt from scratch on unpickle: locks, caches and their
 #: counters (a transported graph starts cold).
@@ -152,17 +145,6 @@ def _is_empty_record(
     return nibble & 15 == 15
 
 
-def _distinct_of(multiset: List[int]) -> List[int]:
-    """The distinct labels of a label-sorted multiset, in order."""
-    distinct: List[int] = []
-    last = None
-    for v in multiset:
-        if v != last:
-            distinct.append(v)
-            last = v
-    return distinct
-
-
 class _AtomicCounter:
     """Lock-free monotone counter safe under concurrent increments.
 
@@ -187,8 +169,12 @@ class _AtomicCounter:
         return self._advance.__self__.__reduce__()[1][0] - 1
 
 
-class CompressedChronoGraph:
-    """Queryable compressed representation produced by :func:`repro.core.compress`."""
+class CompressedChronoGraph(QueryEngine):
+    """Queryable compressed representation produced by :func:`repro.core.compress`.
+
+    The one-part view of :class:`repro.core.engine.QueryEngine`: the graph
+    is its own only part, so its hooks ask it directly.
+    """
 
     def __init__(
         self,
@@ -441,17 +427,22 @@ class CompressedChronoGraph:
             self._cache_bytes += cost
             self._evict_lru()
 
-    def _decode_record(self, u: int) -> NodeRecord:
+    def _record(self, u: int) -> NodeRecord:
         """The fully decoded record of ``u``, through the LRU cache.
+
+        The part question of a point query; ``0 <= u < num_nodes`` has
+        been checked.
+        """
+        record = self._cache_get(u)
+        return record if record is not None else self._decode_record(u)
+
+    def _decode_record(self, u: int) -> NodeRecord:
+        """Decode ``u``'s record on a cache miss, and cache it.
 
         An empty node is recognised from its offsets, as the walk does,
         and caches the shared empty record without a decode.  A miss
         touches each stream once and builds its two readers here.
         """
-        self._check_node(u)
-        record = self._cache_get(u)
-        if record is not None:
-            return record
         # Checksums first: mapped bytes are read only once verified.
         self._touch_structure()
         self._touch_timestamps()
@@ -519,11 +510,6 @@ class CompressedChronoGraph:
         return multiset, times, durations
 
     # -- decoding ------------------------------------------------------------
-
-    def _check_node(self, u: int) -> None:
-        n = self.num_nodes
-        if not 0 <= u < n:
-            raise GraphDomainError(f"node {u} outside [0, {n})")
 
     def _corrupt(self, u: int, stage: str, exc: Exception) -> CorruptStreamError:
         return CorruptStreamError(f"node {u}: {stage} decode failed: {exc}")
@@ -611,27 +597,8 @@ class CompressedChronoGraph:
 
     def decode_multiset(self, u: int) -> List[int]:
         """The label-sorted neighbor multiset of ``u`` (Figure 5(a) order)."""
-        return list(self._decode_record(u)[0])
-
-    def contacts_of(
-        self, u: int, *, ctx: Optional[QueryContext] = None
-    ) -> List[Contact]:
-        """All contacts of ``u``, decoded, in (label, time) order."""
-        if ctx is None:  # bare compare: this entry is on the perf gate
-            multiset, times, durations = self._decode_record(u)
-        else:
-            with query_scope(ctx):
-                multiset, times, durations = self._decode_record(u)
-        if durations is None:
-            return [Contact(u, v, t) for v, t in zip(multiset, times)]
-        return [
-            Contact(u, v, t, d) for v, t, d in zip(multiset, times, durations)
-        ]
-
-    def distinct_neighbors(self, u: int) -> List[int]:
-        """Sorted distinct neighbor labels over the whole lifetime."""
         self._check_node(u)
-        return self._resolve_distinct(u)
+        return list(self._record(u)[0])
 
     # -- sequential scans ------------------------------------------------------
 
@@ -728,7 +695,7 @@ class CompressedChronoGraph:
                 if distinct is None:
                     record = self._cache_peek(u)
                     if record is not None:
-                        distinct = _distinct_of(record[0])
+                        distinct = distinct_of(record[0])
                     else:
                         dedup, singles = decode_structure(u, start)
                         distinct = sorted(
@@ -749,271 +716,12 @@ class CompressedChronoGraph:
                     self._cache_put(u, record)
                 out = record
                 if window > 0:
-                    distinct = _distinct_of(record[0])
+                    distinct = distinct_of(record[0])
             if window > 0:
                 recent[u] = distinct
                 if len(recent) > window:
                     del recent[next(iter(recent))]
             yield u, out
-
-    def _active_neighbors(
-        self,
-        multiset: List[int],
-        times: List[int],
-        durations: Optional[List[int]],
-        t_start: int,
-        t_end: int,
-    ) -> List[int]:
-        """Sorted distinct labels active within the window, from a record."""
-        out: List[int] = []
-        if t_end < t_start:
-            return out
-        kind = self.kind
-        # Inline the per-kind activity predicate: this is the hot loop of
-        # every neighbor query and of the graph algorithms built on it.
-        if kind is GraphKind.POINT:
-            for v, t in zip(multiset, times):
-                if t_start <= t <= t_end and (not out or out[-1] != v):
-                    out.append(v)
-        elif kind is GraphKind.INCREMENTAL:
-            for v, t in zip(multiset, times):
-                if t <= t_end and (not out or out[-1] != v):
-                    out.append(v)
-        else:
-            for v, t, d in zip(multiset, times, durations):
-                if d > 0 and t <= t_end and t + d > t_start:
-                    if not out or out[-1] != v:
-                        out.append(v)
-        return out
-
-    # -- temporal queries (Section IV-F) --------------------------------------
-
-    def neighbors(
-        self,
-        u: int,
-        t_start: int,
-        t_end: int,
-        *,
-        ctx: Optional[QueryContext] = None,
-    ) -> List[int]:
-        """Sorted distinct neighbors of ``u`` active within [t_start, t_end].
-
-        The window is closed on both ends; an inverted window
-        (``t_end < t_start``) is empty.  See FORMAT.md, "Query window
-        semantics".  ``ctx`` bounds the query (see :mod:`repro.runtime`).
-        """
-        if ctx is None:  # bare compare: this entry is on the perf gate
-            multiset, times, durations = self._decode_record(u)
-        else:
-            with query_scope(ctx):
-                multiset, times, durations = self._decode_record(u)
-        return self._active_neighbors(
-            multiset, times, durations, t_start, t_end
-        )
-
-    def has_edge(
-        self,
-        u: int,
-        v: int,
-        t_start: int,
-        t_end: int,
-        *,
-        ctx: Optional[QueryContext] = None,
-    ) -> bool:
-        """Algorithm 1: is ``v`` a neighbor of ``u`` during [t_start, t_end]?
-
-        Binary-searches the label-sorted multiset for the ``v``-run;
-        timestamps come from the same cached record.  ``ctx`` bounds the
-        query (see :mod:`repro.runtime`).
-        """
-        if ctx is None:  # bare compare: this entry is on the perf gate
-            multiset, times, durations = self._decode_record(u)
-        else:
-            with query_scope(ctx):
-                multiset, times, durations = self._decode_record(u)
-        start = bisect_left(multiset, v)
-        if start == len(multiset) or multiset[start] != v:
-            return False
-        end = bisect_right(multiset, v, start)
-        kind = self.kind
-        # One edge's contact run: bounded by the decoded record, whose
-        # size was already charged at decode time.
-        for i in range(start, end):  # repro: noqa[CG007]
-            duration = durations[i] if durations is not None else 0
-            c = Contact(u, v, times[i], duration)
-            if c.is_active(t_start, t_end, kind):
-                return True
-        return False
-
-    def edge_timestamps(
-        self, u: int, v: int, *, ctx: Optional[QueryContext] = None
-    ) -> List[int]:
-        """All activation timestamps of the edge (u, v), ascending."""
-        if ctx is None:
-            multiset, times, _ = self._decode_record(u)
-        else:
-            with query_scope(ctx):
-                multiset, times, _ = self._decode_record(u)
-        start = bisect_left(multiset, v)
-        if start == len(multiset) or multiset[start] != v:
-            return []
-        return times[start : bisect_right(multiset, v, start)]
-
-    def neighbors_before(
-        self, u: int, t: int, *, ctx: Optional[QueryContext] = None
-    ) -> List[int]:
-        """Neighbors active strictly before ``t`` (Section IV-F).
-
-        For point and incremental graphs: a contact before ``t``.  For
-        interval graphs: activity starting before ``t``.  Equivalent to
-        ``neighbors(u, t_min, t - 1)``: the closed-window complement of
-        :meth:`neighbors_after`, so a contact exactly at ``t`` is excluded.
-        """
-        lo = self.t_min
-        if t <= lo:
-            return []
-        if ctx is None:
-            multiset, times, durations = self._decode_record(u)
-        else:
-            with query_scope(ctx):
-                multiset, times, durations = self._decode_record(u)
-        return self._active_neighbors(multiset, times, durations, lo, t - 1)
-
-    def neighbors_after(
-        self, u: int, t: int, *, ctx: Optional[QueryContext] = None
-    ) -> List[int]:
-        """Neighbors active at or after ``t`` (Section IV-F), sorted distinct.
-
-        Incremental edges never deactivate, so any edge is "after" every
-        ``t`` at or past its creation; interval contacts count when their
-        activity reaches ``t`` or later.  A contact exactly at ``t`` is
-        included (closed lower bound).  The multiset is label-sorted, so
-        deduplicating against the last emitted label already yields the
-        sorted distinct output.
-        """
-        if ctx is None:
-            multiset, times, durations = self._decode_record(u)
-        else:
-            with query_scope(ctx):
-                multiset, times, durations = self._decode_record(u)
-        out: List[int] = []
-        kind = self.kind
-        if kind is GraphKind.POINT:
-            for v, ts in zip(multiset, times):
-                if ts >= t and (not out or out[-1] != v):
-                    out.append(v)
-        elif kind is GraphKind.INCREMENTAL:
-            for v in multiset:
-                if not out or out[-1] != v:
-                    out.append(v)
-        else:
-            for v, ts, d in zip(multiset, times, durations):
-                if d > 0 and ts + d > t and (not out or out[-1] != v):
-                    out.append(v)
-        return out
-
-    def edge_activity(self, u: int, v: int) -> List[Tuple[int, int]]:
-        """(start, end-exclusive) activity spans of edge (u, v), sorted.
-
-        Point and incremental contacts yield unit spans at their
-        timestamps; interval contacts yield their full span.
-        """
-        spans: List[Tuple[int, int]] = []
-        for c in self.contacts_of(u):
-            if c.v != v:
-                continue
-            if self.kind is GraphKind.INTERVAL:
-                if c.duration > 0:
-                    spans.append((c.time, c.end))
-            else:
-                spans.append((c.time, c.time + 1))
-        return spans
-
-    # -- batch queries ---------------------------------------------------------
-
-    def neighbors_many(
-        self,
-        queries: Sequence[Tuple[int, int, int]],
-        *,
-        ctx: Optional[QueryContext] = None,
-    ) -> List[List[int]]:
-        """Batch :meth:`neighbors`: results align with the input order.
-
-        ``queries`` is a sequence of ``(u, t_start, t_end)`` triples.  The
-        batch is grouped by node so each distinct node is decoded (or
-        cache-probed) exactly once per call -- the win over a plain loop.
-        ``ctx`` bounds the whole batch: one admission, polled once per
-        node.
-        """
-        triples = [(int(u), t0, t1) for u, t0, t1 in queries]
-        out: List[Optional[List[int]]] = [None] * len(triples)
-        with query_scope(ctx):
-            groups: Dict[int, List[Tuple[int, int, int]]] = {}
-            for i, (u, t0, t1) in enumerate(triples):
-                self._check_node(u)
-                groups.setdefault(u, []).append((i, t0, t1))
-            for u, wants in groups.items():
-                if ctx is not None:
-                    ctx.checkpoint()
-                multiset, times, durations = self._decode_record(u)
-                for i, t0, t1 in wants:
-                    out[i] = self._active_neighbors(
-                        multiset, times, durations, t0, t1
-                    )
-        return out  # type: ignore[return-value]
-
-    def to_static_graph(self) -> List[Tuple[int, int]]:
-        """The "flattened" aggregated view of Figure 1(a): distinct edges."""
-        edges: List[Tuple[int, int]] = []
-        for u, distinct in self._walk(structure_only=True):
-            for v in distinct:
-                edges.append((u, v))
-        return edges
-
-    def snapshot(
-        self, t_start: int, t_end: int, *, ctx: Optional[QueryContext] = None
-    ) -> List[Tuple[int, int]]:
-        """All distinct edges active within the closed interval, sorted."""
-        edges: List[Tuple[int, int]] = []
-        with query_scope(ctx):
-            for u, (multiset, times, durations) in self._walk(ctx):
-                for v in self._active_neighbors(
-                    multiset, times, durations, t_start, t_end
-                ):
-                    edges.append((u, v))
-        return edges
-
-    def iter_window_neighbors(
-        self, t_start: int, t_end: int, *, ctx: Optional[QueryContext] = None
-    ) -> Iterator[Tuple[int, List[int]]]:
-        """Yield ``(u, active neighbors)`` for every node, one decode per node.
-
-        The bulk form of :meth:`neighbors` used by full-graph consumers
-        (the vertex-centric engine's undirected symmetrisation, exports);
-        the same closed ``[t_start, t_end]`` window applies.  ``ctx`` is
-        polled per node as the consumer iterates (never held across a
-        yield).
-        """
-        for u, (multiset, times, durations) in self._walk(ctx):
-            yield u, self._active_neighbors(
-                multiset, times, durations, t_start, t_end
-            )
-
-    def iter_contacts(self, *, ctx: Optional[QueryContext] = None):
-        """Yield every contact in (u, v, time) storage order, lazily.
-
-        Decodes one node at a time, so full-graph passes (exports, motif
-        counters, bulk loads) never hold more than one node's contacts
-        beyond the output itself.  ``ctx`` is polled per node as the
-        consumer iterates.
-        """
-        for u, (multiset, times, durations) in self._walk(ctx):
-            if durations is None:
-                for v, t in zip(multiset, times):
-                    yield Contact(u, v, t)
-            else:
-                for v, t, d in zip(multiset, times, durations):
-                    yield Contact(u, v, t, d)
 
     def iter_records(
         self, *, ctx: Optional[QueryContext] = None
@@ -1030,18 +738,21 @@ class CompressedChronoGraph:
             if multiset:
                 yield u, multiset, times, durations
 
-    def to_temporal_graph(self) -> "object":
-        """Full decompression back to a :class:`repro.graph.model.TemporalGraph`."""
-        from repro.graph.model import TemporalGraph
+    # -- the one-part view ------------------------------------------------------
 
-        return TemporalGraph(
-            self.kind,
-            self.num_nodes,
-            list(self.iter_contacts()),
-            name=self.name,
-            granularity="stored",
-            sort=False,
-        )
+    def _part_records(self, u, t_start, t_end, ctx, windows=None):
+        """u's one record, with no plan, breaker, tail or merge.
+
+        :meth:`_record` written out, so a point query's hit is one call
+        shallower.
+        """
+        record = self._cache_get(u)
+        return (record if record is not None else self._decode_record(u),)
+
+    def _part_walks(self, t_start, t_end, ctx, structure_only, label=None):
+        """The graph's own walk, mapped by ``label`` as the scan reads it."""
+        walk = self._walk(ctx, structure_only=structure_only)
+        return (walk if label is None else label(walk),)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -18,6 +18,8 @@ from __future__ import annotations
 import enum
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
+from repro.errors import GraphDomainError
+
 
 class GraphKind(enum.Enum):
     """The three temporal graph classes managed by the framework."""
@@ -190,8 +192,9 @@ class TemporalGraph:
         return seen
 
     def _check_node(self, u: int) -> None:
+        """The node-range rule every query surface shares (FORMAT.md)."""
         if not 0 <= u < self.num_nodes:
-            raise ValueError(f"node {u} outside [0, {self.num_nodes})")
+            raise GraphDomainError(f"node {u} outside [0, {self.num_nodes})")
 
     # -- reference queries (test oracle) ------------------------------------
 

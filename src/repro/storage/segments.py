@@ -7,11 +7,11 @@ way a graph grows.  It provides the structure continuous ingestion needs:
   (each a time partition of the contact stream), a hot WAL tail for the
   newest contacts, and a CRC-guarded, atomically-replaced ``MANIFEST``
   naming exactly which files constitute the store;
-* a :class:`SegmentedChronoGraph` query facade that plans ``neighbors`` /
-  ``snapshot`` / window queries across segments by time-range overlap and
-  merges per-segment answers (each segment already implements the closed
-  ``[t_start, t_end]`` window contract, and every contact lives in exactly
-  one segment, so the union is exact);
+* a :class:`SegmentedChronoGraph` query view, the many-part case of
+  :class:`repro.core.engine.QueryEngine`: it plans each window query
+  across segments by time-range overlap, asks the planned segments and
+  the tail for a node's records or their walks, and the engine merges
+  them (every contact lives in exactly one part, so the union is exact);
 * crash-safe **seal** and **compaction** protocols built on
   ``write-new -> fsync -> manifest swap -> delayed delete``: at every
   crash point the manifest references only complete, fsynced files, so
@@ -19,9 +19,9 @@ way a graph grows.  It provides the structure continuous ingestion needs:
   quarantined -- never silently wrong answers.  Both encode node records
   through the encoder's records core
   (:func:`repro.core.encoder.encode_records`), never contacts: a seal
-  groups the sorted tail into one record per node, and a compaction
-  merges the two segments' decoded records node by node, gathering the
-  manifest entry's fields in the same pass (:class:`_SegmentBuilder`);
+  encodes the tail's walk, one record per node, and a compaction merges
+  the two segments' decoded records node by node, gathering the manifest
+  entry's fields in the same pass (:class:`_SegmentBuilder`);
 * per-segment **quarantine**: a segment that fails its CRC binding or
   strict load on open is isolated (queries degrade to the remaining
   segments) and surfaced in a :class:`HealthReport` instead of poisoning
@@ -56,13 +56,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import ChronoGraphConfig
 from repro.core.encoder import Record, encode_records, resolve_zeta_k
+from repro.core.engine import NodeRecord, QueryEngine, distinct_of, merged_record
 from repro.core.serialize import dumps_compressed
 from repro.errors import (
     ChecksumMismatchError,
     CorruptStreamError,
     FormatError,
     GenerationMismatchError,
-    GraphDomainError,
     QueryInterrupted,
     RejectedError,
     TruncatedContainerError,
@@ -70,7 +70,6 @@ from repro.errors import (
 )
 from repro.graph.model import Contact, GraphKind, max_label
 from repro.runtime.breaker import BreakerBoard
-from repro.runtime.context import QueryContext, query_scope
 from repro.storage.atomic import (
     DEFAULT_RETRY,
     OS_FILESYSTEM,
@@ -504,12 +503,12 @@ class _TailBuffer:
     """The hot tail: committed, unsealed contacts as one sorted tuple.
 
     Contacts are in stored time units and sorted by ``(u, v, time,
-    duration)``, so a node's or an edge's contacts are one bisected
-    slice.  The buffer answers the part queries
-    :class:`SegmentedChronoGraph` merges, with the closed-window activity
-    predicate every sealed segment applies (:meth:`Contact.is_active`).
-    It never changes: :meth:`extended` returns a new buffer, which is
-    what makes a published view a snapshot.
+    duration)``, so a node's contacts are one bisected slice, and that
+    slice's columns are its record.  The buffer is a part of
+    :mod:`repro.core.engine`: it answers both part questions from those
+    slices, and a seal encodes its walk.  It never changes:
+    :meth:`extended` returns a new buffer, which is what makes a
+    published view a snapshot.
     """
 
     __slots__ = ("kind", "contacts", "num_nodes")
@@ -537,66 +536,46 @@ class _TailBuffer:
             max(self.num_nodes, max_label(batch) + 1),
         )
 
-    def _slice(self, *key: int) -> Tuple[Contact, ...]:
-        """The contacts whose leading fields equal ``key`` (``u`` or ``u, v``)."""
+    def _columns(self, run: Iterable[Contact]) -> NodeRecord:
+        """The record of one node's run of contacts (empty when none)."""
+        columns = tuple(zip(*run))
+        interval = self.kind is GraphKind.INTERVAL
+        if not columns:
+            return (), (), (() if interval else None)
+        return columns[1], columns[2], columns[3] if interval else None
+
+    def _record(self, u: int) -> NodeRecord:
+        """Node ``u``'s record: its bisected slice of the tail."""
         contacts = self.contacts
-        lo = bisect_left(contacts, key)
-        hi = bisect_left(contacts, key[:-1] + (key[-1] + 1,), lo)
-        return contacts[lo:hi]
+        lo = bisect_left(contacts, (u,))
+        return self._columns(contacts[lo:bisect_left(contacts, (u + 1,), lo)])
 
-    def neighbors(
-        self, u: int, t_start: int, t_end: int, *, ctx=None
-    ) -> List[int]:
-        """Sorted distinct neighbors of ``u`` active in the closed window."""
-        kind = self.kind
-        out: List[int] = []
-        for c in self._slice(u):
-            if (not out or out[-1] != c.v) and c.is_active(t_start, t_end, kind):
-                out.append(c.v)
-        return out
-
-    def has_edge(
-        self, u: int, v: int, t_start: int, t_end: int, *, ctx=None
-    ) -> bool:
-        """Whether edge (u, v) is active in the closed window."""
-        kind = self.kind
-        return any(c.is_active(t_start, t_end, kind) for c in self._slice(u, v))
-
-    def contacts_of(self, u: int, *, ctx=None) -> List[Contact]:
-        """Every contact of ``u``, (label, time)-sorted."""
-        return list(self._slice(u))
-
-    def edge_timestamps(self, u: int, v: int, *, ctx=None) -> List[int]:
-        """All timestamps of edge (u, v), ascending."""
-        return [c.time for c in self._slice(u, v)]
-
-    def snapshot(
-        self, t_start: int, t_end: int, *, ctx: Optional[QueryContext] = None
-    ) -> List[Tuple[int, int]]:
-        """All distinct edges active in the closed window, sorted."""
-        kind = self.kind
-        edges: List[Tuple[int, int]] = []
-        for c in self.contacts:
+    def _walk(self, ctx=None, *, structure_only=False):
+        """Yield ``(u, record)`` -- or ``(u, distinct labels)`` -- for each
+        node with contacts, in id order, polling ``ctx`` once per node."""
+        for u, run in itertools.groupby(self.contacts, operator.itemgetter(0)):
             if ctx is not None:
                 ctx.checkpoint()
-            if c.is_active(t_start, t_end, kind) and (
-                not edges or edges[-1] != (c.u, c.v)
-            ):
-                edges.append((c.u, c.v))
-        return edges
-
-    def iter_contacts(self):
-        """Every contact, in sorted order."""
-        return iter(self.contacts)
+            record = self._columns(run)
+            yield u, distinct_of(record[0]) if structure_only else record
 
 
-class SegmentedChronoGraph:
+def _read_walk(part, ctx, structure_only, label):
+    """A part's whole walk, mapped by ``label``, read inside its breaker's
+    accounting; what maps to an empty answer is not kept."""
+    walk = part._walk(ctx, structure_only=structure_only)
+    return [(u, item) for u, item in (walk if label is None else label(walk)) if item]
+
+
+class SegmentedChronoGraph(QueryEngine):
     """Immutable query view over sealed segments plus the hot tail.
 
-    Every query merges per-segment answers with the tail buffer's answer.
-    Each segment is a :class:`CompressedChronoGraph` already implementing
-    the closed-window activity contract, and each contact lives in exactly
-    one segment or the tail, so set-union of per-part results is exact.
+    The many-part view of :class:`repro.core.engine.QueryEngine`: its
+    parts are the segments, each a :class:`CompressedChronoGraph`, and
+    the tail buffer.  A window query reads the segments :meth:`plan`
+    gives it, any other query every segment, and both read the tail; each
+    contact lives in exactly one part, so the merge of per-part answers is
+    exact.
 
     The view is immutable: its segment tuple and its tail buffer never
     change, so a reader holding one view gets the same answers however
@@ -610,9 +589,8 @@ class SegmentedChronoGraph:
     repeatedly fails decode (or stalls past the deadline) trips open and
     is skipped, annotated on the context as a reported subset when the
     query consents via ``allow_partial`` and rejected otherwise.  The hot
-    tail is never breakered (it is in-memory and the store's only write
-    path), and :meth:`iter_contacts` deliberately bypasses the breakers:
-    seal and compaction read through it and must always see every contact.
+    tail is never breakered: it is in-memory and the store's only write
+    path.
     """
 
     def __init__(
@@ -667,33 +645,57 @@ class SegmentedChronoGraph:
             if t_start <= t_end and lo <= t_end and t_start <= hi
         ]
 
-    def _named_parts(
-        self, t_start: int, t_end: int
-    ) -> List[Tuple[Optional[str], "object"]]:
-        """(name, graph) pairs for a window; the unguarded tail is last.
+    def _planned(self, t_start, t_end, windows=None):
+        """(name, part) of each part a query reads, in seal order.
 
-        The tail's name is ``None`` -- the marker :meth:`_query_part` uses
-        to exempt it from breaker consultation.
+        The segments :meth:`plan` gives the closed window ``[t_start,
+        t_end]`` (every segment when ``t_start`` is None), or at least one
+        of ``windows`` when given; then the tail, whose name ``None``
+        exempts it from breakers in :meth:`_query_part`.
         """
-        parts: List[Tuple[Optional[str], object]] = [
-            (info.name, graph)
-            for info, graph, lo, hi in self._bounds
-            if t_start <= t_end and lo <= t_end and t_start <= hi
-        ]
+        if windows is not None:
+            parts = []
+            for info, graph, lo, hi in self._bounds:
+                for t0, t1 in windows:
+                    if t0 <= t1 and lo <= t1 and t0 <= hi:
+                        parts.append((info.name, graph))
+                        break
+        elif t_start is None:
+            parts = [(info.name, graph) for info, graph in self._segments]
+        else:
+            parts = [
+                (info.name, graph)
+                for info, graph, lo, hi in self._bounds
+                if t_start <= t_end and lo <= t_end and t_start <= hi
+            ]
         parts.append((None, self._tail))
         return parts
 
-    def _check_node(self, u: int) -> None:
-        n = self._num_nodes
-        if not 0 <= u < n:
-            raise GraphDomainError(f"node {u} outside [0, {n})")
+    def _part_records(self, u, t_start, t_end, ctx, windows=None):
+        """u's record from each planned part that reaches u, breaker-guarded."""
+        records = []
+        for name, part in self._planned(t_start, t_end, windows):
+            if u < part.num_nodes:
+                record = self._query_part(name, ctx, part._record, u)
+                if record is not _PART_SKIPPED:
+                    records.append(record)
+        return records
+
+    def _part_walks(self, t_start, t_end, ctx, structure_only, label=None):
+        """Each planned part's walk, read whole under its breaker, in part order."""
+        for name, part in self._planned(t_start, t_end):
+            walk = self._query_part(
+                name, ctx, _read_walk, part, ctx, structure_only, label
+            )
+            if walk is not _PART_SKIPPED:
+                yield walk
 
     # -- breaker-guarded part execution --------------------------------------
 
     def _query_part(self, name, ctx, fn, *args):
-        """Run ``fn(*args, ctx=ctx)`` under part ``name``'s circuit breaker.
+        """Run ``fn(*args)`` -- one part question -- under part ``name``'s breaker.
 
-        Returns the sub-query's result, or the module sentinel
+        Returns the part's answer, or the module sentinel
         ``_PART_SKIPPED`` when the part was skipped (breaker open, or the
         part failed decode and the context consented to a partial
         answer).  Outcomes feed the breaker: a clean return records
@@ -705,8 +707,7 @@ class SegmentedChronoGraph:
 
         A segment part's entry poll happens here, inside that accounting,
         so a deadline, cancel or budget that fired since the previous
-        part is charged to this part's breaker whatever ``fn`` does with
-        ``ctx`` (a compressed segment polls once more on its own entry).
+        part is charged to this part's breaker whatever ``fn`` does.
         The in-memory tail is never polled, as it is never breakered.
         """
         board = self._breakers
@@ -722,7 +723,7 @@ class SegmentedChronoGraph:
         try:
             if ctx is not None and name is not None:
                 ctx.checkpoint()
-            result = fn(*args, ctx=ctx)
+            result = fn(*args)
         except QueryInterrupted as exc:
             if breaker is not None:
                 breaker.record_failure(f"{type(exc).__name__}: {exc}")
@@ -762,132 +763,6 @@ class SegmentedChronoGraph:
             reason="segment-breaker",
             retry_after=retry_after,
         )
-
-    # -- queries -------------------------------------------------------------
-
-    def neighbors(
-        self,
-        u: int,
-        t_start: int,
-        t_end: int,
-        *,
-        ctx: Optional[QueryContext] = None,
-    ) -> List[int]:
-        """Distinct neighbors of ``u`` active in the closed window, sorted."""
-        self._check_node(u)
-        out: set = set()
-        with query_scope(ctx):
-            for name, graph in self._named_parts(t_start, t_end):
-                if u >= graph.num_nodes:
-                    continue
-                part = self._query_part(
-                    name, ctx, graph.neighbors, u, t_start, t_end
-                )
-                if part is not _PART_SKIPPED:
-                    out.update(part)
-        return sorted(out)
-
-    def neighbors_many(
-        self,
-        queries: Sequence[Tuple[int, int, int]],
-        *,
-        ctx: Optional[QueryContext] = None,
-    ) -> List[List[int]]:
-        """Batch :meth:`neighbors`; one merged answer per (u, t1, t2) query."""
-        with query_scope(ctx):
-            return [self.neighbors(u, t1, t2, ctx=ctx) for u, t1, t2 in queries]
-
-    def has_edge(
-        self,
-        u: int,
-        v: int,
-        t_start: int,
-        t_end: int,
-        *,
-        ctx: Optional[QueryContext] = None,
-    ) -> bool:
-        """Whether edge (u, v) is active anywhere in the closed window."""
-        self._check_node(u)
-        with query_scope(ctx):
-            for name, graph in self._named_parts(t_start, t_end):
-                if u >= graph.num_nodes:
-                    continue
-                part = self._query_part(
-                    name, ctx, graph.has_edge, u, v, t_start, t_end
-                )
-                if part is not _PART_SKIPPED and part:
-                    return True
-        return False
-
-    def contacts_of(
-        self, u: int, *, ctx: Optional[QueryContext] = None
-    ) -> List[Contact]:
-        """Every contact of ``u`` across all parts, (label, time)-sorted."""
-        self._check_node(u)
-        rows: List[Contact] = []
-        with query_scope(ctx):
-            for info, graph in self._segments:
-                if u >= graph.num_nodes:
-                    continue
-                part = self._query_part(info.name, ctx, graph.contacts_of, u)
-                if part is not _PART_SKIPPED:
-                    rows.extend(part)
-            if u < self._tail.num_nodes:
-                rows.extend(self._tail.contacts_of(u, ctx=ctx))
-        rows.sort(key=lambda c: (c.v, c.time, c.duration))
-        return rows
-
-    def edge_timestamps(
-        self, u: int, v: int, *, ctx: Optional[QueryContext] = None
-    ) -> List[int]:
-        """All activation timestamps of edge (u, v), ascending."""
-        self._check_node(u)
-        times: List[int] = []
-        with query_scope(ctx):
-            for info, graph in self._segments:
-                if u >= graph.num_nodes:
-                    continue
-                part = self._query_part(
-                    info.name, ctx, graph.edge_timestamps, u, v
-                )
-                if part is not _PART_SKIPPED:
-                    times.extend(part)
-            if u < self._tail.num_nodes:
-                times.extend(self._tail.edge_timestamps(u, v, ctx=ctx))
-        times.sort()
-        return times
-
-    def snapshot(
-        self,
-        t_start: int,
-        t_end: int,
-        *,
-        ctx: Optional[QueryContext] = None,
-    ) -> List[Tuple[int, int]]:
-        """All distinct edges active within the closed window, sorted."""
-        per_node: Dict[int, set] = {}
-        with query_scope(ctx):
-            for name, graph in self._named_parts(t_start, t_end):
-                part = self._query_part(
-                    name, ctx, graph.snapshot, t_start, t_end
-                )
-                if part is _PART_SKIPPED:
-                    continue
-                for u, v in part:
-                    per_node.setdefault(u, set()).add(v)
-        edges: List[Tuple[int, int]] = []
-        for u in sorted(per_node):
-            for v in sorted(per_node[u]):
-                edges.append((u, v))
-        return edges
-
-    def iter_contacts(self):
-        """Yield every stored contact, segments in seal order then the tail."""
-        for _info, graph in self._segments:
-            for c in graph.iter_contacts():
-                yield c
-        for c in self._tail.iter_contacts():
-            yield c
 
 
 def is_segment_store(path: PathLike) -> bool:
@@ -960,22 +835,6 @@ class _SegmentBuilder:
             t_max=t_max,
             t_end_max=max(self.ends, default=t_max),
         )
-
-
-def _merged_record(
-    first: Tuple[List[int], List[int], Optional[List[int]]],
-    second: Tuple[List[int], List[int], Optional[List[int]]],
-) -> Tuple[Sequence[int], Sequence[int], Optional[Sequence[int]]]:
-    """One node's records from two segments as one, sorted on (v, time, duration)."""
-    multiset_a, times_a, durations_a = first
-    multiset_b, times_b, durations_b = second
-    if durations_a is None or durations_b is None:
-        multiset, times = zip(*sorted(zip(multiset_a + multiset_b, times_a + times_b)))
-        return multiset, times, None
-    multiset, times, durations = zip(*sorted(zip(
-        multiset_a + multiset_b, times_a + times_b, durations_a + durations_b
-    )))
-    return multiset, times, durations
 
 
 class SegmentStore:
@@ -1482,21 +1341,18 @@ class SegmentStore:
             return self._seal_locked()
 
     def _seal_locked(self) -> Optional[SegmentInfo]:
-        contacts = self._view._tail.contacts
-        if not contacts:
+        if not self._view._tail.contacts:
             return None
         manifest = self._manifest
         seq = self._next_seq
         self._next_seq += 1
         name = _segment_name(seq)
-        # The tail is sorted by (u, v, time, duration) and every contact in
-        # it was validated by WriteAheadLog.append or by the replay scan, so
-        # each node's contacts are one run, already a record.
+        # Every contact in the tail was validated by WriteAheadLog.append
+        # or by the replay scan, and its walk is already one record per
+        # node, in id order.
         builder = _SegmentBuilder()
-        interval = manifest.kind is GraphKind.INTERVAL
-        for u, run in itertools.groupby(contacts, operator.itemgetter(0)):
-            _us, multiset, times, durations = zip(*run)
-            builder.add(u, multiset, times, durations if interval else None)
+        for u, (multiset, times, durations) in self._view._tail._walk():
+            builder.add(u, multiset, times, durations)
         payload, info = builder.encode(manifest, name, seq)
         # 1. write-new: the segment is complete and fsynced before anything
         #    references it; a crash here leaves an orphan the sweep removes.
@@ -1600,7 +1456,7 @@ class SegmentStore:
             elif u not in left:
                 builder.add(u, *right[u])
             else:
-                builder.add(u, *_merged_record(left[u], right[u]))
+                builder.add(u, *merged_record((left[u], right[u])))
         with self._commit_guard:
             seq = self._next_seq
             self._next_seq += 1

@@ -54,6 +54,7 @@ from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
 
+from repro.core.engine import PART_QUESTIONS
 from repro.core.serialize import (
     DecodeLimits,
     MAGIC,
@@ -62,7 +63,8 @@ from repro.core.serialize import (
 )
 from repro.errors import FormatError
 from repro.graph.model import TemporalGraph
-from repro.runtime.context import QueryContext
+from repro.runtime.context import QueryContext, checkpoint_ambient
+from repro.service.client import ServiceError
 from repro.service.protocol import QUERY_OPS
 from repro.storage.atomic import Filesystem
 
@@ -1092,29 +1094,50 @@ def _prefix_calls(rows: Sequence[tuple], nodes: int) -> List[Tuple[str, tuple]]:
     return calls
 
 
+def _outcome(call: Callable[[], Any]) -> Tuple[Any, Optional[str]]:
+    """``(answer, None)``, or ``(None, name)`` of the class the call raised.
+
+    A served call's class is the server's: the ``error_type`` of its
+    :class:`repro.service.client.ServiceError`.
+    """
+    try:
+        return call(), None
+    except ServiceError as exc:
+        return None, exc.error_type
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return None, type(exc).__name__
+
+
+def _shown(outcome: Tuple[Any, Optional[str]]) -> str:
+    answer, raised = outcome
+    return reprlib.repr(answer) if raised is None else f"raises {raised}"
+
+
 def first_divergence(
     surface: Any,
     oracle: TemporalGraph,
     calls: Iterable[Tuple[str, Sequence[Any]]],
     ctx: Optional[QueryContext] = None,
 ) -> Optional[str]:
-    """The first query call whose answer on ``surface`` is not the oracle's.
+    """The first query call whose outcome on ``surface`` is not the oracle's.
 
     Each ``(op, args)`` call names an op of
     :data:`repro.service.protocol.QUERY_OPS`.  It runs as
     ``surface.<op>(*args)``, passing ``ctx=ctx`` when a context is given,
-    and its answer must equal the op's answer on the plain ``oracle``.
-    Returns one line naming the first call that differs and both answers,
-    or ``None`` when every call agrees.
+    and must answer as the op does on the plain ``oracle``, or raise the
+    same exception class when the oracle raises.  Returns one line naming
+    the first call that differs and both outcomes, or ``None`` when every
+    call agrees.
     """
+    kwargs = {} if ctx is None else {"ctx": ctx}
     for op, args in calls:
-        want = QUERY_OPS[op].answer(oracle, *args)
         method = getattr(surface, op)
-        got = method(*args) if ctx is None else method(*args, ctx=ctx)
+        got = _outcome(lambda: method(*args, **kwargs))
+        want = _outcome(lambda: QUERY_OPS[op].answer(oracle, *args))
         if got != want:
             return (
-                f"{op}{tuple(args)} = {reprlib.repr(got)}, "
-                f"the plain model gives {reprlib.repr(want)}"
+                f"{op}{tuple(args)} = {_shown(got)}, "
+                f"the plain model gives {_shown(want)}"
             )
     return None
 
@@ -1215,15 +1238,19 @@ class SlowFilesystem(Filesystem):
 
 
 class StallingGraph:
-    """Proxy over one query part that stalls before every query op.
+    """Proxy over one query part that stalls before every query.
 
     ``stall`` is any zero-argument callable -- typically one that
     advances a :class:`StepClock` past the query deadline, modelling a
     segment whose decode path has hit pathological latency.  The ops of
-    :data:`repro.service.protocol.QUERY_OPS` stall; everything else
-    (sizes, ``iter_contacts``, attributes) passes straight through, so a
-    chaos view built around this proxy still supports reference building
-    and seal/compact reads.
+    :data:`repro.service.protocol.QUERY_OPS` stall, and so do the two
+    questions a store asks its parts
+    (:data:`repro.core.engine.PART_QUESTIONS`), each followed by a poll
+    of the ambient context, as the stalled decode loops would poll it:
+    a stall inside a store's part is charged to that part's breaker.
+    Everything else (sizes, ``iter_contacts``, attributes) passes
+    straight through, so a chaos view built around this proxy still
+    supports reference building and seal/compact reads.
     """
 
     def __init__(self, inner, stall: Callable[[], None]) -> None:
@@ -1235,10 +1262,11 @@ class StallingGraph:
     def __getattr__(self, name: str):
         """Delegate to the inner graph, stalling the query surface."""
         attr = getattr(self._inner, name)
-        if name in QUERY_OPS and callable(attr):
+        if (name in QUERY_OPS or name in PART_QUESTIONS) and callable(attr):
             def stalled(*args, _attr=attr, **kwargs):
                 self.calls += 1
                 self._stall()
+                checkpoint_ambient()
                 return _attr(*args, **kwargs)
 
             return stalled
@@ -1335,7 +1363,7 @@ def run_chaos_harness(
     healthy = [
         c for _info, graph in view._segments[1:] for c in graph.iter_contacts()
     ]
-    healthy.extend(view._tail.iter_contacts())
+    healthy.extend(view._tail.contacts)
     n = view.num_nodes
     reference = TemporalGraph(view.kind, n, healthy)
     all_rows = [

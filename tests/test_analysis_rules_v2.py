@@ -204,6 +204,43 @@ def test_cg007_flags_unpolled_loop_reached_from_entry(tmp_path):
     assert findings[0].path.endswith("helpers.py")
 
 
+def test_cg007_follows_a_base_class_hook_into_each_view(tmp_path):
+    # The ops live on QueryEngine and call hooks only its subclasses define.
+    for rel, body in CG007_COMMON.items():
+        _write(tmp_path, rel, body)
+    _write(
+        tmp_path,
+        "repro/core/engine.py",
+        """
+        from repro.runtime.context import query_scope
+
+        class QueryEngine:
+            def neighbors(self, u, ctx):
+                with query_scope(ctx):
+                    return self._part_records(u)
+        """,
+    )
+    _write(
+        tmp_path,
+        "repro/core/compressed.py",
+        """
+        from repro.core.engine import QueryEngine
+
+        class CompressedChronoGraph(QueryEngine):
+            def _part_records(self, u):
+                total = 0
+                while u > 0:
+                    total += u
+                    u -= 1
+                return total
+        """,
+    )
+    findings, _ = run_rules([str(tmp_path)], [get_rule("CG007")])
+    assert [f.rule for f in findings] == ["CG007"]
+    assert "CompressedChronoGraph._part_records" in findings[0].message
+    assert "QueryEngine.neighbors" in findings[0].message
+
+
 def test_cg007_quiet_when_loop_polls(tmp_path):
     for rel, body in CG007_COMMON.items():
         _write(tmp_path, rel, body)

@@ -25,7 +25,7 @@ MODULES = [
     "repro.graph.compose", "repro.graph.degrees",
     "repro.core", "repro.core.config", "repro.core.structure",
     "repro.core.timestamps", "repro.core.compressed", "repro.core.encoder",
-    "repro.core.serialize", "repro.core.validate",
+    "repro.core.engine", "repro.core.serialize", "repro.core.validate",
     "repro.structures", "repro.structures.wavelet",
     "repro.structures.interleaved", "repro.structures.kdtree",
     "repro.structures.cbt", "repro.structures.huffman",

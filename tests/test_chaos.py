@@ -83,7 +83,7 @@ def _healthy_reference(store):
         for c in graph.iter_contacts()
     ]
     rows.extend(
-        (c.u, c.v, c.time, c.duration) for c in view._tail.iter_contacts()
+        (c.u, c.v, c.time, c.duration) for c in view._tail.contacts
     )
     return compress(
         graph_from_contacts(view.kind, rows, num_nodes=view.num_nodes)

@@ -132,6 +132,40 @@ class TestQueryOps:
                 assert printed[0] == printed[1] == printed[2], op
                 assert printed[0] not in ("(none)\n", "inactive\n"), op
 
+    def test_node_outside_the_range_exits_2_on_file_store_and_service(
+        self, contact_file, chrono_file, tmp_path, capsys
+    ):
+        from repro.core import load_compressed
+        from repro.service.server import GraphService, ServiceConfig
+        from repro.storage.segments import SegmentStore
+
+        store = str(tmp_path / "g.store")
+        assert main(["ingest", "--init", store, str(contact_file),
+                     "--seal", "400"]) == 0
+        nodes = {str(chrono_file): load_compressed(chrono_file).num_nodes}
+        with SegmentStore.open(store, read_only=True) as opened:
+            nodes[store] = opened.graph.num_nodes
+        values = {"v": 0, "t_start": 0, "t_end": 100}
+        capsys.readouterr()
+        with GraphService(store, ServiceConfig(workers=1)) as svc:
+            host, port = svc.address
+            nodes[f"tcp://{host}:{port}"] = nodes[store]
+            for target, n in nodes.items():
+                for op in FIXED_OPS:
+                    names = QUERY_OPS[op].args
+                    if "u" not in names:
+                        continue
+                    for u in (-1, n):
+                        args = [str(u if name == "u" else values[name])
+                                for name in names]
+                        assert main(["query", target, op] + args) == 2, (
+                            target, op, u)
+                        captured = capsys.readouterr()
+                        lines = captured.err.splitlines()
+                        assert captured.out == "" and len(lines) == 1, lines
+                        assert lines[0].startswith("error: "), lines
+                        assert f"node {u} outside [0, {n})" in lines[0], lines
+
 
 class TestSweepAndStats:
     def test_sweep_prints_all_methods(self, capsys):

@@ -36,8 +36,8 @@ def _full_query_surface(cg, num_nodes):
                 cg.decode_multiset(u),
                 cg.distinct_neighbors(u),
                 cg.neighbors(u, 0, 10_000),
-                cg.neighbors_before(u, 10_000),
-                cg.neighbors_after(u, 0),
+                cg.neighbors(u, cg.t_min, 9_999),  # strictly before 10_000
+                cg.neighbors(u, 0, 10**9),  # at or after 0
                 [tuple(c) for c in cg.contacts_of(u)],
             )
         )
@@ -104,7 +104,8 @@ class TestSelfLoop:
         for c in (cg, clone):
             assert c.neighbors(3, 12, 12) == [3]
             assert c.neighbors(3, 15, 20) == []
-            assert c.edge_activity(3, 3) == [(10, 15)]
+            spans = [(x.time, x.end) for x in c.contacts_of(3) if x.v == 3]
+            assert spans == [(10, 15)]  # the edge's activity span
 
 
 class TestAllIsolated:
@@ -145,8 +146,8 @@ class TestFullCopyList:
             assert _full_query_surface(c, 9) == _full_query_surface(cg, 9)
 
 
-class TestOverlayOnDegenerates:
-    def test_self_loop_overlay_merges(self, tmp_path):
+class TestStoreOnDegenerates:
+    def test_self_loop_tail_merges(self, tmp_path):
         with SegmentStore.create(tmp_path / "s", GraphKind.POINT) as store:
             store.ingest([Contact(0, 0, 7)])
             store.seal()

@@ -2,12 +2,17 @@
 
 A Hypothesis state machine grows a segment store -- random batches,
 seals, compactions, reopens heap-loaded or mapped -- and after every step
-runs every op of :data:`repro.service.protocol.QUERY_OPS` on three
+runs every op of :data:`repro.service.protocol.QUERY_OPS` on five
 surfaces against the plain ``TemporalGraph`` of the contacts ingested so
-far: the store's view, ``compress()`` of the same contacts, and the
-service's request handler behind a JSON round trip.  Windows sit at
-contact boundaries and one step either side of them, and some are
-inverted.
+far: the store's view, ``compress()`` of the same contacts, that graph
+saved and reloaded into the heap and mapped, and the service's request
+handler behind a JSON round trip.  Windows sit at contact boundaries and
+one step either side of them, and some are inverted.  Node ids -1,
+``num_nodes`` and ``num_nodes + 3`` ask for the node-range rule: every
+surface raises the oracle's ``GraphDomainError``.  The scans outside the
+table -- ``iter_window_neighbors``, ``distinct_neighbors`` and the
+sorted ``iter_contacts()`` -- are checked on every surface but the
+served one.
 """
 
 import json
@@ -24,7 +29,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.core import compress
+from repro.core import compress, load_compressed, save_compressed
 from repro.graph.builders import graph_from_contacts
 from repro.graph.model import GraphKind
 from repro.runtime import Governor
@@ -89,7 +94,11 @@ def _windows(rows):
 
 
 def _calls(rows, n):
-    """Every table op over every node and window, plus one batch."""
+    """Every table op over every node and window, plus batches.
+
+    Each op that takes a node also runs on the ids just outside
+    ``[0, n)``, and one batch per such id puts it after a valid query.
+    """
     windows = _windows(rows)
     partner = {}
     for u, v, _t, _d in rows:
@@ -97,16 +106,21 @@ def _calls(rows, n):
     edges = [
         (u, v) for u in range(n) for v in sorted({partner.get(u, 0), (u + 1) % n})
     ]
+    outside = [-1, n, n + 3]
     # Argument tuples keyed by the table's argument names: an op whose
     # names match no key fails here instead of going unchecked.
     values = {
-        "u": list(range(n)),
+        "u": list(range(n)) + outside,
         "t_start, t_end": windows,
-        "u, t_start, t_end": [(u, *w) for u in range(n) for w in windows],
-        "u, v": edges,
-        "u, v, t_start, t_end": [e + w for e in edges for w in windows],
+        "u, t_start, t_end": [(u, *w) for u in range(n) for w in windows]
+        + [(u, *windows[0]) for u in outside],
+        "u, v": edges + [(u, 0) for u in outside],
+        "u, v, t_start, t_end": [e + w for e in edges for w in windows]
+        + [(u, 0, *windows[0]) for u in outside],
     }
-    values["queries"] = [values["u, t_start, t_end"]]
+    values["queries"] = [
+        [(u, *w) for u in range(n) for w in windows]
+    ] + [[(0, *windows[0]), (u, *windows[0])] for u in outside]
     calls = []
     for op, query in QUERY_OPS.items():
         for args in values[", ".join(query.args)]:
@@ -160,14 +174,28 @@ class StoreAgainstOracle(RuleBasedStateMachine):
         assert view.num_contacts == len(self.rows)
         n = view.num_nodes
         oracle = graph_from_contacts(self.kind, self.rows, num_nodes=n)
-        calls = _calls(self.rows, n)
-        for name, surface in [
+        monolithic = compress(oracle)
+        saved = self.work / "g.chrono"
+        save_compressed(monolithic, saved)
+        local = [
             ("store view", view),
-            ("compress()", compress(oracle)),
-            ("served", _Served(view)),
-        ]:
+            ("compress()", monolithic),
+            ("compress() reloaded", load_compressed(saved, mmap=False)),
+            ("compress() mapped", load_compressed(saved, mmap=True)),
+        ]
+        calls = _calls(self.rows, n)
+        for name, surface in local + [("served", _Served(view))]:
             flaw = first_divergence(surface, oracle, calls)
             assert flaw is None, f"{name}: {flaw}"
+        for name, surface in local:
+            for t0, t1 in _windows(self.rows):
+                assert list(surface.iter_window_neighbors(t0, t1)) == [
+                    (u, oracle.ref_neighbors(u, t0, t1)) for u in range(n)
+                ], (name, t0, t1)
+            assert [surface.distinct_neighbors(u) for u in range(n)] == [
+                oracle.distinct_neighbors(u) for u in range(n)
+            ], name
+            assert sorted(surface.iter_contacts()) == oracle.contacts, name
 
     def teardown(self) -> None:
         if self.store is not None:

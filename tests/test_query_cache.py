@@ -56,8 +56,8 @@ class TestCounters:
         cg = _chain()
         cg.decode_multiset(1)
         cg.edge_timestamps(1, 2)
-        cg.neighbors_after(1, 0)
-        cg.neighbors_before(1, 50)
+        cg.neighbors(1, 0, 10**9)
+        cg.neighbors(1, cg.t_min, 49)
         stats = cg.cache_stats()
         assert stats["misses"] == 1
         assert stats["hits"] == 3

@@ -78,7 +78,7 @@ def _segmented_store(tmp_path, segments=4):
 
 
 class _AnswerThenStall:
-    """A query part that answers ``neighbors``, then moves the clock on."""
+    """A query part that answers a node's record, then moves the clock on."""
 
     def __init__(self, inner, clock, seconds):
         self._inner = inner
@@ -88,8 +88,8 @@ class _AnswerThenStall:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def neighbors(self, *args, **kwargs):
-        out = self._inner.neighbors(*args, **kwargs)
+    def _record(self, *args, **kwargs):
+        out = self._inner._record(*args, **kwargs)
         self._clock.advance(self._seconds)
         return out
 

@@ -267,6 +267,35 @@ class TestOverlapPlanning:
                     assert info in plan, (info, t1, t2)
 
 
+# -- one query engine --------------------------------------------------------
+
+
+class TestStoreViewScans:
+    """The scans a store view gained with the engine match a compressed graph."""
+
+    @pytest.mark.parametrize(
+        "kind", [GraphKind.POINT, GraphKind.INTERVAL, GraphKind.INCREMENTAL]
+    )
+    def test_tail_resident_and_sealed(self, tmp_path, kind):
+        rows = _rows(kind, seed=3)
+        store = SegmentStore.create(tmp_path / "s", kind, policy=POLICY)
+        _fill(store, rows)
+        views = {"mixed": store.graph}
+        store.seal()
+        views["sealed"] = store.graph
+        for name, view in views.items():
+            reference = _reference(kind, rows, view.num_nodes)
+            assert view.to_static_graph() == reference.to_static_graph(), name
+            assert view.to_temporal_graph().contacts == (
+                reference.to_temporal_graph().contacts
+            ), name
+            for t1, t2 in [(0, 400), (100, 150), (150, 100)]:
+                assert list(view.iter_window_neighbors(t1, t2)) == list(
+                    reference.iter_window_neighbors(t1, t2)
+                ), (name, t1, t2)
+        store.close()
+
+
 # -- store lifecycle ---------------------------------------------------------
 
 
@@ -381,6 +410,20 @@ class TestStoreLifecycle:
             store.graph.neighbors(99, 0, 10)
         store.close()
 
+    def test_batch_is_checked_whole_before_any_decode(self, tmp_path):
+        store = SegmentStore.create(tmp_path / "s", GraphKind.POINT)
+        store.ingest([(0, 1, 5, 0), (1, 0, 6, 0)])
+        store.seal()
+        view = store.graph
+        segment = view._segments[0][1]
+        segment.clear_cache()
+        before = segment.cache_stats()
+        with pytest.raises(GraphDomainError):
+            view.neighbors_many([(0, 0, 10), (1, 0, 10), (view.num_nodes, 0, 10)])
+        after = segment.cache_stats()
+        assert (after["hits"], after["misses"]) == (before["hits"], before["misses"])
+        store.close()
+
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             StorePolicy(seal_contacts=0)
@@ -486,7 +529,7 @@ class TestTailRecovery:
         stale = (directory / WAL_TAIL_NAME).read_bytes()
         tail_rows = [
             (c.u, c.v, c.time, c.duration)
-            for c in store.graph._tail.iter_contacts()
+            for c in store.graph._tail.contacts
         ]
         assert tail_rows  # the fixture leaves a non-empty tail
         store.seal()

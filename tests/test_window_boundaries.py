@@ -1,12 +1,11 @@
 """Interval-inclusivity pinning: every query agrees on closed [t_start, t_end].
 
 FORMAT.md ("Query window semantics") documents one contract for the whole
-query surface: windows are closed on both ends, ``neighbors_before(u, t)``
-is strictly before ``t``, ``neighbors_after(u, t)`` includes ``t``, and an
+query surface: windows are closed on both ends, "before ``t``" is the
+window ``(-inf, t - 1]``, "at or after ``t``" is ``[t, +inf)``, and an
 inverted window is empty.  These tests put a contact exactly on each
-boundary and check that ``neighbors``, ``has_edge``, ``neighbors_before``,
-``neighbors_after``, ``snapshot``, ``iter_window_neighbors`` and
-``neighbors_many`` all agree -- for every
+boundary and check that ``neighbors``, ``has_edge``, ``snapshot``,
+``iter_window_neighbors`` and ``neighbors_many`` all agree -- for every
 graph kind, and on a segment store both while the contacts sit in its
 tail buffer and once they are sealed.
 """
@@ -19,6 +18,7 @@ from repro.graph.model import Contact, GraphKind
 from repro.storage.segments import SegmentStore
 
 T = 100  # the boundary timestamp under test
+FAR = 10**9  # past every fixture's activity: the window [t, FAR] is [t, +inf)
 
 
 def _point():
@@ -82,20 +82,20 @@ class TestPointBoundaries:
         assert all(v == [] for v in views), views
         assert not cg.has_edge(0, 1, T, T - 1)
 
-    def test_before_is_strict_after_is_closed(self):
+    def test_window_before_t_is_strict_from_t_is_closed(self):
         cg = _point()
-        assert 1 not in cg.neighbors_before(0, T)  # strictly before
-        assert 1 in cg.neighbors_before(0, T + 1)
-        assert 1 in cg.neighbors_after(0, T)  # closed lower bound
-        assert 1 not in cg.neighbors_after(0, T + 1)
+        assert 1 not in cg.neighbors(0, cg.t_min, T - 1)  # strictly before
+        assert 1 in cg.neighbors(0, cg.t_min, T)
+        assert 1 in cg.neighbors(0, T, FAR)  # closed lower bound
+        assert 1 not in cg.neighbors(0, T + 1, FAR)
 
-    def test_before_after_partition_at_boundary(self):
-        # Every contact is in exactly one of {before t, after t}: the
-        # complement split documented in FORMAT.md.
+    def test_windows_before_and_from_t_partition_at_boundary(self):
+        # Every contact is in exactly one of the windows (-inf, t - 1]
+        # and [t, +inf): the complement split documented in FORMAT.md.
         cg = _point()
         for t in [T - 50, T, T + 50, T + 51]:
-            before = set(cg.neighbors_before(0, t))
-            after = set(cg.neighbors_after(0, t))
+            before = set(cg.neighbors(0, cg.t_min, t - 1))
+            after = set(cg.neighbors(0, t, FAR))
             assert before | after == {1, 2, 3}
             # (a label can appear on both sides only with multiple
             # contacts; each single-contact label lands on one side)
@@ -125,11 +125,11 @@ class TestIntervalBoundaries:
         assert not cg.has_edge(0, 3, 0, 10_000)
         assert 3 not in cg.neighbors(0, 0, 10_000)
 
-    def test_after_uses_exclusive_activity_end(self):
+    def test_window_from_t_uses_exclusive_activity_end(self):
         cg = _interval()
         # (0,2) active [T-20, T): its last active instant is T-1.
-        assert 2 in cg.neighbors_after(0, T - 1)
-        assert 2 not in cg.neighbors_after(0, T)
+        assert 2 in cg.neighbors(0, T - 1, FAR)
+        assert 2 not in cg.neighbors(0, T, FAR)
 
 
 class TestIncrementalBoundaries:
@@ -141,13 +141,13 @@ class TestIncrementalBoundaries:
         views = _window_views(cg, T - 10, T - 1)
         assert all(v == [2] for v in views), views
 
-    def test_before_strict_after_always(self):
+    def test_window_before_t_is_strict_from_t_holds_every_edge(self):
         cg = _incremental()
-        assert 1 not in cg.neighbors_before(0, T)
-        assert 1 in cg.neighbors_before(0, T + 1)
-        # Incremental edges never deactivate: "after" includes everything
-        # already created.
-        assert set(cg.neighbors_after(0, T)) == {1, 2}
+        assert 1 not in cg.neighbors(0, cg.t_min, T - 1)
+        assert 1 in cg.neighbors(0, cg.t_min, T)
+        # Incremental edges never deactivate: the window [T, +inf)
+        # includes everything already created.
+        assert set(cg.neighbors(0, T, FAR)) == {1, 2}
 
 
 #: Windows touching, straddling and just missing every fixture boundary.
@@ -158,8 +158,8 @@ _WINDOWS = [
 ]
 
 
-class TestOverlayAgreesOnBoundaries:
-    def test_overlay_contact_on_each_boundary(self, tmp_path):
+class TestStoreAgreesOnBoundaries:
+    def test_tail_contact_on_each_boundary(self, tmp_path):
         # A point contact in a store's tail buffer, on top of a sealed
         # segment holding the _point() contacts.
         with SegmentStore.create(tmp_path / "s", GraphKind.POINT) as store:
@@ -190,6 +190,9 @@ class TestOverlayAgreesOnBoundaries:
                     for u in range(cg.num_nodes):
                         want = cg.neighbors(u, t0, t1)
                         assert view.neighbors(u, t0, t1) == want, (name, t0, t1)
+                        assert _window_views(view, t0, t1, u) == _window_views(
+                            cg, t0, t1, u
+                        ), (name, u, t0, t1)
                         for v in range(cg.num_nodes):
                             assert view.has_edge(u, v, t0, t1) == cg.has_edge(
                                 u, v, t0, t1
