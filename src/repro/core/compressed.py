@@ -741,13 +741,8 @@ class CompressedChronoGraph(QueryEngine):
     # -- the one-part view ------------------------------------------------------
 
     def _part_records(self, u, t_start, t_end, ctx, windows=None):
-        """u's one record, with no plan, breaker, tail or merge.
-
-        :meth:`_record` written out, so a point query's hit is one call
-        shallower.
-        """
-        record = self._cache_get(u)
-        return (record if record is not None else self._decode_record(u),)
+        """u's one record, with no plan, breaker, tail or merge."""
+        return (self._record(u),)
 
     def _part_walks(self, t_start, t_end, ctx, structure_only, label=None):
         """The graph's own walk, mapped by ``label`` as the scan reads it."""

@@ -11,16 +11,14 @@ structure_only=False)``, ``(u, record)`` -- or ``(u, distinct labels)``
 
 :class:`QueryEngine` writes each op once over those answers and runs
 the node-range rule, :meth:`QueryEngine._check_node`, before any part
-is asked.  A view says which parts a query reads through two hooks,
-``_part_records(u, t_start, t_end, ctx, windows=None)`` (u's record from
-each part that reaches u and is planned for the closed window, every
-part when ``t_start`` is None, or for any of a batch's ``windows``) and
-``_part_walks(t_start, t_end, ctx, structure_only, label=None)`` (each
-planned part's walk, mapped by ``label``, in part order).  :class:`repro.core.compressed.CompressedChronoGraph`
-is the one-part view: its hooks ask the graph itself, with no plan,
-breaker, tail or merge on the way.
+is asked.  A view's two hooks, ``_part_records(u, t_start, t_end, ctx,
+windows=None)`` and ``_part_walks(t_start, t_end, ctx, structure_only,
+label=None)``, give the planned parts' answers one part at a time, and
+an op iterates them inside its query scope (DESIGN.md §9).
+:class:`repro.core.compressed.CompressedChronoGraph` is the one-part
+view, with no plan, breaker, tail or merge on the way;
 :class:`repro.storage.segments.SegmentedChronoGraph` is the many-part
-view: it plans the window over its segments, adds the tail, and asks
+view, which plans the window over its segments, adds the tail, and asks
 each part under its circuit breaker.
 """
 
@@ -153,18 +151,20 @@ class QueryEngine:
         """
         self._check_node(u)
         if ctx is None:  # bare compare: this entry is on the perf gate
-            records = self._part_records(u, t_start, t_end, None)
+            records = tuple(self._part_records(u, t_start, t_end, None))
         else:
             with query_scope(ctx):
-                records = self._part_records(u, t_start, t_end, ctx)
-        if len(records) == 1:  # one part: nothing to merge
+                records = tuple(self._part_records(u, t_start, t_end, ctx))
+        if len(records) == 1:
+            # One part: _union without its list (table5-hot p50_us 1.68 ->
+            # 1.46 µs, DESIGN.md §9).
             multiset, times, durations = records[0]
             return active_neighbors(
                 self.kind, multiset, times, durations, t_start, t_end
             )
         return _union([
-            active_neighbors(self.kind, *record, t_start, t_end)
-            for record in records
+            active_neighbors(self.kind, multiset, times, durations, t_start, t_end)
+            for multiset, times, durations in records
         ])
 
     def neighbors_many(
@@ -192,13 +192,13 @@ class QueryEngine:
             for u, wants in groups.items():
                 if ctx is not None:
                     ctx.checkpoint()
-                records = self._part_records(
+                records = tuple(self._part_records(
                     u, None, None, ctx, [(t0, t1) for _i, t0, t1 in wants]
-                )
+                ))
                 for i, t0, t1 in wants:
                     out[i] = _union([
-                        active_neighbors(kind, *record, t0, t1)
-                        for record in records
+                        active_neighbors(kind, multiset, times, durations, t0, t1)
+                        for multiset, times, durations in records
                     ])
         return out
 
@@ -215,18 +215,21 @@ class QueryEngine:
 
         Binary-searches each label-sorted multiset for its ``v``-run; the
         run's timestamps come from the same record, and the first active
-        contact answers.  ``ctx`` bounds the query (see :mod:`repro.runtime`).
+        contact answers, so no later part is asked.  ``ctx`` bounds the
+        query (see :mod:`repro.runtime`).
         """
         self._check_node(u)
         if ctx is None:  # bare compare: this entry is on the perf gate
-            records = self._part_records(u, t_start, t_end, None)
-        else:
-            with query_scope(ctx):
-                records = self._part_records(u, t_start, t_end, ctx)
+            return self._edge_in_parts(u, v, t_start, t_end, None)
+        with query_scope(ctx):
+            return self._edge_in_parts(u, v, t_start, t_end, ctx)
+
+    def _edge_in_parts(self, u, v, t_start, t_end, ctx) -> bool:
+        """:meth:`has_edge`'s search, over u's parts until the first hit."""
         if t_end < t_start:
             return False
         kind = self.kind
-        for multiset, times, durations in records:
+        for multiset, times, durations in self._part_records(u, t_start, t_end, ctx):
             lo = bisect_left(multiset, v)
             if lo == len(multiset) or multiset[lo] != v:
                 continue
@@ -249,14 +252,14 @@ class QueryEngine:
     ) -> List[int]:
         """All activation timestamps of the edge (u, v), ascending."""
         self._check_node(u)
-        with query_scope(ctx):
-            records = self._part_records(u, None, None, ctx)
         times: List[int] = []
-        for multiset, record_times, _durations in records:
-            lo = bisect_left(multiset, v)
-            times += record_times[lo:bisect_right(multiset, v, lo)]
-        if len(records) > 1:
-            times.sort()
+        with query_scope(ctx):
+            for multiset, record_times, _d in self._part_records(
+                u, None, None, ctx
+            ):
+                lo = bisect_left(multiset, v)
+                times += record_times[lo:bisect_right(multiset, v, lo)]
+        times.sort()
         return times
 
     def contacts_of(
@@ -265,10 +268,10 @@ class QueryEngine:
         """All contacts of ``u``, decoded, in (label, time) order."""
         self._check_node(u)
         if ctx is None:  # bare compare: this entry is on the perf gate
-            records = self._part_records(u, None, None, None)
+            records = tuple(self._part_records(u, None, None, None))
         else:
             with query_scope(ctx):
-                records = self._part_records(u, None, None, ctx)
+                records = tuple(self._part_records(u, None, None, ctx))
         multiset, times, durations = merged_record(records)
         return [
             Contact(u, v, t, d)
@@ -278,38 +281,40 @@ class QueryEngine:
     def distinct_neighbors(self, u: int) -> List[int]:
         """Sorted distinct neighbor labels over the whole lifetime."""
         self._check_node(u)
-        records = self._part_records(u, None, None, None)
-        return _union([distinct_of(multiset) for multiset, _t, _d in records])
+        return _union([
+            distinct_of(multiset)
+            for multiset, _t, _d in self._part_records(u, None, None, None)
+        ])
 
     # -- scans -----------------------------------------------------------------
 
     def _scan(self, t_start, t_end, ctx, structure_only=False):
-        """``(u, labels)`` in id order for the nodes the planned parts hold.
+        """``(u, labels)`` in id order for each node with any labels.
 
         The labels are u's sorted active neighbors in the closed window,
         or, ``structure_only`` (and no window), its distinct neighbors.
-        One part's walk is labelled as it goes, node by node; several are
-        labelled part by part and merged.
+        Each part's walk is labelled in one loop into the list of its
+        non-empty nodes; several parts' lists are merged per node.
         """
         kind = self.kind
 
         def label(walk):
             if structure_only:
-                return walk
-            return (
-                (u, active_neighbors(kind, m, t, d, t_start, t_end))
-                for u, (m, t, d) in walk
-            )
+                return [(u, distinct) for u, distinct in walk if distinct]
+            return [
+                (u, labels)
+                for u, (multiset, times, durations) in walk
+                if (labels := active_neighbors(kind, multiset, times, durations, t_start, t_end))
+            ]
 
         walks = list(self._part_walks(t_start, t_end, ctx, structure_only, label))
         if len(walks) == 1:
-            return iter(walks[0])
+            return walks[0]
         merged: Dict[int, List[List[int]]] = {}
         for walk in walks:
             for u, labels in walk:
-                if labels:
-                    merged.setdefault(u, []).append(labels)
-        return ((u, _union(merged[u])) for u in sorted(merged))
+                merged.setdefault(u, []).append(labels)
+        return [(u, _union(merged[u])) for u in sorted(merged)]
 
     def snapshot(
         self, t_start: int, t_end: int, *, ctx: Optional[QueryContext] = None
@@ -328,18 +333,15 @@ class QueryEngine:
 
         The bulk form of :meth:`neighbors` used by full-graph consumers
         (the vertex-centric engine's undirected symmetrisation, exports);
-        the same closed ``[t_start, t_end]`` window applies.  ``ctx`` is
-        polled per node as the consumer iterates (never held across a
-        yield).
+        the same closed ``[t_start, t_end]`` window applies.  The parts
+        are walked at the first pull; ``ctx`` is polled per node there
+        and again as the consumer iterates (never held across a yield).
         """
-        following = 0
-        for u, labels in self._scan(t_start, t_end, ctx):
-            for following in range(following, u):
-                yield following, []
-            yield u, labels
-            following = u + 1
-        for following in range(following, self.num_nodes):
-            yield following, []
+        labelled = dict(self._scan(t_start, t_end, ctx))
+        for u in range(self.num_nodes):
+            if ctx is not None:
+                ctx.checkpoint()
+            yield u, labelled.get(u, [])
 
     def to_static_graph(self) -> List[Tuple[int, int]]:
         """The "flattened" aggregated view of Figure 1(a): distinct edges."""
@@ -355,7 +357,8 @@ class QueryEngine:
         one node at a time, so full-graph passes (exports, motif
         counters, bulk loads) never hold more than one node's contacts
         beyond the output itself.  ``ctx`` is polled per node as the
-        consumer iterates.
+        consumer iterates; the decode runs in the consumer's frame, so no
+        part is asked under a circuit breaker.
         """
         for walk in self._part_walks(None, None, ctx, False):
             for u, (multiset, times, durations) in walk:

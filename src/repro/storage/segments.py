@@ -511,7 +511,7 @@ class _TailBuffer:
     published view a snapshot.
     """
 
-    __slots__ = ("kind", "contacts", "num_nodes")
+    __slots__ = ("kind", "contacts", "num_nodes", "_grouped")
 
     def __init__(
         self,
@@ -522,6 +522,7 @@ class _TailBuffer:
         self.kind = kind
         self.contacts = contacts
         self.num_nodes = num_nodes
+        self._grouped: Optional[Tuple[Tuple[int, NodeRecord], ...]] = None
 
     @property
     def num_contacts(self) -> int:
@@ -538,11 +539,11 @@ class _TailBuffer:
 
     def _columns(self, run: Iterable[Contact]) -> NodeRecord:
         """The record of one node's run of contacts (empty when none)."""
-        columns = tuple(zip(*run))
         interval = self.kind is GraphKind.INTERVAL
-        if not columns:
+        if not run:
             return (), (), (() if interval else None)
-        return columns[1], columns[2], columns[3] if interval else None
+        _us, vs, ts, ds = zip(*run)
+        return vs, ts, ds if interval else None
 
     def _record(self, u: int) -> NodeRecord:
         """Node ``u``'s record: its bisected slice of the tail."""
@@ -552,19 +553,25 @@ class _TailBuffer:
 
     def _walk(self, ctx=None, *, structure_only=False):
         """Yield ``(u, record)`` -- or ``(u, distinct labels)`` -- for each
-        node with contacts, in id order, polling ``ctx`` once per node."""
-        for u, run in itertools.groupby(self.contacts, operator.itemgetter(0)):
+        node with contacts, in id order, polling ``ctx`` once per node.
+        The records are grouped on the first walk and kept (the buffer
+        never changes; a racing first walk builds an equal tuple), so
+        repeated scans build none (DESIGN.md §9)."""
+        grouped = self._grouped
+        if grouped is None:
+            grouped = self._grouped = tuple(
+                (u, self._columns(run))
+                for u, run in itertools.groupby(self.contacts, operator.itemgetter(0))
+            )
+        for u, record in grouped:
             if ctx is not None:
                 ctx.checkpoint()
-            record = self._columns(run)
             yield u, distinct_of(record[0]) if structure_only else record
 
 
 def _read_walk(part, ctx, structure_only, label):
-    """A part's whole walk, mapped by ``label``, read inside its breaker's
-    accounting; what maps to an empty answer is not kept."""
-    walk = part._walk(ctx, structure_only=structure_only)
-    return [(u, item) for u, item in (walk if label is None else label(walk)) if item]
+    """A part's whole walk, labelled, read inside its breaker's accounting."""
+    return label(part._walk(ctx, structure_only=structure_only))
 
 
 class SegmentedChronoGraph(QueryEngine):
@@ -672,18 +679,23 @@ class SegmentedChronoGraph(QueryEngine):
         return parts
 
     def _part_records(self, u, t_start, t_end, ctx, windows=None):
-        """u's record from each planned part that reaches u, breaker-guarded."""
-        records = []
+        """Yield u's record from each planned part that holds a contact of
+        u, in part order, asking each part under its breaker only when the
+        op pulls; an empty record adds nothing to any op, so it is dropped."""
         for name, part in self._planned(t_start, t_end, windows):
             if u < part.num_nodes:
                 record = self._query_part(name, ctx, part._record, u)
-                if record is not _PART_SKIPPED:
-                    records.append(record)
-        return records
+                if record is not _PART_SKIPPED and record[0]:
+                    yield record
 
     def _part_walks(self, t_start, t_end, ctx, structure_only, label=None):
-        """Each planned part's walk, read whole under its breaker, in part order."""
+        """Each planned part's walk, in part order: a scan's (labelled) read
+        whole under the part's breaker, :meth:`iter_contacts`'s streamed
+        outside any breaker, as its consumer pulls it (DESIGN.md §9)."""
         for name, part in self._planned(t_start, t_end):
+            if label is None:
+                yield part._walk(ctx, structure_only=structure_only)
+                continue
             walk = self._query_part(
                 name, ctx, _read_walk, part, ctx, structure_only, label
             )

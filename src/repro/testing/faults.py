@@ -1243,14 +1243,12 @@ class StallingGraph:
     ``stall`` is any zero-argument callable -- typically one that
     advances a :class:`StepClock` past the query deadline, modelling a
     segment whose decode path has hit pathological latency.  The ops of
-    :data:`repro.service.protocol.QUERY_OPS` stall, and so do the two
-    questions a store asks its parts
-    (:data:`repro.core.engine.PART_QUESTIONS`), each followed by a poll
-    of the ambient context, as the stalled decode loops would poll it:
-    a stall inside a store's part is charged to that part's breaker.
-    Everything else (sizes, ``iter_contacts``, attributes) passes
-    straight through, so a chaos view built around this proxy still
-    supports reference building and seal/compact reads.
+    :data:`repro.service.protocol.QUERY_OPS` and the part questions a
+    store asks (:data:`repro.core.engine.PART_QUESTIONS`) stall, then
+    poll the ambient context as a stalled decode loop would, so a stall
+    is charged to that part's breaker.  Everything else passes straight
+    through, so a chaos view built around this proxy still supports
+    reference building and seal/compact reads.
     """
 
     def __init__(self, inner, stall: Callable[[], None]) -> None:

@@ -121,7 +121,14 @@ class SuperstepEngine:
         """
         if self.undirected and not self._undirected_built:
             symmetric: Dict[int, set] = {v: set() for v in range(self.graph.num_nodes)}
-            pairs = self.graph.iter_window_neighbors(self.t_start, self.t_end)
+            bulk = getattr(self.graph, "iter_window_neighbors", None)
+            if bulk is not None:
+                pairs = bulk(self.t_start, self.t_end)
+            else:
+                pairs = (
+                    (v, self.graph.neighbors(v, self.t_start, self.t_end))
+                    for v in range(self.graph.num_nodes)
+                )
             for v, neighbors in pairs:
                 for w in neighbors:
                     symmetric[v].add(w)

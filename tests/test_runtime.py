@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bits import kernels
 from repro.core import compress
 from repro.errors import (
+    CorruptStreamError,
     DomainError,
     QueryBudgetExceeded,
     QueryCancelled,
@@ -92,6 +93,23 @@ class _AnswerThenStall:
         out = self._inner._record(*args, **kwargs)
         self._clock.advance(self._seconds)
         return out
+
+
+class _RottenPart:
+    """A query part whose records and walk always fail as corrupt bytes."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def _record(self, u):
+        raise CorruptStreamError(f"node {u}: rotten record")
+
+    def _walk(self, ctx=None, *, structure_only=False):
+        raise CorruptStreamError("rotten walk")
+        yield  # a generator, as every part's walk is
 
 
 class TestDeadline:
@@ -475,6 +493,69 @@ class TestGovernor:
             assert stats["admitted"] == 1 and stats["in_flight"] == 0
             assert kernels.get_checkpoint_hook() is None
             assert current_context() is None
+        finally:
+            store.close()
+
+
+    def test_has_edge_stops_at_the_first_part_with_an_active_contact(
+        self, tmp_path
+    ):
+        # (0, 1) is active in the first segment only; the second segment
+        # is isolated by an open breaker, the third is rotten.  has_edge
+        # answers from the first part and asks neither of the others.
+        store = _segmented_store(tmp_path)
+        view = store.graph
+        board = BreakerBoard(failure_threshold=1, clock=StepClock())
+        first, (second, graph2), (third, graph3), fourth = view._segments
+        board.get(second.name).record_failure("crc")
+        guarded = SegmentedChronoGraph(
+            view.kind,
+            (first, (second, graph2), (third, _RottenPart(graph3)), fourth),
+            view._tail,
+            breakers=board,
+        )
+        try:
+            assert len(guarded.plan(0, 500)) == 4
+            assert guarded.has_edge(0, 1, 0, 500)
+            assert guarded.has_edge(0, 1, 0, 500, ctx=QueryContext())
+            assert board.peek(third.name) is None  # never asked
+            # (0, 11) is only in the tail, so every part is asked.
+            with pytest.raises(RejectedError):
+                guarded.has_edge(0, 11, 0, 500)
+            partial = QueryContext(allow_partial=True)
+            assert guarded.has_edge(0, 11, 0, 500, ctx=partial)
+            assert [skip.part for skip in partial.skipped] == [
+                second.name, third.name
+            ]
+        finally:
+            store.close()
+
+    def test_iter_contacts_streams_every_part_outside_the_breakers(
+        self, tmp_path
+    ):
+        store = _segmented_store(tmp_path)
+        view = store.graph
+        board = BreakerBoard(failure_threshold=1, clock=StepClock())
+        for info, _graph in view._segments:
+            board.get(info.name).record_failure("crc")
+        guarded = SegmentedChronoGraph(
+            view.kind, view._segments, view._tail, breakers=board
+        )
+        *healthy, (last, graph) = view._segments
+        rotten = SegmentedChronoGraph(
+            view.kind,
+            tuple(healthy) + ((last, _RottenPart(graph)),),
+            view._tail,
+        )
+        try:
+            # Open breakers are not consulted ...
+            assert list(guarded.iter_contacts()) == list(view.iter_contacts())
+            # ... and a rotten last segment fails only when the stream
+            # reaches it.
+            contacts = rotten.iter_contacts()
+            assert next(contacts) == next(view.iter_contacts())
+            with pytest.raises(CorruptStreamError):
+                list(contacts)
         finally:
             store.close()
 

@@ -8,6 +8,7 @@ import random
 import networkx as nx
 import pytest
 
+from repro.baselines import get_compressor
 from repro.core import compress
 from repro.graph.builders import graph_from_contacts
 from repro.graph.model import GraphKind
@@ -132,6 +133,16 @@ class TestConnectedComponents:
     def test_two_components(self):
         cg = _compressed([(0, 1, 1), (1, 2, 1), (3, 4, 1)], n=5)
         engine = SuperstepEngine(cg, 0, 10, undirected=True)
+        assert engine.run(ConnectedComponents()) == [0, 0, 0, 3, 3]
+
+    def test_baseline_graph_without_bulk_scan(self):
+        """A graph with only ``neighbors`` (a baseline) is symmetrised per node."""
+        graph = graph_from_contacts(
+            GraphKind.POINT, [(0, 1, 1), (2, 1, 1), (3, 4, 1)], num_nodes=5
+        )
+        edgelog = get_compressor("EdgeLog").compress(graph)
+        assert not hasattr(edgelog, "iter_window_neighbors")
+        engine = SuperstepEngine(edgelog, 0, 10, undirected=True)
         assert engine.run(ConnectedComponents()) == [0, 0, 0, 3, 3]
 
 
