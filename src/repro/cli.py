@@ -143,8 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help=".chrono file")
     p.add_argument("--against", default=None,
                    help="contact list to diff the decoded graph against")
-    p.add_argument("--deep", action="store_true",
-                   help="additionally decode every node front to back")
     p.add_argument("--salvage", action="store_true",
                    help="best-effort decode; report the longest valid prefix")
 
@@ -413,7 +411,7 @@ def _cmd_verify(args) -> int:
     # Exit codes: 0 the container is sound, 1 it loaded or parsed as
     # corrupt, 2 it could not be read at all (missing file, bad magic,
     # truncated header, unknown version -- raised and mapped in main()).
-    from repro.core.validate import salvage_scan, validate_compressed
+    from repro.core.validate import validate_compressed
 
     if args.salvage:
         report = load_compressed(args.input, salvage=True)
@@ -427,14 +425,6 @@ def _cmd_verify(args) -> int:
     except (ChecksumMismatchError, CorruptStreamError, LimitExceededError) as exc:
         print(f"corrupt: {exc}", file=sys.stderr)
         return 1
-
-    if args.deep:
-        scan = salvage_scan(compressed)
-        if not scan.ok:
-            for error in scan.errors:
-                print(f"ERROR: {error}", file=sys.stderr)
-            return 1
-        print(f"deep scan: all {scan.nodes_recovered} nodes decode cleanly")
 
     reference = read_contact_text(args.against) if args.against else None
     report = validate_compressed(compressed, reference)

@@ -20,8 +20,6 @@ from repro.core.config import ChronoGraphConfig
 from repro.core.compressed import CompressedChronoGraph
 from repro.core.encoder import compress
 from repro.core.serialize import (
-    DEFAULT_LIMITS,
-    DecodeLimits,
     dumps_compressed,
     load_compressed,
     load_compressed_bytes,
@@ -32,8 +30,6 @@ from repro.core.validate import SalvageReport, salvage_scan, validate_compressed
 __all__ = [
     "ChronoGraphConfig",
     "CompressedChronoGraph",
-    "DecodeLimits",
-    "DEFAULT_LIMITS",
     "SalvageReport",
     "compress",
     "dumps_compressed",

@@ -14,23 +14,37 @@ disk and network boundaries:
   offset arrays; the in-memory index is derived, so the format does not
   depend on it),
 * **decode limits**: every declared count and size is cross-checked against
-  the actual file size *before* any proportional allocation, so a flipped
-  header byte can never trigger a multi-gigabyte allocation or an unbounded
-  loop.
+  the actual file size and the fixed caps ``_MAX_NODES``,
+  ``_MAX_CONTACTS`` and ``_MAX_SECTION_BYTES`` *before* any proportional
+  allocation, so a flipped header byte can never trigger a
+  multi-gigabyte allocation or an unbounded loop.
 
-All integers are little-endian.  Every failure mode raises an exception
-from the :class:`repro.errors.FormatError` hierarchy.  VERSION 2 is the only
-version read or written; any other version byte raises
+All integers are little-endian.  VERSION 2 is the only version read or
+written; any other version byte raises
 :class:`repro.errors.UnsupportedVersionError`.
 
-``load_compressed(path, salvage=True)`` switches to best-effort decoding:
-instead of raising, it returns a :class:`repro.core.validate.SalvageReport`
-describing the longest valid prefix of nodes that could be recovered.
+One walk, two error policies
+----------------------------
+
+The layout is read by one walk, :func:`_walk`, which reports every flaw
+it finds to an error policy held by its :class:`_Walk` cursor:
+
+* **strict** -- :func:`load_compressed_bytes` and ``load_compressed``
+  (heap or ``mmap=True``): the first flaw raises its
+  :class:`repro.errors.FormatError` subclass, after any deferred stream
+  checksum has been settled, so a lazy load raises what an eager one
+  raises;
+* **salvage** -- :func:`salvage_bytes` and
+  ``load_compressed(path, salvage=True)``: each flaw's message is
+  recorded, the damaged field is clipped and the walk goes on; the
+  recovered graph then goes through
+  :func:`repro.core.validate.salvage_scan`, which keeps the longest
+  valid prefix of nodes in a :class:`repro.core.validate.SalvageReport`.
 
 Buffer discipline
 -----------------
 
-The read path is zero-copy end to end: :class:`_Cursor` wraps whatever
+The read path is zero-copy end to end: :class:`_Walk` wraps whatever
 buffer it is given in a ``memoryview`` and every section it hands out is a
 *view* into that buffer, never a slice copy.  ``load_compressed`` therefore
 has two modes that differ only in who owns the underlying pages:
@@ -46,7 +60,6 @@ has two modes that differ only in who owns the underlying pages:
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import mmap
 import pathlib
@@ -54,7 +67,7 @@ import struct
 import zlib
 from array import array
 from bisect import bisect_right
-from typing import BinaryIO, List, Optional, Tuple, Union
+from typing import BinaryIO, Dict, List, NoReturn, Optional, Tuple, Type, Union
 
 from repro.bits.bitio import Buffer
 from repro.core.compressed import CompressedChronoGraph
@@ -74,8 +87,6 @@ from repro.graph.model import GraphKind
 
 __all__ = [
     "FormatError",
-    "DecodeLimits",
-    "DEFAULT_LIMITS",
     "VERSION",
     "save_compressed",
     "dumps_compressed",
@@ -120,64 +131,16 @@ _MAX_CODE_BYTES = 10
 #: every stream, since a stream's bit length is a u64.
 _OVERLONG = 1 << 64
 
+#: Hard ceilings applied while reading an untrusted container.  These are
+#: sanity bounds, not tuning knobs: a legitimate container never comes
+#: near them, and breaching one raises
+#: :class:`repro.errors.LimitExceededError` before any allocation sized by
+#: the offending field.
+_MAX_NODES = 1 << 40
+_MAX_CONTACTS = 1 << 48
+_MAX_SECTION_BYTES = 1 << 40
+
 PathLike = Union[str, pathlib.Path]
-
-
-@dataclasses.dataclass(frozen=True)
-class DecodeLimits:
-    """Hard ceilings applied while parsing an untrusted container.
-
-    These are sanity bounds, not tuning knobs: a legitimate container never
-    comes near them, and breaching one raises
-    :class:`repro.errors.LimitExceededError` before any allocation sized by
-    the offending field.
-    """
-
-    #: Largest accepted node count.
-    max_nodes: int = 1 << 40
-    #: Largest accepted contact count.
-    max_contacts: int = 1 << 48
-    #: Largest accepted single-section payload, in bytes.
-    max_section_bytes: int = 1 << 40
-
-
-#: Limits used when the caller does not supply their own.
-DEFAULT_LIMITS = DecodeLimits()
-
-
-class _Cursor:
-    """Bounded reader over an in-memory container with typed failures.
-
-    The buffer is wrapped in a ``memoryview`` once, so every
-    :meth:`read_exact` returns a zero-copy view into the container --
-    multi-megabyte stream sections are never duplicated, whether the
-    container lives on the heap or in a memory-mapped file.
-    """
-
-    def __init__(self, data: Buffer, source: str) -> None:
-        self._data = data if isinstance(data, memoryview) else memoryview(data)
-        self._pos = 0
-        self.source = source
-
-    @property
-    def remaining(self) -> int:
-        """Bytes left between the cursor and the end of the container."""
-        return len(self._data) - self._pos
-
-    def read_exact(self, n: int, what: str) -> memoryview:
-        """Read exactly ``n`` bytes or raise :class:`TruncatedContainerError`."""
-        if n < 0 or n > self.remaining:
-            raise TruncatedContainerError(
-                f"{self.source}: truncated container: {what} wants {n} bytes, "
-                f"only {self.remaining} remain"
-            )
-        chunk = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return chunk
-
-    def unpack(self, fmt: str, what: str) -> tuple:
-        """Read and unpack a fixed-width little-endian struct."""
-        return struct.unpack(fmt, self.read_exact(struct.calcsize(fmt), what))
 
 
 # --------------------------------------------------------------------------
@@ -289,7 +252,7 @@ def save_compressed(graph: CompressedChronoGraph, path: PathLike) -> int:
 
 
 # --------------------------------------------------------------------------
-# Reading -- shared helpers
+# Reading -- one walk, two error policies
 # --------------------------------------------------------------------------
 
 def _read_offsets(data: Buffer, count: int) -> List[int]:
@@ -326,168 +289,6 @@ def _read_offsets(data: Buffer, count: int) -> List[int]:
     return offsets
 
 
-def _decode_offset_deltas(
-    data: Buffer, count: int, source: str, what: str
-) -> List[int]:
-    """Decode ``count`` VByte deltas into absolute offsets."""
-    if count > len(data):
-        # Every VByte delta occupies at least one byte.
-        raise LimitExceededError(
-            f"{source}: {what}: {count} offsets declared but only "
-            f"{len(data)} payload bytes"
-        )
-    offsets = _read_offsets(data, count)
-    if offsets and offsets[-1] >= _OVERLONG:
-        raise CorruptStreamError(
-            f"{source}: {what}: offset {offsets[-1]} beyond any 64-bit stream"
-        )
-    if len(offsets) < count:
-        raise EndOfStreamError(
-            f"{source}: {what}: delta stream ends after {len(offsets)} "
-            f"of {count} offsets"
-        )
-    return offsets
-
-
-def _check_stream_geometry(
-    nbits: int, nbytes: int, source: str, what: str
-) -> None:
-    if nbits > 8 * nbytes or (nbits + 7) // 8 != nbytes:
-        raise CorruptStreamError(
-            f"{source}: {what}: declared {nbits} bits inconsistent with "
-            f"{nbytes} payload bytes"
-        )
-
-
-def _check_counts(
-    num_nodes: int,
-    num_contacts: int,
-    file_size: int,
-    limits: DecodeLimits,
-    source: str,
-) -> None:
-    """Reject node/contact counts no container of this size could hold."""
-    if num_nodes > limits.max_nodes:
-        raise LimitExceededError(
-            f"{source}: {num_nodes} nodes exceeds limit {limits.max_nodes}"
-        )
-    if num_contacts > limits.max_contacts:
-        raise LimitExceededError(
-            f"{source}: {num_contacts} contacts exceeds limit "
-            f"{limits.max_contacts}"
-        )
-    # Each node costs >= 4 structure bits plus >= 2 offset bytes; each
-    # contact >= 1 timestamp bit.  A count past these bounds cannot fit.
-    if num_nodes > 2 * file_size:
-        raise LimitExceededError(
-            f"{source}: {num_nodes} nodes impossible in a "
-            f"{file_size}-byte container"
-        )
-    if num_contacts > 8 * file_size:
-        raise LimitExceededError(
-            f"{source}: {num_contacts} contacts impossible in a "
-            f"{file_size}-byte container"
-        )
-
-
-def _parse_header_fields(
-    cur: _Cursor, source: str
-) -> Tuple[GraphKind, int, int, int, ChronoGraphConfig, str]:
-    (kind_code,) = cur.unpack("<B", "kind")
-    try:
-        kind = _KIND_FROM_CODE[kind_code]
-    except KeyError:
-        raise CorruptStreamError(
-            f"{source}: unknown graph kind code {kind_code}"
-        ) from None
-    num_nodes, num_contacts, t_min = cur.unpack("<QQq", "counts")
-    (window, min_interval, max_ref, ts_k, dur_k, struct_k, resolution) = (
-        cur.unpack("<7I", "config")
-    )
-    try:
-        config = ChronoGraphConfig(
-            window=window,
-            min_interval_length=min_interval,
-            max_ref_chain=None if max_ref == 0xFFFF else max_ref,
-            timestamp_zeta_k=ts_k or None,
-            duration_zeta_k=dur_k or None,
-            structure_zeta_k=struct_k,
-            resolution=resolution,
-        )
-    except ValueError as exc:
-        raise CorruptStreamError(f"{source}: invalid config: {exc}") from exc
-    (name_len,) = cur.unpack("<B", "name length")
-    try:
-        # The one sanctioned copy on the load path: a <=255-byte name field
-        # (memoryview has no .decode).
-        name = bytes(cur.read_exact(name_len, "name")).decode("utf-8")  # repro: noqa[CG006]
-    except UnicodeDecodeError as exc:
-        raise CorruptStreamError(f"{source}: name is not valid UTF-8") from exc
-    return kind, num_nodes, num_contacts, t_min, config, name
-
-
-def _assemble_graph(
-    *,
-    kind: GraphKind,
-    num_nodes: int,
-    num_contacts: int,
-    t_min: int,
-    config: ChronoGraphConfig,
-    name: str,
-    sbits: int,
-    sbytes: Buffer,
-    tbits: int,
-    tbytes: Buffer,
-    soffsets: List[int],
-    toffsets: List[int],
-    source: str,
-) -> CompressedChronoGraph:
-    for offsets, nbits, what in (
-        (soffsets, sbits, "structure offsets"),
-        (toffsets, tbits, "timestamp offsets"),
-    ):
-        if len(offsets) != num_nodes:
-            raise CorruptStreamError(
-                f"{source}: {what}: {len(offsets)} entries for "
-                f"{num_nodes} nodes"
-            )
-        if offsets and offsets[-1] > nbits:
-            raise CorruptStreamError(
-                f"{source}: {what}: offset {offsets[-1]} beyond "
-                f"{nbits}-bit stream"
-            )
-    if num_nodes > 0 and sbits < _MIN_STRUCTURE_BITS_PER_NODE * num_nodes:
-        raise LimitExceededError(
-            f"{source}: {num_nodes} nodes cannot fit in a "
-            f"{sbits}-bit structure stream"
-        )
-    if num_contacts > 0 and tbits < num_contacts:
-        raise LimitExceededError(
-            f"{source}: {num_contacts} contacts cannot fit in a "
-            f"{tbits}-bit timestamp stream"
-        )
-    # Offsets never decrease, so with the last one inside its stream every
-    # entry fits the unsigned 64-bit array.
-    return CompressedChronoGraph(
-        kind=kind,
-        num_nodes=num_nodes,
-        num_contacts=num_contacts,
-        t_min=t_min,
-        config=config,
-        structure_bytes=sbytes,
-        structure_bits=sbits,
-        timestamp_bytes=tbytes,
-        timestamp_bits=tbits,
-        structure_offsets=array("Q", soffsets),
-        timestamp_offsets=array("Q", toffsets),
-        name=name,
-    )
-
-
-# --------------------------------------------------------------------------
-# Reading -- strict paths
-# --------------------------------------------------------------------------
-
 class _LazySectionCheck:
     """Deferred CRC32 verification of one stream section.
 
@@ -512,129 +313,349 @@ class _LazySectionCheck:
             raise ChecksumMismatchError(self._message)
 
 
-def _load_v2_body(
-    cur: _Cursor, limits: DecodeLimits, source: str, *, lazy_crc: bool = False
-) -> CompressedChronoGraph:
-    (flags,) = cur.unpack("<B", "flags")
-    if flags != 0:
-        raise UnsupportedVersionError(
-            f"{source}: unknown container flags 0x{flags:02x}"
-        )
-    (header_len,) = cur.unpack("<I", "header length")
-    header = cur.read_exact(header_len, "header")
-    (header_crc,) = cur.unpack("<I", "header checksum")
-    if zlib.crc32(header) != header_crc:
-        raise ChecksumMismatchError(f"{source}: header checksum mismatch")
-    hcur = _Cursor(header, source)
-    kind, num_nodes, num_contacts, t_min, config, name = _parse_header_fields(
-        hcur, source
-    )
-    _check_counts(num_nodes, num_contacts, len(cur._data), limits, source)
+class _Unreadable(Exception):
+    """Ends a salvage walk at a flaw that leaves nothing to recover."""
 
-    payloads = {}
-    deferred: List[Tuple[int, _LazySectionCheck]] = []
-    try:
-        for expected_tag in _SECTION_ORDER:
-            what = _SECTION_NAMES[expected_tag]
-            (tag,) = cur.unpack("<B", "section tag")
-            if tag != expected_tag:
-                raise CorruptStreamError(
-                    f"{source}: expected {what} section (tag {expected_tag}), "
-                    f"found tag {tag}"
-                )
-            (payload_len,) = cur.unpack("<Q", f"{what} length")
-            if payload_len > limits.max_section_bytes:
-                raise LimitExceededError(
-                    f"{source}: {what}: {payload_len} bytes exceeds section "
-                    f"limit {limits.max_section_bytes}"
-                )
-            payload = cur.read_exact(payload_len, what)
-            (crc,) = cur.unpack("<I", f"{what} checksum")
-            check = _LazySectionCheck(
-                payload, crc, f"{source}: {what} checksum mismatch"
-            )
-            if lazy_crc and expected_tag in (
-                _SECTION_STRUCTURE, _SECTION_TIMESTAMPS
-            ):
-                # Offsets are fully decoded below (their pages are touched
-                # anyway), so only the two stream sections are worth
-                # deferring.
-                deferred.append((expected_tag, check))
-            else:
-                check()
-            payloads[expected_tag] = payload
-        if cur.remaining:
-            raise CorruptStreamError(
-                f"{source}: {cur.remaining} trailing bytes after final section"
-            )
 
-        streams = {}
-        for tag in (_SECTION_STRUCTURE, _SECTION_TIMESTAMPS):
-            what = _SECTION_NAMES[tag]
-            payload = payloads[tag]
-            if len(payload) < 8:
-                raise TruncatedContainerError(
-                    f"{source}: {what}: payload too short"
-                )
-            (nbits,) = struct.unpack("<Q", payload[:8])
-            data = payload[8:]
-            _check_stream_geometry(nbits, len(data), source, what)
-            streams[tag] = (nbits, data)
+class _Walk:
+    """A bounded cursor over one container that reports each flaw to a policy.
 
-        offset_lists = {}
-        for tag in (_SECTION_SOFFSETS, _SECTION_TOFFSETS):
-            what = _SECTION_NAMES[tag]
-            payload = payloads[tag]
-            if len(payload) < 8:
-                raise TruncatedContainerError(
-                    f"{source}: {what}: payload too short"
-                )
-            (count,) = struct.unpack("<Q", payload[:8])
-            if count != num_nodes:
-                raise CorruptStreamError(
-                    f"{source}: {what}: {count} entries for {num_nodes} nodes"
-                )
-            offset_lists[tag] = _decode_offset_deltas(
-                payload[8:], count, source, what
-            )
+    ``errors=None`` is the strict policy: a flaw raises its
+    :class:`FormatError` subclass, named after ``source``, once every
+    deferred stream checksum has been settled.  A list is the salvage
+    policy: :meth:`flaw` appends the message and returns, so the walk
+    clips the damaged field and goes on, while :meth:`fail` -- a flaw that
+    leaves nothing to recover -- appends it with the source and ends the
+    walk.
 
-        sbits, sbytes = streams[_SECTION_STRUCTURE]
-        tbits, tbytes = streams[_SECTION_TIMESTAMPS]
-        graph = _assemble_graph(
-            kind=kind,
-            num_nodes=num_nodes,
-            num_contacts=num_contacts,
-            t_min=t_min,
-            config=config,
-            name=name,
-            sbits=sbits,
-            sbytes=sbytes,
-            tbits=tbits,
-            tbytes=tbytes,
-            soffsets=offset_lists[_SECTION_SOFFSETS],
-            toffsets=offset_lists[_SECTION_TOFFSETS],
-            source=source,
-        )
-    except FormatError:
+    The buffer is wrapped in a ``memoryview`` once, so every :meth:`take`
+    returns a zero-copy view into the container -- multi-megabyte stream
+    sections are never duplicated, whether the container lives on the
+    heap or in a memory-mapped file.
+    """
+
+    def __init__(
+        self, data: Buffer, source: str, errors: Optional[List[str]] = None
+    ) -> None:
+        self.data = data if isinstance(data, memoryview) else memoryview(data)
+        self.pos = 0
+        self.source = source
+        self.errors = errors
+        #: Stream checksums a lazy load defers, by section tag.
+        self.deferred: Dict[int, _LazySectionCheck] = {}
+
+    @property
+    def remaining(self) -> int:
+        """Bytes left between the cursor and the end of the container."""
+        return len(self.data) - self.pos
+
+    def fail(self, cls: Type[FormatError], message: str) -> NoReturn:
+        """Report a flaw that ends the walk under either policy."""
+        if self.errors is not None:
+            self.errors.append(f"{self.source}: {message}")
+            raise _Unreadable
         # A corrupted stream section can masquerade as a geometry or
-        # cross-check error before its checksum was ever read.  Verify the
-        # deferred CRCs now so a lazy load fails with the same exception
-        # class the eager path raises for the same mutation.
-        for _, check in deferred:
+        # cross-check flaw before its checksum was ever read: settle the
+        # deferred checksums first, so a lazy load raises what the eager
+        # load raises for the same bytes.
+        for check in self.deferred.values():
             check()
-        raise
-    for tag, check in deferred:
-        if tag == _SECTION_STRUCTURE:
-            graph._sverify = check
-        else:
-            graph._tverify = check
-    return graph
+        raise cls(f"{self.source}: {message}")
+
+    def flaw(self, cls: Type[FormatError], message: str) -> None:
+        """Report a flaw the salvage policy records and clips past."""
+        if self.errors is None:
+            self.fail(cls, message)
+        self.errors.append(message)
+
+    def take(
+        self, n: int, what: str, *, fatal: bool = False, at: str = ""
+    ) -> memoryview:
+        """The next ``n`` bytes; a short read is a flaw, clipped to the end."""
+        if n > self.remaining:
+            report = self.fail if fatal else self.flaw
+            report(
+                TruncatedContainerError,
+                f"truncated container: {what} wants {n} bytes, only "
+                f"{self.remaining} remain{at}",
+            )
+            n = self.remaining
+        chunk = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return chunk
+
+    def field(self, fmt: str, what: str) -> tuple:
+        """A fixed-width little-endian field; cutting it short is fatal."""
+        size = struct.calcsize(fmt)
+        return struct.unpack(fmt, self.take(size, what, fatal=True))
+
+
+def _read_header(
+    walk: _Walk,
+) -> Tuple[GraphKind, int, int, int, ChronoGraphConfig, str]:
+    """The header fields; a flaw in any of them leaves nothing to recover."""
+    (kind_code,) = walk.field("<B", "kind")
+    kind = _KIND_FROM_CODE.get(kind_code)
+    if kind is None:
+        walk.fail(CorruptStreamError, f"unknown graph kind code {kind_code}")
+    num_nodes, num_contacts, t_min = walk.field("<QQq", "counts")
+    (window, min_interval, max_ref, ts_k, dur_k, struct_k, resolution) = (
+        walk.field("<7I", "config")
+    )
+    try:
+        config = ChronoGraphConfig(
+            window=window,
+            min_interval_length=min_interval,
+            max_ref_chain=None if max_ref == 0xFFFF else max_ref,
+            timestamp_zeta_k=ts_k or None,
+            duration_zeta_k=dur_k or None,
+            structure_zeta_k=struct_k,
+            resolution=resolution,
+        )
+    except ValueError as exc:
+        walk.fail(CorruptStreamError, f"invalid config: {exc}")
+    (name_len,) = walk.field("<B", "name length")
+    # The one sanctioned copy on the load path: a <=255-byte name field
+    # (memoryview has no .decode).
+    raw_name = bytes(walk.take(name_len, "name", fatal=True))  # repro: noqa[CG006]
+    try:
+        name = raw_name.decode("utf-8")
+    except UnicodeDecodeError:
+        walk.fail(CorruptStreamError, "name is not valid UTF-8")
+    return kind, num_nodes, num_contacts, t_min, config, name
+
+
+def _check_counts(
+    walk: _Walk, num_nodes: int, num_contacts: int, file_size: int
+) -> None:
+    """Reject node/contact counts no container of this size could hold."""
+    if num_nodes > _MAX_NODES:
+        walk.fail(
+            LimitExceededError, f"{num_nodes} nodes exceeds limit {_MAX_NODES}"
+        )
+    if num_contacts > _MAX_CONTACTS:
+        walk.fail(
+            LimitExceededError,
+            f"{num_contacts} contacts exceeds limit {_MAX_CONTACTS}",
+        )
+    # Each node costs >= 4 structure bits plus >= 2 offset bytes; each
+    # contact >= 1 timestamp bit.  A count past these bounds cannot fit.
+    if num_nodes > 2 * file_size:
+        walk.fail(
+            LimitExceededError,
+            f"{num_nodes} nodes impossible in a {file_size}-byte container",
+        )
+    if num_contacts > 8 * file_size:
+        walk.fail(
+            LimitExceededError,
+            f"{num_contacts} contacts impossible in a {file_size}-byte "
+            "container",
+        )
+
+
+def _read_stream(walk: _Walk, payload: Buffer, what: str) -> Tuple[int, Buffer]:
+    """``(bit length, bytes)`` of a stream section, clipped on a flaw."""
+    if len(payload) < 8:
+        walk.flaw(TruncatedContainerError, f"{what}: payload too short")
+        return 0, b""
+    (nbits,) = struct.unpack("<Q", payload[:8])
+    data = payload[8:]
+    if nbits > 8 * len(data) or (nbits + 7) // 8 != len(data):
+        walk.flaw(
+            CorruptStreamError,
+            f"{what}: declared {nbits} bits inconsistent with {len(data)} "
+            "payload bytes",
+        )
+        nbits = min(nbits, 8 * len(data))
+    return nbits, data
+
+
+def _read_offset_section(
+    walk: _Walk, payload: Buffer, num_nodes: int, what: str
+) -> List[int]:
+    """The absolute offsets of an offsets section, clipped on a flaw."""
+    if len(payload) < 8:
+        walk.flaw(TruncatedContainerError, f"{what}: payload too short")
+        return []
+    (count,) = struct.unpack("<Q", payload[:8])
+    data = payload[8:]
+    if count != num_nodes:
+        walk.flaw(
+            CorruptStreamError, f"{what}: {count} entries for {num_nodes} nodes"
+        )
+        count = min(count, num_nodes)
+    if count > len(data):
+        # Every VByte delta occupies at least one byte.
+        walk.flaw(
+            LimitExceededError,
+            f"{what}: {count} offsets declared but only {len(data)} payload "
+            "bytes",
+        )
+        count = len(data)
+    offsets = _read_offsets(data, count)
+    if offsets and offsets[-1] >= _OVERLONG:
+        walk.flaw(
+            CorruptStreamError,
+            f"{what}: offset {offsets[-1]} beyond any 64-bit stream",
+        )
+        del offsets[-1]
+    elif len(offsets) < count:
+        walk.flaw(
+            EndOfStreamError,
+            f"{what}: delta stream ended early, after {len(offsets)} of "
+            f"{count} offsets",
+        )
+    return offsets
+
+
+def _walk(
+    data: Buffer,
+    source: str,
+    errors: Optional[List[str]] = None,
+    *,
+    lazy_crc: bool = False,
+) -> Tuple[CompressedChronoGraph, int]:
+    """Read a VERSION 2 container under the policy ``errors`` selects.
+
+    Returns the graph and the node count its header declares.  Under the
+    strict policy the graph is exactly the container; under the salvage
+    policy its offset indexes are clipped to the nodes whose records are
+    locatable, so it may hold fewer nodes than declared.  Checks run in
+    one fixed order, so a strict load raises the class of the first flaw.
+    """
+    walk = _Walk(data, source, errors)
+    if walk.take(4, "magic", fatal=True) != MAGIC:
+        walk.fail(FormatError, "not a ChronoGraph file (bad magic)")
+    (version,) = walk.field("<B", "version")
+    if version != VERSION:
+        walk.fail(UnsupportedVersionError, f"unsupported version {version}")
+    (flags,) = walk.field("<B", "flags")
+    if flags != 0:
+        walk.flaw(
+            UnsupportedVersionError, f"unknown container flags 0x{flags:02x}"
+        )
+    (header_len,) = walk.field("<I", "header length")
+    header = walk.take(header_len, "header")
+    header_crc = walk.take(4, "header checksum")
+    if len(header_crc) == 4 and (
+        zlib.crc32(header) != struct.unpack("<I", header_crc)[0]
+    ):
+        walk.flaw(ChecksumMismatchError, "header checksum mismatch")
+    kind, num_nodes, num_contacts, t_min, config, name = _read_header(
+        _Walk(header, source, errors)
+    )
+    _check_counts(walk, num_nodes, num_contacts, len(walk.data))
+
+    payloads: Dict[int, Buffer] = {}
+    for tag in _SECTION_ORDER:
+        what = _SECTION_NAMES[tag]
+        # Section flaws carry the section's starting byte offset, so a
+        # report pinpoints where in the container the damage lies.
+        at = f" (at byte {walk.pos})"
+        head = walk.take(min(9, walk.remaining), what)
+        if head and head[0] != tag:
+            walk.flaw(
+                CorruptStreamError,
+                f"expected {what} section (tag {tag}), found tag {head[0]}{at}",
+            )
+        if len(head) < 9:
+            walk.flaw(
+                TruncatedContainerError, f"{what}: section header missing{at}"
+            )
+            break
+        (length,) = struct.unpack_from("<Q", head, 1)
+        if length > _MAX_SECTION_BYTES:
+            walk.flaw(
+                LimitExceededError,
+                f"{what}: {length} bytes exceeds section limit "
+                f"{_MAX_SECTION_BYTES}{at}",
+            )
+            length = _MAX_SECTION_BYTES
+        payload = payloads[tag] = walk.take(length, what, at=at)
+        crc_field = walk.take(4, f"{what} checksum", at=at)
+        if len(crc_field) < 4:
+            continue
+        (crc,) = struct.unpack("<I", crc_field)
+        mismatch = f"{what} checksum mismatch{at}"
+        if lazy_crc and tag in (_SECTION_STRUCTURE, _SECTION_TIMESTAMPS):
+            # Offsets are fully decoded below (their pages are touched
+            # anyway), so only the two stream sections are worth deferring.
+            walk.deferred[tag] = _LazySectionCheck(
+                payload, crc, f"{source}: {mismatch}"
+            )
+        elif zlib.crc32(payload) != crc:
+            walk.flaw(ChecksumMismatchError, mismatch)
+    if walk.remaining:
+        walk.flaw(
+            CorruptStreamError,
+            f"{walk.remaining} trailing bytes after final section",
+        )
+
+    sbits, sbytes = _read_stream(
+        walk, payloads.get(_SECTION_STRUCTURE, b""), "structure stream"
+    )
+    tbits, tbytes = _read_stream(
+        walk, payloads.get(_SECTION_TIMESTAMPS, b""), "timestamp stream"
+    )
+    soffsets = _read_offset_section(
+        walk, payloads.get(_SECTION_SOFFSETS, b""), num_nodes, "structure offsets"
+    )
+    toffsets = _read_offset_section(
+        walk, payloads.get(_SECTION_TOFFSETS, b""), num_nodes, "timestamp offsets"
+    )
+    for offsets, nbits, what in (
+        (soffsets, sbits, "structure offsets"),
+        (toffsets, tbits, "timestamp offsets"),
+    ):
+        # Offsets never decrease, so those within the stream are a prefix.
+        if offsets and offsets[-1] > nbits:
+            walk.flaw(
+                CorruptStreamError,
+                f"{what}: offset {offsets[-1]} beyond {nbits}-bit stream",
+            )
+            del offsets[bisect_right(offsets, nbits):]
+    usable = min(len(soffsets), len(toffsets))
+    if usable < num_nodes:
+        walk.flaw(
+            CorruptStreamError,
+            f"only {usable} of {num_nodes} node offsets recoverable",
+        )
+        del soffsets[usable:], toffsets[usable:]
+    if usable and sbits < _MIN_STRUCTURE_BITS_PER_NODE * usable:
+        walk.flaw(
+            LimitExceededError,
+            f"{usable} nodes cannot fit in a {sbits}-bit structure stream",
+        )
+    if num_contacts > 0 and tbits < num_contacts:
+        walk.flaw(
+            LimitExceededError,
+            f"{num_contacts} contacts cannot fit in a {tbits}-bit timestamp "
+            "stream",
+        )
+    # Offsets never decrease, so with the last one inside its stream every
+    # entry fits the unsigned 64-bit array.
+    graph = CompressedChronoGraph(
+        kind=kind,
+        num_nodes=usable,
+        num_contacts=num_contacts,
+        t_min=t_min,
+        config=config,
+        structure_bytes=sbytes,
+        structure_bits=sbits,
+        timestamp_bytes=tbytes,
+        timestamp_bits=tbits,
+        structure_offsets=array("Q", soffsets),
+        timestamp_offsets=array("Q", toffsets),
+        name=name,
+    )
+    graph._sverify = walk.deferred.get(_SECTION_STRUCTURE)
+    graph._tverify = walk.deferred.get(_SECTION_TIMESTAMPS)
+    return graph, num_nodes
 
 
 def load_compressed_bytes(
     data: Buffer,
     *,
-    limits: Optional[DecodeLimits] = None,
     source: str = "<bytes>",
     lazy_crc: bool = False,
 ) -> CompressedChronoGraph:
@@ -653,14 +674,7 @@ def load_compressed_bytes(
     segment blob bound to a manifest CRC) use this to skip a redundant
     checksum pass.
     """
-    limits = limits or DEFAULT_LIMITS
-    cur = _Cursor(data, source)
-    if cur.read_exact(4, "magic") != MAGIC:
-        raise FormatError(f"{source}: not a ChronoGraph file (bad magic)")
-    (version,) = cur.unpack("<B", "version")
-    if version != VERSION:
-        raise UnsupportedVersionError(f"{source}: unsupported version {version}")
-    return _load_v2_body(cur, limits, source, lazy_crc=lazy_crc)
+    return _walk(data, source, lazy_crc=lazy_crc)[0]
 
 
 def _map_readonly(path: PathLike) -> Buffer:
@@ -686,7 +700,6 @@ def load_compressed(
     path: PathLike,
     *,
     salvage: bool = False,
-    limits: Optional[DecodeLimits] = None,
     mmap: bool = False,
 ):
     """Read a compressed graph written by :func:`save_compressed`.
@@ -701,10 +714,11 @@ def load_compressed(
     so any number of processes opening the same file share a single copy in
     the OS page cache.  Header, framing and offset checksums are verified
     eagerly (those pages are touched anyway); the two stream-section CRCs
-    are verified lazily on the first decode that touches each stream.  Use
-    ``repro verify --deep`` for an eager end-to-end check.  The mapped file
-    must not be rewritten in place while the graph is live -- the saver's
-    atomic rename discipline guarantees this for containers it wrote.
+    are verified lazily on the first decode that touches each stream, or
+    at load time if the walk finds any other flaw.  Use ``repro verify``
+    for an eager end-to-end check.  The mapped file must not be rewritten
+    in place while the graph is live -- the saver's atomic rename
+    discipline guarantees this for containers it wrote.
 
     With ``salvage=True`` nothing raises short of an unreadable *path*:
     the longest valid prefix of nodes is decoded best-effort and a
@@ -716,102 +730,29 @@ def load_compressed(
     """
     source = str(path)
     if salvage:
-        return salvage_bytes(_map_readonly(path), limits=limits, source=source)
+        return salvage_bytes(_map_readonly(path), source=source)
     if mmap:
         return load_compressed_bytes(
-            _map_readonly(path), limits=limits, source=source, lazy_crc=True
+            _map_readonly(path), source=source, lazy_crc=True
         )
     # The explicit heap loader: materialising is the requested behaviour.
     blob = pathlib.Path(path).read_bytes()  # repro: noqa[CG006]
-    return load_compressed_bytes(blob, limits=limits, source=source)
+    return load_compressed_bytes(blob, source=source)
 
 
-# --------------------------------------------------------------------------
-# Salvage (best-effort) reading
-# --------------------------------------------------------------------------
-
-def _split_part(part: Buffer) -> Optional[Tuple[int, Buffer]]:
-    """``(u64 prefix, body)`` views of a salvaged section payload, or None."""
-    if len(part) < 8:
-        return None
-    (value,) = struct.unpack("<Q", part[:8])
-    return value, part[8:]
-
-
-def _salvage_offsets(
-    part: Buffer, want: int, nbits: int, errors: List[str], what: str
-) -> List[int]:
-    """Decode as many in-range offsets as the payload yields, never raising."""
-    split = _split_part(part)
-    if split is None:
-        errors.append(f"{what}: payload too short for a count field")
-        return []
-    count, data = split
-    if count != want:
-        errors.append(f"{what}: {count} entries declared for {want} nodes")
-    count = min(count, want, len(data))
-    offsets = _read_offsets(data, count)
-    # Offsets never decrease, so those within the stream are a prefix.
-    keep = bisect_right(offsets, nbits)
-    if keep < len(offsets):
-        errors.append(
-            f"{what}: offset {offsets[keep]} beyond {nbits}-bit stream"
-        )
-        del offsets[keep:]
-    elif len(offsets) < count:
-        errors.append(f"{what}: delta stream ended early")
-    return offsets
-
-
-def _salvage_stream(
-    part: Buffer, errors: List[str], what: str
-) -> Tuple[int, Buffer]:
-    """Recover (nbits, data) from a stream payload, clipping as needed."""
-    split = _split_part(part)
-    if split is None:
-        errors.append(f"{what}: payload too short for a length field")
-        return 0, b""
-    nbits, data = split
-    if nbits > 8 * len(data):
-        errors.append(
-            f"{what}: declared {nbits} bits exceed {len(data)} payload bytes"
-        )
-        nbits = 8 * len(data)
-    return nbits, data
-
-
-def salvage_bytes(
-    data: Buffer,
-    *,
-    limits: Optional[DecodeLimits] = None,
-    source: str = "<bytes>",
-) -> SalvageReport:
+def salvage_bytes(data: Buffer, *, source: str = "<bytes>") -> SalvageReport:
     """Best-effort decode of a possibly-corrupt container.
 
-    Walks the container leniently -- checksum mismatches, truncated
-    sections and out-of-range fields are recorded as report errors rather
-    than raised -- then decodes nodes from the start until the first decode
-    failure.  The result is the longest valid prefix, wrapped in a
-    :class:`repro.core.validate.SalvageReport`.
+    Walks the container under the salvage policy -- checksum mismatches,
+    truncated sections and out-of-range fields are recorded as report
+    errors rather than raised -- then decodes nodes from the start until
+    the first flawed one.  The result is the longest valid prefix, wrapped
+    in a :class:`repro.core.validate.SalvageReport`.
     """
-    limits = limits or DEFAULT_LIMITS
     errors: List[str] = []
-
-    # Fast path: a pristine container needs no leniency.
     try:
-        graph = load_compressed_bytes(data, limits=limits, source=source)
-    except FormatError as exc:
-        strict = str(exc)
-    else:
-        return salvage_scan(graph, errors=[])
-
-    parts = _salvage_parts(data, limits, source, errors)
-    # The lenient parse reports the flaw the strict loader stopped at, and
-    # every later one; the strict message stands only for a flaw the
-    # lenient parse tolerates.
-    if not errors:
-        errors.append(strict)
-    if parts is None:
+        graph, nodes_declared = _walk(data, source, errors)
+    except _Unreadable:
         return SalvageReport(
             graph=None,
             nodes_declared=0,
@@ -820,107 +761,4 @@ def salvage_bytes(
             contacts_recovered=0,
             errors=errors,
         )
-    return salvage_scan(parts, errors=errors)
-
-
-def _salvage_parts(
-    data: Buffer, limits: DecodeLimits, source: str, errors: List[str]
-) -> Optional[CompressedChronoGraph]:
-    """Lenient parse returning a best-effort graph, or None if unreadable."""
-    if len(data) < 5 or data[:4] != MAGIC:
-        errors.append(f"{source}: not a ChronoGraph file (bad magic)")
-        return None
-    version = data[4]
-    if version != VERSION:
-        errors.append(f"{source}: unsupported version {version}")
-        return None
-
-    cur = _Cursor(data, source)
-    cur._pos = 6  # skip the flags byte; salvage tolerates any value
-    try:
-        (header_len,) = cur.unpack("<I", "header length")
-        header = cur.read_exact(min(header_len, cur.remaining), "header")
-        if cur.remaining >= 4:
-            (header_crc,) = cur.unpack("<I", "header checksum")
-            if zlib.crc32(header) != header_crc:
-                errors.append("header checksum mismatch")
-        else:
-            errors.append("header checksum missing")
-        kind, num_nodes, num_contacts, t_min, config, name = (
-            _parse_header_fields(_Cursor(header, source), source)
-        )
-    except FormatError as exc:
-        errors.append(f"header unreadable: {exc}")
-        return None
-    try:
-        _check_counts(num_nodes, num_contacts, len(data), limits, source)
-    except FormatError as exc:
-        errors.append(str(exc))
-        return None
-
-    # Section errors carry the section's starting byte offset so a report
-    # pinpoints *where* in the container the damage lies -- operators (and
-    # the fault-matrix tests) can correlate entries with hexdump offsets.
-    payloads = {}
-    for expected_tag in _SECTION_ORDER:
-        what = _SECTION_NAMES[expected_tag]
-        section_start = cur._pos
-        at = f"at byte {section_start}"
-        if cur.remaining < 9:
-            errors.append(f"{what}: section header missing ({at})")
-            break
-        (tag,) = cur.unpack("<B", "section tag")
-        (payload_len,) = cur.unpack("<Q", f"{what} length")
-        if tag != expected_tag:
-            errors.append(f"{what}: unexpected section tag {tag} ({at})")
-        take = min(payload_len, cur.remaining, limits.max_section_bytes)
-        if take != payload_len:
-            errors.append(
-                f"{what}: declared {payload_len} bytes, "
-                f"clipped to {take} ({at})"
-            )
-        payload = cur.read_exact(take, what)
-        if cur.remaining >= 4:
-            (crc,) = cur.unpack("<I", f"{what} checksum")
-            if zlib.crc32(payload) != crc:
-                errors.append(f"{what} checksum mismatch ({at})")
-        else:
-            errors.append(f"{what}: checksum missing ({at})")
-            cur._pos = len(data)
-        payloads[expected_tag] = payload
-
-    sbits, sbytes = _salvage_stream(
-        payloads.get(_SECTION_STRUCTURE, b""), errors, "structure stream"
-    )
-    tbits, tbytes = _salvage_stream(
-        payloads.get(_SECTION_TIMESTAMPS, b""), errors, "timestamp stream"
-    )
-    soffsets = _salvage_offsets(
-        payloads.get(_SECTION_SOFFSETS, b""),
-        num_nodes, sbits, errors, "structure offsets",
-    )
-    toffsets = _salvage_offsets(
-        payloads.get(_SECTION_TOFFSETS, b""),
-        num_nodes, tbits, errors, "timestamp offsets",
-    )
-    usable = min(num_nodes, len(soffsets), len(toffsets))
-    if usable < num_nodes:
-        errors.append(
-            f"only {usable} of {num_nodes} node offsets recoverable"
-        )
-    graph = CompressedChronoGraph(
-        kind=kind,
-        num_nodes=usable,
-        num_contacts=num_contacts,
-        t_min=t_min,
-        config=config,
-        structure_bytes=sbytes,
-        structure_bits=sbits,
-        timestamp_bytes=tbytes,
-        timestamp_bits=tbits,
-        structure_offsets=array("Q", soffsets[:usable]),
-        timestamp_offsets=array("Q", toffsets[:usable]),
-        name=name,
-    )
-    graph._declared_nodes = num_nodes
-    return graph
+    return salvage_scan(graph, errors=errors, nodes_declared=nodes_declared)

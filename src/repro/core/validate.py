@@ -1,24 +1,66 @@
 """Integrity validation and salvage of compressed graphs.
 
-``validate_compressed`` decodes every node of a compressed graph and checks
-the structural invariants the codec guarantees; with a reference graph it
-additionally verifies exact round-trip equality.  Exposed through the CLI's
-``verify`` command so shipped ``.chrono`` artefacts can be health-checked.
+Both halves check each node with one function, :func:`_node_flaw`: the
+record decodes, the neighbor multiset is label-sorted, every label lies
+in ``[0, declared nodes)``, the timestamps align one-to-one with the
+neighbors and no duration is negative.  After a flawless pass the
+decoded contact total must match the header's.
 
-``salvage_scan`` is the graceful-degradation half: it decodes nodes from
-the start of a (possibly corrupt) graph until the first failure and wraps
-the longest valid prefix in a :class:`SalvageReport`, which is what
+``validate_compressed`` (the CLI's ``verify``) collects up to
+``max_errors`` flaws and diffs an optional reference graph.
+``salvage_scan`` stops at the first flawed node and wraps the longest
+valid prefix in a :class:`SalvageReport`, which is what
 ``load_compressed(path, salvage=True)`` returns.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.compressed import CompressedChronoGraph
 from repro.errors import FormatError
-from repro.graph.model import TemporalGraph
+from repro.graph.model import Contact, TemporalGraph
+
+
+def _node_flaw(
+    graph: CompressedChronoGraph, u: int, label_bound: int
+) -> Tuple[List[Contact], Optional[str]]:
+    """Decode node ``u`` and check it: ``(contacts, None)`` or ``([], flaw)``.
+
+    The flaw names the node once.  Never raises on corrupt data.
+    """
+    try:
+        multiset = graph.decode_multiset(u)
+        contacts = graph.contacts_of(u)
+    except FormatError as exc:
+        flaw = str(exc)
+    except Exception as exc:  # noqa: BLE001 - checking must never raise
+        flaw = f"unexpected failure: {exc!r}"
+    else:
+        if any(a > b for a, b in zip(multiset, multiset[1:])):
+            flaw = "neighbor multiset not label-sorted"
+        elif multiset and not (0 <= multiset[0] and multiset[-1] < label_bound):
+            label = multiset[0] if multiset[0] < 0 else multiset[-1]
+            flaw = f"neighbor label {label} outside [0, {label_bound})"
+        elif len(contacts) != len(multiset):
+            flaw = f"{len(multiset)} neighbors but {len(contacts)} timestamps"
+        elif any(c.duration < 0 for c in contacts):
+            flaw = "negative duration decoded"
+        else:
+            return contacts, None
+    prefix = f"node {u}: "
+    return [], flaw if flaw.startswith(prefix) else prefix + flaw
+
+
+def _check_total(
+    graph: CompressedChronoGraph, decoded: int, errors: List[str]
+) -> None:
+    """After a flawless node pass, the decoded contact total must match."""
+    if decoded != graph.num_contacts:
+        errors.append(
+            f"decoded {decoded} contacts but header records {graph.num_contacts}"
+        )
 
 
 @dataclasses.dataclass
@@ -41,59 +83,29 @@ def validate_compressed(
     *,
     max_errors: int = 20,
 ) -> ValidationReport:
-    """Decode everything and check invariants; optionally diff a reference.
+    """Check every node (see the module docstring); optionally diff a reference.
 
-    Invariants checked per node: the multiset decodes and is label-sorted;
-    the timestamp record aligns one-to-one with it; interval durations are
-    non-negative.  Global: decoded contact count equals the recorded one.
-    With ``reference``: per-node contacts match exactly.
+    With ``reference``, each sound node's contacts must match it exactly.
+    Stops after ``max_errors`` flaws.
     """
     errors: List[str] = []
     contacts_checked = 0
-
-    def record(message: str) -> bool:
-        errors.append(message)
-        return len(errors) >= max_errors
-
     for u in range(compressed.num_nodes):
-        try:
-            multiset = compressed.decode_multiset(u)
-        except Exception as exc:  # noqa: BLE001 - reporting, not handling
-            if record(f"node {u}: structure decode failed: {exc!r}"):
-                break
-            continue
-        if any(a > b for a, b in zip(multiset, multiset[1:])):
-            if record(f"node {u}: neighbor multiset not label-sorted"):
-                break
-        try:
-            contacts = compressed.contacts_of(u)
-        except Exception as exc:  # noqa: BLE001
-            if record(f"node {u}: timestamp decode failed: {exc!r}"):
-                break
-            continue
-        if len(contacts) != len(multiset):
-            if record(
-                f"node {u}: {len(multiset)} neighbors but "
-                f"{len(contacts)} timestamps"
-            ):
-                break
-        if any(c.duration < 0 for c in contacts):
-            if record(f"node {u}: negative duration decoded"):
-                break
-        contacts_checked += len(contacts)
-        if reference is not None and len(errors) < max_errors:
+        contacts, flaw = _node_flaw(compressed, u, compressed.num_nodes)
+        if flaw is None and reference is not None:
             expected = reference.contacts_of(u)
             if contacts != expected:
-                record(
+                flaw = (
                     f"node {u}: decoded contacts differ from reference "
                     f"({len(contacts)} vs {len(expected)} entries)"
                 )
-
-    if len(errors) < max_errors and contacts_checked != compressed.num_contacts:
-        record(
-            f"decoded {contacts_checked} contacts but header records "
-            f"{compressed.num_contacts}"
-        )
+        contacts_checked += len(contacts)
+        if flaw is not None:
+            errors.append(flaw)
+            if len(errors) >= max_errors:
+                break
+    if not errors:
+        _check_total(compressed, contacts_checked, errors)
     return ValidationReport(
         nodes_checked=compressed.num_nodes,
         contacts_checked=contacts_checked,
@@ -171,52 +183,35 @@ def _prefix_graph(
 
 
 def salvage_scan(
-    graph: CompressedChronoGraph, *, errors: Optional[List[str]] = None
+    graph: CompressedChronoGraph,
+    *,
+    errors: Optional[List[str]] = None,
+    nodes_declared: Optional[int] = None,
 ) -> SalvageReport:
     """Decode the longest valid prefix of ``graph`` into a report.
 
-    Nodes are decoded in storage order; the scan stops at the first node
-    whose structure or timestamp record fails to decode or violates a
-    codec invariant (unsorted multiset, out-of-range neighbor label).  The
-    function never raises on corrupt data -- that is its contract.
-
-    A lenient loader may attach ``_declared_nodes`` to ``graph`` when it
-    already had to clip the offset indexes; the report counts losses
-    against that original figure.
+    Nodes are checked in storage order (see the module docstring) up to
+    the first flawed one.  Never raises on corrupt data -- that is its
+    contract.  ``nodes_declared`` is the header's node count when the
+    salvage walk clipped the offset indexes below it (default:
+    ``graph.num_nodes``); losses count against it, and labels below it
+    are in range.
     """
     errors = list(errors) if errors else []
-    nodes_declared = getattr(graph, "_declared_nodes", graph.num_nodes)
+    if nodes_declared is None:
+        nodes_declared = graph.num_nodes
     label_bound = max(nodes_declared, graph.num_nodes)
-    contacts_declared = graph.num_contacts
     good_nodes = 0
     good_contacts = 0
     for u in range(graph.num_nodes):
-        try:
-            multiset = graph.decode_multiset(u)
-            contacts = graph.contacts_of(u)
-        except FormatError as exc:
-            errors.append(f"node {u}: {exc}")
-            break
-        except Exception as exc:  # noqa: BLE001 - salvage must never raise
-            errors.append(f"node {u}: unexpected failure: {exc!r}")
-            break
-        if any(a > b for a, b in zip(multiset, multiset[1:])):
-            errors.append(f"node {u}: neighbor multiset not label-sorted")
-            break
-        if multiset and not (0 <= multiset[0] and multiset[-1] < label_bound):
-            errors.append(f"node {u}: neighbor label outside [0, {label_bound})")
+        contacts, flaw = _node_flaw(graph, u, label_bound)
+        if flaw is not None:
+            errors.append(flaw)
             break
         good_nodes += 1
         good_contacts += len(contacts)
-    if (
-        good_nodes == graph.num_nodes
-        and nodes_declared == graph.num_nodes
-        and good_contacts != contacts_declared
-    ):
-        errors.append(
-            f"decoded {good_contacts} contacts but header records "
-            f"{contacts_declared}"
-        )
+    if good_nodes == graph.num_nodes == nodes_declared:
+        _check_total(graph, good_contacts, errors)
     if good_nodes == graph.num_nodes and good_contacts == graph.num_contacts:
         prefix = graph
     else:
@@ -225,7 +220,7 @@ def salvage_scan(
         graph=prefix,
         nodes_declared=nodes_declared,
         nodes_recovered=good_nodes,
-        contacts_declared=contacts_declared,
+        contacts_declared=graph.num_contacts,
         contacts_recovered=good_contacts,
         errors=errors,
     )

@@ -108,7 +108,8 @@ _MANIFEST_FRAME = struct.Struct("<4sBI")
 _MANIFEST_CRC = struct.Struct("<I")
 
 #: Hard ceiling on the manifest JSON payload: a flipped length byte must
-#: never trigger a proportional allocation (same discipline as DecodeLimits).
+#: never trigger a proportional allocation (same discipline as the
+#: container's caps in :mod:`repro.core.serialize`).
 _MAX_MANIFEST_BYTES = 1 << 26
 
 _KIND_NAMES = {k.value: k for k in GraphKind}
@@ -869,7 +870,6 @@ class SegmentStore:
         *,
         fs: Filesystem,
         retry: RetryPolicy,
-        limits=None,
         policy: StorePolicy,
         quarantined: Optional[List[QuarantineEntry]] = None,
         events: Optional[List[str]] = None,
@@ -880,7 +880,6 @@ class SegmentStore:
         self.policy = policy
         self._fs = fs
         self._retry = retry
-        self._limits = limits
         # Whether sealed segments are memory-mapped (shared page cache)
         # rather than read into per-process heap bytes.
         self._mmap_segments = mmap_segments
@@ -912,7 +911,6 @@ class SegmentStore:
         *,
         fs: Filesystem = OS_FILESYSTEM,
         retry: RetryPolicy = DEFAULT_RETRY,
-        limits=None,
         policy: Optional[StorePolicy] = None,
     ) -> "SegmentStore":
         """Initialise an empty store directory (refuses to overwrite one)."""
@@ -940,7 +938,6 @@ class SegmentStore:
             wal,
             fs=fs,
             retry=retry,
-            limits=limits,
             policy=policy or StorePolicy(),
             breakers=board,
         )
@@ -971,7 +968,6 @@ class SegmentStore:
         *,
         fs: Filesystem = OS_FILESYSTEM,
         retry: RetryPolicy = DEFAULT_RETRY,
-        limits=None,
         policy: Optional[StorePolicy] = None,
         read_only: bool = False,
         mmap: bool = True,
@@ -1023,9 +1019,7 @@ class SegmentStore:
                 )
             if reason is None:
                 try:
-                    graph = load_compressed_bytes(
-                        blob, limits=limits, source=str(seg_path)
-                    )
+                    graph = load_compressed_bytes(blob, source=str(seg_path))
                 except FormatError as exc:
                     reason = f"{type(exc).__name__}: {exc}"
                 else:
@@ -1035,7 +1029,7 @@ class SegmentStore:
             if blob:
                 from repro.core.serialize import salvage_bytes
 
-                report = salvage_bytes(blob, limits=limits, source=str(seg_path))
+                report = salvage_bytes(blob, source=str(seg_path))
             quarantined.append(
                 QuarantineEntry(
                     name=info.name,
@@ -1065,7 +1059,6 @@ class SegmentStore:
             wal,
             fs=fs,
             retry=retry,
-            limits=limits,
             policy=policy or StorePolicy(),
             quarantined=quarantined,
             events=events,
@@ -1400,7 +1393,6 @@ class SegmentStore:
         seg_path = self.directory / name
         graph = load_compressed_bytes(
             _map_readonly(seg_path) if self._mmap_segments else payload,
-            limits=self._limits,
             source=str(seg_path),
         )
         view = self._view
@@ -1483,7 +1475,6 @@ class SegmentStore:
         merged_path = self.directory / name
         merged_graph = load_compressed_bytes(
             _map_readonly(merged_path) if self._mmap_segments else payload,
-            limits=self._limits,
             source=str(merged_path),
         )
         with self._commit_guard:

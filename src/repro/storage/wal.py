@@ -80,7 +80,7 @@ _CONTACT = struct.Struct("<QQqq")
 #: The one record payload type.
 _REC_BATCH = 1
 
-#: Decode limits, mirroring :class:`repro.core.serialize.DecodeLimits`:
+#: Decode limits, mirroring the container's in :mod:`repro.core.serialize`:
 #: a flipped length or label byte must never trigger a huge allocation or
 #: let ``num_nodes`` explode into an unbounded query loop.
 _MAX_RECORD_BYTES = 1 << 31

@@ -5,7 +5,11 @@ downstream users can exercise their own containers against the same
 robustness contract the repository enforces: every mutation of a valid
 container either round-trips identically or raises
 :class:`repro.errors.FormatError` -- never a hang, crash or silently wrong
-graph.
+graph.  :func:`run_fault_injection` holds the container reader's three
+error policies to that contract together: the strict heap load and the
+lazy (mmap-mode) load must raise the same class or decode the same
+contacts, and salvage must never raise and must report damage exactly
+when they reject the mutation.
 
 The same contract extends to the crash-safe persistence layer: WAL
 mutations drive :func:`run_wal_fault_injection`, and

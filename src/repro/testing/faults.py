@@ -4,16 +4,20 @@ The mutators each take the bytes of a *valid* container and yield
 :class:`Mutation` variants of it: single-bit flips on a stride, prefix
 truncations, junk extensions, permutations of the VERSION 2 sections and
 seeded random-region overwrites.  :func:`run_fault_injection` drives any
-iterable of mutations through a full load-and-decode cycle and classifies
-every outcome against the robustness contract:
+iterable of mutations through the container reader's three policies --
+the strict heap load, the lazy (mmap-mode) load and salvage -- and
+classifies every outcome against the robustness contract:
 
-* ``identical`` -- the mutation decoded to exactly the baseline contacts
-  (e.g. the flip landed in a byte the decoder never dereferences);
-* ``detected`` -- decoding raised from the
-  :class:`repro.errors.FormatError` hierarchy;
-* ``mismatch`` -- decoded without error but to *different* contacts
-  (a silent corruption: always a failure);
-* ``escaped`` -- raised anything outside ``FormatError`` (a failure);
+* ``identical`` -- both strict loads decoded exactly the baseline
+  contacts (e.g. the flip landed in a byte the decoder never
+  dereferences) and salvage found the container intact;
+* ``detected`` -- both strict loads raised the same class from the
+  :class:`repro.errors.FormatError` hierarchy and salvage reported damage;
+* ``mismatch`` -- anything else, such as a decode to *different*
+  contacts (a silent corruption) or policies that disagree: always a
+  failure;
+* ``escaped`` -- raised anything outside ``FormatError``, or salvage
+  raised at all (a failure);
 * ``overbudget`` -- took longer than the per-mutation time budget
   (a proxy for hangs; always a failure).
 
@@ -55,12 +59,8 @@ from typing import (
 )
 
 from repro.core.engine import PART_QUESTIONS
-from repro.core.serialize import (
-    DecodeLimits,
-    MAGIC,
-    load_compressed_bytes,
-    salvage_bytes,
-)
+from repro.bits.bitio import Buffer
+from repro.core.serialize import MAGIC, load_compressed_bytes, salvage_bytes
 from repro.errors import FormatError
 from repro.graph.model import TemporalGraph
 from repro.runtime.context import QueryContext, checkpoint_ambient
@@ -79,7 +79,6 @@ __all__ = [
     "random_region_mutations",
     "default_mutations",
     "run_fault_injection",
-    "run_mmap_fault_injection",
     "CrashPoint",
     "FaultyFilesystem",
     "crash_points",
@@ -290,9 +289,19 @@ class FaultInjectionReport:
         return "\n".join(lines)
 
 
-def _decode_fully(blob: bytes, limits: Optional[DecodeLimits]) -> list:
-    graph = load_compressed_bytes(blob, limits=limits)
-    return list(graph.iter_contacts())
+def _decode_fully(blob: Buffer, *, lazy_crc: bool = False) -> list:
+    return list(load_compressed_bytes(blob, lazy_crc=lazy_crc).iter_contacts())
+
+
+def _attempt(load: Callable[[], Any]) -> Tuple[str, Any]:
+    """``("ok", result)``, ``("error", FormatError class name)`` or
+    ``("escaped", repr)``."""
+    try:
+        return "ok", load()
+    except FormatError as exc:
+        return "error", type(exc).__name__
+    except Exception as exc:  # noqa: BLE001 - the contract under test
+        return "escaped", repr(exc)
 
 
 def run_fault_injection(
@@ -300,128 +309,70 @@ def run_fault_injection(
     mutations: Iterable[Mutation],
     *,
     time_budget: float = 5.0,
-    limits: Optional[DecodeLimits] = None,
-    check_salvage: bool = False,
 ) -> FaultInjectionReport:
-    """Drive mutations through load-and-full-decode and classify outcomes.
+    """Drive each mutation through the three container loads and classify.
 
     ``container`` must be a valid container; its decoded contacts are the
-    baseline every mutation is compared against.  ``time_budget`` is the
-    per-mutation ceiling in seconds (exceeding it is recorded as an
-    ``overbudget`` failure -- the hang proxy).  With ``check_salvage`` the
-    harness additionally asserts that salvage-mode loading never raises on
-    any mutation.
+    baseline.  Every mutation is loaded three ways: strictly from the heap
+    with a full decode, lazily (``lazy_crc=True`` over a ``memoryview``,
+    the ``load_compressed(mmap=True)`` path, then a full decode so every
+    deferred checksum fires) and by :func:`salvage_bytes`.  The three
+    error policies must agree:
+
+    * ``detected`` -- both strict loads raise the same
+      :class:`FormatError` subclass, and salvage reports damage;
+    * ``identical`` -- both strict loads decode the baseline, and salvage
+      reports the container intact;
+    * ``escaped`` -- any other exception, salvage's included;
+    * ``mismatch`` -- anything else: the strict loads disagree, decode
+      different contacts, or salvage's verdict contradicts theirs.
+
+    ``time_budget`` is the per-mutation ceiling in seconds for all three
+    loads (exceeding it is an ``overbudget`` failure -- the hang proxy).
     """
-    baseline = _decode_fully(container, limits)
+    baseline = _decode_fully(container)
     report = FaultInjectionReport()
     for mutation in mutations:
         start = time.perf_counter()
-        detail = ""
-        try:
-            contacts = _decode_fully(mutation.data, limits)
-        except FormatError as exc:
-            outcome = "detected"
-            detail = f"{type(exc).__name__}"
-        except Exception as exc:  # noqa: BLE001 - the contract under test
-            outcome = "escaped"
-            detail = repr(exc)
-        else:
-            if contacts == baseline:
-                outcome = "identical"
-            else:
+        heap = _attempt(lambda: _decode_fully(mutation.data))
+        lazy = _attempt(
+            lambda: _decode_fully(memoryview(mutation.data), lazy_crc=True)
+        )
+        salvage = _attempt(lambda: salvage_bytes(mutation.data).ok)
+        if salvage[0] != "ok":
+            salvage = ("escaped", f"salvage raised {salvage[1]}")
+        intact = salvage[1]
+        escapes = [value for kind, value in (heap, lazy, salvage)
+                   if kind == "escaped"]
+        if escapes:
+            outcome, detail = "escaped", escapes[0]
+        elif heap[0] == lazy[0] == "error" and heap[1] == lazy[1]:
+            outcome, detail = "detected", heap[1]
+            if intact:
                 outcome = "mismatch"
-                detail = f"{len(contacts)} vs {len(baseline)} contacts"
-        elapsed = time.perf_counter() - start
-        if check_salvage and elapsed <= time_budget:
-            try:
-                salvage_bytes(mutation.data, limits=limits)
-            except Exception as exc:  # noqa: BLE001 - salvage must not raise
-                outcome = "escaped"
-                detail = f"salvage raised {exc!r}"
-        report.book(
-            FaultResult(mutation.name, outcome, detail, elapsed), time_budget
-        )
-    return report
-
-
-def run_mmap_fault_injection(
-    container: bytes,
-    mutations: Iterable[Mutation],
-    *,
-    time_budget: float = 5.0,
-    limits: Optional[DecodeLimits] = None,
-) -> FaultInjectionReport:
-    """Assert lazy-CRC (mmap-mode) loading has outcome parity with eager.
-
-    Every mutation is decoded twice: eagerly (the default
-    :func:`load_compressed_bytes` path) and lazily (``lazy_crc=True`` --
-    the ``load_compressed(mmap=True)`` path -- followed by a full decode
-    so every deferred stream checksum fires).  The contract extends the
-    eager one with *parity*:
-
-    * if the eager path raises a :class:`FormatError` subclass, the lazy
-      path must raise the **same subclass** (at load time or at first
-      stream touch -- never succeed silently);
-    * if the eager path decodes contacts, the lazy path must decode the
-      identical contacts.
-
-    Parity violations are recorded as ``mismatch`` failures with both
-    sides' outcomes in the detail.
-    """
-    baseline = _decode_fully(container, limits)
-    report = FaultInjectionReport()
-
-    def attempt(decode: Callable[[], list]) -> Tuple[str, object]:
-        try:
-            return "contacts", decode()
-        except FormatError as exc:
-            return "error", type(exc).__name__
-        except Exception as exc:  # noqa: BLE001 - the contract under test
-            return "escaped", repr(exc)
-
-    for mutation in mutations:
-        start = time.perf_counter()
-        detail = ""
-        eager_kind, eager_value = attempt(
-            lambda: _decode_fully(mutation.data, limits)
-        )
-        lazy_kind, lazy_value = attempt(
-            lambda: list(
-                load_compressed_bytes(
-                    memoryview(mutation.data), limits=limits, lazy_crc=True
-                ).iter_contacts()
-            )
-        )
-        if eager_kind == "escaped" or lazy_kind == "escaped":
-            outcome = "escaped"
-            detail = str(eager_value if eager_kind == "escaped" else lazy_value)
-        elif eager_kind != lazy_kind:
+                detail = f"salvage reports intact, both loads raise {heap[1]}"
+        elif heap == lazy == ("ok", baseline):
+            outcome, detail = "identical", ""
+            if not intact:
+                outcome = "mismatch"
+                detail = "salvage reports damage, both loads decode the baseline"
+        else:
             outcome = "mismatch"
             detail = (
-                f"eager {eager_kind}:{eager_value if eager_kind == 'error' else ''} "
-                f"vs lazy {lazy_kind}:{lazy_value if lazy_kind == 'error' else ''}"
+                f"heap {_loaded(heap)}, lazy {_loaded(lazy)}, baseline "
+                f"{len(baseline)} contacts"
             )
-        elif eager_kind == "error":
-            if eager_value == lazy_value:
-                outcome = "detected"
-                detail = str(eager_value)
-            else:
-                outcome = "mismatch"
-                detail = f"eager raised {eager_value}, lazy raised {lazy_value}"
-        else:
-            if eager_value != lazy_value:
-                outcome = "mismatch"
-                detail = "eager and lazy decoded different contacts"
-            elif eager_value == baseline:
-                outcome = "identical"
-            else:
-                outcome = "mismatch"
-                detail = f"{len(eager_value)} vs {len(baseline)} contacts"  # type: ignore[arg-type]
         elapsed = time.perf_counter() - start
         report.book(
             FaultResult(mutation.name, outcome, detail, elapsed), time_budget
         )
     return report
+
+
+def _loaded(attempt: Tuple[str, Any]) -> str:
+    """One strict load's outcome, as a mismatch detail shows it."""
+    kind, value = attempt
+    return f"{len(value)} contacts" if kind == "ok" else f"raised {value}"
 
 
 # --------------------------------------------------------------------------
@@ -659,7 +610,6 @@ def run_wal_fault_injection(
     mutations: Iterable[Mutation],
     *,
     time_budget: float = 5.0,
-    limits: Optional[DecodeLimits] = None,
 ) -> FaultInjectionReport:
     """Drive ``wal.tail`` mutations through a read-only store open and classify.
 
@@ -688,7 +638,7 @@ def run_wal_fault_injection(
     def served(store) -> List[tuple]:
         return sorted(store.graph.iter_contacts())
 
-    with SegmentStore.open(directory, read_only=True, limits=limits) as store:
+    with SegmentStore.open(directory, read_only=True) as store:
         if not store.health().ok:
             raise ValueError(f"{directory}: baseline store must be healthy")
         full = served(store)
@@ -706,9 +656,7 @@ def run_wal_fault_injection(
             start = time.perf_counter()
             detail = ""
             try:
-                store = SegmentStore.open(
-                    directory, read_only=True, limits=limits
-                )
+                store = SegmentStore.open(directory, read_only=True)
             except FormatError as exc:
                 outcome = "detected"
                 detail = type(exc).__name__
@@ -861,7 +809,6 @@ def run_segment_store_fault_injection(
     mutations: Iterable[Mutation],
     *,
     time_budget: float = 5.0,
-    limits: Optional[DecodeLimits] = None,
 ) -> FaultInjectionReport:
     """Mutate one file of a segment store and classify every open.
 
@@ -888,7 +835,7 @@ def run_segment_store_fault_injection(
             (c.u, c.v, c.time, c.duration) for c in store.graph.iter_contacts()
         )
 
-    with SegmentStore.open(directory, read_only=True, limits=limits) as store:
+    with SegmentStore.open(directory, read_only=True) as store:
         if not store.health().ok:
             raise ValueError(f"{directory}: baseline store must be healthy")
         baseline = answers(store)
@@ -902,9 +849,7 @@ def run_segment_store_fault_injection(
             start = time.perf_counter()
             detail = ""
             try:
-                store = SegmentStore.open(
-                    directory, read_only=True, limits=limits
-                )
+                store = SegmentStore.open(directory, read_only=True)
             except FormatError as exc:
                 outcome = "detected"
                 detail = type(exc).__name__

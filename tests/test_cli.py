@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import main
 from repro.service.protocol import QUERY_OPS
+from tests.test_slicing_validate import negative_label_container
 
 #: The table's ops whose arguments are all integers.
 FIXED_OPS = [op for op, query in QUERY_OPS.items() if "queries" not in query.args]
@@ -309,9 +310,15 @@ class TestVerifyExitCodes:
         assert main(["verify", str(junk)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_deep_scan_sound_container(self, chrono_file, capsys):
-        assert main(["verify", str(chrono_file), "--deep"]) == 0
-        assert "deep scan" in capsys.readouterr().out
+    def test_negative_label_exits_1(self, tmp_path, capsys):
+        # CRC-valid, so the load succeeds; the node check finds the label.
+        path = tmp_path / "label.chrono"
+        path.write_bytes(negative_label_container())
+        assert main(["verify", str(path)]) == 1
+        assert "node 0: neighbor label -2 outside [0, 40)" in (
+            capsys.readouterr().out
+        )
+        assert main(["verify", str(path), "--salvage"]) == 1
 
     def test_salvage_sound_container(self, chrono_file, capsys):
         assert main(["verify", str(chrono_file), "--salvage"]) == 0

@@ -87,7 +87,6 @@ class TestCampaign:
             blob,
             default_mutations(blob, stride_bits=8),
             time_budget=5.0,
-            check_salvage=True,
         )
         # ~400+ mutations per kind; three kinds clear 1000 combined.
         assert report.total >= 340, report.total

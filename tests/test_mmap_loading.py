@@ -29,7 +29,7 @@ from repro.errors import ChecksumMismatchError
 from repro.graph.builders import graph_from_contacts
 from repro.graph.model import Contact, GraphKind
 from repro.storage.segments import SegmentStore, StorePolicy
-from repro.testing.faults import default_mutations, run_mmap_fault_injection
+from repro.testing.faults import default_mutations, run_fault_injection
 
 
 def _contacts(seed=11, n=40, m=400):
@@ -165,7 +165,7 @@ class TestWriterReaderIsolation:
 class TestLazyCrcParity:
     def test_every_mutation_class_raises_same_error(self, container):
         blob = container.read_bytes()
-        report = run_mmap_fault_injection(
+        report = run_fault_injection(
             blob, default_mutations(blob, stride_bits=256)
         )
         assert report.ok, report.summary()

@@ -27,7 +27,6 @@ from repro.core.compressed import HEADER_BITS, CompressedChronoGraph
 from repro.core.config import ChronoGraphConfig
 from repro.core.serialize import (
     _OVERLONG,
-    _decode_offset_deltas,
     _offsets_payload,
     _read_offsets,
     dumps_compressed,
@@ -174,7 +173,33 @@ class TestOffsetSections:
         offsets = list(accumulate(deltas))
         body = memoryview(_offsets_payload(array("Q", offsets)))[8:]
         assert _read_offsets(body, len(offsets)) == offsets
-        assert _decode_offset_deltas(body, len(offsets), "src", "w") == offsets
+        # Through the loader, as a container's structure offsets: offsets
+        # past the small stream are rejected naming the decoded last one.
+        n = len(offsets)
+        nbits = max(4 * n, 8)
+        cg = CompressedChronoGraph(
+            kind=GraphKind.POINT,
+            num_nodes=n,
+            num_contacts=0,
+            t_min=0,
+            config=ChronoGraphConfig(timestamp_zeta_k=3),
+            structure_bytes=bytes((nbits + 7) // 8),
+            structure_bits=nbits,
+            timestamp_bytes=b"",
+            timestamp_bits=0,
+            structure_offsets=array("Q", [0] * n),
+            timestamp_offsets=array("Q", [0] * n),
+        )
+        blob = _replace_section(
+            dumps_compressed(cg), 3, _offsets_payload(array("Q", offsets))
+        )
+        if not offsets or offsets[-1] <= nbits:
+            assert list(load_compressed_bytes(blob)._soffsets) == offsets
+        else:
+            with pytest.raises(
+                CorruptStreamError, match=f"offset {offsets[-1]} beyond "
+            ):
+                load_compressed_bytes(blob)
 
     @given(_delta_lists, st.integers(0, 10**6))
     def test_cut_sections_decode_a_prefix(self, deltas, cut_seed):

@@ -8,10 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import compress
+from repro.core import compress, serialize
 from repro.core.serialize import (
-    DEFAULT_LIMITS,
-    DecodeLimits,
     MAGIC,
     VERSION,
     dumps_compressed,
@@ -209,16 +207,20 @@ class TestDecodeLimits:
         with pytest.raises(LimitExceededError):
             load_compressed_bytes(blob)
 
-    def test_caller_limits_are_enforced(self):
+    def test_caller_limits_are_enforced(self, monkeypatch):
         blob = _blob(GraphKind.POINT)
-        with pytest.raises(LimitExceededError):
-            load_compressed_bytes(blob, limits=DecodeLimits(max_nodes=3))
-        with pytest.raises(LimitExceededError):
-            load_compressed_bytes(blob, limits=DecodeLimits(max_contacts=3))
+        with monkeypatch.context() as patch:
+            patch.setattr(serialize, "_MAX_NODES", 3)
+            with pytest.raises(LimitExceededError):
+                load_compressed_bytes(blob)
+        with monkeypatch.context() as patch:
+            patch.setattr(serialize, "_MAX_CONTACTS", 3)
+            with pytest.raises(LimitExceededError):
+                load_compressed_bytes(blob)
 
     def test_default_limits_admit_real_containers(self):
-        assert DEFAULT_LIMITS.max_nodes >= 1 << 32
-        load_compressed_bytes(_blob(GraphKind.POINT), limits=DEFAULT_LIMITS)
+        assert serialize._MAX_NODES >= 1 << 32
+        load_compressed_bytes(_blob(GraphKind.POINT))
 
     def test_moderately_inflated_count_still_caught(self):
         # Count passes the global limit but not the per-file feasibility

@@ -1,15 +1,44 @@
 """Tests for dataset slicing and compressed-graph validation."""
 
 import random
+import struct
+import zlib
 
 import pytest
 
 from repro.cli import main
 from repro.core import compress
+from repro.core.serialize import dumps_compressed, load_compressed_bytes
 from repro.core.validate import validate_compressed
 from repro.graph.builders import graph_from_contacts
 from repro.graph.model import Contact, GraphKind
 from repro.graph.slicing import induced_subgraph, sample_contacts, slice_time
+
+
+def negative_label_container() -> bytes:
+    """A CRC-valid container whose node 0 decodes the label -2.
+
+    One flipped structure-stream bit of a seeded 40-node, 300-contact
+    graph, with the section's CRC rewritten: only the per-node label
+    check can tell.
+    """
+    rng = random.Random(1)
+    rows = [
+        (rng.randrange(40), rng.randrange(40), rng.randrange(1000), 0)
+        for _ in range(300)
+    ]
+    blob = bytearray(
+        dumps_compressed(
+            compress(graph_from_contacts(GraphKind.POINT, rows, num_nodes=40))
+        )
+    )
+    (header_len,) = struct.unpack_from("<I", blob, 6)
+    start = 10 + header_len + 4 + 9  # the structure section's payload
+    (length,) = struct.unpack_from("<Q", blob, start - 8)
+    blob[start + 9] ^= 0x80  # stream byte 1, after the 8-byte bit count
+    payload = bytes(blob[start : start + length])
+    struct.pack_into("<I", blob, start + length, zlib.crc32(payload))
+    return bytes(blob)
 
 
 def _point_graph():
@@ -128,6 +157,12 @@ class TestValidation:
         cg._tbytes = cg._tbytes[: (cg._tbits + 7) // 8]
         report = validate_compressed(cg)
         assert not report.ok
+
+    def test_label_outside_node_range_detected(self):
+        report = validate_compressed(
+            load_compressed_bytes(negative_label_container())
+        )
+        assert report.errors == ["node 0: neighbor label -2 outside [0, 40)"]
 
     def test_error_cap(self):
         cg = compress(_point_graph())
